@@ -54,6 +54,7 @@ from .metric import (
     riemannian_pullback,
     spd_project,
     w2_local_hessian_1d,
+    w2_local_hessian_gaussian,
     wp_local_hessian_1d,
 )
 from .optimizer import (
@@ -74,7 +75,6 @@ from .similarity import (
     FDivergenceSpec,
     HalfSquaredDistance,
     SIMILARITY_IDS,
-    ScaledSimilarity,
     Similarity,
     SquaredEuclidean,
     SquaredFisherRaoCategorical,

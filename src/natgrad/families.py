@@ -81,7 +81,10 @@ class Family(ABC):
     """A smoothly parameterized family of probability distributions.
 
     Subclasses set the class attributes below and implement at least
-    ``log_density`` and ``_in_domain``.  Defaults fall back to central
+    ``log_density`` and ``_in_domain``.  A Gaussian family also implements
+    ``gaussian_moments`` and ``moment_derivs``; from those the base class
+    derives the score and the closed-form Fisher matrix, so Gaussian
+    families write neither.  Otherwise the defaults fall back to central
     finite differences (score, dcdf_dtheta) or raise
     :class:`CapabilityError` (cdf, quantile, fisher) so each family only
     implements what it actually supports.
@@ -152,10 +155,22 @@ class Family(ABC):
     def score(self, theta, x) -> np.ndarray:
         """Gradient of ``log_density`` with respect to the parameters.
 
-        The default implementation uses central finite differences with
+        Gaussian families (``moment_derivs`` not None) use the closed form
+        ``dmu_i^T S^-1 e - 1/2 tr((S^-1 - S^-1 e e^T S^-1) dS_i)`` with
+        ``e = x - mu``.  Otherwise central finite differences with
         per-coordinate steps ``eps**(1/3) * max(1, |theta_i|)``.
         """
         theta = self.check_point(theta)
+        moments = self.gaussian_moments(theta)
+        derivs = None if moments is None else self.moment_derivs(theta)
+        if derivs is not None:
+            mean, cov = moments
+            dmu, dcov = derivs
+            e = self._check_x(x) - mean
+            cov_inv = np.linalg.inv(cov)
+            w = cov_inv @ e
+            inner = cov_inv - np.outer(w, w)
+            return dmu @ w - 0.5 * dcov.reshape(len(dcov), -1) @ inner.ravel()
         if not np.isfinite(self.log_density(theta, x)):
             raise UndefinedScoreError(f"{self.name}: zero density at x={x}, score undefined")
         return central_gradient(lambda t: self.log_density(t, x), theta)
@@ -205,8 +220,22 @@ class Family(ABC):
         raise CapabilityError(f"{self.name}: no sampler available")
 
     def fisher(self, theta) -> np.ndarray:
-        """Closed-form Fisher information matrix, if the family has one."""
-        raise CapabilityError(f"{self.name}: no closed-form Fisher information")
+        """Closed-form Fisher information matrix, if the family has one.
+
+        For Gaussian families: ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``.
+        """
+        theta = self.check_point(theta)
+        moments = self.gaussian_moments(theta)
+        derivs = None if moments is None else self.moment_derivs(theta)
+        if derivs is None:
+            raise CapabilityError(f"{self.name}: no closed-form Fisher information")
+        _, cov = moments
+        dmu, dcov = derivs
+        cov_inv = np.linalg.inv(cov)
+        sens = cov_inv @ dcov
+        n = len(sens)
+        trace_term = sens.reshape(n, -1) @ sens.transpose(0, 2, 1).reshape(n, -1).T
+        return dmu @ cov_inv @ dmu.T + 0.5 * trace_term
 
     def gaussian_moments(self, theta) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """``(mean, covariance)`` if the distribution is Gaussian, else None.
@@ -215,6 +244,24 @@ class Family(ABC):
         2-Wasserstein) recognize the family without type checks.
         """
         return None
+
+    def moment_derivs(self, theta) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Parameter derivatives of ``gaussian_moments``, else None.
+
+        Returns ``(dmu, dcov)`` of shapes ``(param_dim, d)`` and
+        ``(param_dim, d, d)``: row ``i`` holds the derivatives of the mean
+        and the covariance with respect to ``theta_i``.
+        """
+        return None
+
+    def _check_x(self, x) -> np.ndarray:
+        """Validate one vector sample of length ``sample_dim``."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.sample_dim,):
+            raise ValueError(
+                f"{self.name}: expected sample of shape ({self.sample_dim},), got {x.shape}"
+            )
+        return x
 
     def expectation(self, theta, fn: Callable[[np.ndarray], np.ndarray], n_nodes: int = 256) -> float:
         """Expectation of ``fn(X)`` under the distribution at ``theta``.
@@ -280,13 +327,13 @@ class Gaussian1D(Family):
         rng = np.random.default_rng(seed)
         return mu + sigma * rng.standard_normal(int(count))
 
-    def fisher(self, theta):
-        _, sigma = self.check_point(theta)
-        return np.diag([1.0 / sigma**2, 2.0 / sigma**2])
-
     def gaussian_moments(self, theta):
         mu, sigma = self.check_point(theta)
         return np.array([mu]), np.array([[sigma * sigma]])
+
+    def moment_derivs(self, theta):
+        _, sigma = self.check_point(theta)
+        return np.array([[1.0], [0.0]]), np.array([[[0.0]], [[2.0 * sigma]]])
 
     def expectation(self, theta, fn, n_nodes: int = 256):
         theta = self.check_point(theta)
@@ -329,34 +376,11 @@ class MultivariateNormalLogCholesky(Family):
         np.fill_diagonal(L, diag)
         return mean, L
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(f"{self.name}: expected sample of shape ({self.dim},), got {x.shape}")
-        return x
-
     def log_density(self, theta, x):
         mean, L = self.split(theta)
         x = self._check_x(x)
         w = np.linalg.solve(L, x - mean)  # whitened residual
         return float(-0.5 * self.dim * LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * w @ w)
-
-    def score(self, theta, x):
-        mean, L = self.split(theta)
-        x = self._check_x(x)
-        e = x - mean
-        z = np.linalg.solve(L, e)              # L^-1 e
-        w = np.linalg.solve(L.T, z)            # Sigma^-1 e
-        g = np.empty(self.param_dim)
-        g[: self.dim] = w
-        # d log p / dL_ij = w_i z_j - delta_ij / L_ii, then chain rule for
-        # the log-diagonal parameterization multiplies diagonal terms by L_ii.
-        for k, (i, j) in enumerate(zip(self._rows, self._cols)):
-            if i == j:
-                g[self.dim + k] = (w[i] * z[j] - 1.0 / L[i, i]) * L[i, i]
-            else:
-                g[self.dim + k] = w[i] * z[j]
-        return g
 
     def sample(self, theta, seed, count):
         mean, L = self.split(theta)
@@ -364,34 +388,19 @@ class MultivariateNormalLogCholesky(Family):
         z = rng.standard_normal((int(count), self.dim))
         return mean + z @ L.T
 
-    def _cov_derivs(self, L: np.ndarray) -> list[np.ndarray]:
-        """d(Sigma)/d(param) for each Cholesky parameter, in storage order."""
-        derivs = []
-        for i, j in zip(self._rows, self._cols):
-            dL = np.zeros_like(L)
-            dL[i, j] = L[i, i] if i == j else 1.0
-            dS = dL @ L.T
-            derivs.append(dS + dS.T)
-        return derivs
-
-    def fisher(self, theta):
-        mean, L = self.split(theta)
-        n = self.param_dim
-        d = self.dim
-        Sigma_inv = np.linalg.inv(L @ L.T)
-        H = np.zeros((n, n))
-        H[:d, :d] = Sigma_inv
-        sens = [Sigma_inv @ dS for dS in self._cov_derivs(L)]
-        for a in range(len(sens)):
-            for b in range(a, len(sens)):
-                val = 0.5 * np.trace(sens[a] @ sens[b])
-                H[d + a, d + b] = val
-                H[d + b, d + a] = val
-        return H
-
     def gaussian_moments(self, theta):
         mean, L = self.split(theta)
         return mean, L @ L.T
+
+    def moment_derivs(self, theta):
+        _, L = self.split(theta)
+        d, rows, cols = self.dim, self._rows, self._cols
+        # Parameter k moves L[rows[k], cols[k]] at rate L_ii on the (log)
+        # diagonal and 1 elsewhere; dSigma = dL L^T + L dL^T.
+        rate = np.where(rows == cols, L[rows, rows], 1.0)
+        dLLt = np.zeros((self.param_dim, d, d))
+        dLLt[d + np.arange(rows.size), rows, :] = rate[:, None] * L[:, cols].T
+        return np.eye(self.param_dim, d), dLLt + dLLt.transpose(0, 2, 1)
 
 
 class CategoricalSoftmax(Family):
@@ -437,8 +446,8 @@ class CategoricalSoftmax(Family):
         return rng.choice(self.k, size=int(count), p=p)
 
     def fisher(self, theta):
-        p = self.probabilities(theta)
-        return np.diag(p) - np.outer(p, p)
+        # For softmax logits the Fisher matrix is the softmax Jacobian.
+        return self.softmax_jacobian(theta)
 
     def softmax_jacobian(self, theta) -> np.ndarray:
         """d(probabilities)/d(logits): ``diag(p) - p p^T`` (rank k - 1)."""
@@ -483,40 +492,35 @@ class GpPriorEq(Family):
         self._sqdist = (inputs[:, None] - inputs[None, :]) ** 2
 
     def covariance(self, theta) -> np.ndarray:
+        """Covariance over the inputs.  Raises :class:`NumericError` where
+        extreme log-parameters overflow it, so that every operation built
+        on it fails alike and line searches treat the point as infinitely
+        bad instead of crashing."""
         log_amp, log_ls, log_noise = self.check_point(theta)
-        K = eq_covariance(self.inputs, log_amp, log_ls)
-        return K + np.exp(2.0 * log_noise) * np.eye(self.sample_dim)
-
-    def covariance_derivs(self, theta) -> list[np.ndarray]:
-        """dK/dtheta_i for the three log-parameters."""
-        log_amp, log_ls, log_noise = self.check_point(theta)
-        K_eq = eq_covariance(self.inputs, log_amp, log_ls)
-        ls2 = np.exp(2.0 * log_ls)
-        return [
-            2.0 * K_eq,
-            K_eq * (self._sqdist / ls2),
-            2.0 * np.exp(2.0 * log_noise) * np.eye(self.sample_dim),
-        ]
-
-    def _check_x(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.sample_dim,):
-            raise ValueError(
-                f"{self.name}: expected sample of shape ({self.sample_dim},), got {x.shape}"
-            )
-        return x
-
-    def log_density(self, theta, x):
-        y = self._check_x(x)
         with np.errstate(over="ignore"):
-            K = self.covariance(theta)
-        # Extreme log-parameters overflow exp or make K numerically
-        # indefinite; report that as a numeric failure so line searches
-        # treat the point as infinitely bad instead of crashing.
+            K = eq_covariance(self.inputs, log_amp, log_ls)
+            K = K + np.exp(2.0 * log_noise) * np.eye(self.sample_dim)
         if not np.all(np.isfinite(K)):
             raise NumericError(
                 "covariance is not finite", diagnostics={"theta": np.asarray(theta, dtype=float)}
             )
+        return K
+
+    def covariance_derivs(self, theta) -> np.ndarray:
+        """dK/dtheta_i for the three log-parameters, stacked (3, m, m)."""
+        log_amp, log_ls, log_noise = self.check_point(theta)
+        K_eq = eq_covariance(self.inputs, log_amp, log_ls)
+        ls2 = np.exp(2.0 * log_ls)
+        return np.stack([
+            2.0 * K_eq,
+            K_eq * (self._sqdist / ls2),
+            2.0 * np.exp(2.0 * log_noise) * np.eye(self.sample_dim),
+        ])
+
+    def log_density(self, theta, x):
+        y = self._check_x(x)
+        K = self.covariance(theta)
+        # Extreme log-parameters can also make K numerically indefinite.
         try:
             L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError as exc:
@@ -529,15 +533,6 @@ class GpPriorEq(Family):
             -0.5 * self.sample_dim * LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * w @ w
         )
 
-    def score(self, theta, x):
-        y = self._check_x(x)
-        K = self.covariance(theta)
-        K_inv = np.linalg.inv(K)
-        alpha = K_inv @ y
-        # d log p / dtheta_i = -1/2 tr((K^-1 - alpha alpha^T) dK_i)
-        inner = K_inv - np.outer(alpha, alpha)
-        return np.array([-0.5 * np.sum(inner * dK.T) for dK in self.covariance_derivs(theta)])
-
     def sample(self, theta, seed, count):
         K = self.covariance(theta)
         L = np.linalg.cholesky(K)
@@ -545,18 +540,11 @@ class GpPriorEq(Family):
         z = rng.standard_normal((int(count), self.sample_dim))
         return z @ L.T
 
-    def fisher(self, theta):
-        K = self.covariance(theta)
-        K_inv = np.linalg.inv(K)
-        sens = [K_inv @ dK for dK in self.covariance_derivs(theta)]
-        H = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                H[i, j] = H[j, i] = 0.5 * np.sum(sens[i] * sens[j].T)
-        return H
-
     def gaussian_moments(self, theta):
         return np.zeros(self.sample_dim), self.covariance(theta)
+
+    def moment_derivs(self, theta):
+        return np.zeros((self.param_dim, self.sample_dim)), self.covariance_derivs(theta)
 
 
 class LinearlyReparameterized(Family):

@@ -5,8 +5,9 @@ derivative of ``eta -> c(eta, theta)`` evaluated at ``eta = theta``.  It is
 the curvature the similarity assigns to parameter space at ``theta``, and it
 is what a natural-gradient step inverts.  Engines here produce it four ways:
 
-* analytically, for f-divergences (``f''(1)`` times the Fisher information)
-  and for 1-D Wasserstein distances (velocity-potential integrals);
+* analytically, for f-divergences (``f''(1)`` times the Fisher information),
+  for 1-D Wasserstein distances (velocity-potential integrals) and for
+  Gaussian 2-Wasserstein (Bures-Wasserstein, from moment derivatives);
 * by pulling a density-space Hessian back through the parameterization
   Jacobian (``J^T G J``);
 * by central finite differences of the similarity itself.  Squared
@@ -43,6 +44,7 @@ __all__ = [
     "pullback_fisher_categorical",
     "w2_local_hessian_1d",
     "wp_local_hessian_1d",
+    "w2_local_hessian_gaussian",
     "fd_local_hessian",
     "spd_project",
     "MetricEngine",
@@ -268,6 +270,26 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None, n_nodes: int = 
         + (p - 2.0) * f_norm ** (2.0 - p) * third
     )
     return LocalHessian(H, provenance="analytic")
+
+
+def w2_local_hessian_gaussian(family: Family, theta) -> LocalHessian:
+    """Local Hessian of half the squared 2-Wasserstein distance (Gaussians).
+
+    The Bures-Wasserstein metric pulled back through the moments:
+    ``H_ij = dmu_i . dmu_j + 1/2 sum_ab (U^T dS_i U)_ab (U^T dS_j U)_ab / (l_a + l_b)``
+    with ``S = U diag(l) U^T`` (Takatsu 2011; Malago, Montrucchio & Pistone
+    2018).  Needs a family whose ``moment_derivs`` is not None.
+    """
+    theta = family.check_point(theta)
+    moments = family.gaussian_moments(theta)
+    derivs = None if moments is None else family.moment_derivs(theta)
+    if derivs is None:
+        raise CapabilityError(f"{family.name}: the Gaussian W2 metric needs moment derivatives")
+    dmu, dcov = derivs
+    lam, U = np.linalg.eigh(moments[1])
+    rotated = (U.T @ dcov @ U) / np.sqrt(lam[:, None] + lam[None, :])
+    flat = rotated.reshape(len(rotated), -1)
+    return LocalHessian(dmu @ dmu.T + 0.5 * flat @ flat.T, provenance="analytic")
 
 
 def fd_local_hessian(

@@ -44,7 +44,6 @@ __all__ = [
     "SquaredW2Gaussian",
     "SquaredFisherRaoCategorical",
     "SquaredEuclidean",
-    "ScaledSimilarity",
     "HalfSquaredDistance",
     "gaussian_kl",
     "squared_w2_gaussian",
@@ -369,21 +368,6 @@ class SquaredEuclidean(Similarity):
 
     def grad_theta(self, family, theta, target):
         return family.check_point(theta) - _check_point_target(family, target)
-
-
-class ScaledSimilarity(Similarity):
-    """``scale * base`` (e.g. half a squared distance)."""
-
-    def __init__(self, base: Similarity, scale: float):
-        self.base = base
-        self.scale = float(scale)
-        self.name = f"scaled({base.name},{scale:g})"
-
-    def evaluate(self, family, theta, target):
-        return self.scale * self.base.evaluate(family, theta, target)
-
-    def grad_theta(self, family, theta, target):
-        return self.scale * self.base.grad_theta(family, theta, target)
 
 
 class HalfSquaredDistance(Similarity):

@@ -105,6 +105,16 @@ def test_categorical_score_matches_finite_differences():
             lambda rng: rng.normal(size=4),
             lambda rng, th: int(rng.integers(4)),
         ),
+        (
+            GpPriorEq(np.linspace(-2.0, 2.0, 5)),
+            lambda rng: rng.uniform(-1.0, 1.0, size=3),
+            lambda rng, th: rng.normal(size=5),
+        ),
+        (
+            MultivariateNormalLogCholesky(3),
+            lambda rng: rng.normal(size=9) * 0.6,
+            lambda rng, th: rng.normal(size=3),
+        ),
     ],
 )
 def test_score_matches_fd_at_random_points(rng, family, theta_sampler, x_sampler):
@@ -115,6 +125,16 @@ def test_score_matches_fd_at_random_points(rng, family, theta_sampler, x_sampler
         ref = fd_gradient(lambda t: family.log_density(t, x), theta)
         tol = max(1e-6, 1e-4 * np.linalg.norm(s))
         np.testing.assert_allclose(s, ref, atol=tol)
+
+
+@pytest.mark.parametrize(
+    "family", [MultivariateNormalLogCholesky(2), GpPriorEq(np.linspace(-1.0, 1.0, 3))]
+)
+def test_gaussian_score_rejects_wrong_shaped_sample(family):
+    theta = np.zeros(family.param_dim)
+    for x in (np.zeros(family.sample_dim + 1), np.zeros((family.sample_dim, 1)), 0.5):
+        with pytest.raises(ValueError):
+            family.score(theta, x)
 
 
 def test_score_undefined_at_zero_density():
@@ -382,8 +402,13 @@ def test_gp_covariance_derivs_match_fd(rng):
 
 def test_gp_rejects_numerically_bad_covariance():
     fam = GpPriorEq(np.linspace(-1, 1, 4))
+    theta = (400.0, 0.0, 0.0)  # exp overflow
     with pytest.raises(NumericError):
-        fam.log_density((400.0, 0.0, 0.0), np.zeros(4))  # exp overflow
+        fam.log_density(theta, np.zeros(4))
+    for op in (lambda: fam.score(theta, np.zeros(4)), lambda: fam.fisher(theta),
+               lambda: fam.sample(theta, 0, 1)):
+        with pytest.raises(NumericError):
+            op()
 
 
 def test_eq_covariance_values():

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from natgrad.errors import ConfigError
+from natgrad.errors import ConfigError, NumericError
 from natgrad.families import Dataset, Gaussian1D, GpPriorEq
-from natgrad.metric import spd_project
+import natgrad.gp_bench
+import natgrad.metric
+from natgrad.metric import spd_project, w2_local_hessian_gaussian
 from natgrad.optimizer import OptimizerConfig
 from natgrad.gp_bench import (
     BENCHMARK_METRIC_IDS,
@@ -157,6 +161,41 @@ def test_gp_w2_symmetric_psd_at_default_start():
     H = gp_w2_metric(np.asarray(DEFAULT_THETA0), inputs).matrix
     np.testing.assert_array_equal(H, H.T)
     assert np.linalg.eigvalsh(H)[0] > -1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.5, 0.5)),
+)
+def test_gp_w2_closed_form_matches_fd_oracle(inputs, theta):
+    inputs, theta = np.array(inputs), np.array(theta)
+    H = w2_local_hessian_gaussian(GpPriorEq(inputs), theta).matrix
+    ref = gp_w2_metric(theta, inputs).matrix
+    np.testing.assert_allclose(H, ref, rtol=0, atol=1e-5 * np.max(np.abs(ref)))
+
+
+def test_gp_w2_metrics_raise_numeric_error_on_overflow():
+    inputs, theta = np.linspace(-1.0, 1.0, 4), np.array([400.0, 0.0, 0.0])
+    with pytest.raises(NumericError):
+        w2_local_hessian_gaussian(GpPriorEq(inputs), theta)
+    with pytest.raises(NumericError):
+        gp_w2_metric(theta, inputs)
+
+
+def test_benchmark_w2_makes_no_finite_difference_call(monkeypatch):
+    calls, real = [], natgrad.metric.fd_local_hessian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (natgrad.gp_bench, natgrad.metric):
+        monkeypatch.setattr(module, "fd_local_hessian", counting)
+    config = BenchmarkConfig(m=8, metrics=("w2",), optimizer=OptimizerConfig(max_iters=5))
+    trace = run_benchmark(config).traces["w2"]
+    assert trace.status != "numeric_failure" and trace.iterations >= 1
+    assert calls == []
 
 
 # -- data generation -------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natgrad.errors import CapabilityError, ConfigError, NumericError
 from natgrad.families import CategoricalSoftmax, Family, Gaussian1D, MultivariateNormalLogCholesky
@@ -20,6 +22,7 @@ from natgrad.metric import (
     riemannian_pullback,
     spd_project,
     w2_local_hessian_1d,
+    w2_local_hessian_gaussian,
     wp_local_hessian_1d,
 )
 from natgrad.metric import _velocity_basis
@@ -29,6 +32,7 @@ from natgrad.similarity import (
     HalfSquaredDistance,
     Similarity,
     SquaredEuclidean,
+    SquaredW2Gaussian,
     WassersteinP,
 )
 
@@ -405,6 +409,36 @@ def test_mvn_fisher_vs_fd_of_kl(rng):
         H = fisher_information(fam, theta).matrix
         ref = fd_hessian(lambda t: sim.evaluate(fam, t, theta.copy()), theta, h=1e-3)
         np.testing.assert_allclose(H, ref, atol=2e-4 * max(1.0, np.max(np.abs(H))))
+
+
+@st.composite
+def mvn_points(draw):
+    fam = MultivariateNormalLogCholesky(draw(st.integers(1, 3)))
+    coords = st.floats(-0.7, 0.7)
+    theta = draw(st.lists(coords, min_size=fam.param_dim, max_size=fam.param_dim))
+    return fam, np.array(theta)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mvn_points())
+def test_gaussian_w2_matches_fd_of_half_squared_w2_mvn(point):
+    fam, theta = point
+    H = w2_local_hessian_gaussian(fam, theta)
+    ref = 0.5 * fd_local_hessian(SquaredW2Gaussian(), fam, theta).matrix
+    assert H.provenance == "analytic"
+    np.testing.assert_allclose(H.matrix, ref, rtol=0, atol=1e-5 * np.max(np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 3.0), st.floats(0.2, 5.0))
+def test_gaussian_w2_equals_1d_transport_metric(mu, sigma):
+    H = w2_local_hessian_gaussian(GAUSS, (mu, sigma)).matrix
+    np.testing.assert_allclose(H, w2_local_hessian_1d(GAUSS, (mu, sigma)).matrix, atol=1e-8)
+
+
+def test_gaussian_w2_needs_moment_derivatives():
+    with pytest.raises(CapabilityError):
+        w2_local_hessian_gaussian(CAT3, np.zeros(3))
 
 
 # -- engine registry -----------------------------------------------------------------

@@ -15,7 +15,6 @@ from natgrad.similarity import (
     SIMILARITY_IDS,
     FDivergence,
     HalfSquaredDistance,
-    ScaledSimilarity,
     SquaredEuclidean,
     SquaredFisherRaoCategorical,
     SquaredW2Gaussian,
@@ -373,16 +372,6 @@ def test_sq_euclidean_gradient_exact(rng):
 
 
 # -- combinators -----------------------------------------------------------------------
-
-
-def test_scaled_similarity():
-    base = FDivergence(F_DIVERGENCES["kl"])
-    sim = ScaledSimilarity(base, 2.5)
-    a, b = (0.5, 1.2), (0.0, 1.0)
-    assert sim.evaluate(GAUSS, a, b) == pytest.approx(2.5 * base.evaluate(GAUSS, a, b), abs=1e-14)
-    np.testing.assert_allclose(
-        sim.grad_theta(GAUSS, a, b), 2.5 * base.grad_theta(GAUSS, a, b), atol=1e-14
-    )
 
 
 def test_half_squared_distance_matches_gaussian_closed_form(rng):
