@@ -10,18 +10,27 @@ All operations are pure functions of ``(theta, x)``: families hold only
 immutable configuration, so instances can be shared freely across threads.
 
 Parameter vectors are plain 1-D float arrays.  ``Family.check_point``
-canonicalizes and validates them eagerly; every public operation calls it,
-so invalid parameters fail with :class:`InvalidParameterError` rather than
-producing NaNs downstream.
+canonicalizes and validates them eagerly; every public operation calls it
+once per call, so invalid parameters fail with
+:class:`InvalidParameterError` rather than producing NaNs downstream.
+
+Array contract: ``log_density``, ``score``, ``cdf`` and ``dcdf_dtheta`` take
+one sample point or a batch of them, and ``quantile`` one level or an array
+of levels.  When ``sample_dim == 1`` a sample is a scalar and a batch has
+shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
+``(n, sample_dim)``.  An ``(n, sample_dim)`` array is a batch in either case.
+A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
+``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import log_softmax, ndtr, ndtri, softmax
 
 from .errors import (
@@ -35,7 +44,6 @@ from .numdiff import central_gradient
 from .quadrature import DEFAULT_TAIL_MASS, composite_legendre
 
 __all__ = [
-    "ParamPoint",
     "Dataset",
     "Family",
     "Gaussian1D",
@@ -47,10 +55,6 @@ __all__ = [
     "get_family",
     "FAMILY_IDS",
 ]
-
-# A parameter point is a 1-D float vector; kept as a plain array rather than
-# a wrapper class so numpy arithmetic stays direct.
-ParamPoint = np.ndarray
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -81,13 +85,16 @@ class Family(ABC):
     """A smoothly parameterized family of probability distributions.
 
     Subclasses set the class attributes below and implement at least
-    ``log_density`` and ``_in_domain``.  A Gaussian family also implements
-    ``gaussian_moments`` and ``moment_derivs``; from those the base class
-    derives the score and the closed-form Fisher matrix, so Gaussian
-    families write neither.  Otherwise the defaults fall back to central
+    ``log_density`` and ``_in_domain``.  A Gaussian family implements
+    ``gaussian_moments`` and ``moment_derivs`` instead of ``log_density``;
+    from those the base class derives the log-density, the score and the
+    closed-form Fisher matrix.  Otherwise the defaults fall back to central
     finite differences (score, dcdf_dtheta) or raise
     :class:`CapabilityError` (cdf, quantile, fisher) so each family only
     implements what it actually supports.
+
+    Sample-point operations follow the module's array contract; the defaults
+    and the quadrature routes pass batches to ``log_density`` and ``cdf``.
 
     Attributes
     ----------
@@ -148,16 +155,33 @@ class Family(ABC):
 
     # -- core operations -------------------------------------------------------
 
-    @abstractmethod
-    def log_density(self, theta, x) -> float:
-        """Log-density (or log-mass) at sample point ``x``."""
+    def log_density(self, theta, x):
+        """Log-density (or log-mass) at sample point ``x``.  Gaussian
+        families get it from ``gaussian_moments``; others implement it."""
+        moments = self.gaussian_moments(theta)
+        if moments is None:
+            raise NotImplementedError(f"{self.name}: log_density is not implemented")
+        mean, cov = moments
+        xs, single = self._check_x(x)
+        # Extreme log-parameters can make the covariance numerically indefinite.
+        try:
+            L = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"covariance is not positive definite: {exc}",
+                diagnostics={"theta": np.asarray(theta, dtype=float)},
+            ) from exc
+        w, _ = dtrtrs(L, (xs - mean).T, lower=1)  # info flags a zero pivot; L has none
+        maha = np.einsum("ij,ij->j", w, w)  # squared whitened residuals, one per sample
+        out = -0.5 * len(L) * LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * maha
+        return out[0] if single else out
 
     def score(self, theta, x) -> np.ndarray:
         """Gradient of ``log_density`` with respect to the parameters.
 
         Gaussian families (``moment_derivs`` not None) use the closed form
-        ``dmu_i^T S^-1 e - 1/2 tr((S^-1 - S^-1 e e^T S^-1) dS_i)`` with
-        ``e = x - mu``.  Otherwise central finite differences with
+        ``dmu_i^T w - 1/2 tr(S^-1 dS_i) + 1/2 w^T dS_i w`` with
+        ``w = S^-1 (x - mu)``.  Otherwise central finite differences with
         per-coordinate steps ``eps**(1/3) * max(1, |theta_i|)``.
         """
         theta = self.check_point(theta)
@@ -166,47 +190,51 @@ class Family(ABC):
         if derivs is not None:
             mean, cov = moments
             dmu, dcov = derivs
-            e = self._check_x(x) - mean
+            xs, single = self._check_x(x)
             cov_inv = np.linalg.inv(cov)
-            w = cov_inv @ e
-            inner = cov_inv - np.outer(w, w)
-            return dmu @ w - 0.5 * dcov.reshape(len(dcov), -1) @ inner.ravel()
-        if not np.isfinite(self.log_density(theta, x)):
+            w = (xs - mean) @ cov_inv
+            out = (
+                w @ dmu.T
+                - 0.5 * dcov.reshape(len(dcov), -1) @ cov_inv.ravel()
+                + 0.5 * np.sum((w @ dcov) * w, axis=-1).T
+            )
+            return out[0] if single else out
+        if not np.all(np.isfinite(self.log_density(theta, x))):
             raise UndefinedScoreError(f"{self.name}: zero density at x={x}, score undefined")
         return central_gradient(lambda t: self.log_density(t, x), theta)
 
-    def cdf(self, theta, x) -> float:
+    def cdf(self, theta, x):
         """Cumulative distribution function (1-D families only)."""
         raise CapabilityError(f"{self.name}: cdf is not available")
 
-    def quantile(self, theta, q) -> float:
-        """Inverse CDF.  Default: bisection against ``cdf``.
+    def quantile(self, theta, q):
+        """Inverse CDF at a level or an array of levels.  Default: bisection
+        against ``cdf``, all levels at once.
 
         Raises
         ------
         ValueError
-            If ``q`` is not strictly inside (0, 1).
+            If a level is not strictly inside (0, 1).
         """
         if not self.has_cdf:
             raise CapabilityError(f"{self.name}: quantile is not available")
-        q = float(q)
-        if not 0.0 < q < 1.0:
+        q = np.asarray(q, dtype=float)
+        if np.any(~((q > 0.0) & (q < 1.0))):
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
         theta = self.check_point(theta)
-        lo, hi = -1.0, 1.0
-        while self.cdf(theta, lo) > q:
-            lo *= 2.0
-        while self.cdf(theta, hi) < q:
-            hi *= 2.0
+        lo, hi = np.full(q.shape, -1.0), np.full(q.shape, 1.0)
+        while np.any(low := self.cdf(theta, lo) > q):
+            lo = np.where(low, 2.0 * lo, lo)
+        while np.any(high := self.cdf(theta, hi) < q):
+            hi = np.where(high, 2.0 * hi, hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.cdf(theta, mid) < q:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, abs(lo)):
+            below = self.cdf(theta, mid) < q
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            if np.all(hi - lo < 1e-14 * np.maximum(1.0, np.abs(lo))):
                 break
-        return 0.5 * (lo + hi)
+        out = 0.5 * (lo + hi)
+        return float(out) if out.ndim == 0 else out
 
     def dcdf_dtheta(self, theta, x) -> np.ndarray:
         """Gradient of the CDF with respect to the parameters, at fixed x."""
@@ -254,31 +282,32 @@ class Family(ABC):
         """
         return None
 
-    def _check_x(self, x) -> np.ndarray:
-        """Validate one vector sample of length ``sample_dim``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.sample_dim,):
-            raise ValueError(
-                f"{self.name}: expected sample of shape ({self.sample_dim},), got {x.shape}"
-            )
-        return x
+    def _check_x(self, x) -> tuple[np.ndarray, bool]:
+        """Validate ``x``; return it as an ``(n, sample_dim)`` batch and
+        whether it was a single sample."""
+        x = np.asarray(x, dtype=float)
+        d = self.sample_dim
+        single = x.ndim == (0 if d == 1 else 1)
+        batch = (x.ndim == 2 and x.shape[1] == d) or (d == 1 and x.ndim == 1)
+        if not (batch or (single and x.size == d)):
+            raise ValueError(f"{self.name}: sample shape {x.shape} does not fit sample_dim {d}")
+        return x.reshape(-1, d), single
 
-    def expectation(self, theta, fn: Callable[[np.ndarray], np.ndarray], n_nodes: int = 256) -> float:
+    def expectation(self, theta, fn: Callable[[np.ndarray], np.ndarray], n_nodes: int = 256):
         """Expectation of ``fn(X)`` under the distribution at ``theta``.
 
         One-dimensional continuous families integrate over the quantile
         window ``[quantile(delta), quantile(1 - delta)]`` with a composite
-        Gauss-Legendre rule; discrete families sum exactly.  ``fn`` must
-        accept a vector of sample points.
+        Gauss-Legendre rule; discrete families sum exactly.  ``fn`` maps the
+        batch of nodes to one value, or one array, per node.
         """
         theta = self.check_point(theta)
         if not self.has_cdf:
             raise CapabilityError(f"{self.name}: no quadrature route for expectations")
-        lo = self.quantile(theta, DEFAULT_TAIL_MASS)
-        hi = self.quantile(theta, 1.0 - DEFAULT_TAIL_MASS)
+        lo, hi = self.quantile(theta, [DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS])
         nodes, weights = composite_legendre(lo, hi, n_panels=8, nodes_per_panel=max(4, n_nodes // 8))
-        dens = np.exp(np.array([self.log_density(theta, x) for x in nodes]))
-        return float(weights @ (dens * np.asarray(fn(nodes), dtype=float)))
+        mass = weights * np.exp(self.log_density(theta, nodes))
+        return np.einsum("n,n...->...", mass, fn(nodes))
 
 
 class Gaussian1D(Family):
@@ -293,19 +322,21 @@ class Gaussian1D(Family):
     def _in_domain(self, theta):
         return theta[1] > 0.0
 
-    def log_density(self, theta, x):
+    def _standardize(self, theta, x):
+        """``(sigma, z, single)`` with ``z = (x - mu) / sigma`` of shape (n,)."""
         mu, sigma = self.check_point(theta)
-        z = (float(x) - mu) / sigma
-        return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * z * z
+        xs, single = self._check_x(x)
+        return sigma, (xs[:, 0] - mu) / sigma, single
 
-    def score(self, theta, x):
-        mu, sigma = self.check_point(theta)
-        d = float(x) - mu
-        return np.array([d / sigma**2, (d * d - sigma**2) / sigma**3])
+    def log_density(self, theta, x):
+        sigma, z, single = self._standardize(theta, x)
+        out = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * z * z
+        return out[0] if single else out
 
     def cdf(self, theta, x):
-        mu, sigma = self.check_point(theta)
-        return float(ndtr((np.asarray(x, dtype=float) - mu) / sigma))
+        _, z, single = self._standardize(theta, x)
+        out = ndtr(z)
+        return float(out[0]) if single else out
 
     def quantile(self, theta, q):
         mu, sigma = self.check_point(theta)
@@ -317,10 +348,10 @@ class Gaussian1D(Family):
 
     def dcdf_dtheta(self, theta, x):
         # d/dmu Phi((x-mu)/sigma) = -pdf(x); d/dsigma = -z * pdf(x)
-        mu, sigma = self.check_point(theta)
-        z = (float(x) - mu) / sigma
+        sigma, z, single = self._standardize(theta, x)
         pdf = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma)
-        return np.array([-pdf, -z * pdf])
+        out = np.stack([-pdf, -z * pdf], axis=-1)
+        return out[0] if single else out
 
     def sample(self, theta, seed, count):
         mu, sigma = self.check_point(theta)
@@ -334,16 +365,6 @@ class Gaussian1D(Family):
     def moment_derivs(self, theta):
         _, sigma = self.check_point(theta)
         return np.array([[1.0], [0.0]]), np.array([[[0.0]], [[2.0 * sigma]]])
-
-    def expectation(self, theta, fn, n_nodes: int = 256):
-        theta = self.check_point(theta)
-        mu, sigma = theta
-        lo = self.quantile(theta, DEFAULT_TAIL_MASS)
-        hi = self.quantile(theta, 1.0 - DEFAULT_TAIL_MASS)
-        nodes, weights = composite_legendre(lo, hi, n_panels=8, nodes_per_panel=max(4, n_nodes // 8))
-        z = (nodes - mu) / sigma
-        dens = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma)
-        return float(weights @ (dens * np.asarray(fn(nodes), dtype=float)))
 
 
 class MultivariateNormalLogCholesky(Family):
@@ -375,12 +396,6 @@ class MultivariateNormalLogCholesky(Family):
         diag = np.exp(np.diag(L).copy())
         np.fill_diagonal(L, diag)
         return mean, L
-
-    def log_density(self, theta, x):
-        mean, L = self.split(theta)
-        x = self._check_x(x)
-        w = np.linalg.solve(L, x - mean)  # whitened residual
-        return float(-0.5 * self.dim * LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * w @ w)
 
     def sample(self, theta, seed, count):
         mean, L = self.split(theta)
@@ -425,20 +440,19 @@ class CategoricalSoftmax(Family):
     def probabilities(self, theta) -> np.ndarray:
         return softmax(self.check_point(theta))
 
-    def _check_x(self, x) -> int:
-        xi = int(x)
-        if xi != x or not 0 <= xi < self.k:
+    def _outcomes(self, x) -> np.ndarray:
+        """Validate one outcome or a 1-D batch; return them as integers."""
+        x = np.asarray(x)
+        if x.ndim > 1 or not np.all((x == np.round(x)) & (x >= 0) & (x < self.k)):
             raise ValueError(f"{self.name}: outcome must be an integer in [0, {self.k}), got {x}")
-        return xi
+        return x.astype(int)
 
     def log_density(self, theta, x):
-        return float(log_softmax(self.check_point(theta))[self._check_x(x)])
+        return log_softmax(self.check_point(theta))[self._outcomes(x)]
 
     def score(self, theta, x):
         p = self.probabilities(theta)
-        g = -p
-        g[self._check_x(x)] += 1.0
-        return g
+        return np.eye(self.k)[self._outcomes(x)] - p
 
     def sample(self, theta, seed, count):
         p = self.probabilities(theta)
@@ -455,9 +469,7 @@ class CategoricalSoftmax(Family):
         return np.diag(p) - np.outer(p, p)
 
     def expectation(self, theta, fn, n_nodes: int = 0):
-        p = self.probabilities(theta)
-        outcomes = np.arange(self.k)
-        return float(p @ np.asarray(fn(outcomes), dtype=float))
+        return np.einsum("n,n...->...", self.probabilities(theta), fn(np.arange(self.k)))
 
 
 def eq_covariance(inputs: np.ndarray, log_amp: float, log_ls: float) -> np.ndarray:
@@ -517,22 +529,6 @@ class GpPriorEq(Family):
             2.0 * np.exp(2.0 * log_noise) * np.eye(self.sample_dim),
         ])
 
-    def log_density(self, theta, x):
-        y = self._check_x(x)
-        K = self.covariance(theta)
-        # Extreme log-parameters can also make K numerically indefinite.
-        try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"covariance is not positive definite: {exc}",
-                diagnostics={"theta": np.asarray(theta, dtype=float)},
-            ) from exc
-        w = np.linalg.solve(L, y)
-        return float(
-            -0.5 * self.sample_dim * LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * w @ w
-        )
-
     def sample(self, theta, seed, count):
         K = self.covariance(theta)
         L = np.linalg.cholesky(K)
@@ -578,7 +574,7 @@ class LinearlyReparameterized(Family):
         return self.base.log_density(self.A @ self.check_point(xi), x)
 
     def score(self, xi, x):
-        return self.A.T @ self.base.score(self.A @ self.check_point(xi), x)
+        return self.base.score(self.A @ self.check_point(xi), x) @ self.A
 
     def cdf(self, xi, x):
         return self.base.cdf(self.A @ self.check_point(xi), x)
@@ -587,7 +583,7 @@ class LinearlyReparameterized(Family):
         return self.base.quantile(self.A @ self.check_point(xi), q)
 
     def dcdf_dtheta(self, xi, x):
-        return self.A.T @ self.base.dcdf_dtheta(self.A @ self.check_point(xi), x)
+        return self.base.dcdf_dtheta(self.A @ self.check_point(xi), x) @ self.A
 
     def sample(self, xi, seed, count):
         return self.base.sample(self.A @ self.check_point(xi), seed, count)
@@ -597,6 +593,13 @@ class LinearlyReparameterized(Family):
 
     def gaussian_moments(self, xi):
         return self.base.gaussian_moments(self.A @ self.check_point(xi))
+
+    def moment_derivs(self, xi):
+        derivs = self.base.moment_derivs(self.A @ self.check_point(xi))
+        if derivs is None:
+            return None
+        dmu, dcov = derivs
+        return self.A.T @ dmu, np.tensordot(self.A.T, dcov, axes=1)
 
     def expectation(self, xi, fn, n_nodes: int = 256):
         return self.base.expectation(self.A @ self.check_point(xi), fn, n_nodes)

@@ -97,23 +97,18 @@ def fisher_information(family: Family, theta, n_nodes: int = 256) -> LocalHessia
     """Fisher information matrix at ``theta``.
 
     Uses the family's closed form when it has one, otherwise quadrature of
-    the score outer product for families that support expectations.
+    the score outer product for families that support expectations: one
+    batched score call ``S`` at the nodes, then ``S^T diag(mass) S``.
     """
     theta = family.check_point(theta)
     if family.has_closed_form_fisher:
         return LocalHessian(family.fisher(theta), provenance="analytic")
     if family.has_cdf or family.is_discrete:
-        n = family.param_dim
-        flat = np.empty(n * n)
-        for idx in range(n * n):
-            i, j = divmod(idx, n)
+        def outer(xs):
+            s = family.score(theta, xs)
+            return s[:, :, None] * s[:, None, :]
 
-            def component(xs, i=i, j=j):
-                vals = np.array([family.score(theta, x) for x in np.atleast_1d(xs)])
-                return vals[:, i] * vals[:, j]
-
-            flat[idx] = family.expectation(theta, component, n_nodes)
-        return LocalHessian(flat.reshape(n, n), provenance="analytic")
+        return LocalHessian(family.expectation(theta, outer, n_nodes), provenance="analytic")
     raise CapabilityError(
         f"{family.name}: no closed form and no quadrature route for Fisher information; "
         "use monte_carlo_fisher"
@@ -129,8 +124,7 @@ def monte_carlo_fisher(
     routes.
     """
     theta = family.check_point(theta)
-    samples = family.sample(theta, seed, count)
-    scores = np.array([family.score(theta, x) for x in samples])
+    scores = family.score(theta, family.sample(theta, seed, count))
     outer = scores[:, :, None] * scores[:, None, :]
     mean = outer.mean(axis=0)
     stderr = outer.std(axis=0, ddof=1) / np.sqrt(count)
@@ -191,12 +185,10 @@ def _velocity_basis(family: Family, theta: np.ndarray, n_nodes: int):
     """
     if not family.has_cdf:
         raise CapabilityError(f"{family.name}: transport metrics need cdf/quantile support")
-    lo = family.quantile(theta, DEFAULT_TAIL_MASS)
-    hi = family.quantile(theta, 1.0 - DEFAULT_TAIL_MASS)
+    lo, hi = family.quantile(theta, [DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS])
     nodes, weights = composite_legendre(lo, hi, n_panels=8, nodes_per_panel=max(4, n_nodes // 8))
-    dens = np.exp(np.array([family.log_density(theta, x) for x in nodes]))
-    dcdf = np.array([family.dcdf_dtheta(theta, x) for x in nodes])
-    return weights * dens, -dcdf / dens[:, None]
+    dens = np.exp(family.log_density(theta, nodes))
+    return weights * dens, -family.dcdf_dtheta(theta, nodes) / dens[:, None]
 
 
 def w2_local_hessian_1d(family: Family, theta, n_nodes: int = 512) -> LocalHessian:

@@ -1,4 +1,4 @@
-"""Central finite differences for scalar functions of a vector argument."""
+"""Central finite differences for functions of a vector argument."""
 
 from __future__ import annotations
 
@@ -30,15 +30,16 @@ def central_gradient(
     rel_step: float | None = None,
     abs_step: float | None = None,
 ) -> np.ndarray:
-    """Gradient of ``f`` at ``x`` by central differences, one pair per axis."""
+    """Gradient of ``f`` at ``x`` by central differences, one pair per axis;
+    an ``(n,)``-valued ``f`` gives the ``(n, x.size)`` Jacobian."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, rel_step, abs_step, GRAD_REL_STEP)
-    g = np.empty(x.size)
+    cols = []
     for i in range(x.size):
         e = np.zeros(x.size)
         e[i] = h[i]
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
-    return g
+        cols.append((f(x + e) - f(x - e)) / (2.0 * h[i]))
+    return np.array(cols).T
 
 
 def central_hessian(

@@ -10,9 +10,13 @@ Two grid builders cover the integrals used elsewhere in the package:
 
 All functions return ``(nodes, weights)`` as float arrays; integrals are
 plain weighted sums so callers can reuse a grid for several integrands.
+Grids are returned read-only; the Gauss-Legendre reference rules and the
+unit-interval grids are cached.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +51,7 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid interval [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+    return _panels(np.array([a, b], dtype=float), n)
 
 
 def composite_legendre(
@@ -60,6 +62,7 @@ def composite_legendre(
     return _panels(edges, nodes_per_panel)
 
 
+@lru_cache(maxsize=16)
 def unit_interval_grid(
     total_nodes: int = 512, delta: float = DEFAULT_TAIL_MASS
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,11 +93,20 @@ def unit_interval_grid(
     return _panels(edges, nodes_per_panel)
 
 
+@lru_cache(maxsize=16)
+def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[-1, 1]``."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _panels(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(int(nodes_per_panel))
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (x + 1.0))
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    x, w = _reference_rule(int(nodes_per_panel))
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    return _read_only((lo + half * (x + 1.0)).ravel(), (half * w).ravel())

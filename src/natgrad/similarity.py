@@ -163,14 +163,14 @@ def f_divergence(
             total = float(p @ spec.f(q / p))
         return _clamp_divergence(total, spec, family)
     if family.has_cdf:
-        lo = min(family.quantile(theta, DEFAULT_TAIL_MASS), family.quantile(target, DEFAULT_TAIL_MASS))
-        hi = max(
-            family.quantile(theta, 1.0 - DEFAULT_TAIL_MASS),
-            family.quantile(target, 1.0 - DEFAULT_TAIL_MASS),
+        tails = [DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS]
+        lo_p, hi_p = family.quantile(theta, tails)
+        lo_q, hi_q = family.quantile(target, tails)
+        nodes, weights = composite_legendre(
+            min(lo_p, lo_q), max(hi_p, hi_q), n_panels=8, nodes_per_panel=max(4, n_nodes // 8)
         )
-        nodes, weights = composite_legendre(lo, hi, n_panels=8, nodes_per_panel=max(4, n_nodes // 8))
-        logp = np.array([family.log_density(theta, x) for x in nodes])
-        logq = np.array([family.log_density(target, x) for x in nodes])
+        logp = family.log_density(theta, nodes)
+        logq = family.log_density(target, nodes)
         # Overflow in the ratio or in f is expected for divergent pairs;
         # it is detected by the finiteness check below, not by warnings.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -221,14 +221,6 @@ class FDivergence(Similarity):
 # -- Wasserstein distances ------------------------------------------------------
 
 
-def _quantile_curve(family: Family, theta: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    try:
-        out = family.quantile(theta, levels)
-        return np.asarray(out, dtype=float)
-    except (TypeError, ValueError):
-        return np.array([family.quantile(theta, float(q)) for q in levels])
-
-
 def wasserstein_p_1d(
     family: Family,
     theta,
@@ -250,7 +242,7 @@ def wasserstein_p_1d(
     theta = family.check_point(theta)
     target = _check_point_target(family, target)
     levels, weights = unit_interval_grid(n_nodes, delta)
-    gap = _quantile_curve(family, theta, levels) - _quantile_curve(family, target, levels)
+    gap = family.quantile(theta, levels) - family.quantile(target, levels)
     return float((weights @ np.abs(gap) ** p) ** (1.0 / p))
 
 

@@ -73,13 +73,16 @@ def power_law_family():
 
         def log_density(self, theta, x):
             (a,) = self.check_point(theta)
-            x = float(x)
-            if not 0.0 < x < 1.0:
-                return -np.inf
-            return np.log(a) + (a - 1.0) * np.log(x)
+            xs, single = self._check_x(x)
+            x = xs[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where((0.0 < x) & (x < 1.0), np.log(a) + (a - 1.0) * np.log(x), -np.inf)
+            return out[0] if single else out
 
         def cdf(self, theta, x):
             (a,) = self.check_point(theta)
-            return float(np.clip(x, 0.0, 1.0) ** a)
+            xs, single = self._check_x(x)
+            out = np.clip(xs[:, 0], 0.0, 1.0) ** a
+            return out[0] if single else out
 
     return PowerLaw01()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
@@ -16,6 +18,7 @@ from natgrad.families import (
     FAMILY_IDS,
     CategoricalSoftmax,
     Dataset,
+    Family,
     Gaussian1D,
     GpPriorEq,
     LinearlyReparameterized,
@@ -158,6 +161,9 @@ def test_gaussian_cdf_symmetry_points():
     fam = Gaussian1D()
     assert fam.cdf((0.0, 1.0), 0.0) == pytest.approx(0.5, abs=1e-14)
     assert fam.cdf((2.0, 3.0), 2.0) == pytest.approx(0.5, abs=1e-14)
+    np.testing.assert_allclose(
+        fam.cdf((0.0, 1.0), np.array([0.0, 1.0])), [0.5, 0.8413447460685429], atol=1e-14
+    )
 
 
 def test_gaussian_cdf_against_density_integral():
@@ -433,6 +439,9 @@ def test_linear_reparam_transforms_score_and_fisher(rng):
     np.testing.assert_allclose(
         rep.fisher(xi), A.T @ base.fisher(A @ xi) @ A, atol=1e-12
     )
+    (dmu, dcov), (base_dmu, base_dcov) = rep.moment_derivs(xi), base.moment_derivs(A @ xi)
+    np.testing.assert_allclose(dmu, A.T @ base_dmu, atol=1e-12)
+    np.testing.assert_allclose(dcov.reshape(2, -1), A.T @ base_dcov.reshape(2, -1), atol=1e-12)
 
 
 def test_linear_reparam_rejects_singular_matrix():
@@ -440,6 +449,79 @@ def test_linear_reparam_rejects_singular_matrix():
         LinearlyReparameterized(Gaussian1D(), np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         LinearlyReparameterized(Gaussian1D(), np.eye(3))
+
+
+# -- array contract ------------------------------------------------------------------
+
+class BisectionGaussian1D(Gaussian1D):
+    """Gaussian1D with the base-class bisection quantile: unbounded support,
+    so levels in one batch need brackets of different widths."""
+
+    quantile = Family.quantile
+
+
+REPARAM_A = np.array([[1.2, 0.3], [-0.1, 0.9]])
+ARRAY_FAMILIES = [
+    Gaussian1D(),
+    BisectionGaussian1D(),
+    MultivariateNormalLogCholesky(2),
+    GpPriorEq(np.linspace(-1.0, 1.0, 3)),
+    CategoricalSoftmax(4),
+    LinearlyReparameterized(Gaussian1D(), REPARAM_A),
+    POWERLAW,
+]
+
+
+def _draw_point_and_batch(data, fam):
+    """A valid parameter point of ``fam`` and a batch of 1-5 sample points."""
+    n = data.draw(st.integers(1, 5))
+
+    def floats(lo, hi, size):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    if fam.has_cdf and fam.param_dim == 1:  # power law on (0, 1)
+        return floats(0.3, 4.0, 1), floats(0.01, 0.99, n)
+    if fam.has_cdf:  # Gaussian (mu, sigma), reparameterized or not
+        theta = np.concatenate([floats(-2.0, 2.0, 1), floats(0.3, 3.0, 1)])
+        if isinstance(fam, LinearlyReparameterized):
+            theta = np.linalg.solve(REPARAM_A, theta)
+        return theta, floats(-4.0, 4.0, n)
+    theta = floats(-0.7, 0.7, fam.param_dim)
+    if fam.is_discrete:
+        return theta, np.array(data.draw(st.lists(st.integers(0, fam.k - 1), min_size=n, max_size=n)))
+    return theta, floats(-3.0, 3.0, n * fam.sample_dim).reshape(n, fam.sample_dim)
+
+
+@pytest.mark.parametrize("fam", ARRAY_FAMILIES)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_operations_equal_stacked_single_calls(fam, data):
+    theta, xs = _draw_point_and_batch(data, fam)
+    ops = [fam.log_density, fam.score]
+    if fam.has_cdf:
+        ops += [fam.cdf, fam.dcdf_dtheta]
+        levels = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5))
+        batched = fam.quantile(theta, levels)
+        assert batched.shape == (len(levels),)
+        np.testing.assert_allclose(batched, [fam.quantile(theta, q) for q in levels], rtol=1e-12)
+    for op in ops:
+        batched = op(theta, xs)
+        stacked = np.stack([op(theta, x) for x in xs])
+        assert batched.shape == stacked.shape == (len(xs),) + np.shape(op(theta, xs[0]))
+        scale = max(1.0, float(np.max(np.abs(stacked))))
+        np.testing.assert_allclose(batched, stacked, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("family", [ARRAY_FAMILIES[i] for i in (0, 2, 3, 4)])
+def test_sample_shapes_outside_the_contract_raise(family):
+    theta = np.full(family.param_dim, 0.5)
+    d = family.sample_dim
+    bad = [np.zeros((2, d + 1)), np.zeros((2, 2, d))]
+    if isinstance(family, CategoricalSoftmax):
+        bad += [2.5, np.array([0, family.k])]
+    for x in bad:
+        with pytest.raises(ValueError):
+            family.log_density(theta, x)
 
 
 # -- registry --------------------------------------------------------------------------

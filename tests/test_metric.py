@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natgrad.errors import CapabilityError, ConfigError, NumericError
-from natgrad.families import CategoricalSoftmax, Family, Gaussian1D, MultivariateNormalLogCholesky
+from natgrad.families import (
+    CategoricalSoftmax,
+    Family,
+    Gaussian1D,
+    LinearlyReparameterized,
+    MultivariateNormalLogCholesky,
+)
 from natgrad.metric import (
     FD_EPS_LADDER,
     METRIC_IDS,
@@ -34,6 +40,7 @@ from natgrad.similarity import (
     SquaredEuclidean,
     SquaredW2Gaussian,
     WassersteinP,
+    f_divergence,
 )
 
 from conftest import fd_hessian, power_law_family, random_gaussian_thetas
@@ -434,6 +441,28 @@ def test_gaussian_w2_matches_fd_of_half_squared_w2_mvn(point):
 def test_gaussian_w2_equals_1d_transport_metric(mu, sigma):
     H = w2_local_hessian_gaussian(GAUSS, (mu, sigma)).matrix
     np.testing.assert_allclose(H, w2_local_hessian_1d(GAUSS, (mu, sigma)).matrix, atol=1e-8)
+
+
+def test_reparameterized_gaussian_w2_equals_1d_transport_metric(rng):
+    # The Gaussian1D W2 metric is the identity, so the reparameterized one is A^T A.
+    A = np.array([[2.0, 1.0], [0.0, 1.0]])
+    fam = LinearlyReparameterized(GAUSS, A)
+    for xi in [(0.1, 1.0), *random_gaussian_thetas(rng, 10)]:  # A keeps sigma = xi[1]
+        H = w2_local_hessian_gaussian(fam, xi).matrix
+        np.testing.assert_allclose(H, [[4.0, 2.0], [2.0, 2.0]], atol=1e-12)
+        np.testing.assert_allclose(H, w2_local_hessian_1d(fam, xi).matrix, atol=1e-8)
+
+
+def test_quadrature_routes_validate_theta_once_per_family_call(monkeypatch):
+    fam = Gaussian1D()
+    calls = []
+    check = fam.check_point
+    monkeypatch.setattr(fam, "check_point", lambda theta: calls.append(theta) or check(theta))
+    f_divergence(F_DIVERGENCES["chi2"], fam, (0.3, 1.2), (0.0, 1.0))
+    assert 0 < len(calls) <= 8
+    calls.clear()
+    w2_local_hessian_1d(fam, (0.3, 1.2))
+    assert 0 < len(calls) <= 8
 
 
 def test_gaussian_w2_needs_moment_derivatives():
