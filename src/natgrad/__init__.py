@@ -73,18 +73,15 @@ from .similarity import (
     F_DIVERGENCES,
     FDivergence,
     FDivergenceSpec,
-    HalfSquaredDistance,
     SIMILARITY_IDS,
     Similarity,
     SquaredEuclidean,
     SquaredFisherRaoCategorical,
     SquaredW2Gaussian,
     WassersteinP,
-    evaluate,
     f_divergence,
     gaussian_kl,
     get_similarity,
-    grad_theta,
     squared_fisher_rao_categorical,
     squared_w2_gaussian,
     wasserstein_p_1d,

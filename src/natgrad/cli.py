@@ -28,13 +28,7 @@ from .families import FAMILY_IDS, get_family
 from .gp_bench import BenchmarkConfig, run_benchmark
 from .metric import METRIC_IDS, fd_local_hessian, resolve_metric_engine
 from .optimizer import LineSearchConfig, OptimizerConfig, optimize
-from .similarity import (
-    SIMILARITY_IDS,
-    HalfSquaredDistance,
-    Similarity,
-    WassersteinP,
-    get_similarity,
-)
+from .similarity import SIMILARITY_IDS, get_similarity
 from .validation import run_checks
 
 __all__ = ["main"]
@@ -167,7 +161,7 @@ def _run_benchmark_config(data: dict) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
-def _default_metric(sim: Similarity, sim_id: str) -> str:
+def _default_metric(sim_id: str) -> str:
     name, _, arg = sim_id.partition(":")
     if name in ("kl", "reverse_kl", "chi2", "hellinger2"):
         return f"fdiv:{name}"
@@ -175,15 +169,9 @@ def _default_metric(sim: Similarity, sim_id: str) -> str:
         return "w2_1d" if float(arg) == 2.0 else f"wp_1d:{arg}"
     if name == "fisher_rao2":
         return "pullback"
+    if name == "w2_gaussian":
+        return "w2_gaussian"
     return f"fd:{sim_id}"
-
-
-def _check_cost(sim: Similarity) -> Similarity:
-    # Distance-valued similarities are checked through their half-squares,
-    # which is the cost whose curvature the analytic engines produce.
-    if isinstance(sim, WassersteinP):
-        return HalfSquaredDistance(sim)
-    return sim
 
 
 def cmd_hessian(args) -> int:
@@ -191,14 +179,14 @@ def cmd_hessian(args) -> int:
     sim = get_similarity(args.similarity)
     theta = _parse_theta(args.theta)
     direction = _parse_theta(args.direction) if args.direction else None
-    metric_id = args.metric or _default_metric(sim, args.similarity)
+    metric_id = args.metric or _default_metric(args.similarity)
     engine = resolve_metric_engine(metric_id, family)
     hessian = engine(theta, direction)
     print(f"metric={metric_id} provenance={hessian.provenance}")
     for row in hessian.matrix:
         print("[" + ", ".join(f"{v:.12g}" for v in row) + "]")
     if args.check:
-        fd = fd_local_hessian(_check_cost(sim), family, theta, direction)
+        fd = fd_local_hessian(sim, family, theta, direction)
         deviation = float(np.max(np.abs(hessian.matrix - fd.matrix)))
         print(f"max deviation from finite differences: {deviation:.6e}")
     return EXIT_OK

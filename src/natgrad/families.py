@@ -341,7 +341,7 @@ class Gaussian1D(Family):
     def quantile(self, theta, q):
         mu, sigma = self.check_point(theta)
         q = np.asarray(q, dtype=float)
-        if np.any(q <= 0.0) or np.any(q >= 1.0):
+        if np.any(~((q > 0.0) & (q < 1.0))):
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
         out = mu + sigma * ndtri(q)
         return float(out) if out.ndim == 0 else out

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .families import Dataset, GpPriorEq, eq_covariance
 from .metric import (LocalHessian, MetricEngine, fd_local_hessian, fisher_information,
-                     resolve_metric_engine, w2_local_hessian_gaussian)
+                     resolve_metric_engine)
 from .optimizer import OptimizerConfig, Trace, optimize
 from .similarity import Similarity, SquaredW2Gaussian
 
@@ -74,8 +74,7 @@ def gp_w2_metric(theta, inputs, u=None) -> LocalHessian:
     """Local Hessian of half the squared 2-Wasserstein distance between
     GP priors, by finite differences of the Gaussian closed form: the
     oracle for :func:`natgrad.metric.w2_local_hessian_gaussian`."""
-    fd = fd_local_hessian(SquaredW2Gaussian(), GpPriorEq(inputs), theta, u)
-    return LocalHessian(0.5 * fd.matrix, provenance=fd.provenance)
+    return fd_local_hessian(SquaredW2Gaussian(), GpPriorEq(inputs), theta, u)
 
 
 def generate_data(seed: int = 42, m: int = 30, true_theta=DEFAULT_TRUE_THETA) -> Dataset:
@@ -164,13 +163,11 @@ class BenchmarkResult:
 
 
 def _benchmark_engine(metric: str, family: GpPriorEq) -> MetricEngine:
-    if metric in ("euclidean", "fisher"):
-        return resolve_metric_engine(metric, family)
-    if metric == "w2":
-        return MetricEngine("w2", lambda th, u=None: w2_local_hessian_gaussian(family, th))
-    raise ConfigError(
-        f"unknown benchmark metric {metric!r}; valid metrics: {', '.join(BENCHMARK_METRIC_IDS)}"
-    )
+    if metric not in BENCHMARK_METRIC_IDS:
+        raise ConfigError(
+            f"unknown benchmark metric {metric!r}; valid metrics: {', '.join(BENCHMARK_METRIC_IDS)}"
+        )
+    return resolve_metric_engine("w2_gaussian" if metric == "w2" else metric, family)
 
 
 def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResult:

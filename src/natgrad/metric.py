@@ -392,6 +392,7 @@ METRIC_IDS = [
     "pullback",
     "w2_1d",
     "wp_1d:{p}",
+    "w2_gaussian",
     "fd:{similarity}",
     "euclidean",
 ]
@@ -421,6 +422,8 @@ def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
         except ValueError as exc:
             raise ConfigError(f"invalid order in metric {ident!r}: {exc}") from exc
         return MetricEngine(ident, lambda th, u=None: wp_local_hessian_1d(family, th, p, u))
+    if name == "w2_gaussian" and not arg:
+        return MetricEngine(ident, lambda th, u=None: w2_local_hessian_gaussian(family, th))
     if name == "fd" and arg:
         sim = get_similarity(arg)
         return MetricEngine(ident, lambda th, u=None: fd_local_hessian(sim, family, th, u))

@@ -12,7 +12,9 @@ iteration rather than raising.
 ``optimize`` never lets numerical failures escape: they terminate the run
 with ``status = "numeric_failure"`` on the returned :class:`Trace`.
 Termination statuses are checked in the order numeric_failure,
-converged_grad, converged_cost, max_iters.
+converged_grad, converged_cost, max_iters; a line search that finds no
+point at or below the current cost ends the run with
+``line_search_stalled`` on that iteration, which is not convergence.
 """
 
 from __future__ import annotations
@@ -120,7 +122,10 @@ class Trace:
     status: str
 
     def __post_init__(self):
-        valid = ("converged_grad", "converged_cost", "max_iters", "numeric_failure")
+        valid = (
+            "converged_grad", "converged_cost", "max_iters", "numeric_failure",
+            "line_search_stalled",
+        )
         if self.status not in valid:
             raise ValueError(f"unknown status {self.status!r}")
 
@@ -331,11 +336,9 @@ def optimize(
                 except NatgradError:
                     candidate_cost = float("inf")
                 if not np.isfinite(candidate_cost) or candidate_cost > cost:
-                    # No acceptable progress along this direction; stay put and
-                    # let the cost-change test terminate on the next pass.
                     rec(it, cost, gn, 0.0, added, fallback)
-                    prev_cost = cost
-                    continue
+                    status = "line_search_stalled"
+                    break
             step = alpha * v
         else:
             step = v

@@ -7,10 +7,18 @@ Covers three groups:
   otherwise.  Total variation is deliberately absent: its generator is not
   twice differentiable at 1, so it admits no local Hessian.
 * optimal-transport distances: p-Wasserstein for one-dimensional families
-  via quantile-space quadrature, and the squared 2-Wasserstein between
-  Gaussians in closed form.
-* the squared Fisher-Rao geodesic distance between categorical
-  distributions.
+  via quantile-space quadrature, and 2-Wasserstein between Gaussians in
+  closed form.
+* the Fisher-Rao geodesic distance between categorical distributions.
+
+Distances are registered as their half squares ``d**2 / 2``: a distance is
+not differentiable where it vanishes, its half square is, and the half
+square is the cost whose local Hessian the metric engines compute.  So
+``WassersteinP``, ``SquaredW2Gaussian``, ``SquaredFisherRaoCategorical`` and
+``SquaredEuclidean`` all evaluate to half a squared distance, and the cost
+the optimizer minimizes is the function the engines differentiate.  The
+free functions ``wasserstein_p_1d`` and ``fisher_rao_distance_categorical``
+return the distance itself, and ``squared_w2_gaussian`` the full square.
 
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
 roundoff and is non-negative.  ``grad_theta`` differentiates with respect
@@ -44,14 +52,11 @@ __all__ = [
     "SquaredW2Gaussian",
     "SquaredFisherRaoCategorical",
     "SquaredEuclidean",
-    "HalfSquaredDistance",
     "gaussian_kl",
     "squared_w2_gaussian",
     "squared_fisher_rao_categorical",
     "wasserstein_p_1d",
     "f_divergence",
-    "evaluate",
-    "grad_theta",
     "get_similarity",
     "SIMILARITY_IDS",
 ]
@@ -247,6 +252,8 @@ def wasserstein_p_1d(
 
 
 class WassersteinP(Similarity):
+    """Half the squared p-Wasserstein distance, ``W_p**2 / 2`` (1-D)."""
+
     def __init__(self, p: float):
         self.p = float(p)
         if self.p < 1.0:
@@ -254,7 +261,7 @@ class WassersteinP(Similarity):
         self.name = f"wasserstein:{p:g}"
 
     def evaluate(self, family, theta, target):
-        return wasserstein_p_1d(family, theta, target, self.p)
+        return 0.5 * wasserstein_p_1d(family, theta, target, self.p) ** 2
 
 
 def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:
@@ -280,6 +287,8 @@ def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:
 
 
 class SquaredW2Gaussian(Similarity):
+    """Half the squared 2-Wasserstein distance between Gaussians, closed form."""
+
     name = "w2_gaussian"
 
     def evaluate(self, family, theta, target):
@@ -289,7 +298,7 @@ class SquaredW2Gaussian(Similarity):
         if moments is None:
             raise CapabilityError(f"{family.name} is not Gaussian; w2_gaussian does not apply")
         m2, c2 = family.gaussian_moments(target)
-        return squared_w2_gaussian(moments[0], moments[1], m2, c2)
+        return 0.5 * squared_w2_gaussian(moments[0], moments[1], m2, c2)
 
 
 # -- Fisher-Rao geometry on the simplex ------------------------------------------
@@ -346,7 +355,7 @@ class SquaredFisherRaoCategorical(Similarity):
         return family.softmax_jacobian(theta).T @ grad_p
 
 
-# -- debug / combinator similarities ---------------------------------------------
+# -- debug similarity -------------------------------------------------------------
 
 
 class SquaredEuclidean(Similarity):
@@ -360,38 +369,6 @@ class SquaredEuclidean(Similarity):
 
     def grad_theta(self, family, theta, target):
         return family.check_point(theta) - _check_point_target(family, target)
-
-
-class HalfSquaredDistance(Similarity):
-    """``base**2 / 2`` for a distance-valued base similarity.
-
-    Distances themselves are not differentiable where they vanish; their
-    half-squares are, which is what local curvature extraction needs.
-    """
-
-    def __init__(self, base: Similarity):
-        self.base = base
-        self.name = f"half_sq({base.name})"
-
-    def evaluate(self, family, theta, target):
-        return 0.5 * self.base.evaluate(family, theta, target) ** 2
-
-    def grad_theta(self, family, theta, target):
-        value = self.base.evaluate(family, theta, target)
-        return value * self.base.grad_theta(family, theta, target)
-
-
-# -- module-level dispatch --------------------------------------------------------
-
-
-def evaluate(sim: Similarity, family: Family, theta, target) -> float:
-    """Value of the similarity; zero iff the two points coincide."""
-    return sim.evaluate(family, theta, target)
-
-
-def grad_theta(sim: Similarity, family: Family, theta, target) -> np.ndarray:
-    """Gradient of the similarity in its first argument."""
-    return sim.grad_theta(family, theta, target)
 
 
 SIMILARITY_IDS = [

@@ -33,7 +33,6 @@ from .optimizer import make_objective, natural_gradient_step
 from .similarity import (
     F_DIVERGENCES,
     FDivergence,
-    HalfSquaredDistance,
     WassersteinP,
     f_divergence,
     squared_w2_gaussian,
@@ -114,12 +113,11 @@ def check_fisher_rao_hessian(rng: np.random.Generator) -> CheckResult:
 
 def check_w2_identity(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
-    half_sq = HalfSquaredDistance(WassersteinP(2.0))
     worst = 0.0
     for theta in _random_gaussian_points(rng, 5):
         analytic = w2_local_hessian_1d(family, theta).matrix
         worst = max(worst, float(np.max(np.abs(analytic - np.eye(2)))))
-        fd = fd_local_hessian(half_sq, family, theta)
+        fd = fd_local_hessian(WassersteinP(2.0), family, theta)
         worst = max(worst, float(np.max(np.abs(analytic - fd.matrix))))
     return CheckResult("w2_metric_identity_gaussian1d", worst, 1e-4)
 
@@ -145,12 +143,11 @@ def check_finsler_p2(rng: np.random.Generator) -> CheckResult:
 
 def check_finsler_p3_vs_fd(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
-    half_sq = HalfSquaredDistance(WassersteinP(3.0))
     worst = 0.0
     for theta in _random_gaussian_points(rng, 3):
         u = rng.normal(0.0, 1.0, 2)
         analytic = wp_local_hessian_1d(family, theta, 3.0, u).matrix
-        fd = fd_local_hessian(half_sq, family, theta, u).matrix
+        fd = fd_local_hessian(WassersteinP(3.0), family, theta, u).matrix
         worst = max(worst, _rel(fd, analytic))
     return CheckResult("finsler_p3_vs_fd", worst, 5e-3)
 

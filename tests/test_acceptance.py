@@ -24,7 +24,6 @@ from natgrad.optimizer import OptimizerConfig, make_objective, natural_gradient_
 from natgrad.similarity import (
     F_DIVERGENCES,
     FDivergence,
-    HalfSquaredDistance,
     WassersteinP,
     get_similarity,
 )
@@ -140,7 +139,7 @@ def test_transport_curvature_scaling_order_two_and_directional_fd():
     assert worst_p2 < 1e-12
 
     # order three agrees with the directional finite-difference engine
-    sim3 = HalfSquaredDistance(WassersteinP(3.0))
+    sim3 = WassersteinP(3.0)
     worst_p3 = 0.0
     for th, d in [
         (np.array([0.2, 1.1]), np.array([1.0, 0.4])),

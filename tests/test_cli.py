@@ -175,6 +175,20 @@ def test_hessian_check_flag(capsys):
     assert float(dev_line[0].rsplit(":", 1)[1]) < 1e-3
 
 
+def test_hessian_w2_gaussian_mvn_is_bures_wasserstein(capsys):
+    # half the squared W2 has the identity as its mean block; --check
+    # compares the closed form with finite differences of the same cost
+    code = main(["hessian", "mvn_lcholesky:2", "w2_gaussian", "0.1,0.2,0.3,0.4,0.5", "--check"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "metric=w2_gaussian provenance=analytic" in out
+    H = _parse_matrix(out.split("\n"))
+    np.testing.assert_array_equal(H[:2, :2], np.eye(2))
+    np.testing.assert_array_equal(H[:2, 2:], 0.0)
+    dev_line = [l for l in out.split("\n") if "max deviation" in l]
+    assert 0.0 < float(dev_line[0].rsplit(":", 1)[1]) < 1e-4
+
+
 def test_hessian_directional_wasserstein(capsys):
     code = main(["hessian", "gaussian1d", "wasserstein:3", "0,1", "--direction", "1,0.4"])
     out = capsys.readouterr().out

@@ -207,7 +207,7 @@ def test_gaussian_quantile_cdf_roundtrip(rng):
 
 def test_quantile_rejects_out_of_range():
     fam = Gaussian1D()
-    for q in (0.0, 1.0, -0.2, 1.7):
+    for q in (0.0, 1.0, -0.2, 1.7, float("nan")):
         with pytest.raises(ValueError):
             fam.quantile((0.0, 1.0), q)
 

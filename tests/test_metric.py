@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from natgrad.cli import _default_metric
 from natgrad.errors import CapabilityError, ConfigError, NumericError
 from natgrad.families import (
     CategoricalSoftmax,
     Family,
     Gaussian1D,
+    GpPriorEq,
     LinearlyReparameterized,
     MultivariateNormalLogCholesky,
 )
@@ -35,12 +37,12 @@ from natgrad.metric import _velocity_basis
 from natgrad.similarity import (
     F_DIVERGENCES,
     FDivergence,
-    HalfSquaredDistance,
     Similarity,
     SquaredEuclidean,
     SquaredW2Gaussian,
     WassersteinP,
     f_divergence,
+    get_similarity,
 )
 
 from conftest import fd_hessian, power_law_family, random_gaussian_thetas
@@ -222,7 +224,7 @@ def test_wp_direction_dependence_for_p_not_two():
 
 
 def test_wp_p3_matches_directional_fd(rng):
-    sim = HalfSquaredDistance(WassersteinP(3.0))
+    sim = WassersteinP(3.0)
     for theta, u in [
         (np.array([0.2, 1.1]), np.array([1.0, 0.4])),
         (np.array([-0.5, 0.9]), np.array([-0.3, 1.0])),
@@ -286,7 +288,7 @@ def test_fd_hessian_directional_path_smooth_cost():
 
 
 def test_fd_hessian_directional_w2():
-    sim = HalfSquaredDistance(WassersteinP(2.0))
+    sim = WassersteinP(2.0)
     H = fd_local_hessian(sim, GAUSS, (0.3, 1.2), u=np.array([1.0, -0.5]))
     np.testing.assert_allclose(H.matrix, np.eye(2), atol=1e-6)
 
@@ -401,7 +403,7 @@ def test_fisher_vs_fd_invariant_categorical(rng):
 
 
 def test_w2_vs_fd_invariant(rng):
-    sim = HalfSquaredDistance(WassersteinP(2.0))
+    sim = WassersteinP(2.0)
     for theta in random_gaussian_thetas(rng, 10):
         H = w2_local_hessian_1d(GAUSS, theta).matrix
         ref = fd_local_hessian(sim, GAUSS, theta).matrix
@@ -431,7 +433,7 @@ def mvn_points(draw):
 def test_gaussian_w2_matches_fd_of_half_squared_w2_mvn(point):
     fam, theta = point
     H = w2_local_hessian_gaussian(fam, theta)
-    ref = 0.5 * fd_local_hessian(SquaredW2Gaussian(), fam, theta).matrix
+    ref = fd_local_hessian(SquaredW2Gaussian(), fam, theta).matrix
     assert H.provenance == "analytic"
     np.testing.assert_allclose(H.matrix, ref, rtol=0, atol=1e-5 * np.max(np.abs(ref)))
 
@@ -463,6 +465,55 @@ def test_quadrature_routes_validate_theta_once_per_family_call(monkeypatch):
     calls.clear()
     w2_local_hessian_1d(fam, (0.3, 1.2))
     assert 0 < len(calls) <= 8
+
+
+@st.composite
+def gaussian1d_points(draw, directed=False):
+    theta = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(0.4, 2.5))])
+    u = None
+    if directed:
+        pair = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+        u = np.array(draw(pair.filter(lambda v: np.hypot(*v) > 0.1)))
+    return GAUSS, theta, u
+
+
+@st.composite
+def gp_points(draw):
+    inputs = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+    theta = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.5, 0.5)))
+    return GpPriorEq(inputs), np.array(theta), None
+
+
+@st.composite
+def categorical_points(draw):
+    fam = CategoricalSoftmax(draw(st.integers(2, 4)))
+    coords = st.floats(-1.5, 1.5)
+    theta = draw(st.lists(coords, min_size=fam.param_dim, max_size=fam.param_dim))
+    return fam, np.array(theta), None
+
+
+@pytest.mark.parametrize(
+    "sim_id, metric_id, points, tol",
+    [
+        ("wasserstein:2", "w2_1d", gaussian1d_points(), 1e-5),
+        ("wasserstein:3", "wp_1d:3", gaussian1d_points(directed=True), 5e-3),
+        ("w2_gaussian", "w2_gaussian", mvn_points().map(lambda p: (*p, None)), 1e-5),
+        ("w2_gaussian", "w2_gaussian", gp_points(), 1e-5),
+        ("fisher_rao2", "pullback", categorical_points(), 1e-5),
+    ],
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_default_engine_is_local_hessian_of_registered_similarity(
+    sim_id, metric_id, points, tol, data
+):
+    # The cost the optimizer minimizes and the curvature its default engine
+    # returns are one function: no wrapper and no factor in between.
+    family, theta, u = data.draw(points)
+    assert _default_metric(sim_id) == metric_id
+    H = resolve_metric_engine(metric_id, family)(theta, u).matrix
+    ref = fd_local_hessian(get_similarity(sim_id), family, theta, u).matrix
+    np.testing.assert_allclose(H, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
 
 
 def test_gaussian_w2_needs_moment_derivatives():

@@ -19,7 +19,7 @@ from natgrad.optimizer import (
     newton_step,
     optimize,
 )
-from natgrad.similarity import F_DIVERGENCES, FDivergence, get_similarity
+from natgrad.similarity import F_DIVERGENCES, FDivergence, SquaredEuclidean, get_similarity
 
 GAUSS = Gaussian1D()
 KL = FDivergence(F_DIVERGENCES["kl"])
@@ -261,6 +261,30 @@ def test_converged_cost_status():
     assert trace.status == "converged_cost"
     assert abs(trace.records[-1].cost - trace.records[-2].cost) < 1e-6
     assert trace.records[-1].grad_norm > 0.0
+
+
+def test_line_search_stall_is_not_convergence():
+    class Uphill(SquaredEuclidean):
+        # the gradient points uphill, so no step along the search direction
+        # lowers the cost
+        def grad_theta(self, family, theta, target):
+            return -super().grad_theta(family, theta, target)
+
+    trace = optimize(GAUSS, Uphill(), (1.0, 1.0), (0.0, 1.0), OptimizerConfig(metric="euclidean"))
+    assert trace.status == "line_search_stalled"
+    assert len(trace.records) == 1
+    assert trace.records[0].step_norm == 0.0 and trace.final_cost == 0.5
+
+
+def test_fd_wasserstein_engine_descends_the_registered_cost():
+    # the finite-difference engine differentiates the same half-squared W3
+    # the optimizer minimizes, so its extrapolation gate holds on the path
+    trace = optimize(
+        GAUSS, get_similarity("wasserstein:3"), (2.0, 3.0), (0.0, 1.0),
+        OptimizerConfig(metric="fd:wasserstein:3"),
+    )
+    assert trace.status != "numeric_failure"
+    assert trace.final_cost < 1e-12
 
 
 def test_numeric_failure_on_divergent_cost():

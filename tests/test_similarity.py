@@ -14,17 +14,14 @@ from natgrad.similarity import (
     F_DIVERGENCES,
     SIMILARITY_IDS,
     FDivergence,
-    HalfSquaredDistance,
     SquaredEuclidean,
     SquaredFisherRaoCategorical,
     SquaredW2Gaussian,
     WassersteinP,
-    evaluate,
     f_divergence,
     fisher_rao_distance_categorical,
     gaussian_kl,
     get_similarity,
-    grad_theta,
     squared_fisher_rao_categorical,
     squared_w2_gaussian,
     wasserstein_p_1d,
@@ -138,8 +135,8 @@ def test_gaussian_kl_function_mvn_monte_carlo():
 
 def test_w2_mean_and_scale_shift():
     # sqrt((mu1-mu2)^2 + (s1-s2)^2) for 1-D Gaussians
-    sim = WassersteinP(2.0)
-    assert sim.evaluate(GAUSS, (0.0, 1.0), (1.0, 2.0)) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    got = wasserstein_p_1d(GAUSS, (0.0, 1.0), (1.0, 2.0), 2.0)
+    assert got == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
 def test_wp_pure_translation_any_order():
@@ -151,8 +148,7 @@ def test_wp_pure_translation_any_order():
 def test_w3_scale_shift_frozen_oracle():
     # frozen from an independent discrete-transport oracle (1e4 midpoint
     # quantile atoms): 1.168370638218241; continuum value (2 sqrt(2/pi))^(1/3)
-    sim = WassersteinP(3.0)
-    got = sim.evaluate(GAUSS, (0.0, 1.0), (0.0, 2.0))
+    got = wasserstein_p_1d(GAUSS, (0.0, 1.0), (0.0, 2.0), 3.0)
     assert got == pytest.approx(1.168370638218241, abs=1e-3)
     assert got == pytest.approx((2.0 * np.sqrt(2.0 / np.pi)) ** (1.0 / 3.0), abs=1e-8)
 
@@ -164,12 +160,11 @@ def test_wp_order_monotone_in_p():
 
 
 def test_w2_triangle_inequality(rng):
-    sim = WassersteinP(2.0)
     for _ in range(25):
         pts = [(rng.uniform(-2, 2), rng.uniform(0.4, 2.5)) for _ in range(3)]
-        ab = sim.evaluate(GAUSS, pts[0], pts[1])
-        bc = sim.evaluate(GAUSS, pts[1], pts[2])
-        ac = sim.evaluate(GAUSS, pts[0], pts[2])
+        ab = wasserstein_p_1d(GAUSS, pts[0], pts[1], 2.0)
+        bc = wasserstein_p_1d(GAUSS, pts[1], pts[2], 2.0)
+        ac = wasserstein_p_1d(GAUSS, pts[0], pts[2], 2.0)
         assert ac <= ab + bc + 1e-9
 
 
@@ -197,19 +192,19 @@ def test_wasserstein_needs_cdf():
 
 
 def test_squared_w2_gaussian_1d_values():
+    assert squared_w2_gaussian([0.0], [[1.0]], [1.0], [[4.0]]) == pytest.approx(2.0, abs=1e-12)
     sim = SquaredW2Gaussian()
-    assert sim.evaluate(GAUSS, (0.0, 1.0), (1.0, 2.0)) == pytest.approx(2.0, abs=1e-12)
+    assert sim.evaluate(GAUSS, (0.0, 1.0), (1.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
     assert sim.evaluate(GAUSS, (3.0, 1.5), (3.0, 1.5)) == 0.0
 
 
 def test_squared_w2_gaussian_matches_quantile_route(rng):
     sim = SquaredW2Gaussian()
-    w2 = WassersteinP(2.0)
     for _ in range(10):
         a = (rng.uniform(-2, 2), rng.uniform(0.4, 2.5))
         b = (rng.uniform(-2, 2), rng.uniform(0.4, 2.5))
-        assert np.sqrt(sim.evaluate(GAUSS, a, b)) == pytest.approx(
-            w2.evaluate(GAUSS, a, b), abs=1e-8
+        assert np.sqrt(2.0 * sim.evaluate(GAUSS, a, b)) == pytest.approx(
+            wasserstein_p_1d(GAUSS, a, b, 2.0), abs=1e-8
         )
 
 
@@ -283,7 +278,7 @@ def test_zero_at_coincidence_gaussian(rng, sim_id):
     sim = get_similarity(sim_id)
     for _ in range(100):
         theta = (rng.uniform(-2, 2), rng.uniform(0.4, 2.5))
-        val = evaluate(sim, GAUSS, theta, theta)
+        val = sim.evaluate(GAUSS, theta, theta)
         assert 0.0 <= val < 1e-10
 
 
@@ -291,14 +286,14 @@ def test_zero_at_coincidence_wasserstein(rng):
     sim = WassersteinP(2.0)
     for _ in range(100):
         theta = (rng.uniform(-2, 2), rng.uniform(0.4, 2.5))
-        assert evaluate(sim, GAUSS, theta, theta) == 0.0
+        assert sim.evaluate(GAUSS, theta, theta) == 0.0
 
 
 def test_zero_at_coincidence_categorical(rng):
     sim = SquaredFisherRaoCategorical()
     for _ in range(100):
         theta = rng.normal(size=3)
-        assert 0.0 <= evaluate(sim, CAT3, theta, theta) < 1e-10
+        assert 0.0 <= sim.evaluate(CAT3, theta, theta) < 1e-10
 
 
 def test_positive_off_coincidence(rng):
@@ -307,7 +302,7 @@ def test_positive_off_coincidence(rng):
         for _ in range(20):
             a = (rng.uniform(-2, 2), rng.uniform(0.4, 2.5))
             b = (a[0] + rng.uniform(0.1, 1.0), a[1])
-            assert evaluate(sim, GAUSS, a, b) > 1e-6
+            assert sim.evaluate(GAUSS, a, b) > 1e-6
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -346,7 +341,7 @@ def test_default_fd_gradient_chi2(rng):
         theta = np.array([rng.uniform(-1, 1), rng.uniform(0.7, 1.5)])
         target = theta + rng.uniform(-0.2, 0.2, size=2)
         target[1] = max(target[1], 0.5)
-        g = grad_theta(sim, GAUSS, theta, target)
+        g = sim.grad_theta(GAUSS, theta, target)
         ref = fd_gradient(lambda t: sim.evaluate(GAUSS, t, target), theta)
         np.testing.assert_allclose(g, ref, atol=1e-5)
 
@@ -371,27 +366,27 @@ def test_sq_euclidean_gradient_exact(rng):
     )
 
 
-# -- combinators -----------------------------------------------------------------------
+# -- distances registered as half squares ----------------------------------------------
 
 
 def test_half_squared_distance_matches_gaussian_closed_form(rng):
-    half = HalfSquaredDistance(WassersteinP(2.0))
+    w2 = WassersteinP(2.0)
     closed = SquaredW2Gaussian()
     for _ in range(10):
         a = (rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
         b = (rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
-        assert half.evaluate(GAUSS, a, b) == pytest.approx(
-            0.5 * closed.evaluate(GAUSS, a, b), abs=1e-8
-        )
+        assert w2.evaluate(GAUSS, a, b) == pytest.approx(closed.evaluate(GAUSS, a, b), abs=1e-8)
 
 
 def test_half_squared_distance_gradient(rng):
-    half = HalfSquaredDistance(WassersteinP(2.0))
+    w2 = WassersteinP(2.0)
     theta = np.array([0.4, 1.3])
     target = np.array([1.0, 0.8])
-    g = half.grad_theta(GAUSS, theta, target)
-    ref = fd_gradient(lambda t: half.evaluate(GAUSS, t, target), theta)
+    g = w2.grad_theta(GAUSS, theta, target)
+    ref = fd_gradient(lambda t: w2.evaluate(GAUSS, t, target), theta)
     np.testing.assert_allclose(g, ref, atol=1e-5)
+    # half of (mu1 - mu2)^2 + (s1 - s2)^2 between 1-D Gaussians
+    np.testing.assert_allclose(g, theta - target, atol=1e-5)
 
 
 # -- error paths -------------------------------------------------------------------------
@@ -425,7 +420,7 @@ def test_dataset_target_rejected_outside_gp_cost():
     ds = Dataset(inputs=np.arange(3.0), targets=np.zeros(3), seed=0)
     for sim_id in ("kl", "w2_gaussian", "sq_euclidean"):
         with pytest.raises(TypeError):
-            evaluate(get_similarity(sim_id), GAUSS, (0.0, 1.0), ds)
+            get_similarity(sim_id).evaluate(GAUSS, (0.0, 1.0), ds)
 
 
 # -- registry ---------------------------------------------------------------------------
