@@ -74,7 +74,7 @@ def _line_search_from(config) -> Optional[LineSearchConfig]:
     raise ConfigError(f"line_search must be an object, 'off', or null, got {config!r}")
 
 
-def _optimizer_config_from(data: dict, metric: str) -> OptimizerConfig:
+def _optimizer_config_from(data: dict, metric: Optional[str] = None) -> OptimizerConfig:
     data = dict(data or {})
     _pop_keys(
         data,
@@ -110,8 +110,7 @@ def cmd_run(args) -> int:
             raise ConfigError(f"run config is missing required key {key!r}")
     family = get_family(config["family"])
     sim = get_similarity(config["similarity"])
-    opt = _optimizer_config_from(config.get("optimizer", {}), config.get("metric", "fisher"))
-    resolve_metric_engine(opt.metric, family)  # fail fast on unknown metric ids
+    opt = _optimizer_config_from(config.get("optimizer", {}), config.get("metric"))
     trace = optimize(
         family,
         sim,
@@ -138,7 +137,7 @@ def _run_benchmark_config(data: dict) -> int:
     )
     output_dir = data.pop("output_dir", ".")
     if "optimizer" in data:
-        data["optimizer"] = _optimizer_config_from(data["optimizer"], "fisher")
+        data["optimizer"] = _optimizer_config_from(data["optimizer"])
     for key in ("true_theta", "theta0", "metrics"):
         if key in data:
             data[key] = tuple(data[key])
@@ -161,25 +160,12 @@ def _run_benchmark_config(data: dict) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
-def _default_metric(sim_id: str) -> str:
-    name, _, arg = sim_id.partition(":")
-    if name in ("kl", "reverse_kl", "chi2", "hellinger2"):
-        return f"fdiv:{name}"
-    if name == "wasserstein":
-        return "w2_1d" if float(arg) == 2.0 else f"wp_1d:{arg}"
-    if name == "fisher_rao2":
-        return "pullback"
-    if name == "w2_gaussian":
-        return "w2_gaussian"
-    return f"fd:{sim_id}"
-
-
 def cmd_hessian(args) -> int:
     family = get_family(args.family)
     sim = get_similarity(args.similarity)
     theta = _parse_theta(args.theta)
     direction = _parse_theta(args.direction) if args.direction else None
-    metric_id = args.metric or _default_metric(args.similarity)
+    metric_id = args.metric or sim.metric
     engine = resolve_metric_engine(metric_id, family)
     hessian = engine(theta, direction)
     print(f"metric={metric_id} provenance={hessian.provenance}")

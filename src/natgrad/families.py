@@ -21,6 +21,8 @@ shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
 ``(n, sample_dim)``.  An ``(n, sample_dim)`` array is a batch in either case.
 A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
 ``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
+Integrals over the samples of a 1-D continuous family all use one rule,
+:meth:`Family.window_rule`, over the family's quantile window.
 """
 
 from __future__ import annotations
@@ -108,8 +110,6 @@ class Family(ABC):
         Whether cdf/quantile/dcdf_dtheta are available (1-D families only).
     has_closed_form_fisher : bool
         Whether ``fisher`` returns an analytic matrix.
-    has_sampler : bool
-        Whether ``sample`` is available.
     """
 
     name: str = ""
@@ -117,7 +117,6 @@ class Family(ABC):
     sample_dim: int = 1
     has_cdf: bool = False
     has_closed_form_fisher: bool = False
-    has_sampler: bool = True
     is_discrete: bool = False
 
     # -- parameter validation -------------------------------------------------
@@ -293,19 +292,28 @@ class Family(ABC):
             raise ValueError(f"{self.name}: sample shape {x.shape} does not fit sample_dim {d}")
         return x.reshape(-1, d), single
 
-    def expectation(self, theta, fn: Callable[[np.ndarray], np.ndarray], n_nodes: int = 256):
+    def window_rule(self, thetas, nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
+        """Composite Gauss-Legendre rule, 8 equal panels, over the union of the
+        quantile windows ``[quantile(delta), quantile(1 - delta)]`` of the
+        points ``thetas``, ``delta = DEFAULT_TAIL_MASS``: the one sample-space
+        rule of expectations, quadrature f-divergences and transport metrics."""
+        levels = (DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS)
+        ends = np.array([self.quantile(theta, levels) for theta in thetas])
+        return composite_legendre(
+            ends[:, 0].min(), ends[:, 1].max(), n_panels=8, nodes_per_panel=nodes_per_panel
+        )
+
+    def expectation(self, theta, fn: Callable[[np.ndarray], np.ndarray]):
         """Expectation of ``fn(X)`` under the distribution at ``theta``.
 
-        One-dimensional continuous families integrate over the quantile
-        window ``[quantile(delta), quantile(1 - delta)]`` with a composite
-        Gauss-Legendre rule; discrete families sum exactly.  ``fn`` maps the
+        One-dimensional continuous families integrate with
+        :meth:`window_rule`; discrete families sum exactly.  ``fn`` maps the
         batch of nodes to one value, or one array, per node.
         """
         theta = self.check_point(theta)
         if not self.has_cdf:
             raise CapabilityError(f"{self.name}: no quadrature route for expectations")
-        lo, hi = self.quantile(theta, [DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS])
-        nodes, weights = composite_legendre(lo, hi, n_panels=8, nodes_per_panel=max(4, n_nodes // 8))
+        nodes, weights = self.window_rule([theta])
         mass = weights * np.exp(self.log_density(theta, nodes))
         return np.einsum("n,n...->...", mass, fn(nodes))
 
@@ -468,7 +476,7 @@ class CategoricalSoftmax(Family):
         p = self.probabilities(theta)
         return np.diag(p) - np.outer(p, p)
 
-    def expectation(self, theta, fn, n_nodes: int = 0):
+    def expectation(self, theta, fn):
         return np.einsum("n,n...->...", self.probabilities(theta), fn(np.arange(self.k)))
 
 
@@ -564,7 +572,6 @@ class LinearlyReparameterized(Family):
         self.sample_dim = base.sample_dim
         self.has_cdf = base.has_cdf
         self.has_closed_form_fisher = base.has_closed_form_fisher
-        self.has_sampler = base.has_sampler
         self.is_discrete = base.is_discrete
 
     def _in_domain(self, xi):
@@ -601,8 +608,8 @@ class LinearlyReparameterized(Family):
         dmu, dcov = derivs
         return self.A.T @ dmu, np.tensordot(self.A.T, dcov, axes=1)
 
-    def expectation(self, xi, fn, n_nodes: int = 256):
-        return self.base.expectation(self.A @ self.check_point(xi), fn, n_nodes)
+    def expectation(self, xi, fn):
+        return self.base.expectation(self.A @ self.check_point(xi), fn)
 
 
 FAMILY_IDS = ["gaussian1d", "mvn_lcholesky[:dim]", "categorical_softmax[:k]", "gp_prior_eq"]

@@ -91,6 +91,8 @@ class GpNllCost(Similarity):
     """Likelihood cost over a fixed dataset; the only dataset-target cost."""
 
     name = "gp_nll"
+    # The expected Hessian of a negative log-likelihood is the Fisher matrix.
+    metric = "fisher"
 
     @staticmethod
     def _check(family, target) -> Dataset:

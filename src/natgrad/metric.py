@@ -14,7 +14,8 @@ is what a natural-gradient step inverts.  Engines here produce it four ways:
   transport distances with ``p != 2`` have curvature that depends on the
   approach direction, so the FD engine evaluates at ``theta + eps * u_hat``
   for a shrinking ladder of ``eps`` and extrapolates to zero; the direction
-  is taken from the gradient of the outer objective.
+  is taken from the gradient of the outer objective, and the ``fd`` engine
+  passes it on only for similarities marked ``directional``.
 
 All engines return a :class:`LocalHessian` whose matrix is exactly
 symmetric.  Positive definiteness is enforced separately by
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import CapabilityError, ConfigError, NumericError
 from .families import CategoricalSoftmax, Family
 from .numdiff import HESS_REL_STEP, central_hessian
-from .quadrature import DEFAULT_TAIL_MASS, composite_legendre
 from .similarity import F_DIVERGENCES, FDivergenceSpec, Similarity, get_similarity
 
 __all__ = [
@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 FD_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
+FD_TOLERANCE = 1e-4  # directional extrapolants must agree to 10x this, relatively
+RANK_RTOL = 1e-10  # smallest/largest singular value below which J^T G J is a pseudo-metric
 
 # Inner stencil width as a fraction of the diagonal offset eps.  Must be
 # small enough that the stencil stays inside the region where the cost is
@@ -93,7 +95,7 @@ class LocalHessian:
         return self.matrix.shape[0]
 
 
-def fisher_information(family: Family, theta, n_nodes: int = 256) -> LocalHessian:
+def fisher_information(family: Family, theta) -> LocalHessian:
     """Fisher information matrix at ``theta``.
 
     Uses the family's closed form when it has one, otherwise quadrature of
@@ -108,7 +110,7 @@ def fisher_information(family: Family, theta, n_nodes: int = 256) -> LocalHessia
             s = family.score(theta, xs)
             return s[:, :, None] * s[:, None, :]
 
-        return LocalHessian(family.expectation(theta, outer, n_nodes), provenance="analytic")
+        return LocalHessian(family.expectation(theta, outer), provenance="analytic")
     raise CapabilityError(
         f"{family.name}: no closed form and no quadrature route for Fisher information; "
         "use monte_carlo_fisher"
@@ -142,7 +144,7 @@ def f_div_local_hessian(spec: FDivergenceSpec, family: Family, theta) -> LocalHe
     return LocalHessian(spec.f_second_at_one * fisher.matrix, provenance=fisher.provenance)
 
 
-def riemannian_pullback(jacobian, density_hessian, rank_rtol: float = 1e-10) -> LocalHessian:
+def riemannian_pullback(jacobian, density_hessian) -> LocalHessian:
     """Pull a density-space curvature matrix back to parameter space.
 
     Computes ``J^T G J`` and symmetrizes.  If ``J`` is column-rank
@@ -153,7 +155,7 @@ def riemannian_pullback(jacobian, density_hessian, rank_rtol: float = 1e-10) -> 
     G = np.asarray(density_hessian, dtype=float)
     H = J.T @ G @ J
     singular = np.linalg.svd(J, compute_uv=False)
-    deficient = bool(singular.size == 0 or singular[-1] <= rank_rtol * max(singular[0], 1.0))
+    deficient = bool(singular.size == 0 or singular[-1] <= RANK_RTOL * max(singular[0], 1.0))
     out = LocalHessian(H, provenance="pullback", rank_deficient=deficient)
     if deficient:
         out = spd_project(out)
@@ -175,34 +177,34 @@ def pullback_fisher_categorical(family: CategoricalSoftmax, theta) -> LocalHessi
     return riemannian_pullback(family.softmax_jacobian(theta), np.diag(1.0 / p))
 
 
-def _velocity_basis(family: Family, theta: np.ndarray, n_nodes: int):
+def _velocity_basis(family: Family, theta: np.ndarray):
     """Quadrature grid plus per-parameter transport velocities.
 
     For a 1-D family the tangent density generated by moving parameter i
     is carried by the velocity field ``g_i(x) = -dF/dtheta_i / rho(x)``
     (the flux that the continuity equation assigns to the CDF change).
-    Returns ``(weights * rho, g)`` with ``g`` of shape (n_nodes, dim).
+    Returns ``(weights * rho, g)`` with ``g`` of shape (512, dim), on the
+    family's window rule with 64 nodes per panel.
     """
     if not family.has_cdf:
         raise CapabilityError(f"{family.name}: transport metrics need cdf/quantile support")
-    lo, hi = family.quantile(theta, [DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS])
-    nodes, weights = composite_legendre(lo, hi, n_panels=8, nodes_per_panel=max(4, n_nodes // 8))
+    nodes, weights = family.window_rule([theta], nodes_per_panel=64)
     dens = np.exp(family.log_density(theta, nodes))
     return weights * dens, -family.dcdf_dtheta(theta, nodes) / dens[:, None]
 
 
-def w2_local_hessian_1d(family: Family, theta, n_nodes: int = 512) -> LocalHessian:
+def w2_local_hessian_1d(family: Family, theta) -> LocalHessian:
     """Local Hessian of half the squared 2-Wasserstein distance (1-D).
 
     ``H_ij = integral (dF/dtheta_i)(dF/dtheta_j) / rho dx``: the L2 inner
     product of the per-parameter transport velocities under the density.
     """
     theta = family.check_point(theta)
-    mass, g = _velocity_basis(family, theta, n_nodes)
+    mass, g = _velocity_basis(family, theta)
     return LocalHessian((g * mass[:, None]).T @ g, provenance="analytic")
 
 
-def wp_local_hessian_1d(family: Family, theta, p: float, u=None, n_nodes: int = 512) -> LocalHessian:
+def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian:
     """Directional local Hessian of half the squared p-Wasserstein distance.
 
     The squared distance behaves like the square of a direction-dependent
@@ -226,7 +228,7 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None, n_nodes: int = 
         raise ValueError(f"direction must be finite and nonzero, got {u}")
     u_hat = u / norm
 
-    mass, g = _velocity_basis(family, theta, n_nodes)
+    mass, g = _velocity_basis(family, theta)
     G = g @ u_hat  # velocity of the chosen direction at each node
     absG = np.abs(G)
     scale = float(np.max(absG))
@@ -253,13 +255,11 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None, n_nodes: int = 
     weight = mass * absG ** (p - 2.0)
     a = (weight * G) @ g
     second = (g * weight[:, None]).T @ g
-    # In one dimension the inner products <g_i, G><g_j, G> / |G|^2 collapse,
-    # so the third integral coincides with the second.
-    third = second
+    # In one dimension the third integral of the general form, coefficient
+    # p - 2, collapses onto the second, so the two share the coefficient p - 1.
     H = (
         (2.0 - p) * f_norm ** (2.0 * (1.0 - p)) * np.outer(a, a)
-        + f_norm ** (2.0 - p) * second
-        + (p - 2.0) * f_norm ** (2.0 - p) * third
+        + (p - 1.0) * f_norm ** (2.0 - p) * second
     )
     return LocalHessian(H, provenance="analytic")
 
@@ -284,20 +284,13 @@ def w2_local_hessian_gaussian(family: Family, theta) -> LocalHessian:
     return LocalHessian(dmu @ dmu.T + 0.5 * flat @ flat.T, provenance="analytic")
 
 
-def fd_local_hessian(
-    sim: Similarity,
-    family: Family,
-    theta,
-    u=None,
-    eps_ladder: tuple[float, ...] = FD_EPS_LADDER,
-    tolerance: float = 1e-4,
-) -> LocalHessian:
+def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHessian:
     """Local Hessian of a similarity by central finite differences.
 
     Differentiates ``eta -> sim(eta, theta)`` at ``eta = theta``.  With a
-    direction ``u`` the stencil is centered at ``theta + eps * u_hat`` for a
-    geometric ladder of ``eps`` (ratio 2) and extrapolated to ``eps = 0``
-    assuming a leading error linear in ``eps``; this recovers the
+    direction ``u`` the stencil is centered at ``theta + eps * u_hat`` for the
+    geometric ladder ``FD_EPS_LADDER`` (ratio 2) and extrapolated to
+    ``eps = 0`` assuming a leading error linear in ``eps``; this recovers the
     directional curvature of costs that are not twice differentiable on the
     diagonal.  Without ``u`` (or with a numerically zero one) the stencil
     sits at ``theta`` itself, which is correct for smooth costs.
@@ -305,7 +298,7 @@ def fd_local_hessian(
     Raises
     ------
     NumericError
-        If successive extrapolants disagree by more than ``10 * tolerance``.
+        If successive extrapolants disagree by more than ``10 * FD_TOLERANCE``.
     """
     theta = family.check_point(theta)
     scale = max(1.0, float(np.max(np.abs(theta))))
@@ -323,20 +316,20 @@ def fd_local_hessian(
 
     u_hat = u / np.linalg.norm(u)
     estimates = []
-    for eps_rel in eps_ladder:
+    for eps_rel in FD_EPS_LADDER:
         eps = eps_rel * scale
         base = theta + eps * u_hat
         estimates.append(central_hessian(cost, base, abs_step=FD_INNER_STEP_RATIO * eps))
     extrapolated = [2.0 * h2 - h1 for h1, h2 in zip(estimates[:-1], estimates[1:])]
     if len(extrapolated) >= 2:
         gap = float(np.max(np.abs(extrapolated[-1] - extrapolated[-2])))
-        if gap > 10.0 * tolerance * max(1.0, float(np.max(np.abs(extrapolated[-1])))):
+        if gap > 10.0 * FD_TOLERANCE * max(1.0, float(np.max(np.abs(extrapolated[-1])))):
             raise NumericError(
                 "directional Hessian extrapolation did not converge",
                 diagnostics={
                     "extrapolation_gap": gap,
-                    "tolerance": tolerance,
-                    "eps_ladder": [e * scale for e in eps_ladder],
+                    "tolerance": FD_TOLERANCE,
+                    "eps_ladder": [e * scale for e in FD_EPS_LADDER],
                 },
             )
     return LocalHessian(extrapolated[-1], provenance="finite_difference")
@@ -425,8 +418,9 @@ def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
     if name == "w2_gaussian" and not arg:
         return MetricEngine(ident, lambda th, u=None: w2_local_hessian_gaussian(family, th))
     if name == "fd" and arg:
-        sim = get_similarity(arg)
-        return MetricEngine(ident, lambda th, u=None: fd_local_hessian(sim, family, th, u))
+        sim = get_similarity(arg)  # smooth costs take the stencil at theta, not the ladder
+        return MetricEngine(ident, lambda th, u=None: fd_local_hessian(
+            sim, family, th, u if sim.directional else None))
     if name == "euclidean" and not arg:
         dim = family.param_dim
         return MetricEngine(ident, lambda th, u=None: LocalHessian(np.eye(dim)))

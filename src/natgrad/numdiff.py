@@ -14,26 +14,21 @@ GRAD_REL_STEP = EPS ** (1.0 / 3.0)
 HESS_REL_STEP = EPS ** 0.25
 
 
-def _steps(x: np.ndarray, rel_step: float | None, abs_step: float | None, default_rel: float) -> np.ndarray:
+def _steps(x: np.ndarray, abs_step: float | None, rel: float) -> np.ndarray:
     if abs_step is not None:
         return np.full(x.shape, float(abs_step))
-    rel = default_rel if rel_step is None else float(rel_step)
     h = rel * np.maximum(1.0, np.abs(x))
     # Make the perturbed points exactly representable so the difference
     # quotient divides by the step actually taken.
     return (x + h) - x
 
 
-def central_gradient(
-    f: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    rel_step: float | None = None,
-    abs_step: float | None = None,
-) -> np.ndarray:
-    """Gradient of ``f`` at ``x`` by central differences, one pair per axis;
-    an ``(n,)``-valued ``f`` gives the ``(n, x.size)`` Jacobian."""
+def central_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Gradient of ``f`` at ``x`` by central differences, one pair per axis,
+    with steps ``GRAD_REL_STEP * max(1, |x_i|)``; an ``(n,)``-valued ``f``
+    gives the ``(n, x.size)`` Jacobian."""
     x = np.asarray(x, dtype=float)
-    h = _steps(x, rel_step, abs_step, GRAD_REL_STEP)
+    h = _steps(x, None, GRAD_REL_STEP)
     cols = []
     for i in range(x.size):
         e = np.zeros(x.size)
@@ -43,20 +38,18 @@ def central_gradient(
 
 
 def central_hessian(
-    f: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    rel_step: float | None = None,
-    abs_step: float | None = None,
+    f: Callable[[np.ndarray], float], x: np.ndarray, abs_step: float | None = None
 ) -> np.ndarray:
     """Hessian of ``f`` at ``x`` by central second differences.
 
+    Steps are ``abs_step`` on every axis, or ``HESS_REL_STEP * max(1, |x_i|)``.
     Diagonal entries use the three-point stencil, off-diagonal entries the
     four-point cross stencil; the result is exactly symmetric by
     construction.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    h = _steps(x, rel_step, abs_step, HESS_REL_STEP)
+    h = _steps(x, abs_step, HESS_REL_STEP)
     hess = np.empty((n, n))
     f0 = f(x)
     for i in range(n):

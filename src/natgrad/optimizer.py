@@ -72,7 +72,8 @@ class OptimizerConfig:
     ``learning_rate`` is the trust-region weight: the unscaled step is
     ``-(1/learning_rate) H^-1 g``.  ``line_search=None`` disables
     backtracking (full steps).  ``damping=None`` uses the scale-aware
-    default floor.
+    default floor.  ``metric=None`` uses the similarity's own metric,
+    ``Similarity.metric``.
     """
 
     learning_rate: float = 1.0
@@ -80,7 +81,7 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
     cost_tol: float = 1e-14
     line_search: Optional[LineSearchConfig] = field(default_factory=LineSearchConfig)
-    metric: str = "fisher"
+    metric: Optional[str] = None
     damping: Optional[float] = None
 
     def __post_init__(self):
@@ -209,20 +210,17 @@ def newton_step(
     learning_rate: float = 1.0,
     damping: Optional[float] = None,
 ) -> tuple[np.ndarray, dict]:
-    """Newton step using the full finite-difference Hessian of the cost.
+    """Newton step: :func:`natural_gradient_step` whose metric is the full
+    finite-difference Hessian of the cost.
 
     The Hessian is SPD-projected like any other metric, so this is the
     curvature every well-formed metric approaches near a minimum.
     """
-    theta = np.asarray(theta, dtype=float)
-    H = LocalHessian(central_hessian(objective.value, theta), provenance="finite_difference")
-    g = np.asarray(objective.gradient(theta), dtype=float)
-    v, added = _solve_step(H, g, learning_rate, damping)
-    return theta + v, {
-        "grad_norm": float(np.linalg.norm(g)),
-        "step_norm": float(np.linalg.norm(v)),
-        "damping": added,
-    }
+    hessian = MetricEngine(
+        "newton",
+        lambda th, u=None: LocalHessian(central_hessian(objective.value, th), provenance="finite_difference"),
+    )
+    return natural_gradient_step(objective, hessian, theta, learning_rate, damping)
 
 
 def backtracking_line_search(
@@ -268,11 +266,14 @@ def optimize(
 
     Configuration errors (unknown metric, invalid starting point) do raise,
     since no meaningful Trace exists yet; anything numeric after that is
-    captured in ``Trace.status``.  ``engine`` overrides the metric named in
-    the config (used by benchmarks that build bespoke engines).
+    captured in ``Trace.status``.  The metric is ``config.metric``, or the
+    similarity's own ``sim.metric`` when that is None.  ``engine`` overrides
+    both: the GP benchmark passes its resolved engines, and tests inject
+    fakes through it.
     """
     if engine is None:
-        engine = resolve_metric_engine(config.metric, family)
+        metric = sim.metric if config.metric is None else config.metric
+        engine = resolve_metric_engine(metric, family)
     objective = make_objective(family, sim, target)
     theta = family.check_point(theta0)
     records: list[StepRecord] = []

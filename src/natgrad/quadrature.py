@@ -3,15 +3,17 @@
 Two grid builders cover the integrals used elsewhere in the package:
 
 * :func:`composite_legendre` -- panels of equal width on a finite interval,
-  used for integrals against a density in sample space.
-* :func:`unit_interval_grid` -- panels graded geometrically toward 0 and 1,
-  used for integrals over quantile levels where the integrand is steep near
-  the endpoints.
+  used for integrals against a density in sample space.  The finite
+  interval of a 1-D family is its quantile window; ``Family.window_rule``
+  builds that rule, the one sample-space rule of the package.
+* :func:`unit_interval_grid` -- the one fixed grid over quantile levels,
+  with panels graded geometrically toward 0 and 1 where the integrand is
+  steep.
 
 All functions return ``(nodes, weights)`` as float arrays; integrals are
 plain weighted sums so callers can reuse a grid for several integrands.
 Grids are returned read-only; the Gauss-Legendre reference rules and the
-unit-interval grids are cached.
+unit-interval grid are cached.
 """
 
 from __future__ import annotations
@@ -62,35 +64,25 @@ def composite_legendre(
     return _panels(edges, nodes_per_panel)
 
 
-@lru_cache(maxsize=16)
-def unit_interval_grid(
-    total_nodes: int = 512, delta: float = DEFAULT_TAIL_MASS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature grid on ``(delta, 1 - delta)`` graded toward both endpoints.
+@lru_cache(maxsize=1)
+def unit_interval_grid() -> tuple[np.ndarray, np.ndarray]:
+    """512-node quadrature grid on ``(delta, 1 - delta)``, graded toward both
+    endpoints, with ``delta = DEFAULT_TAIL_MASS``.
 
     Panel edges shrink geometrically (decade by decade) toward 0 and 1 so
     that integrands of the form ``g(quantile(q))``, which vary rapidly near
-    the endpoints for unbounded supports, are resolved accurately.
-
-    Parameters
-    ----------
-    total_nodes : int
-        Total node budget, split evenly across panels.
-    delta : float
-        Tail mass excluded at each end.  Must lie in ``(0, 0.01)``.
+    the endpoints for unbounded supports, are resolved accurately.  The
+    node budget is split evenly across panels.
     """
-    if not 0.0 < delta < 0.01:
-        raise ValueError(f"delta must be in (0, 0.01), got {delta}")
-    lower = [delta]
-    q = delta
+    lower = [DEFAULT_TAIL_MASS]
+    q = DEFAULT_TAIL_MASS
     while q * 10.0 < 0.1:
         q *= 10.0
         lower.append(q)
     lower.append(0.1)
     upper = [1.0 - q for q in reversed(lower)]
     edges = np.array(lower + [0.3, 0.5, 0.7] + upper)
-    nodes_per_panel = max(4, int(total_nodes) // (len(edges) - 1))
-    return _panels(edges, nodes_per_panel)
+    return _panels(edges, max(4, 512 // (len(edges) - 1)))
 
 
 @lru_cache(maxsize=16)

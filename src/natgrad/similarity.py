@@ -41,7 +41,7 @@ from .errors import (
 )
 from .families import CategoricalSoftmax, Dataset, Family, Gaussian1D
 from .numdiff import central_gradient
-from .quadrature import DEFAULT_TAIL_MASS, composite_legendre, unit_interval_grid
+from .quadrature import unit_interval_grid
 
 __all__ = [
     "FDivergenceSpec",
@@ -98,9 +98,20 @@ def _check_point_target(family: Family, target) -> np.ndarray:
 
 
 class Similarity:
-    """Base class: a non-negative cost ``c(theta, target)`` over one family."""
+    """Base class: a non-negative cost ``c(theta, target)`` over one family.
+
+    ``metric`` names the engine of the similarity's own local Hessian, the
+    default metric of runs over it (base: finite differences of the cost).
+    ``directional`` marks costs whose curvature depends on the approach
+    direction: those not twice differentiable on the diagonal.
+    """
 
     name: str = ""
+    directional: bool = False
+
+    @property
+    def metric(self) -> str:
+        return f"fd:{self.name}"
 
     def evaluate(self, family: Family, theta, target) -> float:
         raise NotImplementedError
@@ -130,18 +141,12 @@ def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
     return float(0.5 * (trace - d + maha + logdet2 - logdet1))
 
 
-def f_divergence(
-    spec: FDivergenceSpec,
-    family: Family,
-    theta,
-    target,
-    strategy: str = "auto",
-    n_nodes: int = 256,
-) -> float:
+def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy: str = "auto") -> float:
     """D_f from the distribution at ``target`` to the one at ``theta``.
 
     ``strategy`` is one of ``auto`` (closed form when known, otherwise
     quadrature or exact summation), ``closed_form``, or ``quadrature``.
+    Quadrature uses ``Family.window_rule`` over both points' windows.
     """
     theta = family.check_point(theta)
     target = _check_point_target(family, target)
@@ -168,12 +173,7 @@ def f_divergence(
             total = float(p @ spec.f(q / p))
         return _clamp_divergence(total, spec, family)
     if family.has_cdf:
-        tails = [DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS]
-        lo_p, hi_p = family.quantile(theta, tails)
-        lo_q, hi_q = family.quantile(target, tails)
-        nodes, weights = composite_legendre(
-            min(lo_p, lo_q), max(hi_p, hi_q), n_panels=8, nodes_per_panel=max(4, n_nodes // 8)
-        )
+        nodes, weights = family.window_rule([theta, target])
         logp = family.log_density(theta, nodes)
         logq = family.log_density(target, nodes)
         # Overflow in the ratio or in f is expected for divergent pairs;
@@ -207,16 +207,19 @@ def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> fl
 
 
 class FDivergence(Similarity):
-    def __init__(self, spec: FDivergenceSpec, strategy: str = "auto"):
+    def __init__(self, spec: FDivergenceSpec):
         self.spec = spec
-        self.strategy = strategy
         self.name = spec.name
 
+    @property
+    def metric(self) -> str:
+        return f"fdiv:{self.name}"
+
     def evaluate(self, family, theta, target):
-        return f_divergence(self.spec, family, theta, target, strategy=self.strategy)
+        return f_divergence(self.spec, family, theta, target)
 
     def grad_theta(self, family, theta, target):
-        if self.spec.name == "kl" and isinstance(family, Gaussian1D) and self.strategy in ("auto", "closed_form"):
+        if self.spec.name == "kl" and isinstance(family, Gaussian1D):
             mu1, s1 = family.check_point(theta)
             mu2, s2 = _check_point_target(family, target)
             return np.array([(mu1 - mu2) / s2**2, -1.0 / s1 + s1 / s2**2])
@@ -226,14 +229,7 @@ class FDivergence(Similarity):
 # -- Wasserstein distances ------------------------------------------------------
 
 
-def wasserstein_p_1d(
-    family: Family,
-    theta,
-    target,
-    p: float,
-    n_nodes: int = 512,
-    delta: float = DEFAULT_TAIL_MASS,
-) -> float:
+def wasserstein_p_1d(family: Family, theta, target, p: float) -> float:
     """p-Wasserstein distance between two members of a 1-D family.
 
     Uses the quantile-coupling representation: the p-th power of the
@@ -246,7 +242,7 @@ def wasserstein_p_1d(
         raise CapabilityError(f"{family.name}: 1-D Wasserstein needs cdf/quantile support")
     theta = family.check_point(theta)
     target = _check_point_target(family, target)
-    levels, weights = unit_interval_grid(n_nodes, delta)
+    levels, weights = unit_interval_grid()
     gap = family.quantile(theta, levels) - family.quantile(target, levels)
     return float((weights @ np.abs(gap) ** p) ** (1.0 / p))
 
@@ -259,6 +255,11 @@ class WassersteinP(Similarity):
         if self.p < 1.0:
             raise ValueError(f"order p must be >= 1, got {p}")
         self.name = f"wasserstein:{p:g}"
+        self.directional = self.p != 2.0
+
+    @property
+    def metric(self) -> str:
+        return "w2_1d" if self.p == 2.0 else f"wp_1d:{self.p:g}"
 
     def evaluate(self, family, theta, target):
         return 0.5 * wasserstein_p_1d(family, theta, target, self.p) ** 2
@@ -290,6 +291,7 @@ class SquaredW2Gaussian(Similarity):
     """Half the squared 2-Wasserstein distance between Gaussians, closed form."""
 
     name = "w2_gaussian"
+    metric = "w2_gaussian"
 
     def evaluate(self, family, theta, target):
         theta = family.check_point(theta)
@@ -331,13 +333,17 @@ def fisher_rao_distance_categorical(p, q) -> float:
 
 class SquaredFisherRaoCategorical(Similarity):
     name = "fisher_rao2"
+    metric = "pullback"
 
     def _probs(self, family: Family, theta) -> np.ndarray:
         if not isinstance(family, CategoricalSoftmax):
             raise CapabilityError(
                 f"fisher_rao2 is defined for categorical families, not {family.name}"
             )
-        return family.probabilities(theta)
+        p = family.probabilities(theta)
+        if np.any(p == 0.0):  # extreme logits; a line search must be able to catch this
+            raise NumericError("softmax underflowed to a zero probability", {"theta": theta})
+        return p
 
     def evaluate(self, family, theta, target):
         p = self._probs(family, theta)

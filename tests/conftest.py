@@ -66,7 +66,6 @@ def power_law_family():
         name = "powerlaw01"
         param_dim = 1
         has_cdf = True
-        has_sampler = False
 
         def _in_domain(self, theta):
             return theta[0] > 0.0

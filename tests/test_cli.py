@@ -79,6 +79,22 @@ def test_run_numeric_failure_exit_code(tmp_path, capsys):
     assert "status=numeric_failure" in out
 
 
+def test_run_defaults_to_the_similarity_metric(tmp_path, capsys):
+    # no "metric" key: the run descends half W2^2 under w2_1d, its own local
+    # Hessian, which is exact for a location-scale family
+    payload = {
+        "family": "gaussian1d",
+        "similarity": "wasserstein:2",
+        "theta0": [2.0, 3.0],
+        "target": [0.0, 1.0],
+        "output": str(tmp_path / "trace.csv"),
+    }
+    code = main(["run", _write_config(tmp_path, "w2.json", payload)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "status=converged_grad iterations=1 " in out
+
+
 def test_run_unknown_family_lists_ids(tmp_path, capsys):
     code = main(["run", _run_config(tmp_path, family="gausian1d")])
     err = capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natgrad.cli import _default_metric
 from natgrad.errors import CapabilityError, ConfigError, NumericError
 from natgrad.families import (
     CategoricalSoftmax,
@@ -252,7 +251,7 @@ def test_wp_small_order_blowup_guard():
     # for p < 2 the integrand carries |velocity|^(p-2); a direction whose
     # velocity vanishes at a quadrature node must be rejected, not clamped
     theta = np.array([0.0, 1.0])
-    mass, g = _velocity_basis(GAUSS, theta, 512)
+    mass, g = _velocity_basis(GAUSS, theta)
     u = np.array([-g[100, 1], 1.0])  # exact zero velocity at node 100
     with pytest.raises(NumericError) as exc:
         wp_local_hessian_1d(GAUSS, theta, 1.5, u)
@@ -298,6 +297,15 @@ def test_fd_hessian_zero_direction_falls_back_to_smooth():
     Ha = fd_local_hessian(sim, GAUSS, (0.0, 1.0), u=np.zeros(2))
     Hb = fd_local_hessian(sim, GAUSS, (0.0, 1.0))
     np.testing.assert_array_equal(Ha.matrix, Hb.matrix)
+
+
+def test_fd_engine_passes_the_direction_only_to_directional_costs():
+    theta, u = np.array([0.5, 1.5]), np.array([0.5, 0.5])
+    chi2 = resolve_metric_engine("fd:chi2", GAUSS)
+    np.testing.assert_array_equal(chi2(theta, u).matrix, chi2(theta).matrix)
+    w3 = resolve_metric_engine("fd:wasserstein:3", GAUSS)
+    ref = fd_local_hessian(WassersteinP(3.0), GAUSS, theta, u)
+    np.testing.assert_array_equal(w3(theta, u).matrix, ref.matrix)
 
 
 def test_fd_hessian_gate_rejects_non_converging_ladder():
@@ -510,7 +518,7 @@ def test_default_engine_is_local_hessian_of_registered_similarity(
     # The cost the optimizer minimizes and the curvature its default engine
     # returns are one function: no wrapper and no factor in between.
     family, theta, u = data.draw(points)
-    assert _default_metric(sim_id) == metric_id
+    assert get_similarity(sim_id).metric == metric_id
     H = resolve_metric_engine(metric_id, family)(theta, u).matrix
     ref = fd_local_hessian(get_similarity(sim_id), family, theta, u).matrix
     np.testing.assert_allclose(H, ref, rtol=0, atol=tol * np.max(np.abs(ref)))

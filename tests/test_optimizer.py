@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from natgrad.errors import DivergenceInfiniteError, NumericError
-from natgrad.families import Gaussian1D, LinearlyReparameterized
+from natgrad.families import CategoricalSoftmax, Gaussian1D, LinearlyReparameterized
 from natgrad.metric import LocalHessian, MetricEngine, resolve_metric_engine
 from natgrad.optimizer import (
     ALPHA_FLOOR,
@@ -285,6 +285,37 @@ def test_fd_wasserstein_engine_descends_the_registered_cost():
     )
     assert trace.status != "numeric_failure"
     assert trace.final_cost < 1e-12
+
+
+def test_fd_engine_on_smooth_costs_ignores_the_direction_hint():
+    # the optimizer passes -g as a direction hint; on a smooth cost the
+    # epsilon ladder misses its gate, the stencil at theta does not
+    chi2 = optimize(
+        GAUSS, get_similarity("chi2"), (0.5, 1.5), (0.0, 1.0), OptimizerConfig(metric="fd:chi2")
+    )
+    assert chi2.status == "converged_grad" and chi2.final_cost < 1e-12
+    fisher_rao = optimize(
+        CategoricalSoftmax(3), get_similarity("fisher_rao2"), (0.3, -0.4, 0.1), (-0.2, 0.5, 0.0),
+        OptimizerConfig(metric="fd:fisher_rao2"),
+    )
+    assert fisher_rao.status != "numeric_failure" and fisher_rao.final_cost < 1e-12
+
+
+def test_fisher_rao_run_through_underflowing_softmax_returns_a_trace():
+    # a line-search trial at extreme logits underflows softmax to an exact
+    # zero; that point counts as infinitely bad instead of raising
+    trace = optimize(
+        CategoricalSoftmax(3), get_similarity("fisher_rao2"), (-0.87, -2.34, 3.48),
+        (-0.99, 0.66, -0.52), OptimizerConfig(metric="pullback"),
+    )
+    assert trace.status != "numeric_failure"
+    assert trace.final_cost < 1e-12
+
+
+def test_default_metric_is_the_similarity_own():
+    assert OptimizerConfig().metric is None
+    w2 = optimize(GAUSS, get_similarity("wasserstein:2"), (2.0, 3.0), (0.0, 1.0), OptimizerConfig())
+    assert w2.status == "converged_grad" and w2.iterations == 1
 
 
 def test_numeric_failure_on_divergent_cost():

@@ -10,6 +10,8 @@ from natgrad.errors import (
     NumericError,
 )
 from natgrad.families import CategoricalSoftmax, Dataset, Gaussian1D, MultivariateNormalLogCholesky
+from natgrad.gp_bench import GpNllCost
+from natgrad.metric import resolve_metric_engine
 from natgrad.similarity import (
     F_DIVERGENCES,
     SIMILARITY_IDS,
@@ -265,6 +267,14 @@ def test_fisher_rao_rejects_non_simplex():
         fisher_rao_distance_categorical([0.5, 0.4, 0.3], [0.2, 0.5, 0.3])
 
 
+def test_fisher_rao_underflowed_softmax_is_a_numeric_error():
+    sim, far = SquaredFisherRaoCategorical(), (800.0, 0.0, 0.0)
+    with pytest.raises(NumericError):
+        sim.evaluate(CAT3, far, (0.0, 0.0, 0.0))
+    with pytest.raises(NumericError):
+        sim.grad_theta(CAT3, (0.0, 0.0, 0.0), far)
+
+
 def test_fisher_rao_needs_categorical():
     with pytest.raises(CapabilityError):
         SquaredFisherRaoCategorical().evaluate(GAUSS, (0.0, 1.0), (1.0, 1.0))
@@ -445,3 +455,30 @@ def test_get_similarity_bad_wasserstein_order():
     with pytest.raises(ConfigError):
         get_similarity("wasserstein:x")
     assert "wasserstein:{p}" in SIMILARITY_IDS
+
+
+@pytest.mark.parametrize(
+    "sim_id, metric_id, directional",
+    [
+        ("kl", "fdiv:kl", False),
+        ("reverse_kl", "fdiv:reverse_kl", False),
+        ("chi2", "fdiv:chi2", False),
+        ("hellinger2", "fdiv:hellinger2", False),
+        ("wasserstein:2", "w2_1d", False),
+        ("wasserstein:3", "wp_1d:3", True),
+        ("wasserstein:1.5", "wp_1d:1.5", True),
+        ("w2_gaussian", "w2_gaussian", False),
+        ("fisher_rao2", "pullback", False),
+        ("sq_euclidean", "fd:sq_euclidean", False),
+    ],
+)
+def test_each_similarity_names_its_own_metric(sim_id, metric_id, directional):
+    sim = get_similarity(sim_id)
+    assert sim.metric == metric_id
+    assert sim.directional is directional
+    family = CAT3 if sim_id == "fisher_rao2" else GAUSS
+    assert resolve_metric_engine(sim.metric, family).name == metric_id
+
+
+def test_gp_likelihood_cost_names_the_fisher_metric():
+    assert GpNllCost().metric == "fisher" and not GpNllCost().directional
