@@ -285,11 +285,22 @@ def optimize(
                        time.perf_counter() - start, fallback)
         )
 
+    # The latest line-search trial, (point bytes, cost): the accepted trial
+    # is the next iterate, whose cost is then not evaluated again.
+    last_trial = (b"", 0.0)
+
+    def trial_cost(point: np.ndarray) -> float:
+        nonlocal last_trial
+        last_trial = (point.tobytes(), float(objective.value(point)))
+        return last_trial[1]
+
     prev_cost = None
     status = "max_iters"
     for it in range(config.max_iters + 1):
         try:
-            cost = float(objective.value(theta))
+            key, cost = last_trial
+            if key != theta.tobytes():
+                cost = float(objective.value(theta))
             g = np.asarray(objective.gradient(theta), dtype=float)
         except NatgradError:
             status = "numeric_failure"
@@ -329,11 +340,11 @@ def optimize(
 
         if config.line_search is not None:
             alpha, flag = backtracking_line_search(
-                objective.value, theta, v, g, cost, config.line_search
+                trial_cost, theta, v, g, cost, config.line_search
             )
             if flag:
                 try:
-                    candidate_cost = objective.value(theta + alpha * v)
+                    candidate_cost = trial_cost(theta + alpha * v)
                 except NatgradError:
                     candidate_cost = float("inf")
                 if not np.isfinite(candidate_cost) or candidate_cost > cost:

@@ -21,9 +21,12 @@ free functions ``wasserstein_p_1d`` and ``fisher_rao_distance_categorical``
 return the distance itself, and ``squared_w2_gaussian`` the full square.
 
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
-roundoff and is non-negative.  ``grad_theta`` differentiates with respect
-to the first argument, analytically where noted and by central finite
-differences otherwise.
+roundoff and is non-negative.  ``grad_theta`` is the analytic gradient in
+the first argument, built from the ingredients the similarity's own metric
+uses: scores for f-divergences, moment derivatives for Gaussian closed
+forms, quantile velocities for 1-D transport.  Where a family has no route
+for a similarity, ``grad_theta`` raises the same :class:`CapabilityError`
+as ``evaluate``.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from .errors import (
     DivergenceInfiniteError,
     NumericError,
 )
-from .families import CategoricalSoftmax, Dataset, Family, Gaussian1D
-from .numdiff import central_gradient
+from .families import CategoricalSoftmax, Dataset, Family
 from .quadrature import unit_interval_grid
 
 __all__ = [
@@ -72,19 +74,25 @@ class FDivergenceSpec:
 
     ``f`` must be convex with ``f(1) = 0`` and twice differentiable at 1;
     ``f_second_at_one`` stores f''(1), which sets the scale of the induced
-    local metric.
+    local metric.  ``g`` is ``f(t) - t f'(t)``, written out per generator:
+    the gradient of D_f in the first point is ``E_p[score(X) g(q(X)/p(X))]``.
+    Written out, ``g`` stays finite where the target density underflows
+    (t = 0), where ``t f'(t)`` is ``0 * inf``.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
     f_second_at_one: float
 
 
 F_DIVERGENCES = {
-    "kl": FDivergenceSpec("kl", lambda t: -np.log(t), 1.0),
-    "reverse_kl": FDivergenceSpec("reverse_kl", lambda t: t * np.log(t), 1.0),
-    "chi2": FDivergenceSpec("chi2", lambda t: (t - 1.0) ** 2, 2.0),
-    "hellinger2": FDivergenceSpec("hellinger2", lambda t: (np.sqrt(t) - 1.0) ** 2, 0.5),
+    "kl": FDivergenceSpec("kl", lambda t: -np.log(t), lambda t: 1.0 - np.log(t), 1.0),
+    "reverse_kl": FDivergenceSpec("reverse_kl", lambda t: t * np.log(t), lambda t: -t, 1.0),
+    "chi2": FDivergenceSpec("chi2", lambda t: (t - 1.0) ** 2, lambda t: 1.0 - t * t, 2.0),
+    "hellinger2": FDivergenceSpec(
+        "hellinger2", lambda t: (np.sqrt(t) - 1.0) ** 2, lambda t: 1.0 - np.sqrt(t), 0.5
+    ),
 }
 
 
@@ -117,9 +125,25 @@ class Similarity:
         raise NotImplementedError
 
     def grad_theta(self, family: Family, theta, target) -> np.ndarray:
-        """Gradient in the first argument; default is central differences."""
-        theta = family.check_point(theta)
-        return central_gradient(lambda t: self.evaluate(family, t, target), theta)
+        """Gradient of ``evaluate`` in its first argument."""
+        raise NotImplementedError
+
+
+def _gaussian_pair(family: Family, theta, target):
+    """``(m1, c1, m2, c2)``: the moments of both points, or None when the
+    family is not Gaussian."""
+    moments = family.gaussian_moments(theta)
+    if moments is None:
+        return None
+    return (*moments, *family.gaussian_moments(target))
+
+
+def _through_moments(family: Family, theta: np.ndarray, d_mean, d_cov) -> np.ndarray:
+    """Chain rule through the Gaussian moments: the gradient of a cost whose
+    derivatives in the mean and the (symmetric) covariance at ``theta`` are
+    ``d_mean`` and ``d_cov``, ``dmu_i . d_mean + tr(d_cov dS_i)``."""
+    dmu, dcov = family.moment_derivs(theta)
+    return dmu @ d_mean + dcov.reshape(len(dcov), -1) @ d_cov.ravel()
 
 
 # -- f-divergences -------------------------------------------------------------
@@ -154,10 +178,9 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if strategy in ("auto", "closed_form") and spec.name in ("kl", "reverse_kl"):
-        moments = family.gaussian_moments(theta)
-        if moments is not None:
-            m1, c1 = moments
-            m2, c2 = family.gaussian_moments(target)
+        pair = _gaussian_pair(family, theta, target)
+        if pair is not None:
+            m1, c1, m2, c2 = pair
             if spec.name == "kl":
                 return _clamp_divergence(gaussian_kl(m1, c1, m2, c2), spec, family)
             return _clamp_divergence(gaussian_kl(m2, c2, m1, c1), spec, family)
@@ -172,28 +195,34 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             total = float(p @ spec.f(q / p))
         return _clamp_divergence(total, spec, family)
-    if family.has_cdf:
-        nodes, weights = family.window_rule([theta, target])
-        logp = family.log_density(theta, nodes)
-        logq = family.log_density(target, nodes)
-        # Overflow in the ratio or in f is expected for divergent pairs;
-        # it is detected by the finiteness check below, not by warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = np.exp(logq - logp)
-            values = spec.f(ratio)
-            integrand = np.exp(logp) * values
-        if not np.all(np.isfinite(integrand)):
-            bad = int(np.sum(~np.isfinite(integrand)))
-            raise NumericError(
-                f"{spec.name} quadrature produced {bad} non-finite integrand values on {family.name}",
-                diagnostics={
-                    "non_finite_nodes": bad,
-                    "max_log_ratio": float(np.max(logq - logp)),
-                    "min_log_ratio": float(np.min(logq - logp)),
-                },
-            )
-        return _clamp_divergence(float(weights @ integrand), spec, family)
-    raise CapabilityError(f"no integration route for {spec.name} on {family.name}")
+    _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f)
+    return _clamp_divergence(float(weights @ integrand), spec, family)
+
+
+def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
+    """``(nodes, weights, p * fn(q/p))`` on the window rule of both points,
+    with ``p``, ``q`` the densities at ``theta`` and ``target``; raises
+    :class:`NumericError` where the integrand is not finite."""
+    if not family.has_cdf:
+        raise CapabilityError(f"no integration route for {spec.name} on {family.name}")
+    nodes, weights = family.window_rule([theta, target])
+    logp = family.log_density(theta, nodes)
+    log_ratio = family.log_density(target, nodes) - logp
+    # Overflow in the ratio or in fn is expected for divergent pairs; it is
+    # detected by the finiteness check below, not by warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = np.exp(logp) * fn(np.exp(log_ratio))
+    if not np.all(np.isfinite(integrand)):
+        bad = int(np.sum(~np.isfinite(integrand)))
+        raise NumericError(
+            f"{spec.name} quadrature produced {bad} non-finite integrand values on {family.name}",
+            diagnostics={
+                "non_finite_nodes": bad,
+                "max_log_ratio": float(np.max(log_ratio)),
+                "min_log_ratio": float(np.min(log_ratio)),
+            },
+        )
+    return nodes, weights, integrand
 
 
 def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> float:
@@ -219,11 +248,36 @@ class FDivergence(Similarity):
         return f_divergence(self.spec, family, theta, target)
 
     def grad_theta(self, family, theta, target):
-        if self.spec.name == "kl" and isinstance(family, Gaussian1D):
-            mu1, s1 = family.check_point(theta)
-            mu2, s2 = _check_point_target(family, target)
-            return np.array([(mu1 - mu2) / s2**2, -1.0 / s1 + s1 / s2**2])
-        return super().grad_theta(family, theta, target)
+        """Gradient along the route ``evaluate`` takes: the Gaussian closed
+        form for KL and reverse KL, else ``J^T g(q/p)`` with the softmax
+        Jacobian J for discrete families, else ``integral p score g(q/p)``
+        on the same window rule as the divergence."""
+        spec = self.spec
+        theta = family.check_point(theta)
+        target = _check_point_target(family, target)
+        pair = _gaussian_pair(family, theta, target) if spec.name in ("kl", "reverse_kl") else None
+        if pair is not None:
+            m1, c1, m2, c2 = pair
+            inv1 = np.linalg.inv(c1)
+            if spec.name == "kl":
+                # KL(1 || 2): d/dm1 = S2^-1 (m1 - m2), d/dS1 = (S2^-1 - S1^-1) / 2
+                inv2 = np.linalg.inv(c2)
+                a, d_cov = inv2 @ (m1 - m2), inv2 - inv1
+            else:
+                # KL(2 || 1): d/dm1 = a = S1^-1 (m1 - m2),
+                # d/dS1 = (S1^-1 - S1^-1 S2 S1^-1 - a a^T) / 2
+                a = inv1 @ (m1 - m2)
+                d_cov = inv1 - inv1 @ c2 @ inv1 - np.outer(a, a)
+            return _through_moments(family, theta, a, 0.5 * d_cov)
+        if family.is_discrete:
+            p = family.probabilities(theta)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                grad = family.softmax_jacobian(theta).T @ spec.g(family.probabilities(target) / p)
+            if not np.all(np.isfinite(grad)):
+                raise DivergenceInfiniteError(f"{spec.name} on {family.name} is infinite")
+            return grad
+        nodes, weights, integrand = _window_integrand(spec, family, theta, target, spec.g)
+        return (weights * integrand) @ family.score(theta, nodes)
 
 
 # -- Wasserstein distances ------------------------------------------------------
@@ -236,6 +290,13 @@ def wasserstein_p_1d(family: Family, theta, target, p: float) -> float:
     distance is the integral over quantile levels of ``|Q1 - Q2|**p``,
     evaluated on a quadrature grid graded toward both endpoints.
     """
+    return _quantile_coupling(family, theta, target, p)[-1]
+
+
+def _quantile_coupling(family: Family, theta, target, p: float):
+    """``(Q1, weights, Q1 - Q2, W_p)``: the quantiles of ``theta`` on
+    ``unit_interval_grid()``, its weights, the quantile gap to ``target``
+    and the distance."""
     if p < 1.0:
         raise ValueError(f"order p must be >= 1, got {p}")
     if not family.has_cdf:
@@ -243,8 +304,9 @@ def wasserstein_p_1d(family: Family, theta, target, p: float) -> float:
     theta = family.check_point(theta)
     target = _check_point_target(family, target)
     levels, weights = unit_interval_grid()
-    gap = family.quantile(theta, levels) - family.quantile(target, levels)
-    return float((weights @ np.abs(gap) ** p) ** (1.0 / p))
+    q1 = family.quantile(theta, levels)
+    gap = q1 - family.quantile(target, levels)
+    return q1, weights, gap, float((weights @ np.abs(gap) ** p) ** (1.0 / p))
 
 
 class WassersteinP(Similarity):
@@ -264,6 +326,18 @@ class WassersteinP(Similarity):
     def evaluate(self, family, theta, target):
         return 0.5 * wasserstein_p_1d(family, theta, target, self.p) ** 2
 
+    def grad_theta(self, family, theta, target):
+        """``W^(2-p) integral |dQ|^(p-2) dQ dQ1/dtheta`` over the levels, with
+        ``dQ = Q1 - Q2`` and the quantile velocity ``dQ1/dtheta = -dF/dtheta / rho``
+        at ``Q1``; exactly zero where W vanishes."""
+        p = self.p
+        q1, weights, gap, w = _quantile_coupling(family, theta, target, p)
+        if w == 0.0:
+            return np.zeros(family.param_dim)
+        velocity = -family.dcdf_dtheta(theta, q1) / np.exp(family.log_density(theta, q1))[:, None]
+        pull = weights * np.sign(gap) * np.abs(gap) ** (p - 1.0)
+        return w ** (2.0 - p) * (pull @ velocity)
+
 
 def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:
     """Squared 2-Wasserstein distance between Gaussians.
@@ -276,9 +350,7 @@ def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:
     mean2 = np.atleast_1d(np.asarray(mean2, dtype=float))
     cov1 = np.atleast_2d(np.asarray(cov1, dtype=float))
     cov2 = np.atleast_2d(np.asarray(cov2, dtype=float))
-    w2, V2 = np.linalg.eigh(cov2)
-    w2 = np.maximum(w2, COV_EIGENVALUE_FLOOR)
-    root2 = (V2 * np.sqrt(w2)) @ V2.T
+    root2 = _floored_power(cov2, 0.5)
     inner = root2 @ cov1 @ root2
     wi = np.linalg.eigvalsh(inner)
     wi = np.maximum(wi, 0.0)
@@ -287,20 +359,37 @@ def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:
     return max(value, 0.0)
 
 
+def _floored_power(cov: np.ndarray, power: float) -> np.ndarray:
+    """``cov**power`` of a symmetric matrix through its eigendecomposition,
+    eigenvalues floored at ``COV_EIGENVALUE_FLOOR``."""
+    w, V = np.linalg.eigh(cov)
+    return (V * np.maximum(w, COV_EIGENVALUE_FLOOR) ** power) @ V.T
+
+
 class SquaredW2Gaussian(Similarity):
     """Half the squared 2-Wasserstein distance between Gaussians, closed form."""
 
     name = "w2_gaussian"
     metric = "w2_gaussian"
 
-    def evaluate(self, family, theta, target):
+    def _pair(self, family, theta, target):
         theta = family.check_point(theta)
-        target = _check_point_target(family, target)
-        moments = family.gaussian_moments(theta)
-        if moments is None:
+        pair = _gaussian_pair(family, theta, _check_point_target(family, target))
+        if pair is None:
             raise CapabilityError(f"{family.name} is not Gaussian; w2_gaussian does not apply")
-        m2, c2 = family.gaussian_moments(target)
-        return 0.5 * squared_w2_gaussian(moments[0], moments[1], m2, c2)
+        return theta, pair
+
+    def evaluate(self, family, theta, target):
+        return 0.5 * squared_w2_gaussian(*self._pair(family, theta, target)[1])
+
+    def grad_theta(self, family, theta, target):
+        """``dmu_i . (m1 - m2) + 1/2 tr((I - T) dS_i)``, with T the Bures
+        optimal map from S1 to S2 (``T S1 T = S2``):
+        ``T = S2^1/2 (S2^1/2 S1 S2^1/2)^-1/2 S2^1/2``."""
+        theta, (m1, c1, m2, c2) = self._pair(family, theta, target)
+        root2 = _floored_power(c2, 0.5)
+        transport = root2 @ _floored_power(root2 @ c1 @ root2, -0.5) @ root2
+        return _through_moments(family, theta, m1 - m2, 0.5 * (np.eye(len(c1)) - transport))
 
 
 # -- Fisher-Rao geometry on the simplex ------------------------------------------
@@ -314,21 +403,24 @@ def _check_simplex(p) -> np.ndarray:
 
 
 def squared_fisher_rao_categorical(p, q) -> float:
-    """Half the squared Fisher-Rao geodesic distance between categoricals.
-
-    The distance is ``2 * arccos(sum_i sqrt(p_i q_i))``: categorical
-    distributions embed isometrically onto the positive orthant of the
-    radius-2 sphere via ``2 * sqrt(p)``, and geodesics are great circles.
-    """
+    """Half the squared Fisher-Rao geodesic distance between categoricals."""
     d = fisher_rao_distance_categorical(p, q)
     return 0.5 * d * d
 
 
 def fisher_rao_distance_categorical(p, q) -> float:
+    """Fisher-Rao geodesic distance ``2 * arccos(sum_i sqrt(p_i q_i))``.
+
+    Categorical distributions embed isometrically onto the positive orthant
+    of the radius-2 sphere via ``2 * sqrt(p)``, and geodesics are great
+    circles.  The distance is computed from the chord,
+    ``4 * arcsin(|sqrt(p) - sqrt(q)| / 2)``, which resolves distances far
+    below the ~3e-8 that the arccos of an affinity near 1 can.
+    """
     p = _check_simplex(p)
     q = _check_simplex(q)
-    affinity = np.clip(np.sum(np.sqrt(p * q)), -1.0, 1.0)
-    return float(2.0 * np.arccos(affinity))
+    chord = np.linalg.norm(np.sqrt(p) - np.sqrt(q))
+    return float(4.0 * np.arcsin(min(0.5 * chord, 1.0)))
 
 
 class SquaredFisherRaoCategorical(Similarity):

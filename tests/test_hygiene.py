@@ -28,3 +28,23 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports(path):
     # __init__.py imports to re-export; every other module imports to use.
     assert _unused_imports(path) == []
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier a module names, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_finite_difference_gradients_only_back_family_defaults():
+    # Cost gradients are analytic; central_gradient is the tests' oracle and
+    # the fallback of the Family score and dcdf_dtheta defaults only.
+    users = sorted(p.name for p in SRC.glob("*.py") if "central_gradient" in _names(p))
+    assert users == ["families.py"]  # numdiff.py defines it

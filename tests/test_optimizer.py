@@ -1,10 +1,19 @@
 """Natural-gradient stepping, line search, trace records, termination."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import natgrad.optimizer
 from natgrad.errors import DivergenceInfiniteError, NumericError
-from natgrad.families import CategoricalSoftmax, Gaussian1D, LinearlyReparameterized
+from natgrad.families import (
+    CategoricalSoftmax,
+    Gaussian1D,
+    LinearlyReparameterized,
+    MultivariateNormalLogCholesky,
+)
+from natgrad.gp_bench import BenchmarkConfig, run_benchmark
 from natgrad.metric import LocalHessian, MetricEngine, resolve_metric_engine
 from natgrad.optimizer import (
     ALPHA_FLOOR,
@@ -440,3 +449,92 @@ def test_step_norm_tail_shrinks():
     steps = [r.step_norm for r in trace.records if r.step_norm > 0]
     assert len(steps) >= 3
     assert steps[-1] < 0.5 * steps[-2] < 0.5 * steps[-3]
+
+
+def test_accepted_line_search_cost_is_not_evaluated_again(monkeypatch):
+    # The point a line search accepts is the next iterate: its cost is
+    # reused, so optimize makes one evaluate call fewer per accepted search.
+    evaluated, trials, accepted = [], [], []
+
+    class CountedKL(FDivergence):
+        def evaluate(self, family, theta, target):
+            evaluated.append(np.asarray(theta, dtype=float).tobytes())
+            return super().evaluate(family, theta, target)
+
+    real = natgrad.optimizer.backtracking_line_search
+
+    def counting(value, *args):
+        alpha, flag = real(lambda point: trials.append(point) or value(point), *args)
+        accepted.append(flag == "")
+        return alpha, flag
+
+    monkeypatch.setattr(natgrad.optimizer, "backtracking_line_search", counting)
+    sim = CountedKL(F_DIVERGENCES["kl"])
+    trace = optimize(GAUSS, sim, (-1.0, 2.0), (0.5, 1.0), OptimizerConfig(metric="fisher"))
+    assert trace.status == "converged_grad"
+    assert sum(accepted) == trace.iterations >= 3
+    assert len(evaluated) == 1 + len(trials)  # the start, then one per trial
+    assert len(set(evaluated)) == len(evaluated)
+
+
+def test_fisher_rao_run_to_the_exact_optimum_converges():
+    # At this optimum the arccos distance read 0.0 while the gradient norm
+    # was still 1.2e-8, and no trial could satisfy Armijo below cost 0.
+    trace = optimize(
+        CategoricalSoftmax(3), get_similarity("fisher_rao2"), (-0.87, -2.34, 3.48),
+        (-0.99, 0.66, -0.52), OptimizerConfig(metric="pullback"),
+    )
+    assert trace.status == "converged_grad"
+    assert trace.final_cost < 1e-20
+
+
+def _count_central_gradient_calls(monkeypatch) -> list:
+    """Patch ``central_gradient`` in every natgrad module that imports it;
+    return the list its calls are appended to."""
+    calls = []
+    real = sys.modules["natgrad.numdiff"].central_gradient
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("natgrad") and getattr(module, "central_gradient", None) is real:
+            monkeypatch.setattr(module, "central_gradient", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family, sim_id, metric, theta0, target",
+    [
+        # the onedim-fdiv and onedim-transport problems of the benchmark
+        (GAUSS, "chi2", "fdiv:chi2", (2.0, 3.0), (0.0, 1.0)),
+        (GAUSS, "hellinger2", "fdiv:hellinger2", (2.0, 3.0), (0.0, 1.0)),
+        (GAUSS, "wasserstein:2", "w2_1d", (2.0, 3.0), (0.0, 1.0)),
+        (GAUSS, "wasserstein:3", "wp_1d:3", (2.0, 3.0), (0.0, 1.0)),
+        # the point-target problems of its closed-form rounds
+        (GAUSS, "kl", "fisher", (1.0, 2.0), (-0.5, 0.7)),
+        (GAUSS, "reverse_kl", "fdiv:reverse_kl", (1.0, 2.0), (-0.5, 0.7)),
+        (MultivariateNormalLogCholesky(2), "kl", "fisher", [0.3] * 5, [-0.2] * 5),
+        (MultivariateNormalLogCholesky(3), "kl", "fisher", [0.3] * 9, [-0.2] * 9),
+        (CategoricalSoftmax(5), "fisher_rao2", "pullback", [0.5, -0.5, 0, 0.2, 1], [0] * 5),
+        (CategoricalSoftmax(5), "chi2", "fisher", [0.5, -0.5, 0, 0.2, 1], [0] * 5),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_optimize_makes_no_finite_difference_gradient_call(
+    monkeypatch, family, sim_id, metric, theta0, target
+):
+    # finite differences are the tests' oracle, not a route of the optimizer
+    calls = _count_central_gradient_calls(monkeypatch)
+    trace = optimize(family, get_similarity(sim_id), theta0, target, OptimizerConfig(metric=metric))
+    assert trace.status != "numeric_failure" and trace.final_cost < 1e-10
+    assert calls == []
+
+
+def test_gp_benchmark_makes_no_finite_difference_gradient_call(monkeypatch):
+    calls = _count_central_gradient_calls(monkeypatch)
+    config = BenchmarkConfig(m=8, metrics=("fisher", "euclidean"), optimizer=OptimizerConfig(max_iters=5))
+    traces = run_benchmark(config).traces
+    assert all(t.status != "numeric_failure" and t.iterations >= 1 for t in traces.values())
+    assert calls == []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natgrad.errors import (
     CapabilityError,
@@ -9,13 +11,23 @@ from natgrad.errors import (
     DivergenceInfiniteError,
     NumericError,
 )
-from natgrad.families import CategoricalSoftmax, Dataset, Gaussian1D, MultivariateNormalLogCholesky
+from natgrad.families import (
+    CategoricalSoftmax,
+    Dataset,
+    Gaussian1D,
+    GpPriorEq,
+    LinearlyReparameterized,
+    MultivariateNormalLogCholesky,
+)
 from natgrad.gp_bench import GpNllCost
 from natgrad.metric import resolve_metric_engine
+from natgrad.numdiff import central_gradient
+from natgrad.optimizer import OptimizerConfig, optimize
 from natgrad.similarity import (
     F_DIVERGENCES,
     SIMILARITY_IDS,
     FDivergence,
+    Similarity,
     SquaredEuclidean,
     SquaredFisherRaoCategorical,
     SquaredW2Gaussian,
@@ -254,6 +266,16 @@ def test_fisher_rao_near_boundary():
     )
 
 
+def test_fisher_rao_resolves_tiny_distances():
+    # the chord formula resolves distances far below the ~3e-8 at which
+    # arccos of an affinity near 1 reads exactly 0
+    p = np.array([0.2, 0.3, 0.5])
+    q = p + 1e-12 * np.array([1.0, -1.0, 0.0])
+    chord = 2.0 * np.linalg.norm(np.sqrt(p) - np.sqrt(q))  # equals d up to O(d^3)
+    assert fisher_rao_distance_categorical(p, q) == pytest.approx(chord, rel=1e-6)
+    assert fisher_rao_distance_categorical(p, p) == 0.0
+
+
 def test_fisher_rao_via_softmax_family():
     sim = SquaredFisherRaoCategorical()
     got = sim.evaluate(CAT3, np.log([0.5, 0.3, 0.2]), np.log([0.2, 0.5, 0.3]))
@@ -346,6 +368,7 @@ def test_fisher_rao_gradient_matches_fd(rng):
 
 
 def test_default_fd_gradient_chi2(rng):
+    # the analytic quadrature gradient against an independent FD gradient
     sim = FDivergence(F_DIVERGENCES["chi2"])
     for _ in range(10):
         theta = np.array([rng.uniform(-1, 1), rng.uniform(0.7, 1.5)])
@@ -374,6 +397,97 @@ def test_sq_euclidean_gradient_exact(rng):
     assert sim.evaluate(GAUSS, theta, target) == pytest.approx(
         0.5 * np.sum((theta - target) ** 2), abs=1e-15
     )
+
+
+REPARAM = LinearlyReparameterized(GAUSS, [[1.0, 0.3], [0.2, 1.1]])
+GRADIENT_FAMILIES = [
+    GAUSS,
+    REPARAM,
+    *(MultivariateNormalLogCholesky(d) for d in (1, 2, 3)),
+    *(CategoricalSoftmax(k) for k in (2, 3, 4, 5)),
+    GpPriorEq(np.linspace(-2.0, 2.0, 4)),
+]
+GRADIENT_SIMILARITIES = [
+    "kl", "reverse_kl", "chi2", "hellinger2", "fisher_rao2",
+    "wasserstein:2", "wasserstein:3", "w2_gaussian", "sq_euclidean",
+]
+
+
+@st.composite
+def point_pairs(draw, family):
+    """A point of ``family`` and a nearby target, close enough that every
+    f-divergence between them is finite."""
+    def uniform(lo, hi, n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    if family.has_cdf:  # (mu, sigma) of a 1-D Gaussian, in base coordinates
+        mu, sigma = uniform(-1.5, 1.5, 1)[0], uniform(0.5, 2.0, 1)[0]
+        step, log_ratio = uniform(-0.5, 0.5, 1)[0], uniform(-0.25, 0.25, 1)[0]
+        theta = np.array([mu, sigma])
+        target = np.array([mu + step, sigma * np.exp(log_ratio)])
+        if family is REPARAM:
+            return np.linalg.solve(REPARAM.A, theta), np.linalg.solve(REPARAM.A, target)
+        return theta, target
+    lo, hi = (-1.0, 0.5) if isinstance(family, GpPriorEq) else (-1.5, 1.5)
+    theta = uniform(lo, hi, family.param_dim)
+    return theta, theta + uniform(-0.3, 0.3, family.param_dim)
+
+
+@pytest.mark.parametrize("sim_id", GRADIENT_SIMILARITIES)
+@pytest.mark.parametrize("family", GRADIENT_FAMILIES, ids=lambda f: f.name)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gradient_matches_fd_of_registered_cost(family, sim_id, data):
+    # grad_theta is the derivative of the registered evaluate along the
+    # route evaluate takes; where evaluate has no route, neither has it.
+    sim = get_similarity(sim_id)
+    theta, target = data.draw(point_pairs(family))
+    try:
+        sim.evaluate(family, theta, target)
+    except CapabilityError as exc:
+        with pytest.raises(CapabilityError) as grad_exc:
+            sim.grad_theta(family, theta, target)
+        assert str(grad_exc.value) == str(exc)
+        return
+    g = sim.grad_theta(family, theta, target)
+    ref = central_gradient(lambda t: sim.evaluate(family, t, target), theta)
+    # Quadrature windows move with theta, which the analytic gradient leaves
+    # out, and W3's |gap|^3 is only piecewise smooth for the oracle's stencil.
+    quadrature = family.has_cdf and sim_id in ("chi2", "hellinger2", "wasserstein:2", "wasserstein:3")
+    tol = 1e-6 if quadrature else 1e-8
+    np.testing.assert_allclose(g, ref, rtol=0, atol=tol * max(1.0, np.max(np.abs(ref))))
+
+
+def test_wasserstein_gradient_is_exactly_zero_at_coincidence(rng):
+    for p in (1.0, 2.0, 3.0):
+        for theta in rng.uniform((-1.0, 0.5), (1.0, 2.0), size=(5, 2)):
+            np.testing.assert_array_equal(WassersteinP(p).grad_theta(GAUSS, theta, theta), 0.0)
+
+
+def test_hellinger2_gradient_is_finite_where_the_target_density_underflows():
+    # On the wide start's window the narrow target's density underflows to
+    # 0, so q/p = 0 at some nodes: g(0) = 1 there, where f(0) - 0 * f'(0)
+    # would be 0 * inf = NaN.
+    theta, target = (0.988, 2.846), (0.335, 0.51)
+    sim = get_similarity("hellinger2")
+    g = sim.grad_theta(GAUSS, theta, target)
+    assert np.all(np.isfinite(g))
+    np.testing.assert_allclose(
+        g, fd_gradient(lambda t: sim.evaluate(GAUSS, t, target), theta), atol=1e-6
+    )
+    trace = optimize(GAUSS, sim, theta, target, OptimizerConfig())
+    assert trace.status == "converged_grad" and trace.final_cost < 1e-12
+
+
+def test_similarity_base_has_no_finite_difference_gradient():
+    class ValueOnly(Similarity):
+        name = "value_only"
+
+        def evaluate(self, family, theta, target):
+            return 0.0
+
+    with pytest.raises(NotImplementedError):
+        ValueOnly().grad_theta(GAUSS, (0.0, 1.0), (0.0, 1.0))
 
 
 # -- distances registered as half squares ----------------------------------------------
