@@ -270,18 +270,15 @@ def w2_local_hessian_gaussian(family: Family, theta) -> LocalHessian:
     The Bures-Wasserstein metric pulled back through the moments:
     ``H_ij = dmu_i . dmu_j + 1/2 sum_ab (U^T dS_i U)_ab (U^T dS_j U)_ab / (l_a + l_b)``
     with ``S = U diag(l) U^T`` (Takatsu 2011; Malago, Montrucchio & Pistone
-    2018).  Needs a family whose ``moment_derivs`` is not None.
+    2018).  Needs a Gaussian family (``gaussian_state`` not None).
     """
-    theta = family.check_point(theta)
-    moments = family.gaussian_moments(theta)
-    derivs = None if moments is None else family.moment_derivs(theta)
-    if derivs is None:
+    state = family.gaussian_state(theta, derivs=True)
+    if state is None:
         raise CapabilityError(f"{family.name}: the Gaussian W2 metric needs moment derivatives")
-    dmu, dcov = derivs
-    lam, U = np.linalg.eigh(moments[1])
-    rotated = (U.T @ dcov @ U) / np.sqrt(lam[:, None] + lam[None, :])
+    lam, U = np.linalg.eigh(state.cov)
+    rotated = (U.T @ state.dcov @ U) / np.sqrt(lam[:, None] + lam[None, :])
     flat = rotated.reshape(len(rotated), -1)
-    return LocalHessian(dmu @ dmu.T + 0.5 * flat @ flat.T, provenance="analytic")
+    return LocalHessian(state.dmu @ state.dmu.T + 0.5 * flat @ flat.T, provenance="analytic")
 
 
 def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHessian:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NatgradError, NumericError
 from .families import Family
@@ -171,11 +171,13 @@ def make_objective(family: Family, sim: Similarity, target) -> Objective:
 def _solve_step(hessian: LocalHessian, grad: np.ndarray, learning_rate: float, damping) -> tuple[np.ndarray, float]:
     """Solve ``H v = -g / learning_rate`` after projecting H to the SPD cone."""
     projected = spd_project(hessian, damping)
-    try:
-        factor = scipy.linalg.cho_factor(projected.matrix, lower=True)
-        v = scipy.linalg.cho_solve(factor, -grad / learning_rate)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"metric factorization failed after damping: {exc}") from exc
+    chol, info = dpotrf(projected.matrix, lower=1)
+    if info != 0:
+        raise NumericError(
+            f"metric factorization failed after damping: {info}-th leading minor of the "
+            "array is not positive definite"
+        )
+    v, _ = dpotrs(chol, -grad / learning_rate, lower=1)  # info flags bad arguments only
     if not np.all(np.isfinite(v)):
         raise NumericError("metric solve produced non-finite step")
     return v, projected.regularization_added

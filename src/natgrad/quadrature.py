@@ -13,7 +13,8 @@ Two grid builders cover the integrals used elsewhere in the package:
 All functions return ``(nodes, weights)`` as float arrays; integrals are
 plain weighted sums so callers can reuse a grid for several integrands.
 Grids are returned read-only; the Gauss-Legendre reference rules and the
-unit-interval grid are cached.
+unit-interval grid are cached, and so are the standard normal quantiles of
+the unit-interval levels, :func:`unit_interval_normal_scores`.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import ndtri
 
 __all__ = [
     "gauss_legendre",
     "composite_legendre",
     "unit_interval_grid",
+    "unit_interval_normal_scores",
     "DEFAULT_TAIL_MASS",
 ]
 
@@ -64,16 +67,32 @@ def composite_legendre(
     return _panels(edges, nodes_per_panel)
 
 
-@lru_cache(maxsize=1)
 def unit_interval_grid() -> tuple[np.ndarray, np.ndarray]:
     """512-node quadrature grid on ``(delta, 1 - delta)``, graded toward both
-    endpoints, with ``delta = DEFAULT_TAIL_MASS``.
+    endpoints, with ``delta = DEFAULT_TAIL_MASS``; the same cached arrays on
+    every call.
 
     Panel edges shrink geometrically (decade by decade) toward 0 and 1 so
     that integrands of the form ``g(quantile(q))``, which vary rapidly near
     the endpoints for unbounded supports, are resolved accurately.  The
     node budget is split evenly across panels.
     """
+    return _unit_interval_grid()
+
+
+@lru_cache(maxsize=1)
+def unit_interval_normal_scores() -> tuple[np.ndarray, np.ndarray]:
+    """``(levels, ndtri(levels))`` for the levels of :func:`unit_interval_grid`,
+    the same arrays on every call: a location-scale family's quantiles on
+    the grid without a fresh ``ndtri`` per call."""
+    # Through the private _unit_interval_grid: filling this cache then calls
+    # no public function, whose call count would depend on what ran before.
+    levels = _unit_interval_grid()[0]
+    return levels, _read_only(ndtri(levels))[0]
+
+
+@lru_cache(maxsize=1)
+def _unit_interval_grid() -> tuple[np.ndarray, np.ndarray]:
     lower = [DEFAULT_TAIL_MASS]
     q = DEFAULT_TAIL_MASS
     while q * 10.0 < 0.1:

@@ -32,7 +32,7 @@ as ``evaluate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .errors import (
     DivergenceInfiniteError,
     NumericError,
 )
-from .families import CategoricalSoftmax, Dataset, Family
+from .families import CategoricalSoftmax, Dataset, Family, GaussianState
 from .quadrature import unit_interval_grid
 
 __all__ = [
@@ -129,21 +129,20 @@ class Similarity:
         raise NotImplementedError
 
 
-def _gaussian_pair(family: Family, theta, target):
-    """``(m1, c1, m2, c2)``: the moments of both points, or None when the
-    family is not Gaussian."""
-    moments = family.gaussian_moments(theta)
-    if moments is None:
-        return None
-    return (*moments, *family.gaussian_moments(target))
+def _gaussian_pair(family: Family, theta, target, derivs: bool = False):
+    """The Gaussian states of both points, or None when the family is not
+    Gaussian; ``derivs`` fills in their inverses and moment derivatives (the
+    target's once per run: it stays in the family's memo)."""
+    state = family.gaussian_state(theta, derivs)
+    return None if state is None else (state, family.gaussian_state(target, derivs))
 
 
-def _through_moments(family: Family, theta: np.ndarray, d_mean, d_cov) -> np.ndarray:
+def _through_moments(state: GaussianState, d_mean, d_cov) -> np.ndarray:
     """Chain rule through the Gaussian moments: the gradient of a cost whose
-    derivatives in the mean and the (symmetric) covariance at ``theta`` are
-    ``d_mean`` and ``d_cov``, ``dmu_i . d_mean + tr(d_cov dS_i)``."""
-    dmu, dcov = family.moment_derivs(theta)
-    return dmu @ d_mean + dcov.reshape(len(dcov), -1) @ d_cov.ravel()
+    derivatives in the mean and the (symmetric) covariance at the state's
+    point are ``d_mean`` and ``d_cov``, ``dmu_i . d_mean + tr(d_cov dS_i)``."""
+    dcov = state.dcov
+    return state.dmu @ d_mean + dcov.reshape(len(dcov), -1) @ d_cov.ravel()
 
 
 # -- f-divergences -------------------------------------------------------------
@@ -165,12 +164,16 @@ def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
     return float(0.5 * (trace - d + maha + logdet2 - logdet1))
 
 
-def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy: str = "auto") -> float:
+def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy: str = "auto",
+                 window: Optional[Callable] = None) -> float:
     """D_f from the distribution at ``target`` to the one at ``theta``.
 
     ``strategy`` is one of ``auto`` (closed form when known, otherwise
     quadrature or exact summation), ``closed_form``, or ``quadrature``.
-    Quadrature uses ``Family.window_rule`` over both points' windows.
+    Quadrature uses ``Family.window_rule`` over both points' windows;
+    ``window(family, theta, target)`` returns that rule's ``(nodes,
+    weights, log p, log q)``.  By default they are built afresh;
+    :class:`FDivergence` passes its memo.
     """
     theta = family.check_point(theta)
     target = _check_point_target(family, target)
@@ -180,10 +183,10 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
     if strategy in ("auto", "closed_form") and spec.name in ("kl", "reverse_kl"):
         pair = _gaussian_pair(family, theta, target)
         if pair is not None:
-            m1, c1, m2, c2 = pair
+            s1, s2 = pair
             if spec.name == "kl":
-                return _clamp_divergence(gaussian_kl(m1, c1, m2, c2), spec, family)
-            return _clamp_divergence(gaussian_kl(m2, c2, m1, c1), spec, family)
+                return _clamp_divergence(gaussian_kl(s1.mean, s1.cov, s2.mean, s2.cov), spec, family)
+            return _clamp_divergence(gaussian_kl(s2.mean, s2.cov, s1.mean, s1.cov), spec, family)
     if strategy == "closed_form":
         raise CapabilityError(f"no closed form for {spec.name} on {family.name}")
 
@@ -195,19 +198,28 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             total = float(p @ spec.f(q / p))
         return _clamp_divergence(total, spec, family)
-    _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f)
+    _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f, window)
     return _clamp_divergence(float(weights @ integrand), spec, family)
 
 
-def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
+def _window_logs(family: Family, theta: np.ndarray, target: np.ndarray):
+    """``(nodes, weights, log p, log q)``: the window rule of both points and
+    the log-densities at ``theta`` and ``target`` on its nodes, read-only."""
+    nodes, weights = family.window_rule([theta, target])
+    logp, logq = family.log_density(theta, nodes), family.log_density(target, nodes)
+    logp.setflags(write=False)
+    logq.setflags(write=False)
+    return nodes, weights, logp, logq
+
+
+def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn, window=None):
     """``(nodes, weights, p * fn(q/p))`` on the window rule of both points,
     with ``p``, ``q`` the densities at ``theta`` and ``target``; raises
     :class:`NumericError` where the integrand is not finite."""
     if not family.has_cdf:
         raise CapabilityError(f"no integration route for {spec.name} on {family.name}")
-    nodes, weights = family.window_rule([theta, target])
-    logp = family.log_density(theta, nodes)
-    log_ratio = family.log_density(target, nodes) - logp
+    nodes, weights, logp, logq = (window or _window_logs)(family, theta, target)
+    log_ratio = logq - logp
     # Overflow in the ratio or in fn is expected for divergent pairs; it is
     # detected by the finiteness check below, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,6 +248,16 @@ def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> fl
 
 
 class FDivergence(Similarity):
+    """An f-divergence.  ``evaluate`` and ``grad_theta`` at the same
+    ``(theta, target)``, as an optimizer asks for them at an accepted
+    line-search point, share one quadrature window: the instance memoizes
+    the last :func:`_window_logs`, keyed on the family object and the exact
+    bytes of both points.  The memo is one read-only tuple swapped in
+    whole, so the instance stays safe to share across threads."""
+
+    # (family, (theta bytes, target bytes), _window_logs result) or None
+    _last_window = None
+
     def __init__(self, spec: FDivergenceSpec):
         self.spec = spec
         self.name = spec.name
@@ -244,8 +266,17 @@ class FDivergence(Similarity):
     def metric(self) -> str:
         return f"fdiv:{self.name}"
 
+    def _window(self, family, theta, target):
+        key = (theta.tobytes(), target.tobytes())
+        memo = self._last_window
+        if memo is not None and memo[0] is family and memo[1] == key:
+            return memo[2]
+        window = _window_logs(family, theta, target)
+        self._last_window = (family, key, window)
+        return window
+
     def evaluate(self, family, theta, target):
-        return f_divergence(self.spec, family, theta, target)
+        return f_divergence(self.spec, family, theta, target, window=self._window)
 
     def grad_theta(self, family, theta, target):
         """Gradient along the route ``evaluate`` takes: the Gaussian closed
@@ -255,20 +286,20 @@ class FDivergence(Similarity):
         spec = self.spec
         theta = family.check_point(theta)
         target = _check_point_target(family, target)
-        pair = _gaussian_pair(family, theta, target) if spec.name in ("kl", "reverse_kl") else None
+        pair = (_gaussian_pair(family, theta, target, derivs=True)
+                if spec.name in ("kl", "reverse_kl") else None)
         if pair is not None:
-            m1, c1, m2, c2 = pair
-            inv1 = np.linalg.inv(c1)
+            s1, s2 = pair
+            inv1, diff = s1.inv, s1.mean - s2.mean
             if spec.name == "kl":
                 # KL(1 || 2): d/dm1 = S2^-1 (m1 - m2), d/dS1 = (S2^-1 - S1^-1) / 2
-                inv2 = np.linalg.inv(c2)
-                a, d_cov = inv2 @ (m1 - m2), inv2 - inv1
+                a, d_cov = s2.inv @ diff, s2.inv - inv1
             else:
                 # KL(2 || 1): d/dm1 = a = S1^-1 (m1 - m2),
                 # d/dS1 = (S1^-1 - S1^-1 S2 S1^-1 - a a^T) / 2
-                a = inv1 @ (m1 - m2)
-                d_cov = inv1 - inv1 @ c2 @ inv1 - np.outer(a, a)
-            return _through_moments(family, theta, a, 0.5 * d_cov)
+                a = inv1 @ diff
+                d_cov = inv1 - inv1 @ s2.cov @ inv1 - np.outer(a, a)
+            return _through_moments(s1, a, 0.5 * d_cov)
         if family.is_discrete:
             p = family.probabilities(theta)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -276,7 +307,8 @@ class FDivergence(Similarity):
             if not np.all(np.isfinite(grad)):
                 raise DivergenceInfiniteError(f"{spec.name} on {family.name} is infinite")
             return grad
-        nodes, weights, integrand = _window_integrand(spec, family, theta, target, spec.g)
+        nodes, weights, integrand = _window_integrand(
+            spec, family, theta, target, spec.g, self._window)
         return (weights * integrand) @ family.score(theta, nodes)
 
 
@@ -372,24 +404,24 @@ class SquaredW2Gaussian(Similarity):
     name = "w2_gaussian"
     metric = "w2_gaussian"
 
-    def _pair(self, family, theta, target):
-        theta = family.check_point(theta)
-        pair = _gaussian_pair(family, theta, _check_point_target(family, target))
+    def _pair(self, family, theta, target, derivs: bool = False):
+        pair = _gaussian_pair(family, theta, _check_point_target(family, target), derivs)
         if pair is None:
             raise CapabilityError(f"{family.name} is not Gaussian; w2_gaussian does not apply")
-        return theta, pair
+        return pair
 
     def evaluate(self, family, theta, target):
-        return 0.5 * squared_w2_gaussian(*self._pair(family, theta, target)[1])
+        s1, s2 = self._pair(family, theta, target)
+        return 0.5 * squared_w2_gaussian(s1.mean, s1.cov, s2.mean, s2.cov)
 
     def grad_theta(self, family, theta, target):
         """``dmu_i . (m1 - m2) + 1/2 tr((I - T) dS_i)``, with T the Bures
         optimal map from S1 to S2 (``T S1 T = S2``):
         ``T = S2^1/2 (S2^1/2 S1 S2^1/2)^-1/2 S2^1/2``."""
-        theta, (m1, c1, m2, c2) = self._pair(family, theta, target)
-        root2 = _floored_power(c2, 0.5)
-        transport = root2 @ _floored_power(root2 @ c1 @ root2, -0.5) @ root2
-        return _through_moments(family, theta, m1 - m2, 0.5 * (np.eye(len(c1)) - transport))
+        s1, s2 = self._pair(family, theta, target, derivs=True)
+        root2 = _floored_power(s2.cov, 0.5)
+        transport = root2 @ _floored_power(root2 @ s1.cov @ root2, -0.5) @ root2
+        return _through_moments(s1, s1.mean - s2.mean, 0.5 * (np.eye(len(s1.cov)) - transport))
 
 
 # -- Fisher-Rao geometry on the simplex ------------------------------------------

@@ -329,7 +329,7 @@ def test_gp_normalization_whitened_grid(rng):
     fam = GpPriorEq(np.array([-1.0, 1.0]))
     for _ in range(2):
         theta = rng.uniform(-0.8, 0.8, size=3)
-        L = np.linalg.cholesky(fam.covariance(theta))
+        L = np.linalg.cholesky(fam.gaussian_state(theta).cov)
         mass = _whitened_mass(lambda x: fam.log_density(theta, x), np.zeros(2), L)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -377,8 +377,9 @@ def test_mvn_split_roundtrip_and_moments():
     mean, L = fam.split(theta)
     np.testing.assert_allclose(mean, [0.5, -1.0])
     np.testing.assert_allclose(L, [[2.0, 0.0], [0.3, 0.5]], atol=1e-15)
-    m, cov = fam.gaussian_moments(theta)
-    np.testing.assert_allclose(cov, L @ L.T, atol=1e-15)
+    state = fam.gaussian_state(theta)
+    np.testing.assert_allclose(state.mean, mean, atol=1e-15)
+    np.testing.assert_allclose(state.cov, L @ L.T, atol=1e-15)
 
 
 def test_mvn_sample_covariance(rng):
@@ -397,12 +398,12 @@ def test_mvn_sample_covariance(rng):
 def test_gp_covariance_derivs_match_fd(rng):
     fam = GpPriorEq(np.linspace(-2, 2, 6))
     theta = np.array([0.3, -0.4, -1.0])
-    derivs = fam.covariance_derivs(theta)
+    derivs = fam.gaussian_state(theta, derivs=True).dcov
     h = 1e-6
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        ref = (fam.covariance(theta + e) - fam.covariance(theta - e)) / (2 * h)
+        ref = (fam.gaussian_state(theta + e).cov - fam.gaussian_state(theta - e).cov) / (2 * h)
         np.testing.assert_allclose(derivs[i], ref, atol=1e-7)
 
 
@@ -439,9 +440,11 @@ def test_linear_reparam_transforms_score_and_fisher(rng):
     np.testing.assert_allclose(
         rep.fisher(xi), A.T @ base.fisher(A @ xi) @ A, atol=1e-12
     )
-    (dmu, dcov), (base_dmu, base_dcov) = rep.moment_derivs(xi), base.moment_derivs(A @ xi)
-    np.testing.assert_allclose(dmu, A.T @ base_dmu, atol=1e-12)
-    np.testing.assert_allclose(dcov.reshape(2, -1), A.T @ base_dcov.reshape(2, -1), atol=1e-12)
+    state, base_state = rep.gaussian_state(xi, derivs=True), base.gaussian_state(A @ xi, derivs=True)
+    np.testing.assert_allclose(state.dmu, A.T @ base_state.dmu, atol=1e-12)
+    np.testing.assert_allclose(
+        state.dcov.reshape(2, -1), A.T @ base_state.dcov.reshape(2, -1), atol=1e-12
+    )
 
 
 def test_linear_reparam_rejects_singular_matrix():

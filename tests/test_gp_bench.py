@@ -105,8 +105,8 @@ def test_gp_nll_grad_zero_target_isolates_trace_term():
     ds = Dataset(inputs=np.linspace(-3.0, 3.0, m), targets=np.zeros(m), seed=0)
     fam = GpPriorEq(ds.inputs)
     theta = np.array([0.2, -0.3, -0.8])
-    K = fam.covariance(theta)
-    expected = np.array([0.5 * np.trace(np.linalg.solve(K, dK)) for dK in fam.covariance_derivs(theta)])
+    state = fam.gaussian_state(theta, derivs=True)
+    expected = np.array([0.5 * np.trace(np.linalg.solve(state.cov, dK)) for dK in state.dcov])
     np.testing.assert_allclose(gp_nll_grad(theta, ds), expected, atol=1e-9)
 
 
@@ -218,7 +218,7 @@ def test_generate_data_distribution():
     theta = np.asarray(DEFAULT_TRUE_THETA)
     draws = fam.sample(theta, seed=11, count=10_000)
     emp = draws.T @ draws / draws.shape[0]
-    K = fam.covariance(theta)
+    K = fam.gaussian_state(theta).cov
     se = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / draws.shape[0])
     np.testing.assert_array_less(np.abs(emp - K), 5.0 * se)
 

@@ -48,3 +48,24 @@ def test_finite_difference_gradients_only_back_family_defaults():
     # the fallback of the Family score and dcdf_dtheta defaults only.
     users = sorted(p.name for p in SRC.glob("*.py") if "central_gradient" in _names(p))
     assert users == ["families.py"]  # numdiff.py defines it
+
+
+def _factorizations(path: Path) -> set[str]:
+    """``inv`` and ``cholesky`` looked up on a ``linalg`` module or imported
+    from one."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("inv", "cholesky"):
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found.update(a.name for a in node.names if a.name in ("inv", "cholesky"))
+    return found
+
+
+def test_covariance_factorizations_have_one_route():
+    # Inverses and Cholesky factors of covariances come from the memoized
+    # Gaussian state in families.py; nothing else factorizes a covariance.
+    users = sorted(p.name for p in SRC.glob("*.py") if _factorizations(p))
+    assert set(users) <= {"families.py"}

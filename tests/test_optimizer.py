@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import natgrad.optimizer
 from natgrad.errors import DivergenceInfiniteError, NumericError
@@ -124,6 +125,23 @@ def test_step_with_indefinite_metric_uses_projected_solve():
     # along the shifted axis is only accurate to ~1e-8 relative
     np.testing.assert_allclose(nxt, theta - np.linalg.solve(shifted, theta), rtol=1e-6)
     assert info["damping"] == pytest.approx(0.5 + 1e-8, abs=1e-15)
+
+
+def test_step_solve_equals_the_scipy_cholesky_wrappers_bit_for_bit(rng):
+    for n in (1, 2, 3, 6):
+        A = rng.normal(size=(n, n))
+        H, g = LocalHessian(A @ A.T + 0.1 * np.eye(n)), rng.normal(size=n)
+        v, added = natgrad.optimizer._solve_step(H, g, 2.0, None)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H.matrix, lower=True), -g / 2.0)
+        assert added == 0.0 and v.tobytes() == ref.tobytes()
+
+
+def test_step_solve_failures_are_numeric_errors():
+    # A negative floor leaves the indefinite metric as it is.
+    with pytest.raises(NumericError, match="metric factorization failed after damping: 1-th"):
+        natgrad.optimizer._solve_step(LocalHessian(-np.eye(2)), np.ones(2), 1.0, -2.0)
+    with pytest.raises(NumericError, match="metric solve produced non-finite step"):
+        natgrad.optimizer._solve_step(LocalHessian(np.eye(2)), np.array([1.0, np.inf]), 1.0, None)
 
 
 def test_exact_hessian_engine_solves_quadratic_in_one_step(rng):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import natgrad.families
+import natgrad.quadrature
 from natgrad.errors import (
     CapabilityError,
     ConfigError,
@@ -23,6 +25,7 @@ from natgrad.gp_bench import GpNllCost
 from natgrad.metric import resolve_metric_engine
 from natgrad.numdiff import central_gradient
 from natgrad.optimizer import OptimizerConfig, optimize
+from natgrad.quadrature import unit_interval_grid
 from natgrad.similarity import (
     F_DIVERGENCES,
     SIMILARITY_IDS,
@@ -200,6 +203,25 @@ def test_wasserstein_rejects_order_below_one():
 def test_wasserstein_needs_cdf():
     with pytest.raises(CapabilityError):
         wasserstein_p_1d(CAT3, np.zeros(3), np.ones(3), 2.0)
+
+
+def test_transport_grid_quantiles_take_ndtri_once_per_process(monkeypatch):
+    calls = []
+    for module in (natgrad.families, natgrad.quadrature):
+        real = module.ndtri
+        monkeypatch.setattr(module, "ndtri", lambda q, real=real: calls.append(np.size(q)) or real(q))
+    sim, theta, target = WassersteinP(2.0), (0.3, 1.2), (-0.5, 0.7)
+    first = (sim.evaluate(GAUSS, theta, target), sim.grad_theta(GAUSS, theta, target))
+    calls.clear()
+    again = (sim.evaluate(GAUSS, theta, target), sim.grad_theta(GAUSS, theta, target))
+    assert calls == []
+    assert again[0] == first[0] and np.array_equal(again[1], first[1])
+    # The cached scores give the bits a fresh ndtri gives, on the grid itself
+    # and on a copy of its levels, which takes the uncached route.
+    levels = unit_interval_grid()[0]
+    cached, copied = GAUSS.quantile(theta, levels), GAUSS.quantile(theta, levels.copy())
+    assert calls == [levels.size]
+    assert cached.tobytes() == copied.tobytes()
 
 
 # -- Gaussian closed-form squared W2 --------------------------------------------------
@@ -477,6 +499,35 @@ def test_hellinger2_gradient_is_finite_where_the_target_density_underflows():
     )
     trace = optimize(GAUSS, sim, theta, target, OptimizerConfig())
     assert trace.status == "converged_grad" and trace.final_cost < 1e-12
+
+
+@pytest.mark.parametrize("name", ["chi2", "hellinger2", "kl", "reverse_kl"])
+def test_fdivergence_value_and_gradient_share_one_quadrature_window(name, monkeypatch):
+    calls, real = [], Gaussian1D.log_density
+
+    def counting(self, theta, x):
+        calls.append(np.shape(x))
+        return real(self, theta, x)
+
+    monkeypatch.setattr(Gaussian1D, "log_density", counting)
+    family, theta, target = Gaussian1D(), np.array([0.4, 1.3]), np.array([-0.2, 0.9])
+    sim = get_similarity(name)
+    value = sim.evaluate(family, theta, target)
+    grad = sim.grad_theta(family, theta, target)
+    quadrature = name in ("chi2", "hellinger2")  # kl and reverse_kl have closed forms
+    assert len(calls) == (2 if quadrature else 0)  # log p and log q, once for both
+    # A memo hit runs no arithmetic a fresh instance would not.
+    fresh = get_similarity(name)
+    assert fresh.evaluate(family, theta, target) == value
+    fresh = get_similarity(name)
+    assert fresh.grad_theta(family, theta, target).tobytes() == grad.tobytes()
+    # Another target, point or family misses the memo: each call below
+    # differs from the one before it in one of the three.
+    for args in [(family, theta, target + 0.1), (family, theta + 0.1, target + 0.1),
+                 (Gaussian1D(), theta + 0.1, target + 0.1)]:
+        calls.clear()
+        assert sim.evaluate(*args) == get_similarity(name).evaluate(*args)
+        assert len(calls) == (4 if quadrature else 0)  # the memo's miss, then the fresh one
 
 
 def test_similarity_base_has_no_finite_difference_gradient():
