@@ -82,7 +82,6 @@ from .similarity import (
     f_divergence,
     gaussian_kl,
     get_similarity,
-    squared_fisher_rao_categorical,
     squared_w2_gaussian,
     wasserstein_p_1d,
 )

@@ -3,8 +3,8 @@
 A family maps a parameter vector to a probability distribution and exposes
 the handful of operations the rest of the package needs: log-density and its
 parameter gradient (the score), CDF/quantile and the parameter gradient of
-the CDF for one-dimensional families, seeded sampling, and closed-form
-Fisher information where available.
+the CDF for one-dimensional families, seeded sampling, and the Fisher
+information.
 
 All operations are pure functions of ``(theta, x)``, so instances can be
 shared freely across threads.  Besides immutable configuration a Gaussian
@@ -31,8 +31,11 @@ shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
 ``(n, sample_dim)``.  An ``(n, sample_dim)`` array is a batch in either case.
 A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
 ``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
-Integrals over the samples of a 1-D continuous family all use one rule,
-:meth:`Family.window_rule`, over the family's quantile window.
+Integrals over the samples of a family (expectations, Fisher matrices
+without a closed form, f-divergences, transport metrics) all use one rule,
+:meth:`Family.window_rule`: Gauss-Legendre nodes over the quantile window
+of a 1-D continuous family, the support ``0..k-1`` with unit weights of a
+categorical one, so its sums are exact.
 """
 
 from __future__ import annotations
@@ -157,8 +160,10 @@ class Family(ABC):
     from those the base class derives the memoized :meth:`gaussian_state`,
     and from that the log-density, the score and the closed-form Fisher
     matrix.  Otherwise the defaults fall back to central finite differences
-    (score, dcdf_dtheta) or raise :class:`CapabilityError` (cdf, quantile,
-    fisher) so each family only implements what it actually supports.
+    (score, dcdf_dtheta), to integrals on :meth:`window_rule` (fisher,
+    expectation) or raise :class:`CapabilityError` (cdf, quantile, and
+    ``window_rule`` of a family with neither a quantile nor a finite
+    support) so each family only implements what it actually supports.
 
     The memo of a Gaussian family holds the states of its last two
     validated points, so the target of a two-point cost does not evict the
@@ -178,17 +183,14 @@ class Family(ABC):
     sample_dim : int
         Dimension of one sample (1 means scalar samples).
     has_cdf : bool
-        Whether cdf/quantile/dcdf_dtheta are available (1-D families only).
-    has_closed_form_fisher : bool
-        Whether ``fisher`` returns an analytic matrix.
+        Whether cdf/quantile/dcdf_dtheta are available (1-D families only),
+        and with them the quantile-window :meth:`window_rule`.
     """
 
     name: str = ""
     param_dim: int = 0
     sample_dim: int = 1
     has_cdf: bool = False
-    has_closed_form_fisher: bool = False
-    is_discrete: bool = False
     # ((shape, bytes) of theta, GaussianState), most recent first, at most two.
     _states: tuple = ()
 
@@ -310,13 +312,25 @@ class Family(ABC):
         raise CapabilityError(f"{self.name}: no sampler available")
 
     def fisher(self, theta) -> np.ndarray:
-        """Closed-form Fisher information matrix, if the family has one.
+        """Fisher information matrix ``E[s s^T]`` of the score ``s``.
 
-        For Gaussian families: ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``.
+        Gaussian families use the closed form
+        ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``; the others the
+        :meth:`expectation` of the score outer product, from one batched
+        score call at the nodes of :meth:`window_rule`.
+
+        Raises
+        ------
+        CapabilityError
+            If the family is not Gaussian and has no :meth:`window_rule`.
         """
         state = self.gaussian_state(theta, derivs=True)
         if state is None:
-            raise CapabilityError(f"{self.name}: no closed-form Fisher information")
+            def outer(xs):
+                s = self.score(theta, xs)
+                return s[:, :, None] * s[:, None, :]
+
+            return self.expectation(theta, outer)
         sens = state.inv @ state.dcov
         n = len(sens)
         trace_term = sens.reshape(n, -1) @ sens.transpose(0, 2, 1).reshape(n, -1).T
@@ -372,10 +386,21 @@ class Family(ABC):
         return x.reshape(-1, d), single
 
     def window_rule(self, thetas, nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Composite Gauss-Legendre rule, 8 equal panels, over the union of the
-        quantile windows ``[quantile(delta), quantile(1 - delta)]`` of the
-        points ``thetas``, ``delta = DEFAULT_TAIL_MASS``: the one sample-space
-        rule of expectations, quadrature f-divergences and transport metrics."""
+        """``(nodes, weights)`` of the one sample-space rule of expectations,
+        f-divergences and transport metrics, fit to the points ``thetas``.
+
+        For a 1-D continuous family: composite Gauss-Legendre, 8 equal
+        panels, over the union of the quantile windows
+        ``[quantile(delta), quantile(1 - delta)]`` of the points,
+        ``delta = DEFAULT_TAIL_MASS``.
+
+        Raises
+        ------
+        CapabilityError
+            If the family has neither a quantile nor an override.
+        """
+        if not self.has_cdf:
+            raise CapabilityError(f"{self.name}: no sample-space rule for integrals")
         levels = (DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS)
         ends = np.array([self.quantile(theta, levels) for theta in thetas])
         return composite_legendre(
@@ -383,15 +408,11 @@ class Family(ABC):
         )
 
     def expectation(self, theta, fn: Callable[[np.ndarray], np.ndarray]):
-        """Expectation of ``fn(X)`` under the distribution at ``theta``.
-
-        One-dimensional continuous families integrate with
-        :meth:`window_rule`; discrete families sum exactly.  ``fn`` maps the
-        batch of nodes to one value, or one array, per node.
+        """Expectation of ``fn(X)`` under the distribution at ``theta``, on
+        :meth:`window_rule`.  ``fn`` maps the batch of nodes to one value, or
+        one array, per node.
         """
         theta = self.check_point(theta)
-        if not self.has_cdf:
-            raise CapabilityError(f"{self.name}: no quadrature route for expectations")
         nodes, weights = self.window_rule([theta])
         mass = weights * np.exp(self.log_density(theta, nodes))
         return np.einsum("n,n...->...", mass, fn(nodes))
@@ -404,7 +425,6 @@ class Gaussian1D(Family):
     param_dim = 2
     sample_dim = 1
     has_cdf = True
-    has_closed_form_fisher = True
 
     def _in_domain(self, theta):
         return theta[1] > 0.0
@@ -465,8 +485,6 @@ class MultivariateNormalLogCholesky(Family):
     the domain all of R^n, so every finite vector is a valid point.
     """
 
-    has_closed_form_fisher = True
-
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
@@ -517,9 +535,6 @@ class CategoricalSoftmax(Family):
     singular along the all-ones direction.
     """
 
-    has_closed_form_fisher = True
-    is_discrete = True
-
     def __init__(self, k: int):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
@@ -527,6 +542,7 @@ class CategoricalSoftmax(Family):
         self.name = f"categorical_softmax:{k}"
         self.param_dim = self.k
         self.sample_dim = 1
+        self._support = _read_only(np.arange(self.k), np.ones(self.k))
 
     def probabilities(self, theta) -> np.ndarray:
         return softmax(self.check_point(theta))
@@ -559,8 +575,9 @@ class CategoricalSoftmax(Family):
         p = self.probabilities(theta)
         return np.diag(p) - np.outer(p, p)
 
-    def expectation(self, theta, fn):
-        return np.einsum("n,n...->...", self.probabilities(theta), fn(np.arange(self.k)))
+    def window_rule(self, thetas, nodes_per_panel=32):
+        """The support ``0..k-1`` with unit weights, so integrals are exact sums."""
+        return self._support
 
 
 def eq_covariance(inputs: np.ndarray, log_amp: float, log_ls: float) -> np.ndarray:
@@ -585,7 +602,6 @@ class GpPriorEq(Family):
 
     name = "gp_prior_eq"
     param_dim = 3
-    has_closed_form_fisher = True
 
     def __init__(self, inputs):
         inputs = np.atleast_1d(np.asarray(inputs, dtype=float)).copy()
@@ -647,8 +663,6 @@ class LinearlyReparameterized(Family):
         self.param_dim = base.param_dim
         self.sample_dim = base.sample_dim
         self.has_cdf = base.has_cdf
-        self.has_closed_form_fisher = base.has_closed_form_fisher
-        self.is_discrete = base.is_discrete
 
     def _in_domain(self, xi):
         return self.base.in_domain(self.A @ xi)
@@ -671,9 +685,6 @@ class LinearlyReparameterized(Family):
     def sample(self, xi, seed, count):
         return self.base.sample(self.A @ self.check_point(xi), seed, count)
 
-    def fisher(self, xi):
-        return self.A.T @ self.base.fisher(self.A @ self.check_point(xi)) @ self.A
-
     def _gaussian_state(self, xi):
         base = self.base.gaussian_state(self.A @ xi)
         if base is None:
@@ -684,8 +695,8 @@ class LinearlyReparameterized(Family):
         base = self.base.gaussian_state(self.A @ state.theta, derivs=True)
         return self.A.T @ base.dmu, np.tensordot(self.A.T, base.dcov, axes=1)
 
-    def expectation(self, xi, fn):
-        return self.base.expectation(self.A @ self.check_point(xi), fn)
+    def window_rule(self, xis, nodes_per_panel=32):
+        return self.base.window_rule([self.A @ xi for xi in xis], nodes_per_panel)
 
 
 FAMILY_IDS = ["gaussian1d", "mvn_lcholesky[:dim]", "categorical_softmax[:k]", "gp_prior_eq"]

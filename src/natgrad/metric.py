@@ -96,25 +96,13 @@ class LocalHessian:
 
 
 def fisher_information(family: Family, theta) -> LocalHessian:
-    """Fisher information matrix at ``theta``.
-
-    Uses the family's closed form when it has one, otherwise quadrature of
-    the score outer product for families that support expectations: one
-    batched score call ``S`` at the nodes, then ``S^T diag(mass) S``.
+    """Fisher information matrix at ``theta``, :meth:`Family.fisher` as a
+    :class:`LocalHessian`: the closed form of a Gaussian or categorical
+    family, otherwise ``E[s s^T]`` on the family's ``window_rule``.  A
+    family with neither raises :class:`CapabilityError`;
+    :func:`monte_carlo_fisher` estimates its matrix from samples.
     """
-    theta = family.check_point(theta)
-    if family.has_closed_form_fisher:
-        return LocalHessian(family.fisher(theta), provenance="analytic")
-    if family.has_cdf or family.is_discrete:
-        def outer(xs):
-            s = family.score(theta, xs)
-            return s[:, :, None] * s[:, None, :]
-
-        return LocalHessian(family.expectation(theta, outer), provenance="analytic")
-    raise CapabilityError(
-        f"{family.name}: no closed form and no quadrature route for Fisher information; "
-        "use monte_carlo_fisher"
-    )
+    return LocalHessian(family.fisher(theta), provenance="analytic")
 
 
 def monte_carlo_fisher(
@@ -159,7 +147,6 @@ def riemannian_pullback(jacobian, density_hessian) -> LocalHessian:
     out = LocalHessian(H, provenance="pullback", rank_deficient=deficient)
     if deficient:
         out = spd_project(out)
-        out = replace(out, rank_deficient=True)
     return out
 
 

@@ -3,9 +3,11 @@
 Covers three groups:
 
 * f-divergences (KL, reverse KL, chi-squared, squared Hellinger), evaluated
-  in closed form where one exists and by quadrature or exact summation
-  otherwise.  Total variation is deliberately absent: its generator is not
-  twice differentiable at 1, so it admits no local Hessian.
+  in closed form where one exists and on the family's sample-space rule,
+  ``Family.window_rule``, otherwise: quadrature for a continuous family,
+  an exact sum for a categorical one.  Total variation is deliberately
+  absent: its generator is not twice differentiable at 1, so it admits no
+  local Hessian.
 * optimal-transport distances: p-Wasserstein for one-dimensional families
   via quantile-space quadrature, and 2-Wasserstein between Gaussians in
   closed form.
@@ -26,7 +28,8 @@ the first argument, built from the ingredients the similarity's own metric
 uses: scores for f-divergences, moment derivatives for Gaussian closed
 forms, quantile velocities for 1-D transport.  Where a family has no route
 for a similarity, ``grad_theta`` raises the same :class:`CapabilityError`
-as ``evaluate``.
+as ``evaluate``.  The Fisher-Rao distance stays categorical-only: it is
+geometry of the probability simplex, not an integral over samples.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "SquaredEuclidean",
     "gaussian_kl",
     "squared_w2_gaussian",
-    "squared_fisher_rao_categorical",
     "wasserstein_p_1d",
     "f_divergence",
     "get_similarity",
@@ -169,11 +171,12 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
     """D_f from the distribution at ``target`` to the one at ``theta``.
 
     ``strategy`` is one of ``auto`` (closed form when known, otherwise
-    quadrature or exact summation), ``closed_form``, or ``quadrature``.
-    Quadrature uses ``Family.window_rule`` over both points' windows;
-    ``window(family, theta, target)`` returns that rule's ``(nodes,
-    weights, log p, log q)``.  By default they are built afresh;
-    :class:`FDivergence` passes its memo.
+    quadrature), ``closed_form``, or ``quadrature``.  Quadrature sums
+    ``p f(q/p)`` on ``Family.window_rule`` of both points: Gauss-Legendre
+    nodes over their quantile windows for a 1-D continuous family, the
+    whole support, exactly, for a categorical one.  ``window(family,
+    theta, target)`` returns that rule's ``(nodes, weights, log p, log q)``.
+    By default they are built afresh; :class:`FDivergence` passes its memo.
     """
     theta = family.check_point(theta)
     target = _check_point_target(family, target)
@@ -189,15 +192,6 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
             return _clamp_divergence(gaussian_kl(s2.mean, s2.cov, s1.mean, s1.cov), spec, family)
     if strategy == "closed_form":
         raise CapabilityError(f"no closed form for {spec.name} on {family.name}")
-
-    if family.is_discrete:
-        p = family.probabilities(theta)
-        q = family.probabilities(target)
-        # Underflowed probabilities make the ratio infinite; the resulting
-        # non-finite sum is reported by the clamp, not by warnings.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            total = float(p @ spec.f(q / p))
-        return _clamp_divergence(total, spec, family)
     _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f, window)
     return _clamp_divergence(float(weights @ integrand), spec, family)
 
@@ -216,8 +210,6 @@ def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn, 
     """``(nodes, weights, p * fn(q/p))`` on the window rule of both points,
     with ``p``, ``q`` the densities at ``theta`` and ``target``; raises
     :class:`NumericError` where the integrand is not finite."""
-    if not family.has_cdf:
-        raise CapabilityError(f"no integration route for {spec.name} on {family.name}")
     nodes, weights, logp, logq = (window or _window_logs)(family, theta, target)
     log_ratio = logq - logp
     # Overflow in the ratio or in fn is expected for divergent pairs; it is
@@ -280,9 +272,8 @@ class FDivergence(Similarity):
 
     def grad_theta(self, family, theta, target):
         """Gradient along the route ``evaluate`` takes: the Gaussian closed
-        form for KL and reverse KL, else ``J^T g(q/p)`` with the softmax
-        Jacobian J for discrete families, else ``integral p score g(q/p)``
-        on the same window rule as the divergence."""
+        form for KL and reverse KL, else ``integral p score g(q/p)`` on the
+        same window rule as the divergence."""
         spec = self.spec
         theta = family.check_point(theta)
         target = _check_point_target(family, target)
@@ -300,13 +291,6 @@ class FDivergence(Similarity):
                 a = inv1 @ diff
                 d_cov = inv1 - inv1 @ s2.cov @ inv1 - np.outer(a, a)
             return _through_moments(s1, a, 0.5 * d_cov)
-        if family.is_discrete:
-            p = family.probabilities(theta)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                grad = family.softmax_jacobian(theta).T @ spec.g(family.probabilities(target) / p)
-            if not np.all(np.isfinite(grad)):
-                raise DivergenceInfiniteError(f"{spec.name} on {family.name} is infinite")
-            return grad
         nodes, weights, integrand = _window_integrand(
             spec, family, theta, target, spec.g, self._window)
         return (weights * integrand) @ family.score(theta, nodes)
@@ -434,12 +418,6 @@ def _check_simplex(p) -> np.ndarray:
     return p
 
 
-def squared_fisher_rao_categorical(p, q) -> float:
-    """Half the squared Fisher-Rao geodesic distance between categoricals."""
-    d = fisher_rao_distance_categorical(p, q)
-    return 0.5 * d * d
-
-
 def fisher_rao_distance_categorical(p, q) -> float:
     """Fisher-Rao geodesic distance ``2 * arccos(sum_i sqrt(p_i q_i))``.
 
@@ -472,7 +450,8 @@ class SquaredFisherRaoCategorical(Similarity):
     def evaluate(self, family, theta, target):
         p = self._probs(family, theta)
         q = self._probs(family, _check_point_target(family, target))
-        return squared_fisher_rao_categorical(p, q)
+        d = fisher_rao_distance_categorical(p, q)
+        return 0.5 * d * d
 
     def grad_theta(self, family, theta, target):
         p = self._probs(family, theta)

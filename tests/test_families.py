@@ -299,6 +299,15 @@ def test_categorical_normalization_100_points(rng):
         assert np.all(p > 0)
 
 
+def test_categorical_expectation_is_the_exact_sum(rng):
+    fam = CategoricalSoftmax(5)
+    values = rng.normal(size=(5, 2))
+    for _ in range(20):
+        theta = rng.normal(size=5)
+        got = fam.expectation(theta, lambda x: values[x])
+        np.testing.assert_allclose(got, fam.probabilities(theta) @ values, rtol=1e-14, atol=1e-15)
+
+
 def _whitened_mass(log_density, mean, transform, half=8.5, n=96):
     """2-D normalization integral via the substitution x = mean + T z.
 
@@ -490,7 +499,7 @@ def _draw_point_and_batch(data, fam):
             theta = np.linalg.solve(REPARAM_A, theta)
         return theta, floats(-4.0, 4.0, n)
     theta = floats(-0.7, 0.7, fam.param_dim)
-    if fam.is_discrete:
+    if isinstance(fam, CategoricalSoftmax):
         return theta, np.array(data.draw(st.lists(st.integers(0, fam.k - 1), min_size=n, max_size=n)))
     return theta, floats(-3.0, 3.0, n * fam.sample_dim).reshape(n, fam.sample_dim)
 

@@ -50,6 +50,15 @@ def test_finite_difference_gradients_only_back_family_defaults():
     assert users == ["families.py"]  # numdiff.py defines it
 
 
+def test_no_discrete_or_closed_form_fisher_flags():
+    # Every sample-space integral, discrete sums included, goes through
+    # Family.window_rule, and every Fisher matrix through Family.fisher; no
+    # flag may select a second route.
+    flags = {"is_discrete", "has_closed_form_fisher"}
+    users = sorted(p.name for p in SRC.glob("*.py") if flags & _names(p))
+    assert users == []
+
+
 def _factorizations(path: Path) -> set[str]:
     """``inv`` and ``cholesky`` looked up on a ``linalg`` module or imported
     from one."""

@@ -82,6 +82,18 @@ def test_fisher_categorical_uniform():
     np.testing.assert_allclose(H.matrix, np.diag(p) - np.outer(p, p), atol=1e-15)
 
 
+def test_fisher_reparameterized_categorical_is_the_congruent_matrix(rng):
+    # no closed form of its own: E[s s^T] summed over the base support
+    # forwarded through A, with scores s^T A
+    A = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]])
+    fam = LinearlyReparameterized(CAT3, A)
+    for _ in range(10):
+        xi = rng.normal(size=3)
+        H = fisher_information(fam, xi)
+        np.testing.assert_allclose(H.matrix, A.T @ CAT3.fisher(A @ xi) @ A, rtol=0, atol=1e-14)
+        assert H.provenance == "analytic"
+
+
 def test_fisher_quadrature_route_power_law():
     # no closed form and no sampler: exercises the score-outer-product
     # quadrature; the exact Fisher information is 1/theta^2

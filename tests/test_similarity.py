@@ -39,7 +39,6 @@ from natgrad.similarity import (
     fisher_rao_distance_categorical,
     gaussian_kl,
     get_similarity,
-    squared_fisher_rao_categorical,
     squared_w2_gaussian,
     wasserstein_p_1d,
 )
@@ -275,7 +274,8 @@ def test_fisher_rao_distance_frozen_geodesic_oracle():
     # simplex (25 segments): 0.644816810251 for these two points
     d = fisher_rao_distance_categorical([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
     assert d == pytest.approx(0.644816810251, abs=1e-6)
-    half = squared_fisher_rao_categorical([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
+    sim = SquaredFisherRaoCategorical()
+    half = sim.evaluate(CAT3, np.log([0.5, 0.3, 0.2]), np.log([0.2, 0.5, 0.3]))
     assert half == pytest.approx(0.5 * d * d, abs=1e-14)
 
 
@@ -301,7 +301,8 @@ def test_fisher_rao_resolves_tiny_distances():
 def test_fisher_rao_via_softmax_family():
     sim = SquaredFisherRaoCategorical()
     got = sim.evaluate(CAT3, np.log([0.5, 0.3, 0.2]), np.log([0.2, 0.5, 0.3]))
-    assert got == pytest.approx(squared_fisher_rao_categorical([0.5, 0.3, 0.2], [0.2, 0.5, 0.3]), abs=1e-12)
+    d = fisher_rao_distance_categorical([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
+    assert got == pytest.approx(0.5 * d * d, abs=1e-12)
 
 
 def test_fisher_rao_rejects_non_simplex():
@@ -422,9 +423,12 @@ def test_sq_euclidean_gradient_exact(rng):
 
 
 REPARAM = LinearlyReparameterized(GAUSS, [[1.0, 0.3], [0.2, 1.1]])
+REPARAM_CAT3 = LinearlyReparameterized(
+    CAT3, [[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]])
 GRADIENT_FAMILIES = [
     GAUSS,
     REPARAM,
+    REPARAM_CAT3,
     *(MultivariateNormalLogCholesky(d) for d in (1, 2, 3)),
     *(CategoricalSoftmax(k) for k in (2, 3, 4, 5)),
     GpPriorEq(np.linspace(-2.0, 2.0, 4)),
@@ -478,6 +482,15 @@ def test_gradient_matches_fd_of_registered_cost(family, sim_id, data):
     quadrature = family.has_cdf and sim_id in ("chi2", "hellinger2", "wasserstein:2", "wasserstein:3")
     tol = 1e-6 if quadrature else 1e-8
     np.testing.assert_allclose(g, ref, rtol=0, atol=tol * max(1.0, np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("sim_id", ["kl", "chi2", "hellinger2", "reverse_kl"])
+def test_fdivergence_descent_on_reparameterized_categorical(sim_id):
+    # f-divergences sum over the categorical support through the window
+    # rule the reparameterization forwards, like any other family's integral
+    trace = optimize(REPARAM_CAT3, get_similarity(sim_id), [0.4, -0.6, 0.2], [-0.3, 0.5, 0.1],
+                     OptimizerConfig())
+    assert trace.status == "converged_grad" and trace.final_cost < 1e-12
 
 
 def test_wasserstein_gradient_is_exactly_zero_at_coincidence(rng):
