@@ -3,7 +3,9 @@
 Covers three groups:
 
 * f-divergences (KL, reverse KL, chi-squared, squared Hellinger), evaluated
-  in closed form where one exists and on the family's sample-space rule,
+  in closed form on every Gaussian family (chi-squared and squared
+  Hellinger through the alpha-integral ``integral p^(1-alpha) q^alpha`` of
+  the two Gaussian states) and on the family's sample-space rule,
   ``Family.window_rule``, otherwise: quadrature for a continuous family,
   an exact sum for a categorical one.  Total variation is deliberately
   absent: its generator is not twice differentiable at 1, so it admits no
@@ -25,10 +27,12 @@ return the distance itself, and ``squared_w2_gaussian`` the full square.
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
 roundoff and is non-negative.  ``grad_theta`` is the analytic gradient in
 the first argument, built from the ingredients the similarity's own metric
-uses: scores for f-divergences, moment derivatives for Gaussian closed
-forms, quantile velocities for 1-D transport.  Where a family has no route
-for a similarity, ``grad_theta`` raises the same :class:`CapabilityError`
-as ``evaluate``.  The Fisher-Rao distance stays categorical-only: it is
+uses: scores for integrated f-divergences, moment derivatives for
+Gaussian closed forms, quantile velocities for 1-D transport.  Where a
+family has no route for a similarity, ``grad_theta`` raises the same
+:class:`CapabilityError` as ``evaluate``, and where a closed form diverges
+(chi-squared to a target too wide for ``theta``) the same
+:class:`DivergenceInfiniteError`.  The Fisher-Rao distance stays categorical-only: it is
 geometry of the probability simplex, not an integral over samples.
 """
 
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     CapabilityError,
@@ -166,30 +171,86 @@ def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
     return float(0.5 * (trace - d + maha + logdet2 - logdet1))
 
 
+def _alpha_integral(s1: GaussianState, s2: GaussianState, alpha: float, grad: bool = False):
+    """``(log I, derivs)`` of the alpha-integral ``I = integral p^(1-alpha) q^alpha``
+    between the Gaussian states ``s1`` (p) and ``s2`` (q).  With ``grad``,
+    ``derivs`` is the pair ``(d_mean, d_cov)`` of derivatives of ``I`` in the
+    mean and covariance of ``s1`` (``s1`` needs its inverse); else None.
+
+    With ``M = alpha S1 + (1 - alpha) S2``, ``D = m1 - m2`` and ``a = M^-1 D``
+    (Nielsen & Nock 2014)::
+
+        log I = alpha/2 log|S1| + (1-alpha)/2 log|S2| - 1/2 log|M| - alpha (1-alpha)/2 D.a
+        dI/dm1 = -alpha (1-alpha) I a
+        dI/dS1 = alpha/2 I (S1^-1 - M^-1 + alpha (1-alpha) a a^T)
+
+    Raises
+    ------
+    DivergenceInfiniteError
+        Where ``M`` is not positive definite (only for ``alpha > 1``): the
+        integral diverges.
+    """
+    c = alpha * (1.0 - alpha)
+    chol, info = dpotrf(alpha * s1.cov + (1.0 - alpha) * s2.cov, lower=1, clean=1)
+    if info != 0:
+        raise DivergenceInfiniteError(
+            f"the alpha-integral at alpha={alpha:g} diverges: the weighted covariance "
+            f"is not positive definite (dpotrf info {info})")
+    # M^-1 = L^-T L^-1 through dtrtri, not dpotri (see GaussianState.with_derivs).
+    chol_inv, _ = dtrtri(chol, lower=1)  # info flags a zero pivot; chol has none
+    w = chol_inv @ (s1.mean - s2.mean)
+    log_i = (alpha * _log_det(s1.chol) + (1.0 - alpha) * _log_det(s2.chol)
+             - _log_det(chol) - c * (w @ w)) / 2.0
+    if not grad:
+        return log_i, None
+    i, a = np.exp(log_i), chol_inv.T @ w
+    d_cov = 0.5 * alpha * i * (s1.inv - chol_inv.T @ chol_inv + c * np.outer(a, a))
+    return log_i, (-c * i * a, d_cov)
+
+
+def _log_det(chol: np.ndarray) -> float:
+    """``log|S|`` from the lower Cholesky factor of ``S``."""
+    return 2.0 * float(np.log(chol.diagonal()).sum())
+
+
+# f-divergences that are affine in one alpha-integral, D_f = scale * (I(alpha) - 1):
+# chi2 = I(2) - 1 and hellinger2 = integral (sqrt q - sqrt p)^2 = 2 - 2 I(1/2).
+_ALPHA_INTEGRALS = {"chi2": (2.0, 1.0), "hellinger2": (0.5, -2.0)}
+
+
 def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy: str = "auto",
                  window: Optional[Callable] = None) -> float:
     """D_f from the distribution at ``target`` to the one at ``theta``.
 
     ``strategy`` is one of ``auto`` (closed form when known, otherwise
-    quadrature), ``closed_form``, or ``quadrature``.  Quadrature sums
-    ``p f(q/p)`` on ``Family.window_rule`` of both points: Gauss-Legendre
-    nodes over their quantile windows for a 1-D continuous family, the
-    whole support, exactly, for a categorical one.  ``window(family,
-    theta, target)`` returns that rule's ``(nodes, weights, log p, log q)``.
-    By default they are built afresh; :class:`FDivergence` passes its memo.
+    quadrature), ``closed_form``, or ``quadrature``.  Every Gaussian family
+    has a closed form for each of the four registered divergences: KL and
+    reverse KL directly, chi2 and hellinger2 from the alpha-integral of the
+    two Gaussian states.  Quadrature sums ``p f(q/p)`` on
+    ``Family.window_rule`` of both points: Gauss-Legendre nodes over their
+    quantile windows for a 1-D continuous family, the whole support,
+    exactly, for a categorical one.  ``window(family, theta, target)``
+    returns that rule's ``(nodes, weights, log p, log q)``.  By default they
+    are built afresh; :class:`FDivergence` passes its memo.
     """
     theta = family.check_point(theta)
     target = _check_point_target(family, target)
     if strategy not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    if strategy in ("auto", "closed_form") and spec.name in ("kl", "reverse_kl"):
+    if strategy != "quadrature":
         pair = _gaussian_pair(family, theta, target)
         if pair is not None:
             s1, s2 = pair
             if spec.name == "kl":
                 return _clamp_divergence(gaussian_kl(s1.mean, s1.cov, s2.mean, s2.cov), spec, family)
-            return _clamp_divergence(gaussian_kl(s2.mean, s2.cov, s1.mean, s1.cov), spec, family)
+            if spec.name == "reverse_kl":
+                return _clamp_divergence(gaussian_kl(s2.mean, s2.cov, s1.mean, s1.cov), spec, family)
+            if spec.name in _ALPHA_INTEGRALS:
+                alpha, scale = _ALPHA_INTEGRALS[spec.name]
+                # expm1: near coincidence I - 1 would cancel
+                log_i, _ = _alpha_integral(s1, s2, alpha)
+                return _clamp_divergence(scale * float(np.expm1(log_i)), spec, family)
     if strategy == "closed_form":
         raise CapabilityError(f"no closed form for {spec.name} on {family.name}")
     _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f, window)
@@ -240,7 +301,8 @@ def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> fl
 
 
 class FDivergence(Similarity):
-    """An f-divergence.  ``evaluate`` and ``grad_theta`` at the same
+    """An f-divergence.  On a family that integrates it (see
+    :func:`f_divergence`), ``evaluate`` and ``grad_theta`` at the same
     ``(theta, target)``, as an optimizer asks for them at an accepted
     line-search point, share one quadrature window: the instance memoizes
     the last :func:`_window_logs`, keyed on the family object and the exact
@@ -272,8 +334,8 @@ class FDivergence(Similarity):
 
     def grad_theta(self, family, theta, target):
         """Gradient along the route ``evaluate`` takes: the Gaussian closed
-        form for KL and reverse KL, else ``integral p score g(q/p)`` on the
-        same window rule as the divergence."""
+        forms through the moments of ``theta``, else ``integral p score
+        g(q/p)`` on the same window rule as the divergence."""
         spec = self.spec
         theta = family.check_point(theta)
         target = _check_point_target(family, target)
@@ -291,6 +353,11 @@ class FDivergence(Similarity):
                 a = inv1 @ diff
                 d_cov = inv1 - inv1 @ s2.cov @ inv1 - np.outer(a, a)
             return _through_moments(s1, a, 0.5 * d_cov)
+        s1 = family.gaussian_state(theta, derivs=True) if spec.name in _ALPHA_INTEGRALS else None
+        if s1 is not None:
+            alpha, scale = _ALPHA_INTEGRALS[spec.name]
+            _, (d_mean, d_cov) = _alpha_integral(s1, family.gaussian_state(target), alpha, grad=True)
+            return scale * _through_moments(s1, d_mean, d_cov)
         nodes, weights, integrand = _window_integrand(
             spec, family, theta, target, spec.g, self._window)
         return (weights * integrand) @ family.score(theta, nodes)

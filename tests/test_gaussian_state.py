@@ -22,6 +22,8 @@ from natgrad.metric import resolve_metric_engine, w2_local_hessian_gaussian
 from natgrad.optimizer import OptimizerConfig, optimize
 from natgrad.similarity import get_similarity
 
+from conftest import power_law_family
+
 REPARAM_A = np.array([[1.2, 0.3], [-0.1, 0.9]])
 
 # Factories, so each call can get a fresh instance with an empty memo.
@@ -257,15 +259,19 @@ def test_a_family_shared_across_threads_gives_single_thread_bits():
     assert _mismatches_under_threads(calls, expected, steps=2000) == []
 
 
-def test_an_fdivergence_shared_across_threads_gives_single_thread_bits():
-    # The same for the quadrature window memo of one f-divergence instance.
-    family, sim = Gaussian1D(), get_similarity("chi2")
-    pairs = [(np.array([0.1 * k, 1.0 + 0.1 * k]), np.array([-0.2, 0.8 + 0.05 * k]))
-             for k in range(4)]
+def test_an_fdivergence_shared_across_threads_gives_single_thread_bits(monkeypatch):
+    # The same for the quadrature window memo of one f-divergence instance,
+    # on a family that integrates (Gaussians take the closed form).  The
+    # closed-form quantile q^(1/a) stands in for the bisection default,
+    # which would take most of the test's time.
+    power_law = type(power_law_family())
+    monkeypatch.setattr(power_law, "quantile", lambda self, theta, q: np.asarray(q) ** (1.0 / theta[0]))
+    family, sim = power_law(), get_similarity("chi2")
+    pairs = [(np.array([1.0 + 0.1 * k]), np.array([0.8 + 0.05 * k])) for k in range(4)]
 
     def results(s, fam, theta, target):
         return s.evaluate(fam, theta, target), s.grad_theta(fam, theta, target)
 
-    expected = [results(get_similarity("chi2"), Gaussian1D(), *pair) for pair in pairs]
+    expected = [results(get_similarity("chi2"), power_law(), *pair) for pair in pairs]
     calls = [lambda pair=pair: results(sim, family, *pair) for pair in pairs]
     assert _mismatches_under_threads(calls, expected, steps=600) == []

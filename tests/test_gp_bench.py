@@ -252,6 +252,26 @@ def test_gp_cost_requires_matching_family():
         cost.evaluate(other, ORACLE_THETA, ds)
 
 
+def test_gp_cost_checks_each_family_dataset_pair_once(monkeypatch):
+    ds = generate_data(seed=2, m=4)
+    fam, cost, theta = GpPriorEq(ds.inputs), GpNllCost(), np.array([0.1, 0.2, -0.5])
+    calls, real = [], np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or real(a, b))
+    values = [cost.evaluate(fam, theta, ds) for _ in range(3)]
+    grad = cost.grad_theta(fam, theta, ds)
+    assert len(calls) == 1
+    assert values == [GpNllCost().evaluate(fam, theta, ds)] * 3
+    assert grad.tobytes() == GpNllCost().grad_theta(fam, theta, ds).tobytes()
+    # A failing pair is checked on every call and never remembered.
+    other = GpPriorEq(np.linspace(-1.0, 1.0, 4))
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            cost.evaluate(other, theta, ds)
+    cost.evaluate(fam, theta, ds)
+    assert len(calls) == 2
+
+
 def test_gp_cost_agrees_with_module_functions():
     ds = generate_data(seed=2, m=6)
     fam = GpPriorEq(ds.inputs)

@@ -78,3 +78,11 @@ def test_covariance_factorizations_have_one_route():
     # Gaussian state in families.py; nothing else factorizes a covariance.
     users = sorted(p.name for p in SRC.glob("*.py") if _factorizations(p))
     assert set(users) <= {"families.py"}
+
+
+def test_no_module_names_dpotri():
+    # LAPACK dpotri leaves a multithreaded OpenBLAS's threads spinning after
+    # the call: a 30x30 inverse followed by numpy's eigh took 12 ms instead
+    # of 0.13 ms on two cores.  Inverses go through dtrtri of the factor.
+    users = sorted(p.name for p in SRC.glob("*.py") if "dpotri" in _names(p))
+    assert users == []

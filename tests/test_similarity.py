@@ -23,7 +23,6 @@ from natgrad.families import (
 )
 from natgrad.gp_bench import GpNllCost
 from natgrad.metric import resolve_metric_engine
-from natgrad.numdiff import central_gradient
 from natgrad.optimizer import OptimizerConfig, optimize
 from natgrad.quadrature import unit_interval_grid
 from natgrad.similarity import (
@@ -43,7 +42,7 @@ from natgrad.similarity import (
     wasserstein_p_1d,
 )
 
-from conftest import fd_gradient
+from conftest import fd_gradient, power_law_family, richardson_gradient
 
 GAUSS = Gaussian1D()
 CAT3 = CategoricalSoftmax(3)
@@ -109,6 +108,79 @@ def test_hellinger2_symmetric(rng):
         assert f_divergence(spec, GAUSS, a, b) == pytest.approx(
             f_divergence(spec, GAUSS, b, a), abs=1e-10
         )
+
+
+# Pairs whose quantile windows hold the chi2 integrand q^2/p: the target is
+# not wider than theta.
+FITTING_PAIRS = [((0.4, 1.3), (-0.2, 0.9)), ((0.0, 2.0), (1.0, 1.0)), ((0.3, 0.8), (0.1, 0.8)),
+                 ((-1.2, 1.7), (0.5, 1.1)), ((2.0, 0.6), (1.9, 0.55))]
+
+
+@pytest.mark.parametrize("name", ["chi2", "hellinger2"])
+def test_alpha_integral_closed_forms_match_independent_quadrature(name):
+    # scipy's adaptive quadrature over the whole line, independent of the
+    # window rule; Gaussian densities written out here
+    from scipy.integrate import quad
+
+    spec = F_DIVERGENCES[name]
+    for (m1, s1), (m2, s2) in FITTING_PAIRS:
+        def integrand(x):
+            p = np.exp(-0.5 * ((x - m1) / s1) ** 2) / (s1 * np.sqrt(2.0 * np.pi))
+            q = np.exp(-0.5 * ((x - m2) / s2) ** 2) / (s2 * np.sqrt(2.0 * np.pi))
+            return p * spec.f(q / p) if p > 0.0 else 0.0
+
+        oracle = quad(integrand, m1 - 40.0 * s1, m1 + 40.0 * s1, points=[m1, m2], limit=200,
+                      epsabs=1e-14, epsrel=1e-12)[0]
+        closed = f_divergence(spec, GAUSS, (m1, s1), (m2, s2), strategy="closed_form")
+        assert closed == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        windowed = f_divergence(spec, GAUSS, (m1, s1), (m2, s2), strategy="quadrature")
+        assert closed == pytest.approx(windowed, rel=1e-9, abs=1e-11)
+        if name == "hellinger2":
+            assert closed == pytest.approx(_hellinger2_gaussian(m1, s1, m2, s2), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["chi2", "hellinger2"])
+def test_alpha_integral_on_a_diagonal_mvn_is_the_product_of_1d_integrals(name):
+    # I(alpha) factors over independent coordinates: chi2 + 1 = prod (chi2_i + 1),
+    # 1 - hellinger2 / 2 = prod (1 - hellinger2_i / 2); 1-D values by quadrature
+    spec, fam = F_DIVERGENCES[name], MultivariateNormalLogCholesky(2)
+    (mu, sigma), (nu, tau) = np.array([[0.4, -0.3], [1.3, 0.8]]), np.array([[-0.2, 0.1], [0.9, 0.7]])
+    theta = np.array([*mu, np.log(sigma[0]), 0.0, np.log(sigma[1])])
+    target = np.array([*nu, np.log(tau[0]), 0.0, np.log(tau[1])])
+    ones = [f_divergence(spec, GAUSS, (mu[i], sigma[i]), (nu[i], tau[i]), strategy="quadrature")
+            for i in range(2)]
+    if name == "chi2":
+        expected = np.prod([1.0 + d for d in ones]) - 1.0
+    else:
+        expected = 2.0 - 2.0 * np.prod([1.0 - 0.5 * d for d in ones])
+    assert f_divergence(spec, fam, theta, target) == pytest.approx(expected, rel=1e-10)
+
+
+def test_chi2_closed_form_where_the_window_truncates_and_descent_converges():
+    # The target is wider than theta: q^2/p has scale (2/s_q^2 - 1/s_p^2)^(-1/2),
+    # wider than both quantile windows, which cut chi2 to about 71.18.
+    theta, target = [0.45037971, 1.03140094], [-0.62462085, 1.35789006]
+    spec = F_DIVERGENCES["chi2"]
+    (m1, s1), (m2, s2) = theta, target
+    var = 2.0 * s1**2 - s2**2
+    exact = s1**2 / (s2 * np.sqrt(var)) * np.exp((m1 - m2) ** 2 / var) - 1.0
+    assert f_divergence(spec, GAUSS, theta, target) == pytest.approx(exact, rel=1e-12)
+    assert f_divergence(spec, GAUSS, theta, target) == pytest.approx(85.41, abs=5e-3)
+    trace = optimize(GAUSS, get_similarity("chi2"), theta, target, OptimizerConfig(metric="fdiv:chi2"))
+    assert trace.status == "converged_grad" and trace.final_cost < 1e-12
+
+
+@pytest.mark.parametrize("family", [GAUSS, MultivariateNormalLogCholesky(2)], ids=lambda f: f.name)
+@pytest.mark.parametrize("sim_id", ["chi2", "hellinger2"])
+def test_gaussian_alpha_divergence_runs_build_no_window(family, sim_id, monkeypatch):
+    calls, real = [], natgrad.families.Family.window_rule
+    monkeypatch.setattr(natgrad.families.Family, "window_rule",
+                        lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+    theta0 = np.linspace(0.4, 1.2, family.param_dim)
+    target = theta0 - np.linspace(0.3, -0.2, family.param_dim)
+    trace = optimize(family, get_similarity(sim_id), theta0, target, OptimizerConfig())
+    assert trace.status == "converged_grad" and trace.final_cost < 1e-12
+    assert calls == []
 
 
 def test_kl_quadrature_matches_closed_form():
@@ -466,20 +538,24 @@ def point_pairs(draw, family):
 def test_gradient_matches_fd_of_registered_cost(family, sim_id, data):
     # grad_theta is the derivative of the registered evaluate along the
     # route evaluate takes; where evaluate has no route, neither has it.
+    # A chi2 pair whose weighted covariance 2 S1 - S2 is indefinite is
+    # infinite, on both routes alike.
     sim = get_similarity(sim_id)
     theta, target = data.draw(point_pairs(family))
     try:
         sim.evaluate(family, theta, target)
-    except CapabilityError as exc:
-        with pytest.raises(CapabilityError) as grad_exc:
+    except (CapabilityError, DivergenceInfiniteError) as exc:
+        with pytest.raises(type(exc)) as grad_exc:
             sim.grad_theta(family, theta, target)
         assert str(grad_exc.value) == str(exc)
         return
     g = sim.grad_theta(family, theta, target)
-    ref = central_gradient(lambda t: sim.evaluate(family, t, target), theta)
-    # Quadrature windows move with theta, which the analytic gradient leaves
-    # out, and W3's |gap|^3 is only piecewise smooth for the oracle's stencil.
-    quadrature = family.has_cdf and sim_id in ("chi2", "hellinger2", "wasserstein:2", "wasserstein:3")
+    # The O(h^4) oracle: near the chi2 boundary the gradient is steep, and a
+    # two-point stencil's O(h^2) error there exceeds the 1e-8 tolerance.
+    ref = richardson_gradient(lambda t: sim.evaluate(family, t, target), theta)
+    # The 1-D transport costs keep their looser tolerance: W3's |gap|^3 is
+    # only piecewise smooth for the oracle's stencil.
+    quadrature = family.has_cdf and sim_id in ("wasserstein:2", "wasserstein:3")
     tol = 1e-6 if quadrature else 1e-8
     np.testing.assert_allclose(g, ref, rtol=0, atol=tol * max(1.0, np.max(np.abs(ref))))
 
@@ -500,9 +576,10 @@ def test_wasserstein_gradient_is_exactly_zero_at_coincidence(rng):
 
 
 def test_hellinger2_gradient_is_finite_where_the_target_density_underflows():
-    # On the wide start's window the narrow target's density underflows to
-    # 0, so q/p = 0 at some nodes: g(0) = 1 there, where f(0) - 0 * f'(0)
-    # would be 0 * inf = NaN.
+    # Where the target's density underflows to 0, q/p = 0: the integrand
+    # of the gradient takes g(0) = 1 there, where f(0) - 0 * f'(0) would be
+    # 0 * inf = NaN.  On the wide start's quadrature window the narrow
+    # target's density underflows; the Gaussian gradient is closed form.
     theta, target = (0.988, 2.846), (0.335, 0.51)
     sim = get_similarity("hellinger2")
     g = sim.grad_theta(GAUSS, theta, target)
@@ -512,35 +589,53 @@ def test_hellinger2_gradient_is_finite_where_the_target_density_underflows():
     )
     trace = optimize(GAUSS, sim, theta, target, OptimizerConfig())
     assert trace.status == "converged_grad" and trace.final_cost < 1e-12
+    # Gaussian families take the closed form; the sum over a categorical
+    # support divides densities, and here the target's softmax underflows.
+    theta, target = np.array([0.3, -0.2, 0.1]), np.array([-800.0, 0.0, 0.0])
+    assert np.exp(CAT3.log_density(target, 0)) == 0.0
+    g = sim.grad_theta(CAT3, theta, target)
+    assert np.all(np.isfinite(g))
+    np.testing.assert_allclose(
+        g, fd_gradient(lambda t: sim.evaluate(CAT3, t, target), theta), atol=1e-6
+    )
 
 
 @pytest.mark.parametrize("name", ["chi2", "hellinger2", "kl", "reverse_kl"])
 def test_fdivergence_value_and_gradient_share_one_quadrature_window(name, monkeypatch):
-    calls, real = [], Gaussian1D.log_density
+    # Gaussian1D has closed forms for all four divergences and reads no
+    # density; the power-law family integrates each on its window rule.  Its
+    # score is patched to the closed form 1/a + log x, so that the count
+    # sees only the window's reads of log p and log q.
+    power_law = type(power_law_family())
+    monkeypatch.setattr(power_law, "score",
+                        lambda self, theta, x: (1.0 / theta[0] + np.log(x))[:, None])
+    calls = []
+    for cls in (Gaussian1D, power_law):
+        def counting(self, theta, x, real=cls.log_density):
+            calls.append(np.shape(x))
+            return real(self, theta, x)
 
-    def counting(self, theta, x):
-        calls.append(np.shape(x))
-        return real(self, theta, x)
-
-    monkeypatch.setattr(Gaussian1D, "log_density", counting)
-    family, theta, target = Gaussian1D(), np.array([0.4, 1.3]), np.array([-0.2, 0.9])
-    sim = get_similarity(name)
-    value = sim.evaluate(family, theta, target)
-    grad = sim.grad_theta(family, theta, target)
-    quadrature = name in ("chi2", "hellinger2")  # kl and reverse_kl have closed forms
-    assert len(calls) == (2 if quadrature else 0)  # log p and log q, once for both
-    # A memo hit runs no arithmetic a fresh instance would not.
-    fresh = get_similarity(name)
-    assert fresh.evaluate(family, theta, target) == value
-    fresh = get_similarity(name)
-    assert fresh.grad_theta(family, theta, target).tobytes() == grad.tobytes()
-    # Another target, point or family misses the memo: each call below
-    # differs from the one before it in one of the three.
-    for args in [(family, theta, target + 0.1), (family, theta + 0.1, target + 0.1),
-                 (Gaussian1D(), theta + 0.1, target + 0.1)]:
+        monkeypatch.setattr(cls, "log_density", counting)
+    cases = [(Gaussian1D, np.array([0.4, 1.3]), np.array([-0.2, 0.9]), 0),
+             (power_law, np.array([1.6]), np.array([2.3]), 1)]
+    for cls, theta, target, windows in cases:
+        family, sim = cls(), get_similarity(name)
         calls.clear()
-        assert sim.evaluate(*args) == get_similarity(name).evaluate(*args)
-        assert len(calls) == (4 if quadrature else 0)  # the memo's miss, then the fresh one
+        value = sim.evaluate(family, theta, target)
+        grad = sim.grad_theta(family, theta, target)
+        assert len(calls) == 2 * windows  # log p and log q, once for both
+        # A memo hit runs no arithmetic a fresh instance would not.
+        fresh = get_similarity(name)
+        assert fresh.evaluate(family, theta, target) == value
+        fresh = get_similarity(name)
+        assert fresh.grad_theta(family, theta, target).tobytes() == grad.tobytes()
+        # Another target, point or family misses the memo: each call below
+        # differs from the one before it in one of the three.
+        for args in [(family, theta, target + 0.1), (family, theta + 0.1, target + 0.1),
+                     (cls(), theta + 0.1, target + 0.1)]:
+            calls.clear()
+            assert sim.evaluate(*args) == get_similarity(name).evaluate(*args)
+            assert len(calls) == 4 * windows  # the memo's miss, then the fresh one
 
 
 def test_similarity_base_has_no_finite_difference_gradient():
@@ -584,6 +679,9 @@ def test_divergent_chi2_raises_numeric_error():
     # the density ratio explodes on the integration window; the integrand
     # overflows and the non-finite values are reported, not silently clamped
     with pytest.raises(NumericError):
+        f_divergence(F_DIVERGENCES["chi2"], GAUSS, (0.0, 1.0), (0.0, 20.0), strategy="quadrature")
+    # the closed form knows the integral diverges: 2 S1 - S2 = 2 - 400 < 0
+    with pytest.raises(DivergenceInfiniteError):
         f_divergence(F_DIVERGENCES["chi2"], GAUSS, (0.0, 1.0), (0.0, 20.0))
 
 
@@ -601,7 +699,12 @@ def test_invalid_strategy_rejected():
 
 def test_closed_form_unavailable_for_chi2():
     with pytest.raises(CapabilityError):
-        f_divergence(F_DIVERGENCES["chi2"], GAUSS, (0.0, 1.0), (1.0, 1.0), strategy="closed_form")
+        f_divergence(F_DIVERGENCES["chi2"], power_law_family(), (1.5,), (2.0,),
+                     strategy="closed_form")
+    # on a Gaussian family auto takes the closed form
+    a, b = (0.0, 1.0), (1.0, 1.0)
+    assert (f_divergence(F_DIVERGENCES["chi2"], GAUSS, a, b, strategy="closed_form")
+            == f_divergence(F_DIVERGENCES["chi2"], GAUSS, a, b))
 
 
 def test_dataset_target_rejected_outside_gp_cost():
