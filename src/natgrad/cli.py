@@ -121,6 +121,8 @@ def cmd_run(args) -> int:
     output = config.get("output", "trace.csv")
     trace.to_csv(output)
     print(f"status={trace.status} iterations={trace.iterations} final_cost={trace.final_cost:.6e}")
+    if trace.reason:
+        print(f"{trace.status}: {trace.reason}", file=sys.stderr)
     print(f"trace written to {output}")
     return EXIT_NUMERIC if trace.status == "numeric_failure" else EXIT_OK
 

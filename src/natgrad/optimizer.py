@@ -6,14 +6,18 @@ engine at the current iterate (re-evaluated every iteration, with the
 negative gradient passed as the direction hint for direction-dependent
 metrics).  ``H`` is spectrum-shifted to a damping floor before
 factorization, and an optional Armijo backtracking line search scales the
-step.  Non-descent directions fall back to a plain gradient step for that
+step.  The search starts from a predicted step (Nocedal & Wright 2006,
+eq. 3.60: twice the last cost decrease over the current slope, at most 1;
+1 on the first iteration) and backtracks to the minimizer of the quadratic
+that interpolates the cost at 0, its slope and the failed trial (§3.5).
+Non-descent directions fall back to a plain gradient step for that
 iteration rather than raising.
 
 ``optimize`` never lets numerical failures escape: they terminate the run
-with ``status = "numeric_failure"`` on the returned :class:`Trace`.
-Termination statuses are checked in the order numeric_failure,
-converged_grad, converged_cost, max_iters; a line search that finds no
-point at or below the current cost ends the run with
+with ``status = "numeric_failure"`` on the returned :class:`Trace`, whose
+``reason`` names the error.  Termination statuses are checked in the order
+numeric_failure, converged_grad, converged_cost, max_iters; a line search
+that finds no point at or below the current cost ends the run with
 ``line_search_stalled`` on that iteration, which is not convergence.
 """
 
@@ -52,8 +56,13 @@ ALPHA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class LineSearchConfig:
-    """Armijo backtracking: accept the largest ``alpha`` in the shrink
-    sequence with ``cost(theta + alpha v) <= cost(theta) + c1 alpha g.v``."""
+    """Armijo backtracking: accept the first trial ``alpha`` with
+    ``cost(theta + alpha v) <= cost(theta) + c1 alpha g.v``.
+
+    After a failed finite trial the next one is the minimizer of the
+    interpolating quadratic, clamped to ``[0.1 alpha, shrink alpha]``, so
+    ``shrink`` is the largest backtracking factor; after a trial whose cost
+    is not finite or raises, ``alpha`` is multiplied by ``shrink``."""
 
     c1: float = 1e-4
     shrink: float = 0.5
@@ -117,10 +126,15 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """Full optimization history plus the termination status."""
+    """Full optimization history plus the termination status.
+
+    ``reason`` says why a run ended ``numeric_failure`` (the error's class
+    and message) or ``line_search_stalled``; it is empty otherwise.
+    """
 
     records: tuple[StepRecord, ...]
     status: str
+    reason: str = ""
 
     def __post_init__(self):
         valid = (
@@ -232,28 +246,49 @@ def backtracking_line_search(
     grad: np.ndarray,
     cost0: float,
     config: LineSearchConfig,
+    alpha0: float = 1.0,
 ) -> tuple[float, str]:
-    """Armijo backtracking from ``alpha = 1``.
+    """Armijo backtracking from ``alpha = alpha0``.
+
+    A finite trial that fails the Armijo test is followed by the minimizer
+    of the quadratic through ``cost0``, the slope ``grad . direction`` and
+    that trial, clamped to ``[0.1 alpha, shrink alpha]``; a trial where the
+    cost is undefined counts as +inf and is followed by ``shrink alpha``.
 
     Returns ``(alpha, flag)`` where flag is empty on success,
     ``"non_descent"`` if the direction was not a descent direction (alpha
-    is the floor), or ``"floor"`` if shrinking hit the floor without
-    satisfying the Armijo condition.  Candidate points where the cost is
-    undefined count as +inf.
+    is the floor), or ``"floor"`` if backtracking hit the floor without
+    satisfying the Armijo condition.
     """
     slope = float(grad @ direction)
     if slope >= 0.0:
         return ALPHA_FLOOR, "non_descent"
-    alpha = 1.0
+    alpha = alpha0
     while alpha >= ALPHA_FLOOR:
         try:
             candidate = value(theta + alpha * direction)
         except NatgradError:
             candidate = float("inf")
-        if np.isfinite(candidate) and candidate <= cost0 + config.c1 * alpha * slope:
+        if not np.isfinite(candidate):
+            alpha *= config.shrink
+        elif candidate <= cost0 + config.c1 * alpha * slope:
             return alpha, ""
-        alpha *= config.shrink
+        else:
+            # Failing Armijo makes the quadratic's curvature positive.
+            curvature = candidate - cost0 - slope * alpha
+            alpha = min(max(-0.5 * slope * alpha * alpha / curvature, 0.1 * alpha),
+                        config.shrink * alpha)
     return ALPHA_FLOOR, "floor"
+
+
+def _predicted_alpha(cost: float, prev_cost: Optional[float], slope: float) -> float:
+    """First trial step from the last decrease: ``min(1, 1.01 * 2 (f_k -
+    f_{k-1}) / g.v)`` (Nocedal & Wright 2006, eq. 3.60), or 1 on the first
+    iteration and wherever that is NaN or falls below the floor."""
+    if prev_cost is None or slope == 0.0:
+        return 1.0
+    alpha0 = 2.02 * (cost - prev_cost) / slope
+    return min(1.0, alpha0) if alpha0 >= ALPHA_FLOOR else 1.0
 
 
 def optimize(
@@ -268,10 +303,10 @@ def optimize(
 
     Configuration errors (unknown metric, invalid starting point) do raise,
     since no meaningful Trace exists yet; anything numeric after that is
-    captured in ``Trace.status``.  The metric is ``config.metric``, or the
-    similarity's own ``sim.metric`` when that is None.  ``engine`` overrides
-    both: the GP benchmark passes its resolved engines, and tests inject
-    fakes through it.
+    captured in ``Trace.status`` and ``Trace.reason``.  The metric is
+    ``config.metric``, or the similarity's own ``sim.metric`` when that is
+    None.  ``engine`` overrides both: the GP benchmark passes its resolved
+    engines, and tests inject fakes through it.
     """
     if engine is None:
         metric = sim.metric if config.metric is None else config.metric
@@ -297,20 +332,20 @@ def optimize(
         return last_trial[1]
 
     prev_cost = None
-    status = "max_iters"
+    status, reason = "max_iters", ""
     for it in range(config.max_iters + 1):
         try:
             key, cost = last_trial
             if key != theta.tobytes():
                 cost = float(objective.value(theta))
             g = np.asarray(objective.gradient(theta), dtype=float)
-        except NatgradError:
-            status = "numeric_failure"
+        except NatgradError as exc:
+            status, reason = "numeric_failure", _error_reason(exc)
             break
         gn = float(np.linalg.norm(g))
         if not (np.isfinite(cost) and np.all(np.isfinite(g))):
             rec(it, cost, gn, 0.0, 0.0)
-            status = "numeric_failure"
+            status, reason = "numeric_failure", "non-finite cost or gradient"
             break
         if gn < config.grad_tol:
             rec(it, cost, gn, 0.0, 0.0)
@@ -328,9 +363,9 @@ def optimize(
         try:
             H = engine(theta, -g)
             v, added = _solve_step(H, g, config.learning_rate, config.damping)
-        except NatgradError:
+        except NatgradError as exc:
             rec(it, cost, gn, 0.0, 0.0)
-            status = "numeric_failure"
+            status, reason = "numeric_failure", _error_reason(exc)
             break
 
         fallback = False
@@ -342,7 +377,8 @@ def optimize(
 
         if config.line_search is not None:
             alpha, flag = backtracking_line_search(
-                trial_cost, theta, v, g, cost, config.line_search
+                trial_cost, theta, v, g, cost, config.line_search,
+                _predicted_alpha(cost, prev_cost, float(g @ v)),
             )
             if flag:
                 try:
@@ -352,6 +388,8 @@ def optimize(
                 if not np.isfinite(candidate_cost) or candidate_cost > cost:
                     rec(it, cost, gn, 0.0, added, fallback)
                     status = "line_search_stalled"
+                    reason = (f"line search ({flag}) found no point at or below the cost "
+                              f"down to the step floor {ALPHA_FLOOR:g}")
                     break
             step = alpha * v
         else:
@@ -361,4 +399,8 @@ def optimize(
         rec(it, cost, gn, float(np.linalg.norm(step)), added, fallback)
         prev_cost = cost
 
-    return Trace(records=tuple(records), status=status)
+    return Trace(records=tuple(records), status=status, reason=reason)
+
+
+def _error_reason(exc: NatgradError) -> str:
+    return f"{type(exc).__name__}: {exc}"

@@ -79,6 +79,18 @@ def test_run_numeric_failure_exit_code(tmp_path, capsys):
     assert "status=numeric_failure" in out
 
 
+def test_run_prints_the_failure_reason_on_stderr(tmp_path, capsys):
+    cfg = _run_config(tmp_path, similarity="chi2", theta0=[0.0, 1.0], target=[0.0, 2.0])
+    code = main(["run", cfg])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERIC
+    assert captured.out.splitlines()[0] == "status=numeric_failure iterations=0 final_cost=nan"
+    assert captured.err.startswith("numeric_failure: DivergenceInfiniteError: ")
+    assert (tmp_path / "trace.csv").read_text() == TRACE_CSV_HEADER + "\n"
+    main(["run", _run_config(tmp_path)])
+    assert capsys.readouterr().err == ""
+
+
 def test_run_defaults_to_the_similarity_metric(tmp_path, capsys):
     # no "metric" key: the run descends half W2^2 under w2_1d, its own local
     # Hessian, which is exact for a location-scale family

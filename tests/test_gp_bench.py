@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -373,3 +374,47 @@ def test_benchmark_result_is_plain_data(default_result):
     assert isinstance(default_result, BenchmarkResult)
     rows = default_result.summary_rows()
     assert [r[0] for r in rows] == list(BENCHMARK_METRIC_IDS)
+
+
+@pytest.mark.parametrize(
+    "seed, theta0", [(42, (0.9268, 1.3747, 0.4434)), (2050211610, (0.8088, 1.1913, 0.4019))]
+)
+def test_euclidean_run_ends_at_a_likelihood_optimum(seed, theta0):
+    # From these starts the fixed-halving search stalled with the NLL
+    # above the optimum; L-BFGS-B from the same start is the reference.
+    res = run_benchmark(BenchmarkConfig(seed=seed, theta0=theta0, metrics=("euclidean",)))
+    trace = res.traces["euclidean"]
+    family, cost = GpPriorEq(res.dataset.inputs), GpNllCost()
+    optimum = scipy.optimize.minimize(
+        lambda th: cost.evaluate(family, th, res.dataset), np.asarray(theta0, dtype=float),
+        jac=lambda th: cost.grad_theta(family, th, res.dataset), method="L-BFGS-B",
+        bounds=[(-8.0, 8.0)] * 3, options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 5000},
+    )
+    assert optimum.success
+    assert trace.status != "numeric_failure"
+    assert abs(trace.final_cost - optimum.fun) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "metric, max_iters, bound",
+    [("euclidean", 2000, 120), ("fisher", 2000, 32), ("w2", 20, 40)],
+)
+def test_paper_comparison_cost_evaluation_counts(monkeypatch, metric, max_iters, bound):
+    # Likelihood evaluations (iterate costs and line-search trials) of the
+    # default comparison; each is a kernel build and a Cholesky factorization.
+    # A fixed-halving search from alpha 1 needed 307, 32 and 84.
+    calls = []
+
+    class CountingCost(GpNllCost):
+        def evaluate(self, family, theta, target):
+            calls.append(1)
+            return super().evaluate(family, theta, target)
+
+    monkeypatch.setattr(natgrad.gp_bench, "GpNllCost", CountingCost)
+    config = BenchmarkConfig(
+        seed=42, m=30, theta0=DEFAULT_THETA0, metrics=(metric,),
+        optimizer=OptimizerConfig(max_iters=max_iters, grad_tol=1e-6),
+    )
+    trace = run_benchmark(config).traces[metric]
+    assert trace.status == ("max_iters" if metric == "w2" else "converged_grad")
+    assert 0 < len(calls) <= bound

@@ -237,6 +237,127 @@ def test_line_search_treats_errors_as_infinite_cost():
     assert flag == "floor" or alpha <= 0.25
 
 
+def _recording(value):
+    """``value`` on a 1-D line, plus the list of trial alphas it was asked for
+    (theta 0 and direction 1, so the trial point is alpha itself)."""
+    trials = []
+
+    def recorded(th):
+        trials.append(float(th[0]))
+        return value(float(th[0]))
+
+    return recorded, trials
+
+
+@pytest.mark.parametrize("shrink", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize(
+    "value",
+    [
+        lambda a: 100.0 * a * a - a,  # steep wall: the quadratic's minimizer is far below 0.1 alpha
+        lambda a: (1.0 - 0.9e-4) * a * a - a,  # barely fails Armijo at 1: minimizer just above 0.5
+        lambda a: (a - 0.3) ** 2 - 0.09,  # exact quadratic: lands on its minimizer 0.3
+        lambda a: np.sin(12.0 * a) / 12.0 - a + a ** 4,
+    ],
+)
+def test_line_search_interpolated_trial_stays_in_the_clamp(value, shrink):
+    recorded, trials = _recording(value)
+    config = LineSearchConfig(shrink=shrink)
+    alpha, flag = backtracking_line_search(
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0, config
+    )
+    assert trials[0] == 1.0 and alpha == trials[-1] and flag == ""
+    for prev, nxt in zip(trials, trials[1:]):
+        assert 0.1 * prev <= nxt <= shrink * prev
+
+
+def test_line_search_moves_to_the_interpolated_minimizer():
+    # cost (a - 0.3)^2 - 0.09 along the line is its own interpolating
+    # quadratic, so the second trial is its minimizer
+    recorded, trials = _recording(lambda a: (a - 0.3) ** 2 - 0.09)
+    alpha, flag = backtracking_line_search(
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-0.6]), 0.0, LineSearchConfig()
+    )
+    assert flag == "" and trials == [1.0, alpha] and alpha == pytest.approx(0.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("shrink", [0.3, 0.5])
+@pytest.mark.parametrize("bad", ["inf", "nan", "raise"])
+def test_line_search_non_finite_trial_shrinks_by_shrink(bad, shrink):
+    def value(a):
+        if a > 0.2:
+            if bad == "raise":
+                raise NumericError("undefined here")
+            return float(bad)
+        return -a
+
+    recorded, trials = _recording(value)
+    alpha, flag = backtracking_line_search(
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0,
+        LineSearchConfig(shrink=shrink),
+    )
+    expected = [1.0]
+    while expected[-1] > 0.2:
+        expected.append(expected[-1] * shrink)
+    assert trials == expected and alpha == expected[-1] and flag == ""
+
+
+def test_line_search_returns_an_accepted_first_trial_below_one():
+    recorded, trials = _recording(lambda a: (a - 0.5) ** 2 - 0.25)
+    alpha, flag = backtracking_line_search(
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0, LineSearchConfig(),
+        alpha0=0.37,
+    )
+    assert (alpha, flag) == (0.37, "") and trials == [0.37]
+
+
+def test_predicted_first_trial_falls_back_to_one():
+    predicted = natgrad.optimizer._predicted_alpha
+    assert predicted(1.0, None, -1.0) == 1.0  # first iteration
+    assert predicted(0.9, 1.0, -1.0) == pytest.approx(0.202, rel=1e-15)  # 1.01 * 2 * 0.1 / 1
+    assert predicted(0.0, 1.0, -1.0) == 1.0  # capped at 1
+    assert predicted(1.5, 1.0, -1.0) == 1.0  # negative
+    assert predicted(float("nan"), 1.0, -1.0) == 1.0
+    assert predicted(1.0, 1.0, 0.0) == 1.0  # 0 / 0
+    assert predicted(1.0 - 1e-12, 1.0, -1.0) == 1.0  # below ALPHA_FLOOR
+    assert predicted(0.0, 1e300, -1e-10) == 1.0  # overflows to inf
+
+
+class _Scripted(SquaredEuclidean):
+    """Costs and gradients read in call order from scripts, whatever theta
+    is; every point asked for is recorded."""
+
+    def __init__(self, costs, grads):
+        self.costs, self.grads, self.points = list(costs), list(grads), []
+
+    def evaluate(self, family, theta, target):
+        self.points.append(np.array(theta, dtype=float))
+        return self.costs.pop(0)
+
+    def grad_theta(self, family, theta, target):
+        return np.array(self.grads.pop(0), dtype=float)
+
+
+@pytest.mark.parametrize(
+    "decrease, expected_alpha",
+    [
+        (0.1, 0.202),  # 1.01 * 2 * 0.1 / |g.v| with g.v = -1
+        (2e-12, 1.0),  # predicted 4.04e-12 is below the floor
+    ],
+)
+def test_optimize_first_trials_use_the_predicted_step(decrease, expected_alpha):
+    # iteration 0 tries alpha 1 along v0 = -g0; iteration 1 tries the step
+    # predicted from the decrease 0 -> 1 over g1.v1 = -1
+    g0 = (np.sqrt(decrease / 2e-4), 0.0)  # Armijo at alpha 1 needs decrease >= 1e-4 |g0|^2
+    sim = _Scripted(costs=[1.0, 1.0 - decrease, 0.0], grads=[g0, (1.0, 0.0), (1.0, 0.0)])
+    identity = MetricEngine("identity", lambda th, u=None: LocalHessian(np.eye(2)))
+    trace = optimize(GAUSS, sim, (0.0, 1.0), (0.0, 1.0), OptimizerConfig(max_iters=2),
+                     engine=identity)
+    assert trace.status == "max_iters" and len(sim.points) == 3
+    start, first, second = sim.points
+    np.testing.assert_array_equal(first, start - np.asarray(g0))
+    np.testing.assert_allclose(first - second, [expected_alpha, 0.0], rtol=0, atol=1e-13)
+
+
 # -- full optimization runs -----------------------------------------------------------
 
 
@@ -556,3 +677,31 @@ def test_gp_benchmark_makes_no_finite_difference_gradient_call(monkeypatch):
     traces = run_benchmark(config).traces
     assert all(t.status != "numeric_failure" and t.iterations >= 1 for t in traces.values())
     assert calls == []
+
+
+def test_empty_trace_names_the_failing_cost():
+    # The start itself has no finite chi2: the trace has no record, and its
+    # reason carries the error the cost raised.
+    trace = optimize(GAUSS, get_similarity("chi2"), [0, 1], [0, 2], OptimizerConfig())
+    assert trace.records == () and trace.status == "numeric_failure"
+    assert trace.reason.startswith("DivergenceInfiniteError: ")
+    assert "not positive definite" in trace.reason
+
+
+def test_failure_and_stall_reasons():
+    def explode(th, u=None):
+        raise NumericError("metric unavailable here")
+
+    trace = optimize(GAUSS, KL, (1.0, 1.0), (0.0, 1.0), OptimizerConfig(),
+                     engine=MetricEngine("explode", explode))
+    assert trace.reason == "NumericError: metric unavailable here"
+
+    class Uphill(SquaredEuclidean):
+        def grad_theta(self, family, theta, target):
+            return -super().grad_theta(family, theta, target)
+
+    trace = optimize(GAUSS, Uphill(), (1.0, 1.0), (0.0, 1.0), OptimizerConfig(metric="euclidean"))
+    assert trace.status == "line_search_stalled"
+    assert f"step floor {ALPHA_FLOOR:g}" in trace.reason
+    converged = optimize(GAUSS, KL, (1.0, 1.0), (0.0, 1.0), OptimizerConfig())
+    assert converged.status == "converged_grad" and converged.reason == ""
