@@ -2,14 +2,12 @@
 
 Covers three groups:
 
-* f-divergences (KL, reverse KL, chi-squared, squared Hellinger), evaluated
-  in closed form on every Gaussian family (chi-squared and squared
-  Hellinger through the alpha-integral ``integral p^(1-alpha) q^alpha`` of
-  the two Gaussian states) and on the family's sample-space rule,
-  ``Family.window_rule``, otherwise: quadrature for a continuous family,
-  an exact sum for a categorical one.  Total variation is deliberately
-  absent: its generator is not twice differentiable at 1, so it admits no
-  local Hessian.
+* f-divergences (KL, reverse KL, chi-squared, squared Hellinger), in
+  closed form on every Gaussian family and otherwise on the family's
+  sample-space rule, ``Family.window_rule``: quadrature for a continuous
+  family, an exact sum for a categorical one.  Total variation is
+  deliberately absent: its generator is not twice differentiable at 1, so
+  it admits no local Hessian.
 * optimal-transport distances: p-Wasserstein for one-dimensional families
   via quantile-space quadrature, and 2-Wasserstein between Gaussians in
   closed form.
@@ -23,6 +21,11 @@ square is the cost whose local Hessian the metric engines compute.  So
 the optimizer minimizes is the function the engines differentiate.  The
 free functions ``wasserstein_p_1d`` and ``fisher_rao_distance_categorical``
 return the distance itself, and ``squared_w2_gaussian`` the full square.
+
+A Gaussian closed form reads the Cholesky factors of the two memoized
+Gaussian states, one form per measure for value and gradient alike:
+KL, reverse KL and ``W2^2`` as sums of non-negative terms, exact near
+coincidence, chi-squared and squared Hellinger through an alpha-integral.
 
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
 roundoff and is non-negative.  ``grad_theta`` is the analytic gradient in
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from .errors import (
     CapabilityError,
@@ -69,11 +72,6 @@ __all__ = [
     "get_similarity",
     "SIMILARITY_IDS",
 ]
-
-# Eigenvalues of covariance matrices are floored here before square roots
-# are taken, so nearly singular inputs degrade gracefully.
-COV_EIGENVALUE_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class FDivergenceSpec:
@@ -136,39 +134,63 @@ class Similarity:
         raise NotImplementedError
 
 
-def _gaussian_pair(family: Family, theta, target, derivs: bool = False):
-    """The Gaussian states of both points, or None when the family is not
-    Gaussian; ``derivs`` fills in their inverses and moment derivatives (the
-    target's once per run: it stays in the family's memo)."""
-    state = family.gaussian_state(theta, derivs)
-    return None if state is None else (state, family.gaussian_state(target, derivs))
-
-
-def _through_moments(state: GaussianState, d_mean, d_cov) -> np.ndarray:
-    """Chain rule through the Gaussian moments: the gradient of a cost whose
-    derivatives in the mean and the (symmetric) covariance at the state's
-    point are ``d_mean`` and ``d_cov``, ``dmu_i . d_mean + tr(d_cov dS_i)``."""
-    dcov = state.dcov
-    return state.dmu @ d_mean + dcov.reshape(len(dcov), -1) @ d_cov.ravel()
+def _gaussian_form(form, family: Family, theta, target, grad: bool = False):
+    """The value of ``form`` between ``theta`` and ``target``, or with
+    ``grad`` its gradient in ``theta``, ``dmu_i . d_mean + tr(d_cov dS_i)``;
+    None without a form or on a family that is not Gaussian.  A form
+    ``(s1, s2, grad)`` of the two Gaussian states returns the value, or with
+    ``grad`` its derivatives ``(d_mean, d_cov)`` in the mean and covariance
+    of ``s1``, which then carries its inverse and moment derivatives."""
+    s1 = None if form is None else family.gaussian_state(theta, grad)
+    if s1 is None:
+        return None
+    result = form(s1, family.gaussian_state(target), grad)
+    if not grad:
+        return result
+    (d_mean, d_cov), dcov = result, s1.dcov
+    return s1.dmu @ d_mean + dcov.reshape(len(dcov), -1) @ d_cov.ravel()
 
 
 # -- f-divergences -------------------------------------------------------------
 
 
 def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
-    """KL divergence between two Gaussians, closed form."""
-    mean1 = np.atleast_1d(np.asarray(mean1, dtype=float))
-    mean2 = np.atleast_1d(np.asarray(mean2, dtype=float))
-    cov1 = np.atleast_2d(np.asarray(cov1, dtype=float))
-    cov2 = np.atleast_2d(np.asarray(cov2, dtype=float))
-    d = mean1.size
-    diff = mean2 - mean1
-    solved = np.linalg.solve(cov2, np.column_stack([cov1, diff]))
-    trace = np.trace(solved[:, :d])
-    maha = diff @ solved[:, d]
-    _, logdet1 = np.linalg.slogdet(cov1)
-    _, logdet2 = np.linalg.slogdet(cov2)
-    return float(0.5 * (trace - d + maha + logdet2 - logdet1))
+    """``KL(N(mean1, cov1) || N(mean2, cov2))`` from copies of the arguments;
+    a covariance that is not positive definite raises :class:`NumericError`."""
+    return _kl(_state(mean1, cov1), _state(mean2, cov2))
+
+
+def _state(mean, cov) -> GaussianState:
+    """The factored state of copies: the caller's arrays stay writeable."""
+    mean = np.array(mean, dtype=float, ndmin=1)
+    return GaussianState.factor(mean, mean, np.array(cov, dtype=float, ndmin=2))
+
+
+def _kl(s1: GaussianState, s2: GaussianState, grad: bool = False):
+    """The form (see :func:`_gaussian_form`) of ``KL(1 || 2)``, with
+    ``M = L2^-1 L1`` (lower triangular) and ``x = log diag M``::
+
+        KL = 1/2 (sum_i (e^(2 x_i) - 1 - 2 x_i) + sum_(i>j) M_ij^2 + |L2^-1 (m1 - m2)|^2)
+        dKL/dm1 = S2^-1 (m1 - m2),  dKL/dS1 = (S2^-1 - S1^-1) / 2
+
+    Every term is non-negative; ``sum M^2 - sum diag M^2`` would cancel."""
+    diff, d = s1.mean - s2.mean, len(s1.mean)
+    if grad:
+        l2_inv = dtrtri(s2.chol, lower=1)[0]  # chol: no zero pivot
+        return l2_inv.T @ (l2_inv @ diff), 0.5 * (l2_inv.T @ l2_inv - s1.inv)
+    solved, _ = dtrtrs(s2.chol, np.column_stack([s1.chol, diff]), lower=1)  # chol: no zero pivot
+    m, z = solved[:, :d], solved[:, d]
+    x, off = np.log(m.diagonal()), np.tril(m, -1)
+    return 0.5 * float(np.sum(np.expm1(2.0 * x) - 2.0 * x) + np.sum(off * off) + z @ z)
+
+
+def _reverse_kl(s1: GaussianState, s2: GaussianState, grad: bool = False):
+    """The form of ``KL(2 || 1)``: with ``a = S1^-1 (m1 - m2)`` and
+    ``B = S1^-1 L2``, ``d/dm1 = a`` and ``d/dS1 = (S1^-1 - B B^T - a a^T) / 2``."""
+    if not grad:
+        return _kl(s2, s1)
+    a, b = s1.inv @ (s1.mean - s2.mean), s1.inv @ s2.chol
+    return a, 0.5 * (s1.inv - b @ b.T - np.outer(a, a))
 
 
 def _alpha_integral(s1: GaussianState, s2: GaussianState, alpha: float, grad: bool = False):
@@ -213,9 +235,20 @@ def _log_det(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
-# f-divergences that are affine in one alpha-integral, D_f = scale * (I(alpha) - 1):
-# chi2 = I(2) - 1 and hellinger2 = integral (sqrt q - sqrt p)^2 = 2 - 2 I(1/2).
-_ALPHA_INTEGRALS = {"chi2": (2.0, 1.0), "hellinger2": (0.5, -2.0)}
+def _alpha_form(alpha: float, scale: float):
+    """The form of ``D_f = scale * (I(alpha) - 1)``."""
+    def form(s1: GaussianState, s2: GaussianState, grad: bool = False):
+        log_i, derivs = _alpha_integral(s1, s2, alpha, grad)
+        if grad:
+            return scale * derivs[0], scale * derivs[1]
+        return scale * float(np.expm1(log_i))  # expm1: near coincidence I - 1 would cancel
+    return form
+
+
+# The one Gaussian form of each registered f-divergence, for its value and its
+# gradient: chi2 = I(2) - 1, hellinger2 = integral (sqrt q - sqrt p)^2 = 2 - 2 I(1/2).
+_GAUSSIAN_FORMS = {"kl": _kl, "reverse_kl": _reverse_kl,
+                   "chi2": _alpha_form(2.0, 1.0), "hellinger2": _alpha_form(0.5, -2.0)}
 
 
 def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy: str = "auto",
@@ -224,9 +257,8 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
 
     ``strategy`` is one of ``auto`` (closed form when known, otherwise
     quadrature), ``closed_form``, or ``quadrature``.  Every Gaussian family
-    has a closed form for each of the four registered divergences: KL and
-    reverse KL directly, chi2 and hellinger2 from the alpha-integral of the
-    two Gaussian states.  Quadrature sums ``p f(q/p)`` on
+    has a closed form for each of the four registered divergences, in
+    ``_GAUSSIAN_FORMS``.  Quadrature sums ``p f(q/p)`` on
     ``Family.window_rule`` of both points: Gauss-Legendre nodes over their
     quantile windows for a 1-D continuous family, the whole support,
     exactly, for a categorical one.  ``window(family, theta, target)``
@@ -238,19 +270,10 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
     if strategy not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    if strategy != "quadrature":
-        pair = _gaussian_pair(family, theta, target)
-        if pair is not None:
-            s1, s2 = pair
-            if spec.name == "kl":
-                return _clamp_divergence(gaussian_kl(s1.mean, s1.cov, s2.mean, s2.cov), spec, family)
-            if spec.name == "reverse_kl":
-                return _clamp_divergence(gaussian_kl(s2.mean, s2.cov, s1.mean, s1.cov), spec, family)
-            if spec.name in _ALPHA_INTEGRALS:
-                alpha, scale = _ALPHA_INTEGRALS[spec.name]
-                # expm1: near coincidence I - 1 would cancel
-                log_i, _ = _alpha_integral(s1, s2, alpha)
-                return _clamp_divergence(scale * float(np.expm1(log_i)), spec, family)
+    form = _GAUSSIAN_FORMS.get(spec.name) if strategy != "quadrature" else None
+    value = _gaussian_form(form, family, theta, target)
+    if value is not None:
+        return _clamp_divergence(value, spec, family)
     if strategy == "closed_form":
         raise CapabilityError(f"no closed form for {spec.name} on {family.name}")
     _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f, window)
@@ -339,25 +362,9 @@ class FDivergence(Similarity):
         spec = self.spec
         theta = family.check_point(theta)
         target = _check_point_target(family, target)
-        pair = (_gaussian_pair(family, theta, target, derivs=True)
-                if spec.name in ("kl", "reverse_kl") else None)
-        if pair is not None:
-            s1, s2 = pair
-            inv1, diff = s1.inv, s1.mean - s2.mean
-            if spec.name == "kl":
-                # KL(1 || 2): d/dm1 = S2^-1 (m1 - m2), d/dS1 = (S2^-1 - S1^-1) / 2
-                a, d_cov = s2.inv @ diff, s2.inv - inv1
-            else:
-                # KL(2 || 1): d/dm1 = a = S1^-1 (m1 - m2),
-                # d/dS1 = (S1^-1 - S1^-1 S2 S1^-1 - a a^T) / 2
-                a = inv1 @ diff
-                d_cov = inv1 - inv1 @ s2.cov @ inv1 - np.outer(a, a)
-            return _through_moments(s1, a, 0.5 * d_cov)
-        s1 = family.gaussian_state(theta, derivs=True) if spec.name in _ALPHA_INTEGRALS else None
-        if s1 is not None:
-            alpha, scale = _ALPHA_INTEGRALS[spec.name]
-            _, (d_mean, d_cov) = _alpha_integral(s1, family.gaussian_state(target), alpha, grad=True)
-            return scale * _through_moments(s1, d_mean, d_cov)
+        grad = _gaussian_form(_GAUSSIAN_FORMS.get(spec.name), family, theta, target, grad=True)
+        if grad is not None:
+            return grad
         nodes, weights, integrand = _window_integrand(
             spec, family, theta, target, spec.g, self._window)
         return (weights * integrand) @ family.score(theta, nodes)
@@ -423,30 +430,28 @@ class WassersteinP(Similarity):
 
 
 def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:
-    """Squared 2-Wasserstein distance between Gaussians.
-
-    ``|mu1 - mu2|^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2})``; the
-    matrix square roots go through symmetric eigendecompositions with
-    eigenvalues floored at a small positive value.
-    """
-    mean1 = np.atleast_1d(np.asarray(mean1, dtype=float))
-    mean2 = np.atleast_1d(np.asarray(mean2, dtype=float))
-    cov1 = np.atleast_2d(np.asarray(cov1, dtype=float))
-    cov2 = np.atleast_2d(np.asarray(cov2, dtype=float))
-    root2 = _floored_power(cov2, 0.5)
-    inner = root2 @ cov1 @ root2
-    wi = np.linalg.eigvalsh(inner)
-    wi = np.maximum(wi, 0.0)
-    diff = mean1 - mean2
-    value = float(diff @ diff + np.trace(cov1) + np.trace(cov2) - 2.0 * np.sum(np.sqrt(wi)))
-    return max(value, 0.0)
+    """``W2^2`` between Gaussians, ``|mu1 - mu2|^2 + tr(S1 + S2 - 2 (S2^1/2 S1
+    S2^1/2)^1/2)``, by :func:`_half_w2` from copies of the arguments; a
+    covariance that is not positive definite raises :class:`NumericError`."""
+    return 2.0 * _half_w2(_state(mean1, cov1), _state(mean2, cov2))
 
 
-def _floored_power(cov: np.ndarray, power: float) -> np.ndarray:
-    """``cov**power`` of a symmetric matrix through its eigendecomposition,
-    eigenvalues floored at ``COV_EIGENVALUE_FLOOR``."""
-    w, V = np.linalg.eigh(cov)
-    return (V * np.maximum(w, COV_EIGENVALUE_FLOOR) ** power) @ V.T
+def _half_w2(s1: GaussianState, s2: GaussianState, grad: bool = False):
+    """The form (see :func:`_gaussian_form`) of ``W2^2 / 2``, with the SVD
+    ``L1^T L2 = U diag(s) V^T``::
+
+        W2^2 = |m1 - m2|^2 + |L1 - L2 V U^T|_F^2
+        d/dm1 = m1 - m2,  d/dS1 = (I - T) / 2,  T = X X^T,  X = L1^-T U diag(s)^1/2
+
+    ``V U^T`` is the rotation that brings ``L2`` closest to ``L1`` (orthogonal
+    Procrustes; Bhatia, Jain & Lim 2019), and ``T S1 T = S2`` (Bures map)."""
+    diff = s1.mean - s2.mean
+    u, sv, vt = np.linalg.svd(s1.chol.T @ s2.chol)
+    if grad:
+        x, _ = dtrtrs(s1.chol, u * np.sqrt(sv), lower=1, trans=1)  # chol: no zero pivot
+        return diff, 0.5 * (np.eye(len(diff)) - x @ x.T)
+    gap = s1.chol - s2.chol @ (vt.T @ u.T)
+    return 0.5 * float(diff @ diff + np.sum(gap * gap))
 
 
 class SquaredW2Gaussian(Similarity):
@@ -455,24 +460,17 @@ class SquaredW2Gaussian(Similarity):
     name = "w2_gaussian"
     metric = "w2_gaussian"
 
-    def _pair(self, family, theta, target, derivs: bool = False):
-        pair = _gaussian_pair(family, theta, _check_point_target(family, target), derivs)
-        if pair is None:
+    def _form(self, family, theta, target, grad: bool):
+        result = _gaussian_form(_half_w2, family, theta, _check_point_target(family, target), grad)
+        if result is None:
             raise CapabilityError(f"{family.name} is not Gaussian; w2_gaussian does not apply")
-        return pair
+        return result
 
     def evaluate(self, family, theta, target):
-        s1, s2 = self._pair(family, theta, target)
-        return 0.5 * squared_w2_gaussian(s1.mean, s1.cov, s2.mean, s2.cov)
+        return self._form(family, theta, target, False)
 
     def grad_theta(self, family, theta, target):
-        """``dmu_i . (m1 - m2) + 1/2 tr((I - T) dS_i)``, with T the Bures
-        optimal map from S1 to S2 (``T S1 T = S2``):
-        ``T = S2^1/2 (S2^1/2 S1 S2^1/2)^-1/2 S2^1/2``."""
-        s1, s2 = self._pair(family, theta, target, derivs=True)
-        root2 = _floored_power(s2.cov, 0.5)
-        transport = root2 @ _floored_power(root2 @ s1.cov @ root2, -0.5) @ root2
-        return _through_moments(s1, s1.mean - s2.mean, 0.5 * (np.eye(len(s1.cov)) - transport))
+        return self._form(family, theta, target, True)
 
 
 # -- Fisher-Rao geometry on the simplex ------------------------------------------
@@ -538,6 +536,7 @@ class SquaredEuclidean(Similarity):
     """Half squared Euclidean distance on raw parameters (debugging aid)."""
 
     name = "sq_euclidean"
+    metric = "euclidean"  # the exact local Hessian is the identity
 
     def evaluate(self, family, theta, target):
         diff = family.check_point(theta) - _check_point_target(family, target)

@@ -59,17 +59,17 @@ def test_no_discrete_or_closed_form_fisher_flags():
     assert users == []
 
 
-def _factorizations(path: Path) -> set[str]:
-    """``inv`` and ``cholesky`` looked up on a ``linalg`` module or imported
-    from one."""
+def _factorizations(path: Path, names=("inv", "cholesky")) -> set[str]:
+    """``names`` (default ``inv`` and ``cholesky``) looked up on a ``linalg``
+    module or imported from one."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Attribute) and node.attr in ("inv", "cholesky"):
+        if isinstance(node, ast.Attribute) and node.attr in names:
             owner = node.value
             if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
                 found.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
-            found.update(a.name for a in node.names if a.name in ("inv", "cholesky"))
+            found.update(a.name for a in node.names if a.name in names)
     return found
 
 
@@ -86,3 +86,14 @@ def test_no_module_names_dpotri():
     # of 0.13 ms on two cores.  Inverses go through dtrtri of the factor.
     users = sorted(p.name for p in SRC.glob("*.py") if "dpotri" in _names(p))
     assert users == []
+
+
+def test_gaussian_costs_read_only_the_state_factors():
+    # KL, reverse KL and W2 come from the Cholesky factors of the two
+    # Gaussian states.  A second factorization (solve, slogdet, an
+    # eigendecomposition with floored eigenvalues) took differences of O(1)
+    # terms, all roundoff near coincidence, where the local Hessian lives.
+    found = _factorizations(SRC / "similarity.py", ("eigh", "eigvalsh", "slogdet", "solve"))
+    assert found == set()
+    gone = {"COV_EIGENVALUE_FLOOR", "_floored_power"}
+    assert sorted(p.name for p in SRC.glob("*.py") if gone & _names(p)) == []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import natgrad.families
@@ -333,6 +333,22 @@ def test_squared_w2_gaussian_commuting_exchange(rng):
         assert got == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("fn", [gaussian_kl, squared_w2_gaussian])
+def test_gaussian_closed_form_functions_leave_their_arguments_alone(fn):
+    args = [np.array([0.2, -0.1]), np.array([[1.0, 0.3], [0.3, 2.0]]),
+            np.array([0.5, 0.3]), np.array([[0.5, -0.1], [-0.1, 0.7]])]
+    copies = [a.copy() for a in args]
+    assert fn(*args) > 0.0
+    for arg, copy in zip(args, copies):
+        assert arg.flags.writeable and np.array_equal(arg, copy)
+    # A covariance that is not positive definite has no Gaussian: no value.
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]):
+        with pytest.raises(NumericError):
+            fn(args[0], bad, *args[2:])
+        with pytest.raises(NumericError):
+            fn(*args[:3], bad)
+
+
 def test_squared_w2_gaussian_needs_gaussian_family():
     with pytest.raises(CapabilityError):
         SquaredW2Gaussian().evaluate(CAT3, np.zeros(3), np.zeros(3))
@@ -649,6 +665,72 @@ def test_similarity_base_has_no_finite_difference_gradient():
         ValueOnly().grad_theta(GAUSS, (0.0, 1.0), (0.0, 1.0))
 
 
+# -- precision near coincidence ---------------------------------------------------------
+
+PRECISION_FAMILIES = [
+    GAUSS,
+    REPARAM,
+    *(MultivariateNormalLogCholesky(d) for d in (2, 3, 10)),
+    *(GpPriorEq(np.linspace(-2.0, 2.0, m)) for m in (5, 30)),
+]
+
+
+@pytest.mark.parametrize("sim_id", ["kl", "reverse_kl", "w2_gaussian"])
+@pytest.mark.parametrize("family", PRECISION_FAMILIES,
+                         ids=lambda f: f"{f.name}_m{f.sample_dim}" if isinstance(f, GpPriorEq) else f.name)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gaussian_cost_is_its_local_quadratic_form_down_to_tiny_steps(family, sim_id, data):
+    # The similarity's own metric is the Hessian of c(., theta) at theta, so
+    # c(theta + d, theta) is 1/2 d^T H d; the mean over +-d cancels the cubic
+    # term.  A cost formed as a difference of O(1) terms (trace, log-det)
+    # carries roundoff of about 1e-16 absolute, all of the value at |d| = 1e-9.
+    # Rounding of the covariance itself and of its factor leaves a relative
+    # floor of up to about 100 eps / |d| (3e-5 at 1e-9 on gp_prior_eq with
+    # m = 5), which the bound admits.
+    sim = get_similarity(sim_id)
+    theta, _ = data.draw(point_pairs(family))
+    direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=family.param_dim,
+                                            max_size=family.param_dim)))
+    assume(np.linalg.norm(direction) > 0.1)
+    hessian = resolve_metric_engine(sim.metric, family)(theta).matrix
+    for size in (1e-5, 1e-7, 1e-9):
+        d = size * direction / np.linalg.norm(direction)
+        quadratic = 0.5 * d @ hessian @ d
+        value = 0.5 * (sim.evaluate(family, theta + d, theta) + sim.evaluate(family, theta - d, theta))
+        assert value == pytest.approx(quadratic, rel=max(1e-5, 1e-13 / size), abs=0.0)
+
+
+def test_w2_gaussian_gradient_matches_fd_where_entries_are_tiny_or_zero():
+    # Points with entries 1e-10, 2.5e-175 and 0: the finite-difference
+    # oracle meets the 1e-8 bound there only if the cost carries no roundoff
+    # noise near that level.
+    family, sim = MultivariateNormalLogCholesky(3), get_similarity("w2_gaussian")
+    rng, tiny = np.random.default_rng(5), np.array([1e-10, 2.5e-175, 0.0])
+    for _ in range(200):
+        theta, step = rng.uniform(-1.5, 1.5, 9), rng.uniform(-0.3, 0.3, 9)
+        for v in (theta, step):
+            mask = rng.random(9) < 0.3
+            v[mask] = rng.choice(tiny, mask.sum())
+        target = theta + step
+        g = sim.grad_theta(family, theta, target)
+        ref = richardson_gradient(lambda t: sim.evaluate(family, t, target), theta)
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-8 * max(1.0, np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("family", [MultivariateNormalLogCholesky(d) for d in (2, 3)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("sim_id", ["kl", "w2_gaussian"])
+def test_default_runs_do_not_stop_at_a_zero_cost_with_a_gradient_left(family, sim_id):
+    # A cost that reads exactly 0 while the gradient is still above grad_tol
+    # is roundoff clamped to 0: no step can then pass the Armijo test.
+    config, rng = OptimizerConfig(), np.random.default_rng(11)
+    for _ in range(20):
+        theta0, target = rng.uniform(-1.0, 1.0, (2, family.param_dim))
+        last = optimize(family, get_similarity(sim_id), theta0, target, config).records[-1]
+        assert not (last.cost == 0.0 and last.grad_norm >= config.grad_tol)
+
+
 # -- distances registered as half squares ----------------------------------------------
 
 
@@ -750,7 +832,7 @@ def test_get_similarity_bad_wasserstein_order():
         ("wasserstein:1.5", "wp_1d:1.5", True),
         ("w2_gaussian", "w2_gaussian", False),
         ("fisher_rao2", "pullback", False),
-        ("sq_euclidean", "fd:sq_euclidean", False),
+        ("sq_euclidean", "euclidean", False),
     ],
 )
 def test_each_similarity_names_its_own_metric(sim_id, metric_id, directional):
