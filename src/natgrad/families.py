@@ -7,22 +7,29 @@ the CDF for one-dimensional families, seeded sampling, and the Fisher
 information.
 
 All operations are pure functions of ``(theta, x)``, so instances can be
-shared freely across threads.  Besides immutable configuration a Gaussian
-family holds one memo: the :class:`GaussianState` of its last two points
-(mean, covariance, Cholesky factor and, once asked for, the inverse and the
-moment derivatives).  A natural-gradient iteration asks for the likelihood,
-its gradient and the metric at one point, and a two-point cost for its
-target as well; with the memo each point is factorized once.  A state is a
-pure function of the point, keyed on the exact shape and bytes of the
-parameter vector, holds only read-only arrays and is swapped in as one
-immutable tuple.  A thread therefore sees an old memo or a new one, never
-a half-written one, and a race costs a recomputation, not a wrong answer.
+shared freely across threads.  Besides immutable configuration a family
+holds one memo: its last three validated points, each with the family's
+state at that point once an operation asked for it.  A Gaussian family's
+state is a :class:`GaussianState` (mean, covariance, Cholesky factor and,
+once asked for, the inverse and the moment derivatives), a categorical
+family's the read-only probabilities.  A natural-gradient iteration asks
+for the cost, its gradient and the metric at one point against one target,
+and its line search for costs at trial points against the same target; with
+three entries neither the iterate nor the target is evicted by a trial, so
+each point is validated and factorized once.  An entry is a pure function
+of the point, keyed on the exact shape and bytes of the parameter vector,
+holds only read-only arrays and is swapped in with the rest of the memo as
+one immutable tuple.  A thread therefore sees an old memo or a new one,
+never a half-written one, and a race costs a recomputation, not a wrong
+answer.
 
 Parameter vectors are plain 1-D float arrays.  ``Family.check_point``
-canonicalizes and validates them eagerly; every public operation calls it
-once per call (or finds the point already validated in the memo), so
-invalid parameters fail with :class:`InvalidParameterError` rather than
-producing NaNs downstream.
+canonicalizes and validates them eagerly.  Every public operation validates
+its point once, through :meth:`Family.point` or :meth:`Family.gaussian_state`,
+which find a point already validated in the memo and otherwise call
+``check_point`` and remember the result; so invalid parameters fail with
+:class:`InvalidParameterError` rather than producing NaNs downstream, and
+callers that hand a point from one layer to the next validate it once.
 
 Array contract: ``log_density``, ``score``, ``cdf`` and ``dcdf_dtheta`` take
 one sample point or a batch of them, and ``quantile`` one level or an array
@@ -40,13 +47,14 @@ categorical one, so its sums are exact.
 
 from __future__ import annotations
 
+import math
 from abc import ABC
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
-from scipy.special import log_softmax, ndtr, ndtri, softmax
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     CapabilityError,
@@ -78,6 +86,8 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Points a family remembers: a trial, the iterate and the target.
+MEMO_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -165,11 +175,14 @@ class Family(ABC):
     ``window_rule`` of a family with neither a quantile nor a finite
     support) so each family only implements what it actually supports.
 
-    The memo of a Gaussian family holds the states of its last two
-    validated points, so the target of a two-point cost does not evict the
-    iterate.  A memo hit skips validation (the point passed it when its
-    state was built) and runs no arithmetic a miss would not run, so hits
-    and misses return the same bits.
+    The memo holds the last ``MEMO_POINTS`` validated points, each with
+    the family's state there once asked for, so a line-search trial evicts
+    neither the iterate nor the target of a two-point cost.  Each point is
+    validated once: :meth:`point` and :meth:`gaussian_state` call
+    :meth:`check_point` only for a point the memo does not hold, and hand
+    back the memo's read-only copy, which callers pass on to the next layer.
+    A memo hit runs no arithmetic a miss would not run, so hits and misses
+    return the same bits.
 
     Sample-point operations follow the module's array contract; the defaults
     and the quadrature routes pass batches to ``log_density`` and ``cdf``.
@@ -191,8 +204,9 @@ class Family(ABC):
     param_dim: int = 0
     sample_dim: int = 1
     has_cdf: bool = False
-    # ((shape, bytes) of theta, GaussianState), most recent first, at most two.
-    _states: tuple = ()
+    # ((shape, bytes) of theta as given, validated read-only theta, state or
+    # None), most recent first, at most MEMO_POINTS.
+    _memo: tuple = ()
 
     # -- parameter validation -------------------------------------------------
 
@@ -211,11 +225,51 @@ class Family(ABC):
                 f"{self.name}: expected parameter vector of length {self.param_dim}, "
                 f"got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        # np.isfinite(arr).all() at a sixth of the cost on short vectors
+        if not all(map(math.isfinite, arr.tolist())):
             raise InvalidParameterError(f"{self.name}: parameters must be finite, got {arr}")
         if not self._in_domain(arr):
             raise InvalidParameterError(f"{self.name}: parameters outside domain: {arr}")
         return arr.copy()
+
+    def point(self, theta) -> np.ndarray:
+        """``theta`` validated as by :meth:`check_point`, as a read-only
+        array: the memo's copy when it holds the point, else validated now
+        and remembered."""
+        return self._remember(theta)[1]
+
+    def forget(self) -> None:
+        """Empty the memo, so the operations that follow start cold;
+        ``optimize`` does so before each run."""
+        self._memo = ()
+
+    def _remember(self, theta, build=None) -> tuple:
+        """The memo entry ``(key, point, state)`` of ``theta``, made the most
+        recent.  A point the memo does not hold is validated and enters with
+        state None; ``build(point, state)``, when given, returns the state
+        to keep.  The memo's own point, handed back, is found by identity."""
+        memo = self._memo
+        for at, entry in enumerate(memo):
+            if entry[1] is theta:
+                break
+        else:
+            arr = np.atleast_1d(np.asarray(theta, dtype=float))
+            key = (arr.shape, arr.tobytes())
+            for at, entry in enumerate(memo):
+                if entry[0] == key:
+                    break
+            else:
+                point = self.check_point(arr)
+                point.setflags(write=False)
+                at, entry = None, (key, point, None)
+        if build is not None:
+            state = build(entry[1], entry[2])
+            if state is not entry[2]:
+                entry = (entry[0], entry[1], state)
+        if at != 0 or entry is not memo[0]:
+            rest = memo[:MEMO_POINTS - 1] if at is None else memo[:at] + memo[at + 1:]
+            self._memo = (entry,) + rest
+        return entry
 
     def in_domain(self, theta) -> bool:
         """True if ``theta`` is a valid parameter point."""
@@ -262,7 +316,7 @@ class Family(ABC):
                 + 0.5 * np.sum((w @ dcov) * w, axis=-1).T
             )
             return out[0] if single else out
-        theta = self.check_point(theta)
+        theta = self.point(theta)
         if not np.all(np.isfinite(self.log_density(theta, x))):
             raise UndefinedScoreError(f"{self.name}: zero density at x={x}, score undefined")
         return central_gradient(lambda t: self.log_density(t, x), theta)
@@ -285,7 +339,7 @@ class Family(ABC):
         q = np.asarray(q, dtype=float)
         if np.any(~((q > 0.0) & (q < 1.0))):
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        theta = self.check_point(theta)
+        theta = self.point(theta)
         lo, hi = np.full(q.shape, -1.0), np.full(q.shape, 1.0)
         while np.any(low := self.cdf(theta, lo) > q):
             lo = np.where(low, 2.0 * lo, lo)
@@ -304,7 +358,7 @@ class Family(ABC):
         """Gradient of the CDF with respect to the parameters, at fixed x."""
         if not self.has_cdf:
             raise CapabilityError(f"{self.name}: dcdf_dtheta is not available")
-        theta = self.check_point(theta)
+        theta = self.point(theta)
         return central_gradient(lambda t: self.cdf(t, x), theta)
 
     def sample(self, theta, seed: int, count: int) -> np.ndarray:
@@ -352,18 +406,14 @@ class Family(ABC):
         NumericError
             Where the covariance is not finite or not positive definite.
         """
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
-        key = (arr.shape, arr.tobytes())
-        states = self._states
-        state = next((s for k, s in states if k == key), None)
-        if state is None:
-            state = self._gaussian_state(self.check_point(arr))
+        def build(point, state):
             if state is None:
-                return None
-        if derivs and state.dcov is None:
-            state = state.with_derivs(*self._moment_derivs(state))
-        self._states = ((key, state),) + tuple(e for e in states if e[0] != key)[:1]
-        return state
+                state = self._gaussian_state(point)
+            if derivs and state is not None and state.dcov is None:
+                state = state.with_derivs(*self._moment_derivs(state))
+            return state
+
+        return self._remember(theta, build)[2]
 
     def _gaussian_state(self, theta: np.ndarray) -> Optional[GaussianState]:
         """The state at a validated ``theta``, built without the memo; None
@@ -412,7 +462,7 @@ class Family(ABC):
         :meth:`window_rule`.  ``fn`` maps the batch of nodes to one value, or
         one array, per node.
         """
-        theta = self.check_point(theta)
+        theta = self.point(theta)
         nodes, weights = self.window_rule([theta])
         mass = weights * np.exp(self.log_density(theta, nodes))
         return np.einsum("n,n...->...", mass, fn(nodes))
@@ -431,7 +481,7 @@ class Gaussian1D(Family):
 
     def _standardize(self, theta, x):
         """``(sigma, z, single)`` with ``z = (x - mu) / sigma`` of shape (n,)."""
-        mu, sigma = self.check_point(theta)
+        mu, sigma = self.point(theta)
         xs, single = self._check_x(x)
         return sigma, (xs[:, 0] - mu) / sigma, single
 
@@ -446,7 +496,7 @@ class Gaussian1D(Family):
         return float(out[0]) if single else out
 
     def quantile(self, theta, q):
-        mu, sigma = self.check_point(theta)
+        mu, sigma = self.point(theta)
         levels, z = unit_interval_normal_scores()
         q = np.asarray(q, dtype=float)
         if q is not levels:  # the transport grid's scores are cached
@@ -464,7 +514,7 @@ class Gaussian1D(Family):
         return out[0] if single else out
 
     def sample(self, theta, seed, count):
-        mu, sigma = self.check_point(theta)
+        mu, sigma = self.point(theta)
         rng = np.random.default_rng(seed)
         return mu + sigma * rng.standard_normal(int(count))
 
@@ -496,7 +546,7 @@ class MultivariateNormalLogCholesky(Family):
 
     def split(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(mean, L)`` with the diagonal of L exponentiated."""
-        return self._split(self.check_point(theta))
+        return self._split(self.point(theta))
 
     def _split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = theta[: self.dim]
@@ -532,7 +582,8 @@ class CategoricalSoftmax(Family):
 
     Note the parameterization is redundant (adding a constant to all logits
     leaves the distribution unchanged), so the Fisher information is
-    singular along the all-ones direction.
+    singular along the all-ones direction.  The memo's state at a point is
+    its read-only probabilities.
     """
 
     def __init__(self, k: int):
@@ -545,7 +596,13 @@ class CategoricalSoftmax(Family):
         self._support = _read_only(np.arange(self.k), np.ones(self.k))
 
     def probabilities(self, theta) -> np.ndarray:
-        return softmax(self.check_point(theta))
+        """The softmax of the logits ``theta``, read-only, from the memo."""
+        return self._remember(theta, _softmax_state)[2]
+
+    def gaussian_state(self, theta, derivs=False):
+        """None, after validating ``theta``: the family is not Gaussian."""
+        self.point(theta)
+        return None
 
     def _outcomes(self, x) -> np.ndarray:
         """Validate one outcome or a 1-D batch; return them as integers."""
@@ -555,7 +612,9 @@ class CategoricalSoftmax(Family):
         return x.astype(int)
 
     def log_density(self, theta, x):
-        return log_softmax(self.check_point(theta))[self._outcomes(x)]
+        shifted = self.point(theta)
+        shifted = shifted - shifted.max()
+        return (shifted - np.log(np.exp(shifted).sum()))[self._outcomes(x)]
 
     def score(self, theta, x):
         p = self.probabilities(theta)
@@ -578,6 +637,17 @@ class CategoricalSoftmax(Family):
     def window_rule(self, thetas, nodes_per_panel=32):
         """The support ``0..k-1`` with unit weights, so integrals are exact sums."""
         return self._support
+
+
+def _softmax_state(logits: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
+    """The memo state of a categorical point: its read-only probabilities.
+    Softmax and log-softmax (in ``log_density``) are written out as
+    ``scipy.special`` computes them for finite logits, without its array-API
+    dispatch, which costs more than the arithmetic on a few logits."""
+    if p is not None:
+        return p
+    e = np.exp(logits - logits.max())
+    return _read_only(e / e.sum())[0]
 
 
 def eq_covariance(inputs: np.ndarray, log_amp: float, log_ls: float) -> np.ndarray:
@@ -667,23 +737,27 @@ class LinearlyReparameterized(Family):
     def _in_domain(self, xi):
         return self.base.in_domain(self.A @ xi)
 
+    def forget(self):
+        super().forget()
+        self.base.forget()
+
     def log_density(self, xi, x):
-        return self.base.log_density(self.A @ self.check_point(xi), x)
+        return self.base.log_density(self.A @ self.point(xi), x)
 
     def score(self, xi, x):
-        return self.base.score(self.A @ self.check_point(xi), x) @ self.A
+        return self.base.score(self.A @ self.point(xi), x) @ self.A
 
     def cdf(self, xi, x):
-        return self.base.cdf(self.A @ self.check_point(xi), x)
+        return self.base.cdf(self.A @ self.point(xi), x)
 
     def quantile(self, xi, q):
-        return self.base.quantile(self.A @ self.check_point(xi), q)
+        return self.base.quantile(self.A @ self.point(xi), q)
 
     def dcdf_dtheta(self, xi, x):
-        return self.base.dcdf_dtheta(self.A @ self.check_point(xi), x) @ self.A
+        return self.base.dcdf_dtheta(self.A @ self.point(xi), x) @ self.A
 
     def sample(self, xi, seed, count):
-        return self.base.sample(self.A @ self.check_point(xi), seed, count)
+        return self.base.sample(self.A @ self.point(xi), seed, count)
 
     def _gaussian_state(self, xi):
         base = self.base.gaussian_state(self.A @ xi)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import CapabilityError, ConfigError, NumericError
 from .families import CategoricalSoftmax, Family
@@ -113,7 +114,7 @@ def monte_carlo_fisher(
     Test and validation aid; optimization paths use analytic or quadrature
     routes.
     """
-    theta = family.check_point(theta)
+    theta = family.point(theta)
     scores = family.score(theta, family.sample(theta, seed, count))
     outer = scores[:, :, None] * scores[:, None, :]
     mean = outer.mean(axis=0)
@@ -126,10 +127,12 @@ def f_div_local_hessian(spec: FDivergenceSpec, family: Family, theta) -> LocalHe
 
     Every twice-differentiable f-divergence induces the same metric up to
     this scalar, so the Fisher matrix is computed once and scaled, making
-    ratios between divergences exact by construction.
+    ratios between divergences exact by construction.  The scaled matrix is
+    symmetrized once, by its one :class:`LocalHessian`; for the registered
+    divergences ``f''(1)`` is a power of two, so this is the scaled
+    :func:`fisher_information` matrix bit for bit.
     """
-    fisher = fisher_information(family, theta)
-    return LocalHessian(spec.f_second_at_one * fisher.matrix, provenance=fisher.provenance)
+    return LocalHessian(spec.f_second_at_one * family.fisher(theta), provenance="analytic")
 
 
 def riemannian_pullback(jacobian, density_hessian) -> LocalHessian:
@@ -186,7 +189,7 @@ def w2_local_hessian_1d(family: Family, theta) -> LocalHessian:
     ``H_ij = integral (dF/dtheta_i)(dF/dtheta_j) / rho dx``: the L2 inner
     product of the per-parameter transport velocities under the density.
     """
-    theta = family.check_point(theta)
+    theta = family.point(theta)
     mass, g = _velocity_basis(family, theta)
     return LocalHessian((g * mass[:, None]).T @ g, provenance="analytic")
 
@@ -201,7 +204,7 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
     scale invariance exact.  At ``p = 2`` the direction-dependent terms
     carry zero coefficients and the 2-Wasserstein form is recovered.
     """
-    theta = family.check_point(theta)
+    theta = family.point(theta)
     p = float(p)
     if p <= 1.0:
         raise ValueError(f"order p must be > 1, got {p}")
@@ -284,7 +287,7 @@ def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHes
     NumericError
         If successive extrapolants disagree by more than ``10 * FD_TOLERANCE``.
     """
-    theta = family.check_point(theta)
+    theta = family.point(theta)
     scale = max(1.0, float(np.max(np.abs(theta))))
 
     def cost(eta):
@@ -330,13 +333,18 @@ def spd_project(hessian, tau_min: Optional[float] = None) -> LocalHessian:
     """Shift the spectrum so the smallest eigenvalue is at least ``tau_min``.
 
     Accepts a matrix or a :class:`LocalHessian`; metadata is carried over
-    and ``regularization_added`` accumulates the shift.
+    and ``regularization_added`` accumulates the shift.  A Cholesky probe
+    comes first: where ``H - tau I`` factors, the spectrum already clears
+    the floor and ``H`` is returned as it is; only where it does not is the
+    smallest eigenvalue computed, and the shift is ``tau - eigmin``.
     """
     if isinstance(hessian, LocalHessian):
         base = hessian
     else:
         base = LocalHessian(np.asarray(hessian, dtype=float))
     tau = default_damping(base.matrix) if tau_min is None else float(tau_min)
+    if dpotrf(base.matrix - tau * np.eye(base.dim), lower=1)[1] == 0:
+        return base
     eigmin = float(np.linalg.eigvalsh(base.matrix)[0])
     if eigmin >= tau:
         return base

@@ -50,17 +50,17 @@ def central_hessian(
     x = np.asarray(x, dtype=float)
     n = x.size
     h = _steps(x, abs_step, HESS_REL_STEP)
+    # The step along each axis and the points one step either side, built once.
+    steps = np.diag(h)
+    plus, minus, steps, h = list(x + steps), list(x - steps), list(steps), h.tolist()
     hess = np.empty((n, n))
     f0 = f(x)
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / (h[i] * h[i])
+        hess[i, i] = (f(plus[i]) - 2.0 * f0 + f(minus[i])) / (h[i] * h[i])
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
+            ej = steps[j]
             mixed = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+                f(plus[i] + ej) - f(plus[i] - ej) - f(minus[i] + ej) + f(minus[i] - ej)
             ) / (4.0 * h[i] * h[j])
             hess[i, j] = mixed
             hess[j, i] = mixed

@@ -306,13 +306,16 @@ def optimize(
     captured in ``Trace.status`` and ``Trace.reason``.  The metric is
     ``config.metric``, or the similarity's own ``sim.metric`` when that is
     None.  ``engine`` overrides both: the GP benchmark passes its resolved
-    engines, and tests inject fakes through it.
+    engines, and tests inject fakes through it.  A run starts with the
+    family's memo emptied (:meth:`Family.forget`), so what it computes and
+    validates does not depend on the runs before it.
     """
     if engine is None:
         metric = sim.metric if config.metric is None else config.metric
         engine = resolve_metric_engine(metric, family)
     objective = make_objective(family, sim, target)
-    theta = family.check_point(theta0)
+    family.forget()
+    theta = family.point(theta0)
     records: list[StepRecord] = []
     start = time.perf_counter()
 

@@ -41,6 +41,7 @@ geometry of the probability simplex, not an integral over samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -102,12 +103,13 @@ F_DIVERGENCES = {
 
 
 def _check_point_target(family: Family, target) -> np.ndarray:
+    """``family.point(target)``; a :class:`Dataset` raises ``TypeError``."""
     if isinstance(target, Dataset):
         raise TypeError(
             "this similarity compares two parameter points; dataset targets are "
             "only supported by the GP benchmark cost"
         )
-    return family.check_point(target)
+    return family.point(target)
 
 
 class Similarity:
@@ -173,15 +175,21 @@ def _kl(s1: GaussianState, s2: GaussianState, grad: bool = False):
         KL = 1/2 (sum_i (e^(2 x_i) - 1 - 2 x_i) + sum_(i>j) M_ij^2 + |L2^-1 (m1 - m2)|^2)
         dKL/dm1 = S2^-1 (m1 - m2),  dKL/dS1 = (S2^-1 - S1^-1) / 2
 
-    Every term is non-negative; ``sum M^2 - sum diag M^2`` would cancel."""
+    Every term is non-negative; ``sum M^2 - sum diag M^2`` would cancel.
+    The upper triangle of ``M`` is exact zeros (forward substitution on the
+    zeros of ``L1``), so the squares of ``M`` with the diagonal set to zero
+    are those of its strict lower triangle.  ``M`` and ``L2^-1 (m1 - m2)``
+    come from one solve: a separate solve of the mean gap can round
+    differently."""
     diff, d = s1.mean - s2.mean, len(s1.mean)
     if grad:
         l2_inv = dtrtri(s2.chol, lower=1)[0]  # chol: no zero pivot
         return l2_inv.T @ (l2_inv @ diff), 0.5 * (l2_inv.T @ l2_inv - s1.inv)
     solved, _ = dtrtrs(s2.chol, np.column_stack([s1.chol, diff]), lower=1)  # chol: no zero pivot
     m, z = solved[:, :d], solved[:, d]
-    x, off = np.log(m.diagonal()), np.tril(m, -1)
-    return 0.5 * float(np.sum(np.expm1(2.0 * x) - 2.0 * x) + np.sum(off * off) + z @ z)
+    x2, off = 2.0 * np.log(m.diagonal()), np.multiply(m, m, order="C")  # C order fixes the summation order
+    off.ravel()[:: d + 1] = 0.0
+    return 0.5 * float((np.expm1(x2) - x2).sum() + off.sum() + z @ z)
 
 
 def _reverse_kl(s1: GaussianState, s2: GaussianState, grad: bool = False):
@@ -265,7 +273,7 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
     returns that rule's ``(nodes, weights, log p, log q)``.  By default they
     are built afresh; :class:`FDivergence` passes its memo.
     """
-    theta = family.check_point(theta)
+    theta = family.point(theta)
     target = _check_point_target(family, target)
     if strategy not in ("auto", "closed_form", "quadrature"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -314,7 +322,7 @@ def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn, 
 
 
 def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DivergenceInfiniteError(f"{spec.name} on {family.name} is infinite")
     if value < -1e-10:
         raise NumericError(
@@ -360,7 +368,7 @@ class FDivergence(Similarity):
         forms through the moments of ``theta``, else ``integral p score
         g(q/p)`` on the same window rule as the divergence."""
         spec = self.spec
-        theta = family.check_point(theta)
+        theta = family.point(theta)
         target = _check_point_target(family, target)
         grad = _gaussian_form(_GAUSSIAN_FORMS.get(spec.name), family, theta, target, grad=True)
         if grad is not None:
@@ -391,7 +399,7 @@ def _quantile_coupling(family: Family, theta, target, p: float):
         raise ValueError(f"order p must be >= 1, got {p}")
     if not family.has_cdf:
         raise CapabilityError(f"{family.name}: 1-D Wasserstein needs cdf/quantile support")
-    theta = family.check_point(theta)
+    theta = family.point(theta)
     target = _check_point_target(family, target)
     levels, weights = unit_interval_grid()
     q1 = family.quantile(theta, levels)
@@ -492,8 +500,11 @@ def fisher_rao_distance_categorical(p, q) -> float:
     ``4 * arcsin(|sqrt(p) - sqrt(q)| / 2)``, which resolves distances far
     below the ~3e-8 that the arccos of an affinity near 1 can.
     """
-    p = _check_simplex(p)
-    q = _check_simplex(q)
+    return _fisher_rao_distance(_check_simplex(p), _check_simplex(q))
+
+
+def _fisher_rao_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """:func:`fisher_rao_distance_categorical` of probability vectors."""
     chord = np.linalg.norm(np.sqrt(p) - np.sqrt(q))
     return float(4.0 * np.arcsin(min(0.5 * chord, 1.0)))
 
@@ -508,20 +519,20 @@ class SquaredFisherRaoCategorical(Similarity):
                 f"fisher_rao2 is defined for categorical families, not {family.name}"
             )
         p = family.probabilities(theta)
-        if np.any(p == 0.0):  # extreme logits; a line search must be able to catch this
+        if (p == 0.0).any():  # extreme logits; a line search must be able to catch this
             raise NumericError("softmax underflowed to a zero probability", {"theta": theta})
         return p
 
     def evaluate(self, family, theta, target):
         p = self._probs(family, theta)
         q = self._probs(family, _check_point_target(family, target))
-        d = fisher_rao_distance_categorical(p, q)
+        d = _fisher_rao_distance(p, q)
         return 0.5 * d * d
 
     def grad_theta(self, family, theta, target):
         p = self._probs(family, theta)
         q = self._probs(family, _check_point_target(family, target))
-        d = fisher_rao_distance_categorical(p, q)
+        d = _fisher_rao_distance(p, q)
         # d(half d^2) = d * dd; with B = sum sqrt(pq) = cos(d/2),
         # dd/dp_i = -sqrt(q_i/p_i) / sin(d/2), and d / sin(d/2) -> 2 at 0.
         factor = 2.0 if d < 1e-8 else d / np.sin(0.5 * d)
@@ -539,11 +550,11 @@ class SquaredEuclidean(Similarity):
     metric = "euclidean"  # the exact local Hessian is the identity
 
     def evaluate(self, family, theta, target):
-        diff = family.check_point(theta) - _check_point_target(family, target)
+        diff = family.point(theta) - _check_point_target(family, target)
         return float(0.5 * diff @ diff)
 
     def grad_theta(self, family, theta, target):
-        return family.check_point(theta) - _check_point_target(family, target)
+        return family.point(theta) - _check_point_target(family, target)
 
 
 SIMILARITY_IDS = [

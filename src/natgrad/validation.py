@@ -170,7 +170,9 @@ def check_newton_limit() -> CheckResult:
         full = central_hessian(objective.value, theta)
         return float(np.linalg.norm(fisher_information(family, theta).matrix - full))
 
-    ratios = [deviation(2.0 * t) / deviation(t) for t in (0.1, 0.05, 0.025)]
+    # Each t once: E(0.2), E(0.1), E(0.05), E(0.025), then E(0.01).
+    halvings = [deviation(t) for t in (0.2, 0.1, 0.05, 0.025)]
+    ratios = [wide / narrow for wide, narrow in zip(halvings, halvings[1:])]
     theta_near = target + 0.01 * delta
     norm_h = float(np.linalg.norm(fisher_information(family, theta_near).matrix))
     margin = max(1.8 - min(ratios), deviation(0.01) / norm_h - 0.02)

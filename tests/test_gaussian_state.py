@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from natgrad.errors import NumericError
 from natgrad.families import (
+    CategoricalSoftmax,
     Gaussian1D,
     GaussianState,
     GpPriorEq,
@@ -140,16 +141,37 @@ def _fixed_point(family):
     return np.linspace(-0.6, 0.4, family.param_dim)
 
 
-def test_the_memo_holds_the_last_two_points():
+def test_the_memo_holds_the_last_three_points():
     family = MultivariateNormalLogCholesky(2)
-    a, b, c = (np.full(5, v) for v in (0.1, 0.2, 0.3))
+    a, b, c, d = (np.full(5, v) for v in (0.1, 0.2, 0.3, 0.4))
     first = family.gaussian_state(a)
     assert family.gaussian_state(b) is not first
-    assert family.gaussian_state(a) is first  # a target does not evict the iterate
     family.gaussian_state(c)
+    assert family.gaussian_state(a) is first  # a trial and the iterate do not evict the target
+    family.gaussian_state(d)
     family.gaussian_state(b)
-    assert family.gaussian_state(a) is not first  # evicted by b and c
+    family.gaussian_state(c)
+    assert family.gaussian_state(a) is not first  # evicted by d, b and c
     assert isinstance(first, GaussianState) and first.inv is None and first.dcov is None
+    assert all(not arr.flags.writeable for arr in _fields(first)[:4])
+
+
+def test_a_run_against_a_fixed_target_factors_the_target_once(monkeypatch):
+    family, kl = MultivariateNormalLogCholesky(2), get_similarity("kl")
+    theta0 = np.array([1.0, -0.5, 1.2, 0.4, -0.3])
+    target = np.array([0.2, 0.1, -0.3, 0.2, 0.1])
+    factored = []
+    real_factor = GaussianState.factor.__func__
+
+    def factor(cls, theta, mean, cov):
+        factored.append(theta.tobytes())
+        return real_factor(cls, theta, mean, cov)
+
+    monkeypatch.setattr(GaussianState, "factor", classmethod(factor))
+    trace = optimize(family, kl, theta0, target, OptimizerConfig(metric="fisher"))
+    assert trace.status == "converged_grad" and trace.iterations == 7
+    assert factored.count(target.tobytes()) == 1
+    assert len(factored) == len(set(factored))  # every point once
 
 
 def test_gp_numeric_failure_raises_every_time_and_leaves_the_next_point_alone():
@@ -255,6 +277,21 @@ def test_a_family_shared_across_threads_gives_single_thread_bits():
                 w2_local_hessian_gaussian(fam, theta).matrix)
 
     expected = [results(GpPriorEq(family.inputs), theta) for theta in thetas]
+    calls = [lambda theta=theta: results(family, theta) for theta in thetas]
+    assert _mismatches_under_threads(calls, expected, steps=2000) == []
+
+
+def test_a_categorical_family_shared_across_threads_gives_single_thread_bits():
+    # The same for the probabilities a categorical family keeps in its memo.
+    family = CategoricalSoftmax(4)
+    thetas = [np.array([0.1 * k, -0.2, 0.3, -0.05 * k]) for k in range(6)]
+    xs = np.arange(4)
+
+    def results(fam, theta):
+        return (fam.probabilities(theta), fam.log_density(theta, xs), fam.score(theta, xs),
+                fam.fisher(theta))
+
+    expected = [results(CategoricalSoftmax(4), theta) for theta in thetas]
     calls = [lambda theta=theta: results(family, theta) for theta in thetas]
     assert _mismatches_under_threads(calls, expected, steps=2000) == []
 

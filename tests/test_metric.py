@@ -372,6 +372,49 @@ def test_spd_project_preserves_metadata():
     assert out.provenance == "finite_difference"
 
 
+@st.composite
+def spectra(draw):
+    """``(H, tau)``: a symmetric n x n matrix, 2 <= n <= 6, of one of five
+    kinds, and a floor ``tau`` in [1e-2, 1], where the roundoff of the
+    spectrum (~n eps |H| <= 1e-14) and the 1e-12 offsets of the near-floor
+    kind stay below 1e-9 tau."""
+    n = draw(st.integers(2, 6))
+    tau = draw(st.floats(1e-2, 1.0))
+    kind = draw(st.sampled_from(
+        ["spd", "softmax_fisher", "indefinite", "near_floor", "below_floor"]))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+    q, _ = np.linalg.qr(np.array(draw(entries)).reshape(n, n) + 3.0 * np.eye(n))
+    if kind == "softmax_fisher":  # rank deficient along (1, ..., 1)
+        return CategoricalSoftmax(n).fisher(np.array(draw(entries))[:n]), tau
+    spectrum = st.lists(st.floats(tau, 10.0), min_size=n, max_size=n)
+    lam = np.array(draw(spectrum))
+    if kind == "spd":
+        lam[0] = draw(st.floats(tau * (1.0 + 1e-6), 10.0))
+    elif kind == "below_floor":
+        lam[0] = draw(st.floats(0.0, tau * (1.0 - 1e-6)))
+    elif kind == "indefinite":
+        lam[0] = draw(st.floats(-10.0, -1e-6))
+    else:
+        lam[0] = tau + draw(st.floats(-1e-12, 1e-12))
+        lam[1:] = np.maximum(lam[1:], tau)
+    H = (q * lam) @ q.T
+    return 0.5 * (H + H.T), tau
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spectra())
+def test_spd_project_cholesky_probe_keeps_the_eigenvalue_shift(case):
+    H, tau = case
+    eigmin = float(np.linalg.eigvalsh(H)[0])  # what the shift was computed from before the probe
+    out = spd_project(H, tau_min=tau)
+    if eigmin >= 2.0 * tau:
+        assert out.regularization_added == 0.0
+        np.testing.assert_array_equal(out.matrix, LocalHessian(H).matrix)
+    if eigmin <= 0.5 * tau:
+        assert out.regularization_added == pytest.approx(tau - eigmin, rel=1e-12, abs=0.0)
+    assert float(np.linalg.eigvalsh(out.matrix)[0]) >= tau * (1.0 - 1e-9)
+
+
 def test_default_damping_scale_aware():
     assert default_damping(np.eye(2)) == pytest.approx(2e-10, rel=1e-12)
     assert default_damping(100.0 * np.eye(4)) == pytest.approx(1e-10 * 101.0, rel=1e-12)
@@ -481,10 +524,24 @@ def test_quadrature_routes_validate_theta_once_per_family_call(monkeypatch):
     check = fam.check_point
     monkeypatch.setattr(fam, "check_point", lambda theta: calls.append(theta) or check(theta))
     f_divergence(F_DIVERGENCES["chi2"], fam, (0.3, 1.2), (0.0, 1.0))
-    assert 0 < len(calls) <= 8
+    assert len(calls) == 2  # theta and target, once each
     calls.clear()
     w2_local_hessian_1d(fam, (0.3, 1.2))
-    assert 0 < len(calls) <= 8
+    assert calls == []  # the memo holds the point
+    w2_local_hessian_1d(fam, (0.4, 1.2))
+    assert len(calls) == 1
+
+
+def test_f_div_local_hessian_builds_one_local_hessian(monkeypatch):
+    built = []
+    post_init = LocalHessian.__post_init__
+    monkeypatch.setattr(LocalHessian, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    for fam, theta in ((GAUSS, (0.3, 1.2)), (CategoricalSoftmax(3), (0.2, -0.1, 0.4))):
+        for spec in F_DIVERGENCES.values():
+            built.clear()
+            f_div_local_hessian(spec, fam, theta)
+            assert len(built) == 1
 
 
 @st.composite

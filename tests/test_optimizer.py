@@ -136,6 +136,21 @@ def test_step_solve_equals_the_scipy_cholesky_wrappers_bit_for_bit(rng):
         assert added == 0.0 and v.tobytes() == ref.tobytes()
 
 
+def test_step_solve_computes_no_eigenvalues_for_a_metric_above_the_floor(rng, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    for n in (1, 2, 3, 6):
+        A = rng.normal(size=(n, n))
+        H = LocalHessian(A @ A.T + 0.1 * np.eye(n))  # lambda_min >= 0.1, far above the floor
+        _, added = natgrad.optimizer._solve_step(H, rng.normal(size=n), 1.0, None)
+        assert added == 0.0
+    assert calls == []
+    _, added = natgrad.optimizer._solve_step(LocalHessian(np.diag([1.0, -0.5])), np.ones(2), 1.0,
+                                             1e-8)
+    assert len(calls) == 1 and added == pytest.approx(0.5 + 1e-8, abs=1e-15)
+
+
 def test_step_solve_failures_are_numeric_errors():
     # A negative floor leaves the indefinite metric as it is.
     with pytest.raises(NumericError, match="metric factorization failed after damping: 1-th"):

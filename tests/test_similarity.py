@@ -845,3 +845,56 @@ def test_each_similarity_names_its_own_metric(sim_id, metric_id, directional):
 
 def test_gp_likelihood_cost_names_the_fisher_metric():
     assert GpNllCost().metric == "fisher" and not GpNllCost().directional
+
+
+# -- each point validated once ----------------------------------------------------------
+
+# Family factories with a point and a target near it, so every closed form is finite.
+VALIDATION_CASES = {
+    "gaussian1d": (Gaussian1D, (0.3, 1.2), (0.1, 0.9)),
+    "reparam(gaussian1d)": (
+        lambda: LinearlyReparameterized(Gaussian1D(), [[1.0, 0.3], [0.0, 1.0]]),
+        (0.2, 1.1), (0.0, 0.95)),
+    "mvn_lcholesky:2": (lambda: MultivariateNormalLogCholesky(2),
+                        (0.3, -0.2, 0.1, 0.2, -0.1), (0.2, -0.1, 0.05, 0.15, 0.0)),
+    "categorical_softmax:3": (lambda: CategoricalSoftmax(3), (0.2, -0.1, 0.4), (-0.3, 0.5, 0.0)),
+    "gp_prior_eq": (lambda: GpPriorEq(np.linspace(-1.0, 1.0, 4)),
+                    (0.1, -0.2, -1.0), (0.0, -0.1, -0.9)),
+}
+REGISTERED_SIMILARITIES = ("kl", "reverse_kl", "chi2", "hellinger2", "fisher_rao2",
+                           "wasserstein:2", "wasserstein:3", "w2_gaussian", "sq_euclidean")
+
+
+@pytest.mark.parametrize("name", VALIDATION_CASES)
+def test_evaluate_and_grad_theta_validate_each_fresh_argument_once_and_a_memo_hit_never(
+        name, monkeypatch):
+    make, theta, target = VALIDATION_CASES[name]
+    checked = []
+    check_point = natgrad.families.Family.check_point
+
+    def counting_check_point(self, point):
+        checked.append((id(self), np.asarray(point, dtype=float).tobytes()))
+        return check_point(self, point)
+
+    monkeypatch.setattr(natgrad.families.Family, "check_point", counting_check_point)
+    ran = 0
+    for sim_id in REGISTERED_SIMILARITIES:
+        sim = get_similarity(sim_id)
+        for method in ("evaluate", "grad_theta"):
+            family = make()  # an empty memo: both arguments are fresh
+            checked.clear()
+            try:
+                getattr(sim, method)(family, theta, target)
+            except CapabilityError:
+                continue
+            what = f"{sim_id}.{method} on {name}"
+            # Per family object (a reparameterized family also validates on its base):
+            # no point twice, and at most the two arguments.
+            assert len(checked) == len(set(checked)), what
+            for owner in {owner for owner, _ in checked}:
+                assert sum(1 for o, _ in checked if o == owner) <= 2, what
+            checked.clear()
+            getattr(sim, method)(family, theta, target)
+            assert checked == [], f"{what}: a memo hit validated again"
+            ran += 1
+    assert ran >= 4
