@@ -16,7 +16,6 @@ from .errors import (
     InvalidParameterError,
     NatgradError,
     NumericError,
-    UndefinedScoreError,
 )
 from .families import (
     CategoricalSoftmax,

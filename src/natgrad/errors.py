@@ -17,10 +17,6 @@ class CapabilityError(NatgradError, TypeError):
     """An operation was requested that the object does not support."""
 
 
-class UndefinedScoreError(NatgradError, ValueError):
-    """The score is undefined at the given sample point (zero density)."""
-
-
 class DivergenceInfiniteError(NatgradError, ArithmeticError):
     """A divergence evaluated to an infinite value (support mismatch)."""
 

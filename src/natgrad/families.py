@@ -38,11 +38,12 @@ shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
 ``(n, sample_dim)``.  An ``(n, sample_dim)`` array is a batch in either case.
 A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
 ``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
-Integrals over the samples of a family (expectations, Fisher matrices
-without a closed form, f-divergences, transport metrics) all use one rule,
-:meth:`Family.window_rule`: Gauss-Legendre nodes over the quantile window
-of a 1-D continuous family, the support ``0..k-1`` with unit weights of a
-categorical one, so its sums are exact.
+Integrals over the samples of a family (Fisher matrices without a closed
+form, f-divergences) use one rule, :meth:`Family.window_rule`:
+Gauss-Legendre nodes over the quantile window of a 1-D continuous family,
+the support ``0..k-1`` with unit weights of a categorical one, so its sums
+are exact.  1-D transport integrates over quantile levels instead, on
+``quadrature.unit_interval_grid``.
 """
 
 from __future__ import annotations
@@ -50,20 +51,13 @@ from __future__ import annotations
 import math
 from abc import ABC
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 from scipy.special import ndtr, ndtri
 
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    InvalidParameterError,
-    NumericError,
-    UndefinedScoreError,
-)
-from .numdiff import central_gradient
+from .errors import CapabilityError, ConfigError, InvalidParameterError, NumericError
 from .quadrature import (
     DEFAULT_TAIL_MASS,
     _read_only,
@@ -165,15 +159,16 @@ class Family(ABC):
     """A smoothly parameterized family of probability distributions.
 
     Subclasses set the class attributes below and implement at least
-    ``log_density`` and ``_in_domain``.  A Gaussian family implements
-    ``_gaussian_state`` and ``_moment_derivs`` instead of ``log_density``;
-    from those the base class derives the memoized :meth:`gaussian_state`,
-    and from that the log-density, the score and the closed-form Fisher
-    matrix.  Otherwise the defaults fall back to central finite differences
-    (score, dcdf_dtheta), to integrals on :meth:`window_rule` (fisher,
-    expectation) or raise :class:`CapabilityError` (cdf, quantile, and
-    ``window_rule`` of a family with neither a quantile nor a finite
-    support) so each family only implements what it actually supports.
+    ``log_density``, ``score`` and ``_in_domain``.  A Gaussian family
+    implements ``_gaussian_state`` and ``_moment_derivs`` instead of
+    ``log_density`` and ``score``; from those the base class derives the
+    memoized :meth:`gaussian_state`, and from that the log-density, the
+    score and the closed-form Fisher matrix.  Any other family gets its
+    Fisher matrix from integrals on :meth:`window_rule`.  The base class has
+    no numeric fallbacks: ``cdf``, ``quantile``, ``dcdf_dtheta``, ``sample``
+    and the ``window_rule`` of a family with neither a quantile nor a finite
+    support raise :class:`CapabilityError`, so each family implements what
+    it supports in closed form.
 
     The memo holds the last ``MEMO_POINTS`` validated points, each with
     the family's state there once asked for, so a line-search trial evicts
@@ -184,8 +179,8 @@ class Family(ABC):
     A memo hit runs no arithmetic a miss would not run, so hits and misses
     return the same bits.
 
-    Sample-point operations follow the module's array contract; the defaults
-    and the quadrature routes pass batches to ``log_density`` and ``cdf``.
+    Sample-point operations follow the module's array contract; the
+    quadrature routes pass batches to ``log_density``, ``score`` and ``dcdf_dtheta``.
 
     Attributes
     ----------
@@ -300,66 +295,35 @@ class Family(ABC):
     def score(self, theta, x) -> np.ndarray:
         """Gradient of ``log_density`` with respect to the parameters.
 
-        Gaussian families use the closed form
+        Gaussian families get the closed form
         ``dmu_i^T w - 1/2 tr(S^-1 dS_i) + 1/2 w^T dS_i w`` with
-        ``w = S^-1 (x - mu)``.  Otherwise central finite differences with
-        per-coordinate steps ``eps**(1/3) * max(1, |theta_i|)``.
+        ``w = S^-1 (x - mu)`` from :meth:`gaussian_state`; others implement it.
         """
         state = self.gaussian_state(theta, derivs=True)
-        if state is not None:
-            xs, single = self._check_x(x)
-            w = (xs - state.mean) @ state.inv
-            dcov = state.dcov
-            out = (
-                w @ state.dmu.T
-                - 0.5 * dcov.reshape(len(dcov), -1) @ state.inv.ravel()
-                + 0.5 * np.sum((w @ dcov) * w, axis=-1).T
-            )
-            return out[0] if single else out
-        theta = self.point(theta)
-        if not np.all(np.isfinite(self.log_density(theta, x))):
-            raise UndefinedScoreError(f"{self.name}: zero density at x={x}, score undefined")
-        return central_gradient(lambda t: self.log_density(t, x), theta)
+        if state is None:
+            raise NotImplementedError(f"{self.name}: score is not implemented")
+        xs, single = self._check_x(x)
+        w = (xs - state.mean) @ state.inv
+        dcov = state.dcov
+        out = (
+            w @ state.dmu.T
+            - 0.5 * dcov.reshape(len(dcov), -1) @ state.inv.ravel()
+            + 0.5 * np.sum((w @ dcov) * w, axis=-1).T
+        )
+        return out[0] if single else out
 
     def cdf(self, theta, x):
         """Cumulative distribution function (1-D families only)."""
         raise CapabilityError(f"{self.name}: cdf is not available")
 
     def quantile(self, theta, q):
-        """Inverse CDF at a level or an array of levels.  Default: bisection
-        against ``cdf``, all levels at once.
-
-        Raises
-        ------
-        ValueError
-            If a level is not strictly inside (0, 1).
-        """
-        if not self.has_cdf:
-            raise CapabilityError(f"{self.name}: quantile is not available")
-        q = np.asarray(q, dtype=float)
-        if np.any(~((q > 0.0) & (q < 1.0))):
-            raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        theta = self.point(theta)
-        lo, hi = np.full(q.shape, -1.0), np.full(q.shape, 1.0)
-        while np.any(low := self.cdf(theta, lo) > q):
-            lo = np.where(low, 2.0 * lo, lo)
-        while np.any(high := self.cdf(theta, hi) < q):
-            hi = np.where(high, 2.0 * hi, hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(theta, mid) < q
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-            if np.all(hi - lo < 1e-14 * np.maximum(1.0, np.abs(lo))):
-                break
-        out = 0.5 * (lo + hi)
-        return float(out) if out.ndim == 0 else out
+        """Inverse CDF at a level or an array of levels (1-D families only);
+        a level not strictly inside (0, 1) raises ``ValueError``."""
+        raise CapabilityError(f"{self.name}: quantile is not available")
 
     def dcdf_dtheta(self, theta, x) -> np.ndarray:
-        """Gradient of the CDF with respect to the parameters, at fixed x."""
-        if not self.has_cdf:
-            raise CapabilityError(f"{self.name}: dcdf_dtheta is not available")
-        theta = self.point(theta)
-        return central_gradient(lambda t: self.cdf(t, x), theta)
+        """Gradient of the CDF in the parameters at fixed x (1-D families only)."""
+        raise CapabilityError(f"{self.name}: dcdf_dtheta is not available")
 
     def sample(self, theta, seed: int, count: int) -> np.ndarray:
         """Draw ``count`` samples; deterministic for fixed ``(theta, seed)``."""
@@ -369,9 +333,9 @@ class Family(ABC):
         """Fisher information matrix ``E[s s^T]`` of the score ``s``.
 
         Gaussian families use the closed form
-        ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``; the others the
-        :meth:`expectation` of the score outer product, from one batched
-        score call at the nodes of :meth:`window_rule`.
+        ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``; the others sum
+        the score outer product against the density on :meth:`window_rule`,
+        from one batched score call at its nodes.
 
         Raises
         ------
@@ -380,11 +344,10 @@ class Family(ABC):
         """
         state = self.gaussian_state(theta, derivs=True)
         if state is None:
-            def outer(xs):
-                s = self.score(theta, xs)
-                return s[:, :, None] * s[:, None, :]
-
-            return self.expectation(theta, outer)
+            nodes, weights = self.window_rule([theta])
+            mass = weights * np.exp(self.log_density(theta, nodes))
+            s = self.score(theta, nodes)
+            return np.einsum("n,n...->...", mass, s[:, :, None] * s[:, None, :])
         sens = state.inv @ state.dcov
         n = len(sens)
         trace_term = sens.reshape(n, -1) @ sens.transpose(0, 2, 1).reshape(n, -1).T
@@ -435,12 +398,13 @@ class Family(ABC):
             raise ValueError(f"{self.name}: sample shape {x.shape} does not fit sample_dim {d}")
         return x.reshape(-1, d), single
 
-    def window_rule(self, thetas, nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """``(nodes, weights)`` of the one sample-space rule of expectations,
-        f-divergences and transport metrics, fit to the points ``thetas``.
+    def window_rule(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """``(nodes, weights)`` of the one sample-space rule of Fisher
+        matrices without a closed form and f-divergences, fit to the points
+        ``thetas``.
 
         For a 1-D continuous family: composite Gauss-Legendre, 8 equal
-        panels, over the union of the quantile windows
+        panels of 32 nodes, over the union of the quantile windows
         ``[quantile(delta), quantile(1 - delta)]`` of the points,
         ``delta = DEFAULT_TAIL_MASS``.
 
@@ -453,19 +417,7 @@ class Family(ABC):
             raise CapabilityError(f"{self.name}: no sample-space rule for integrals")
         levels = (DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS)
         ends = np.array([self.quantile(theta, levels) for theta in thetas])
-        return composite_legendre(
-            ends[:, 0].min(), ends[:, 1].max(), n_panels=8, nodes_per_panel=nodes_per_panel
-        )
-
-    def expectation(self, theta, fn: Callable[[np.ndarray], np.ndarray]):
-        """Expectation of ``fn(X)`` under the distribution at ``theta``, on
-        :meth:`window_rule`.  ``fn`` maps the batch of nodes to one value, or
-        one array, per node.
-        """
-        theta = self.point(theta)
-        nodes, weights = self.window_rule([theta])
-        mass = weights * np.exp(self.log_density(theta, nodes))
-        return np.einsum("n,n...->...", mass, fn(nodes))
+        return composite_legendre(ends[:, 0].min(), ends[:, 1].max())
 
 
 class Gaussian1D(Family):
@@ -634,7 +586,7 @@ class CategoricalSoftmax(Family):
         p = self.probabilities(theta)
         return np.diag(p) - np.outer(p, p)
 
-    def window_rule(self, thetas, nodes_per_panel=32):
+    def window_rule(self, thetas):
         """The support ``0..k-1`` with unit weights, so integrals are exact sums."""
         return self._support
 
@@ -769,8 +721,8 @@ class LinearlyReparameterized(Family):
         base = self.base.gaussian_state(self.A @ state.theta, derivs=True)
         return self.A.T @ base.dmu, np.tensordot(self.A.T, base.dcov, axes=1)
 
-    def window_rule(self, xis, nodes_per_panel=32):
-        return self.base.window_rule([self.A @ xi for xi in xis], nodes_per_panel)
+    def window_rule(self, xis):
+        return self.base.window_rule([self.A @ xi for xi in xis])
 
 
 FAMILY_IDS = ["gaussian1d", "mvn_lcholesky[:dim]", "categorical_softmax[:k]", "gp_prior_eq"]

@@ -6,8 +6,9 @@ the curvature the similarity assigns to parameter space at ``theta``, and it
 is what a natural-gradient step inverts.  Engines here produce it four ways:
 
 * analytically, for f-divergences (``f''(1)`` times the Fisher information),
-  for 1-D Wasserstein distances (velocity-potential integrals) and for
-  Gaussian 2-Wasserstein (Bures-Wasserstein, from moment derivatives);
+  for 1-D Wasserstein distances (quantile velocities on the cost's own
+  grid, so at ``p = 2`` the metric is the Hessian of the discretized cost)
+  and for Gaussian 2-Wasserstein (Bures-Wasserstein, from moment derivatives);
 * by pulling a density-space Hessian back through the parameterization
   Jacobian (``J^T G J``);
 * by central finite differences of the similarity itself.  Squared
@@ -25,6 +26,7 @@ records how much was added.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -34,7 +36,14 @@ from scipy.linalg.lapack import dpotrf
 from .errors import CapabilityError, ConfigError, NumericError
 from .families import CategoricalSoftmax, Family
 from .numdiff import HESS_REL_STEP, central_hessian
-from .similarity import F_DIVERGENCES, FDivergenceSpec, Similarity, get_similarity
+from .quadrature import unit_interval_grid
+from .similarity import (
+    F_DIVERGENCES,
+    FDivergenceSpec,
+    Similarity,
+    _quantile_velocity,
+    get_similarity,
+)
 
 __all__ = [
     "LocalHessian",
@@ -167,31 +176,20 @@ def pullback_fisher_categorical(family: CategoricalSoftmax, theta) -> LocalHessi
     return riemannian_pullback(family.softmax_jacobian(theta), np.diag(1.0 / p))
 
 
-def _velocity_basis(family: Family, theta: np.ndarray):
-    """Quadrature grid plus per-parameter transport velocities.
-
-    For a 1-D family the tangent density generated by moving parameter i
-    is carried by the velocity field ``g_i(x) = -dF/dtheta_i / rho(x)``
-    (the flux that the continuity equation assigns to the CDF change).
-    Returns ``(weights * rho, g)`` with ``g`` of shape (512, dim), on the
-    family's window rule with 64 nodes per panel.
-    """
-    if not family.has_cdf:
-        raise CapabilityError(f"{family.name}: transport metrics need cdf/quantile support")
-    nodes, weights = family.window_rule([theta], nodes_per_panel=64)
-    dens = np.exp(family.log_density(theta, nodes))
-    return weights * dens, -family.dcdf_dtheta(theta, nodes) / dens[:, None]
-
-
 def w2_local_hessian_1d(family: Family, theta) -> LocalHessian:
-    """Local Hessian of half the squared 2-Wasserstein distance (1-D).
+    """Local Hessian of half the squared 2-Wasserstein distance (1-D),
+    :func:`wp_local_hessian_1d` at ``p = 2``: ``H_ij = integral (dQ/dtheta_i)
+    (dQ/dtheta_j) du`` over the quantile levels ``u`` of the cost's own grid."""
+    return wp_local_hessian_1d(family, theta, 2.0)
 
-    ``H_ij = integral (dF/dtheta_i)(dF/dtheta_j) / rho dx``: the L2 inner
-    product of the per-parameter transport velocities under the density.
-    """
-    theta = family.point(theta)
-    mass, g = _velocity_basis(family, theta)
-    return LocalHessian((g * mass[:, None]).T @ g, provenance="analytic")
+
+def _wp_order(p) -> float:
+    """``p`` as a float; ``ValueError`` unless ``1 < p < inf`` (at ``p = 1``
+    the metric has rank one and ``|velocity|^(p-2)`` is unbounded)."""
+    p = float(p)
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"order p must be finite and > 1, got {p}")
+    return p
 
 
 def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian:
@@ -202,12 +200,12 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
     velocity), so for ``p != 2`` the Hessian depends on the direction ``u``
     in parameter space.  ``u`` is normalized internally, which makes the
     scale invariance exact.  At ``p = 2`` the direction-dependent terms
-    carry zero coefficients and the 2-Wasserstein form is recovered.
+    carry zero coefficients and the 2-Wasserstein form is recovered.  The
+    integrals run over the quantile levels of ``unit_interval_grid``, with
+    the velocities of ``similarity._quantile_velocity``.
     """
     theta = family.point(theta)
-    p = float(p)
-    if p <= 1.0:
-        raise ValueError(f"order p must be > 1, got {p}")
+    p = _wp_order(p)
     if u is None:
         if p != 2.0:
             raise ValueError("wp_local_hessian_1d needs a direction u for p != 2")
@@ -218,7 +216,8 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
         raise ValueError(f"direction must be finite and nonzero, got {u}")
     u_hat = u / norm
 
-    mass, g = _velocity_basis(family, theta)
+    levels, weights = unit_interval_grid()
+    g = _quantile_velocity(family, theta, family.quantile(theta, levels))
     G = g @ u_hat  # velocity of the chosen direction at each node
     absG = np.abs(G)
     scale = float(np.max(absG))
@@ -241,8 +240,8 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
                 },
             )
 
-    f_norm = float((mass @ absG**p) ** (1.0 / p))
-    weight = mass * absG ** (p - 2.0)
+    f_norm = float((weights @ absG**p) ** (1.0 / p))
+    weight = weights * absG ** (p - 2.0)
     a = (weight * G) @ g
     second = (g * weight[:, None]).T @ g
     # In one dimension the third integral of the general form, coefficient
@@ -403,7 +402,7 @@ def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
         return MetricEngine(ident, lambda th, u=None: w2_local_hessian_1d(family, th))
     if name == "wp_1d" and arg:
         try:
-            p = float(arg)
+            p = _wp_order(arg)
         except ValueError as exc:
             raise ConfigError(f"invalid order in metric {ident!r}: {exc}") from exc
         return MetricEngine(ident, lambda th, u=None: wp_local_hessian_1d(family, th, p, u))

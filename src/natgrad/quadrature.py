@@ -8,7 +8,7 @@ Two grid builders cover the integrals used elsewhere in the package:
   builds that rule, the one sample-space rule of the package.
 * :func:`unit_interval_grid` -- the one fixed grid over quantile levels,
   with panels graded geometrically toward 0 and 1 where the integrand is
-  steep.
+  steep; the 1-D transport cost, its gradient and its metric all use it.
 
 All functions return ``(nodes, weights)`` as float arrays; integrals are
 plain weighted sums so callers can reuse a grid for several integrands.

@@ -388,17 +388,22 @@ def wasserstein_p_1d(family: Family, theta, target, p: float) -> float:
     distance is the integral over quantile levels of ``|Q1 - Q2|**p``,
     evaluated on a quadrature grid graded toward both endpoints.
     """
-    return _quantile_coupling(family, theta, target, p)[-1]
+    return _quantile_coupling(family, theta, target, _check_order(p))[-1]
+
+
+def _check_order(p) -> float:
+    """``p`` as a float; ``ValueError`` unless it is finite and ``p >= 1``."""
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"order p must be finite and >= 1, got {p}")
+    return p
 
 
 def _quantile_coupling(family: Family, theta, target, p: float):
     """``(Q1, weights, Q1 - Q2, W_p)``: the quantiles of ``theta`` on
     ``unit_interval_grid()``, its weights, the quantile gap to ``target``
-    and the distance."""
-    if p < 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
-    if not family.has_cdf:
-        raise CapabilityError(f"{family.name}: 1-D Wasserstein needs cdf/quantile support")
+    and the distance, for an order ``p`` that passed :func:`_check_order`.
+    A family without a quantile raises :class:`CapabilityError`."""
     theta = family.point(theta)
     target = _check_point_target(family, target)
     levels, weights = unit_interval_grid()
@@ -407,13 +412,18 @@ def _quantile_coupling(family: Family, theta, target, p: float):
     return q1, weights, gap, float((weights @ np.abs(gap) ** p) ** (1.0 / p))
 
 
+def _quantile_velocity(family: Family, theta: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Transport velocities ``dQ/dtheta = -dF/dtheta / rho``, one row per level
+    of ``unit_interval_grid()``, at the quantiles ``q1`` of ``theta`` there:
+    the one route of the 1-D transport gradient and local Hessian."""
+    return -family.dcdf_dtheta(theta, q1) / np.exp(family.log_density(theta, q1))[:, None]
+
+
 class WassersteinP(Similarity):
     """Half the squared p-Wasserstein distance, ``W_p**2 / 2`` (1-D)."""
 
     def __init__(self, p: float):
-        self.p = float(p)
-        if self.p < 1.0:
-            raise ValueError(f"order p must be >= 1, got {p}")
+        self.p = _check_order(p)
         self.name = f"wasserstein:{p:g}"
         self.directional = self.p != 2.0
 
@@ -432,9 +442,8 @@ class WassersteinP(Similarity):
         q1, weights, gap, w = _quantile_coupling(family, theta, target, p)
         if w == 0.0:
             return np.zeros(family.param_dim)
-        velocity = -family.dcdf_dtheta(theta, q1) / np.exp(family.log_density(theta, q1))[:, None]
         pull = weights * np.sign(gap) * np.abs(gap) ** (p - 1.0)
-        return w ** (2.0 - p) * (pull @ velocity)
+        return w ** (2.0 - p) * (pull @ _quantile_velocity(family, theta, q1))
 
 
 def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:

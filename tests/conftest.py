@@ -75,12 +75,12 @@ def random_gaussian_thetas(rng, count, mu_range=(-2.0, 2.0), sigma_range=(0.4, 2
 
 
 def power_law_family():
-    """Test-only family with density theta * x^(theta-1) on (0, 1).
+    """Test-only family with density a * x^(a-1) on (0, 1).
 
-    Implements only log_density, cdf, and the domain check, so the Family
-    base-class defaults (finite-difference score, bisection quantile,
-    finite-difference dcdf_dtheta, quadrature expectations) are exercised
-    against the closed forms cdf = x^theta and quantile = q^(1/theta).
+    Implements log_density, score, cdf, quantile and dcdf_dtheta in closed
+    form (score 1/a + log x, cdf x^a, quantile q^(1/a), dcdf/da x^a log x)
+    and the domain check.  It has no Gaussian state, so the Fisher matrix
+    and the f-divergences take the integrals on ``Family.window_rule``.
     """
     from natgrad.families import Family
 
@@ -100,10 +100,32 @@ def power_law_family():
                 out = np.where((0.0 < x) & (x < 1.0), np.log(a) + (a - 1.0) * np.log(x), -np.inf)
             return out[0] if single else out
 
+        def score(self, theta, x):
+            (a,) = self.check_point(theta)
+            xs, single = self._check_x(x)
+            out = 1.0 / a + np.log(xs)
+            return out[0] if single else out
+
         def cdf(self, theta, x):
             (a,) = self.check_point(theta)
             xs, single = self._check_x(x)
             out = np.clip(xs[:, 0], 0.0, 1.0) ** a
+            return out[0] if single else out
+
+        def quantile(self, theta, q):
+            (a,) = self.check_point(theta)
+            q = np.asarray(q, dtype=float)
+            if np.any(~((q > 0.0) & (q < 1.0))):
+                raise ValueError(f"quantile level must be in (0, 1), got {q}")
+            out = q ** (1.0 / a)
+            return float(out) if out.ndim == 0 else out
+
+        def dcdf_dtheta(self, theta, x):
+            (a,) = self.check_point(theta)
+            xs, single = self._check_x(x)
+            x = np.clip(xs, 0.0, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(x > 0.0, x**a * np.log(x), 0.0)
             return out[0] if single else out
 
     return PowerLaw01()

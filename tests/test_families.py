@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
-from natgrad.errors import (
-    CapabilityError,
-    ConfigError,
-    InvalidParameterError,
-    NumericError,
-    UndefinedScoreError,
-)
+from natgrad.errors import CapabilityError, ConfigError, InvalidParameterError, NumericError
 from natgrad.families import (
     FAMILY_IDS,
     CategoricalSoftmax,
@@ -140,18 +134,26 @@ def test_gaussian_score_rejects_wrong_shaped_sample(family):
             family.score(theta, x)
 
 
-def test_score_undefined_at_zero_density():
-    fam = POWERLAW
-    with pytest.raises(UndefinedScoreError):
-        fam.score((2.0,), -0.5)
+def test_family_base_has_no_numeric_fallbacks():
+    # A family that is not Gaussian implements its score; quantile and
+    # dcdf_dtheta have no bisection or finite-difference default.
+    class CdfOnly(Family):
+        name = "cdf_only"
+        param_dim = 1
+        has_cdf = True
 
+        def log_density(self, theta, x):
+            return -0.5 * np.asarray(x, dtype=float) ** 2
 
-def test_powerlaw_fd_score_matches_closed_form():
-    # d/da log(a x^(a-1)) = 1/a + log x
-    fam = POWERLAW
-    for a, x in [(0.7, 0.2), (2.0, 0.5), (3.5, 0.9)]:
-        expected = 1.0 / a + np.log(x)
-        assert fam.score((a,), x)[0] == pytest.approx(expected, abs=1e-7)
+        def cdf(self, theta, x):
+            return 0.5
+
+    fam = CdfOnly()
+    with pytest.raises(NotImplementedError):
+        fam.score((1.0,), 0.5)
+    for op in (fam.quantile, fam.dcdf_dtheta):
+        with pytest.raises(CapabilityError):
+            op((1.0,), 0.5)
 
 
 # -- cdf / quantile ----------------------------------------------------------
@@ -210,15 +212,6 @@ def test_quantile_rejects_out_of_range():
     for q in (0.0, 1.0, -0.2, 1.7, float("nan")):
         with pytest.raises(ValueError):
             fam.quantile((0.0, 1.0), q)
-
-
-def test_bisection_quantile_matches_closed_form():
-    # the power-law family leaves quantile to the base-class bisection
-    fam = POWERLAW
-    for a in (0.8, 2.0, 3.5):
-        for q in (0.1, 0.5, 0.9, 0.975):
-            assert fam.quantile((a,), q) == pytest.approx(q ** (1.0 / a), abs=1e-10)
-            assert fam.cdf((a,), fam.quantile((a,), q)) == pytest.approx(q, abs=1e-10)
 
 
 def test_cdf_capability_error_on_multivariate():
@@ -284,10 +277,17 @@ def test_sampler_capability_error():
 # -- normalization -------------------------------------------------------------
 
 
+def _expectation(fam, theta, fn):
+    """``E[fn(X)]`` at ``theta`` on the family's window rule."""
+    nodes, weights = fam.window_rule([theta])
+    mass = weights * np.exp(fam.log_density(theta, nodes))
+    return np.einsum("n,n...->...", mass, fn(nodes))
+
+
 def test_gaussian_normalization_100_points(rng):
     fam = Gaussian1D()
     for theta in random_gaussian_thetas(rng, 100):
-        total = fam.expectation(theta, lambda x: np.ones_like(x))
+        total = _expectation(fam, theta, lambda x: np.ones_like(x))
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -318,7 +318,7 @@ def test_categorical_expectation_is_the_exact_sum(rng):
     values = rng.normal(size=(5, 2))
     for _ in range(20):
         theta = rng.normal(size=5)
-        got = fam.expectation(theta, lambda x: values[x])
+        got = _expectation(fam, theta, lambda x: values[x])
         np.testing.assert_allclose(got, fam.probabilities(theta) @ values, rtol=1e-14, atol=1e-15)
 
 
@@ -362,7 +362,7 @@ def test_powerlaw_normalization():
     # window [q(delta), q(1-delta)] captures all but ~2*delta of the mass
     fam = POWERLAW
     for a in (1.0, 2.0, 3.0, 4.0):
-        total = fam.expectation((a,), lambda x: np.ones_like(x))
+        total = _expectation(fam, (a,), lambda x: np.ones_like(x))
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -479,17 +479,9 @@ def test_linear_reparam_rejects_singular_matrix():
 
 # -- array contract ------------------------------------------------------------------
 
-class BisectionGaussian1D(Gaussian1D):
-    """Gaussian1D with the base-class bisection quantile: unbounded support,
-    so levels in one batch need brackets of different widths."""
-
-    quantile = Family.quantile
-
-
 REPARAM_A = np.array([[1.2, 0.3], [-0.1, 0.9]])
 ARRAY_FAMILIES = [
     Gaussian1D(),
-    BisectionGaussian1D(),
     MultivariateNormalLogCholesky(2),
     GpPriorEq(np.linspace(-1.0, 1.0, 3)),
     CategoricalSoftmax(4),
@@ -538,7 +530,7 @@ def test_batched_operations_equal_stacked_single_calls(fam, data):
         np.testing.assert_allclose(batched, stacked, rtol=1e-12, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("family", [ARRAY_FAMILIES[i] for i in (0, 2, 3, 4)])
+@pytest.mark.parametrize("family", [ARRAY_FAMILIES[i] for i in (0, 1, 2, 3)])
 def test_sample_shapes_outside_the_contract_raise(family):
     theta = np.full(family.param_dim, 0.5)
     d = family.sample_dim

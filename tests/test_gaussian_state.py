@@ -296,13 +296,10 @@ def test_a_categorical_family_shared_across_threads_gives_single_thread_bits():
     assert _mismatches_under_threads(calls, expected, steps=2000) == []
 
 
-def test_an_fdivergence_shared_across_threads_gives_single_thread_bits(monkeypatch):
+def test_an_fdivergence_shared_across_threads_gives_single_thread_bits():
     # The same for the quadrature window memo of one f-divergence instance,
-    # on a family that integrates (Gaussians take the closed form).  The
-    # closed-form quantile q^(1/a) stands in for the bisection default,
-    # which would take most of the test's time.
+    # on a family that integrates (Gaussians take the closed form).
     power_law = type(power_law_family())
-    monkeypatch.setattr(power_law, "quantile", lambda self, theta, q: np.asarray(q) ** (1.0 / theta[0]))
     family, sim = power_law(), get_similarity("chi2")
     pairs = [(np.array([1.0 + 0.1 * k]), np.array([0.8 + 0.05 * k])) for k in range(4)]
 

@@ -44,10 +44,10 @@ def _names(path: Path) -> set[str]:
 
 
 def test_finite_difference_gradients_only_back_family_defaults():
-    # Cost gradients are analytic; central_gradient is the tests' oracle and
-    # the fallback of the Family score and dcdf_dtheta defaults only.
+    # Cost gradients are analytic and the Family defaults no longer fall
+    # back on finite differences; central_gradient is the tests' oracle only.
     users = sorted(p.name for p in SRC.glob("*.py") if "central_gradient" in _names(p))
-    assert users == ["families.py"]  # numdiff.py defines it
+    assert users == []  # numdiff.py defines it
 
 
 def test_no_discrete_or_closed_form_fisher_flags():
@@ -97,3 +97,14 @@ def test_gaussian_costs_read_only_the_state_factors():
     assert found == set()
     gone = {"COV_EIGENVALUE_FLOOR", "_floored_power"}
     assert sorted(p.name for p in SRC.glob("*.py") if gone & _names(p)) == []
+
+
+def test_one_transport_route_and_no_family_fallbacks():
+    # 1-D transport cost, gradient and metric integrate quantile velocities
+    # on one grid; the Family base class has no expectation helper and no
+    # finite-difference score, so nothing raises an undefined-score error.
+    gone = {"_velocity_basis", "expectation", "UndefinedScoreError"}
+    assert sorted(p.name for p in SRC.glob("*.py") if gone & _names(p)) == []
+    # Only composite_legendre keeps a panel size; Family.window_rule has none.
+    users = sorted(p.name for p in SRC.glob("*.py") if "nodes_per_panel" in _names(p))
+    assert users == ["quadrature.py"]

@@ -32,7 +32,7 @@ from natgrad.metric import (
     w2_local_hessian_gaussian,
     wp_local_hessian_1d,
 )
-from natgrad.metric import _velocity_basis
+from natgrad.quadrature import unit_interval_grid
 from natgrad.similarity import (
     F_DIVERGENCES,
     FDivergence,
@@ -40,6 +40,7 @@ from natgrad.similarity import (
     SquaredEuclidean,
     SquaredW2Gaussian,
     WassersteinP,
+    _quantile_velocity,
     f_divergence,
     get_similarity,
 )
@@ -234,16 +235,14 @@ def test_wp_direction_dependence_for_p_not_two():
     assert np.max(np.abs(Ha - Hb)) > 1e-3
 
 
-def test_wp_p3_matches_directional_fd(rng):
-    sim = WassersteinP(3.0)
-    for theta, u in [
-        (np.array([0.2, 1.1]), np.array([1.0, 0.4])),
-        (np.array([-0.5, 0.9]), np.array([-0.3, 1.0])),
-        (np.array([0.0, 1.6]), np.array([0.7, -0.7])),
-    ]:
-        Han = wp_local_hessian_1d(GAUSS, theta, 3.0, u).matrix
-        Hfd = fd_local_hessian(sim, GAUSS, theta, u=u).matrix
-        np.testing.assert_allclose(Han, Hfd, atol=5e-3 * max(1.0, np.max(np.abs(Han))))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mu=st.floats(-1.0, 1.0), sigma=st.floats(0.6, 2.0),
+       angle=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+def test_wp_p3_matches_directional_fd(mu, sigma, angle):
+    theta, u = np.array([mu, sigma]), np.array([np.cos(angle), np.sin(angle)])
+    Han = wp_local_hessian_1d(GAUSS, theta, 3.0, u).matrix
+    Hfd = fd_local_hessian(WassersteinP(3.0), GAUSS, theta, u=u).matrix
+    np.testing.assert_allclose(Han, Hfd, atol=5e-3 * max(1.0, np.max(np.abs(Han))))
 
 
 def test_wp_rejects_bad_orders_and_directions():
@@ -263,7 +262,8 @@ def test_wp_small_order_blowup_guard():
     # for p < 2 the integrand carries |velocity|^(p-2); a direction whose
     # velocity vanishes at a quadrature node must be rejected, not clamped
     theta = np.array([0.0, 1.0])
-    mass, g = _velocity_basis(GAUSS, theta)
+    levels, _ = unit_interval_grid()
+    g = _quantile_velocity(GAUSS, theta, GAUSS.quantile(theta, levels))
     u = np.array([-g[100, 1], 1.0])  # exact zero velocity at node 100
     with pytest.raises(NumericError) as exc:
         wp_local_hessian_1d(GAUSS, theta, 1.5, u)
@@ -647,5 +647,10 @@ def test_resolve_bad_arguments():
         resolve_metric_engine("fdiv:bogus", GAUSS)
     with pytest.raises(ConfigError):
         resolve_metric_engine("wp_1d:abc", GAUSS)
+    # The directional W_p metric needs a finite order p > 1: at p = 1 it has
+    # rank one and |velocity|^(p-2) is unbounded; nan and inf give no metric.
+    for order in ("1", "0.5", "-2", "nan", "inf"):
+        with pytest.raises(ConfigError):
+            resolve_metric_engine(f"wp_1d:{order}", GAUSS)
     with pytest.raises(ConfigError):
         resolve_metric_engine("fd:nonsense", GAUSS)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import natgrad.optimizer
-from natgrad.errors import DivergenceInfiniteError, NumericError
+from natgrad.errors import ConfigError, DivergenceInfiniteError, NumericError
 from natgrad.families import (
     CategoricalSoftmax,
     Gaussian1D,
@@ -29,7 +29,13 @@ from natgrad.optimizer import (
     newton_step,
     optimize,
 )
-from natgrad.similarity import F_DIVERGENCES, FDivergence, SquaredEuclidean, get_similarity
+from natgrad.similarity import (
+    F_DIVERGENCES,
+    FDivergence,
+    SquaredEuclidean,
+    WassersteinP,
+    get_similarity,
+)
 
 GAUSS = Gaussian1D()
 KL = FDivergence(F_DIVERGENCES["kl"])
@@ -479,6 +485,43 @@ def test_default_metric_is_the_similarity_own():
     assert OptimizerConfig().metric is None
     w2 = optimize(GAUSS, get_similarity("wasserstein:2"), (2.0, 3.0), (0.0, 1.0), OptimizerConfig())
     assert w2.status == "converged_grad" and w2.iterations == 1
+
+
+@pytest.mark.parametrize("A", [np.eye(2), np.array([[2.0, 1.0], [0.0, 1.0]])],
+                         ids=["gaussian1d", "reparam(gaussian1d)"])
+def test_w2_metric_is_the_hessian_of_the_cost(A):
+    # Quantiles are affine in (mu, sigma), so half the squared W2 on the
+    # quantile grid is exactly quadratic in the parameters, and the w2_1d
+    # metric, integrated on that same grid, is its Hessian: one step lands
+    # on the target up to roundoff.  A metric integrated on any other rule
+    # is only close to that Hessian, and its one step stops short.
+    family = GAUSS if np.array_equal(A, np.eye(2)) else LinearlyReparameterized(GAUSS, A)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        theta0, target = (np.linalg.solve(A, [rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)])
+                          for _ in range(2))
+        trace = optimize(family, get_similarity("wasserstein:2"), theta0, target,
+                         OptimizerConfig())
+        assert trace.status == "converged_grad" and trace.iterations == 1
+        assert trace.final_cost < 1e-28
+
+
+def test_transport_order_without_a_metric_fails_before_any_cost():
+    # Half the squared W1 is a cost, but its own metric wp_1d:1 does not
+    # exist (rank one, unbounded |velocity|^-1): the run is refused at
+    # configuration time instead of failing at iteration 0.
+    calls = []
+
+    class CountingW1(WassersteinP):
+        def evaluate(self, family, theta, target):
+            calls.append(theta)
+            return super().evaluate(family, theta, target)
+
+    sim = CountingW1(1.0)
+    assert sim.metric == "wp_1d:1"
+    with pytest.raises(ConfigError):
+        optimize(GAUSS, sim, (0.0, 1.0), (1.0, 2.0), OptimizerConfig())
+    assert calls == []
 
 
 def test_numeric_failure_on_divergent_cost():

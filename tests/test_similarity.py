@@ -620,11 +620,9 @@ def test_hellinger2_gradient_is_finite_where_the_target_density_underflows():
 def test_fdivergence_value_and_gradient_share_one_quadrature_window(name, monkeypatch):
     # Gaussian1D has closed forms for all four divergences and reads no
     # density; the power-law family integrates each on its window rule.  Its
-    # score is patched to the closed form 1/a + log x, so that the count
-    # sees only the window's reads of log p and log q.
+    # score is in closed form, so the count sees only the window's reads of
+    # log p and log q.
     power_law = type(power_law_family())
-    monkeypatch.setattr(power_law, "score",
-                        lambda self, theta, x: (1.0 / theta[0] + np.log(x))[:, None])
     calls = []
     for cls in (Gaussian1D, power_law):
         def counting(self, theta, x, real=cls.log_density):
@@ -815,8 +813,15 @@ def test_get_similarity_unknown_lists_options():
 
 
 def test_get_similarity_bad_wasserstein_order():
-    with pytest.raises(ConfigError):
-        get_similarity("wasserstein:x")
+    # A transport order is a finite p >= 1: unchecked, nan evaluates to nan
+    # and inf to a finite number.
+    for order in ("x", "nan", "inf", "-inf", "0.5", "-2"):
+        with pytest.raises(ConfigError):
+            get_similarity(f"wasserstein:{order}")
+    for order in (np.nan, np.inf, 0.5):
+        with pytest.raises(ValueError):
+            wasserstein_p_1d(GAUSS, (0.0, 1.0), (1.0, 2.0), order)
+    assert get_similarity("wasserstein:1").p == 1.0
     assert "wasserstein:{p}" in SIMILARITY_IDS
 
 
