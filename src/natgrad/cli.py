@@ -169,6 +169,7 @@ def cmd_hessian(args) -> int:
     direction = _parse_theta(args.direction) if args.direction else None
     metric_id = args.metric or sim.metric
     engine = resolve_metric_engine(metric_id, family)
+    theta = family.point(theta)  # one point for the engine and --check
     hessian = engine(theta, direction)
     print(f"metric={metric_id} provenance={hessian.provenance}")
     for row in hessian.matrix:

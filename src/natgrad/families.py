@@ -6,30 +6,16 @@ parameter gradient (the score), CDF/quantile and the parameter gradient of
 the CDF for one-dimensional families, seeded sampling, and the Fisher
 information.
 
-All operations are pure functions of ``(theta, x)``, so instances can be
-shared freely across threads.  Besides immutable configuration a family
-holds one memo: its last three validated points, each with the family's
-state at that point once an operation asked for it.  A Gaussian family's
-state is a :class:`GaussianState` (mean, covariance, Cholesky factor and,
-once asked for, the inverse and the moment derivatives), a categorical
-family's the read-only probabilities.  A natural-gradient iteration asks
-for the cost, its gradient and the metric at one point against one target,
-and its line search for costs at trial points against the same target; with
-three entries neither the iterate nor the target is evicted by a trial, so
-each point is validated and factorized once.  An entry is a pure function
-of the point, keyed on the exact shape and bytes of the parameter vector,
-holds only read-only arrays and is swapped in with the rest of the memo as
-one immutable tuple.  A thread therefore sees an old memo or a new one,
-never a half-written one, and a race costs a recomputation, not a wrong
-answer.
-
-Parameter vectors are plain 1-D float arrays.  ``Family.check_point``
-canonicalizes and validates them eagerly.  Every public operation validates
-its point once, through :meth:`Family.point` or :meth:`Family.gaussian_state`,
-which find a point already validated in the memo and otherwise call
-``check_point`` and remember the result; so invalid parameters fail with
-:class:`InvalidParameterError` rather than producing NaNs downstream, and
-callers that hand a point from one layer to the next validate it once.
+A family holds immutable configuration only, so instances can be shared
+freely across threads.  What is computed at one parameter vector lives on a
+:class:`Point`, which :meth:`Family.point` validates once and which builds
+the family's state there when first asked for it: a :class:`GaussianState`
+for a Gaussian family, the read-only probabilities and log-probabilities
+for a categorical one.  Every operation takes a point or a plain array;
+anything but a point of the same family is validated and built fresh, so
+invalid parameters fail with :class:`InvalidParameterError` rather than
+producing NaNs downstream, and a caller that hands one vector to several
+operations wraps it once.
 
 Array contract: ``log_density``, ``score``, ``cdf`` and ``dcdf_dtheta`` take
 one sample point or a batch of them, and ``quantile`` one level or an array
@@ -69,6 +55,7 @@ __all__ = [
     "Dataset",
     "Family",
     "GaussianState",
+    "Point",
     "Gaussian1D",
     "MultivariateNormalLogCholesky",
     "CategoricalSoftmax",
@@ -80,8 +67,7 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# Points a family remembers: a trial, the iterate and the target.
-MEMO_POINTS = 3
+_UNBUILT = object()  # the state of a point that has not been asked for one
 
 
 @dataclass(frozen=True)
@@ -135,6 +121,8 @@ class GaussianState(NamedTuple):
             definite, as extreme log-parameters can make it; line searches
             then treat the point as infinitely bad.
         """
+        # dpotrf returns info 0 for [[nan]], [[inf]] and diag(inf, 1): this
+        # check is what rejects such covariances.
         if not np.isfinite(cov).all():
             raise NumericError("covariance is not finite", diagnostics={"theta": theta})
         chol, info = dpotrf(cov, lower=1, clean=1)
@@ -155,29 +143,56 @@ class GaussianState(NamedTuple):
         return self._replace(inv=inv, dmu=dmu, dcov=dcov)
 
 
+class Point:
+    """A parameter vector validated by ``family`` (see :meth:`Family.point`).
+
+    ``theta`` is the read-only array, also ``np.asarray(point)``.  A point of
+    a :class:`LinearlyReparameterized` family carries ``base``, its image
+    ``A @ theta`` as a point of the base family.  :meth:`state` builds the
+    family's state here on first use and keeps it; threads that race on one
+    point may each build it, and all read the same bits.
+    """
+
+    __slots__ = ("family", "theta", "base", "_state")
+
+    def __init__(self, family: "Family", theta: np.ndarray, base: Optional["Point"] = None):
+        self.family, self.theta, self.base, self._state = family, theta, base, _UNBUILT
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.theta, dtype=dtype, copy=copy)
+
+    def state(self, derivs: bool = False):
+        """The family's state here: a :class:`GaussianState` (``derivs=True``
+        fills in its inverse and moment derivatives), a categorical family's
+        ``(probabilities, log-probabilities)``, or None."""
+        state = self._state
+        if state is _UNBUILT:
+            state = self._state = self.family._build_state(self)
+        if derivs and state is not None and state.dcov is None:
+            state = self._state = self.family._with_derivs(self, state)
+        return state
+
+
 class Family(ABC):
     """A smoothly parameterized family of probability distributions.
 
     Subclasses set the class attributes below and implement at least
     ``log_density``, ``score`` and ``_in_domain``.  A Gaussian family
     implements ``_gaussian_state`` and ``_moment_derivs`` instead of
-    ``log_density`` and ``score``; from those the base class derives the
-    memoized :meth:`gaussian_state`, and from that the log-density, the
-    score and the closed-form Fisher matrix.  Any other family gets its
-    Fisher matrix from integrals on :meth:`window_rule`.  The base class has
-    no numeric fallbacks: ``cdf``, ``quantile``, ``dcdf_dtheta``, ``sample``
-    and the ``window_rule`` of a family with neither a quantile nor a finite
-    support raise :class:`CapabilityError`, so each family implements what
-    it supports in closed form.
+    ``log_density`` and ``score``; from those the base class derives
+    :meth:`gaussian_state`, the state each :class:`Point` builds once, and
+    from that the log-density, the score and the closed-form Fisher matrix.
+    Any other family gets its Fisher matrix from integrals on
+    :meth:`window_rule`.  The base class has no numeric fallbacks: ``cdf``,
+    ``quantile``, ``dcdf_dtheta``, ``sample`` and the ``window_rule`` of a
+    family with neither a quantile nor a finite support raise
+    :class:`CapabilityError`, so each family implements what it supports in
+    closed form.
 
-    The memo holds the last ``MEMO_POINTS`` validated points, each with
-    the family's state there once asked for, so a line-search trial evicts
-    neither the iterate nor the target of a two-point cost.  Each point is
-    validated once: :meth:`point` and :meth:`gaussian_state` call
-    :meth:`check_point` only for a point the memo does not hold, and hand
-    back the memo's read-only copy, which callers pass on to the next layer.
-    A memo hit runs no arithmetic a miss would not run, so hits and misses
-    return the same bits.
+    An instance is never written to after ``__init__``.  Every operation
+    validates its argument once, through :meth:`point`, and passes the
+    :class:`Point` on to the next layer; a point's state runs the same
+    arithmetic whichever operation builds it.
 
     Sample-point operations follow the module's array contract; the
     quadrature routes pass batches to ``log_density``, ``score`` and ``dcdf_dtheta``.
@@ -199,9 +214,6 @@ class Family(ABC):
     param_dim: int = 0
     sample_dim: int = 1
     has_cdf: bool = False
-    # ((shape, bytes) of theta as given, validated read-only theta, state or
-    # None), most recent first, at most MEMO_POINTS.
-    _memo: tuple = ()
 
     # -- parameter validation -------------------------------------------------
 
@@ -227,49 +239,23 @@ class Family(ABC):
             raise InvalidParameterError(f"{self.name}: parameters outside domain: {arr}")
         return arr.copy()
 
-    def point(self, theta) -> np.ndarray:
-        """``theta`` validated as by :meth:`check_point`, as a read-only
-        array: the memo's copy when it holds the point, else validated now
-        and remembered."""
-        return self._remember(theta)[1]
+    def point(self, theta) -> Point:
+        """``theta`` as a validated read-only :class:`Point`: a point of this
+        family as it is, anything else validated by :meth:`check_point`."""
+        if isinstance(theta, Point) and theta.family is self:
+            return theta
+        arr = self.check_point(theta)
+        arr.setflags(write=False)
+        return self._point(arr)
 
-    def forget(self) -> None:
-        """Empty the memo, so the operations that follow start cold;
-        ``optimize`` does so before each run."""
-        self._memo = ()
-
-    def _remember(self, theta, build=None) -> tuple:
-        """The memo entry ``(key, point, state)`` of ``theta``, made the most
-        recent.  A point the memo does not hold is validated and enters with
-        state None; ``build(point, state)``, when given, returns the state
-        to keep.  The memo's own point, handed back, is found by identity."""
-        memo = self._memo
-        for at, entry in enumerate(memo):
-            if entry[1] is theta:
-                break
-        else:
-            arr = np.atleast_1d(np.asarray(theta, dtype=float))
-            key = (arr.shape, arr.tobytes())
-            for at, entry in enumerate(memo):
-                if entry[0] == key:
-                    break
-            else:
-                point = self.check_point(arr)
-                point.setflags(write=False)
-                at, entry = None, (key, point, None)
-        if build is not None:
-            state = build(entry[1], entry[2])
-            if state is not entry[2]:
-                entry = (entry[0], entry[1], state)
-        if at != 0 or entry is not memo[0]:
-            rest = memo[:MEMO_POINTS - 1] if at is None else memo[:at] + memo[at + 1:]
-            self._memo = (entry,) + rest
-        return entry
+    def _point(self, theta: np.ndarray) -> Point:
+        """The point of a ``theta`` that :meth:`check_point` accepted, read-only."""
+        return Point(self, theta)
 
     def in_domain(self, theta) -> bool:
         """True if ``theta`` is a valid parameter point."""
         arr = np.atleast_1d(np.asarray(theta, dtype=float))
-        if arr.ndim != 1 or arr.size != self.param_dim or not np.all(np.isfinite(arr)):
+        if arr.ndim != 1 or arr.size != self.param_dim or not all(map(math.isfinite, arr.tolist())):
             return False
         return self._in_domain(arr)
 
@@ -342,21 +328,21 @@ class Family(ABC):
         CapabilityError
             If the family is not Gaussian and has no :meth:`window_rule`.
         """
-        state = self.gaussian_state(theta, derivs=True)
+        point = self.point(theta)
+        state = self.gaussian_state(point, derivs=True)
         if state is None:
-            nodes, weights = self.window_rule([theta])
-            mass = weights * np.exp(self.log_density(theta, nodes))
-            s = self.score(theta, nodes)
-            return np.einsum("n,n...->...", mass, s[:, :, None] * s[:, None, :])
+            nodes, weights, (logp,) = self._window_logs([point])
+            s = self.score(point, nodes)
+            return np.einsum("n,n...->...", weights * np.exp(logp), s[:, :, None] * s[:, None, :])
         sens = state.inv @ state.dcov
         n = len(sens)
         trace_term = sens.reshape(n, -1) @ sens.transpose(0, 2, 1).reshape(n, -1).T
         return state.dmu @ state.inv @ state.dmu.T + 0.5 * trace_term
 
     def gaussian_state(self, theta, derivs: bool = False) -> Optional[GaussianState]:
-        """The memoized :class:`GaussianState` at ``theta``, or None when the
-        family is not Gaussian.  ``derivs=True`` also fills in the covariance
-        inverse and the moment derivatives.
+        """The :class:`GaussianState` the point ``theta`` keeps, or None when
+        the family is not Gaussian.  ``derivs=True`` also fills in the
+        covariance inverse and the moment derivatives.
 
         Lets similarity measures with Gaussian closed forms (KL, squared
         2-Wasserstein) and the Gaussian metrics recognize the family
@@ -365,22 +351,24 @@ class Family(ABC):
         Raises
         ------
         InvalidParameterError
-            As :meth:`check_point`, for a point not in the memo.
+            As :meth:`check_point`, for anything but a point of this family.
         NumericError
             Where the covariance is not finite or not positive definite.
         """
-        def build(point, state):
-            if state is None:
-                state = self._gaussian_state(point)
-            if derivs and state is not None and state.dcov is None:
-                state = state.with_derivs(*self._moment_derivs(state))
-            return state
+        return self.point(theta).state(derivs)
 
-        return self._remember(theta, build)[2]
+    def _build_state(self, point: Point):
+        """The state ``point`` builds on first use (see :meth:`Point.state`):
+        a Gaussian family's :class:`GaussianState`, else None."""
+        return self._gaussian_state(point.theta)
+
+    def _with_derivs(self, point: Point, state: GaussianState) -> GaussianState:
+        """The state of ``point`` with the inverse and the moment derivatives."""
+        return state.with_derivs(*self._moment_derivs(state))
 
     def _gaussian_state(self, theta: np.ndarray) -> Optional[GaussianState]:
-        """The state at a validated ``theta``, built without the memo; None
-        for a family that is not Gaussian."""
+        """The state at a validated ``theta``; None for a family that is not
+        Gaussian."""
         return None
 
     def _moment_derivs(self, state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
@@ -419,6 +407,12 @@ class Family(ABC):
         ends = np.array([self.quantile(theta, levels) for theta in thetas])
         return composite_legendre(ends[:, 0].min(), ends[:, 1].max())
 
+    def _window_logs(self, points) -> tuple:
+        """``(nodes, weights, logs)``: :meth:`window_rule` fit to ``points``
+        (of this family) and each point's log-densities on its nodes."""
+        nodes, weights = self.window_rule(points)
+        return nodes, weights, [self.log_density(p, nodes) for p in points]
+
 
 class Gaussian1D(Family):
     """Normal distribution on the real line, parameters ``(mu, sigma)``."""
@@ -433,7 +427,7 @@ class Gaussian1D(Family):
 
     def _standardize(self, theta, x):
         """``(sigma, z, single)`` with ``z = (x - mu) / sigma`` of shape (n,)."""
-        mu, sigma = self.point(theta)
+        mu, sigma = self.point(theta).theta
         xs, single = self._check_x(x)
         return sigma, (xs[:, 0] - mu) / sigma, single
 
@@ -448,7 +442,7 @@ class Gaussian1D(Family):
         return float(out[0]) if single else out
 
     def quantile(self, theta, q):
-        mu, sigma = self.point(theta)
+        mu, sigma = self.point(theta).theta
         levels, z = unit_interval_normal_scores()
         q = np.asarray(q, dtype=float)
         if q is not levels:  # the transport grid's scores are cached
@@ -466,7 +460,7 @@ class Gaussian1D(Family):
         return out[0] if single else out
 
     def sample(self, theta, seed, count):
-        mu, sigma = self.point(theta)
+        mu, sigma = self.point(theta).theta
         rng = np.random.default_rng(seed)
         return mu + sigma * rng.standard_normal(int(count))
 
@@ -498,7 +492,7 @@ class MultivariateNormalLogCholesky(Family):
 
     def split(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(mean, L)`` with the diagonal of L exponentiated."""
-        return self._split(self.point(theta))
+        return self._split(self.point(theta).theta)
 
     def _split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = theta[: self.dim]
@@ -534,8 +528,8 @@ class CategoricalSoftmax(Family):
 
     Note the parameterization is redundant (adding a constant to all logits
     leaves the distribution unchanged), so the Fisher information is
-    singular along the all-ones direction.  The memo's state at a point is
-    its read-only probabilities.
+    singular along the all-ones direction.  The state a point keeps is its
+    read-only probabilities and log-probabilities on the support.
     """
 
     def __init__(self, k: int):
@@ -548,8 +542,8 @@ class CategoricalSoftmax(Family):
         self._support = _read_only(np.arange(self.k), np.ones(self.k))
 
     def probabilities(self, theta) -> np.ndarray:
-        """The softmax of the logits ``theta``, read-only, from the memo."""
-        return self._remember(theta, _softmax_state)[2]
+        """The softmax of the logits ``theta``, read-only, kept on the point."""
+        return self.point(theta).state()[0]
 
     def gaussian_state(self, theta, derivs=False):
         """None, after validating ``theta``: the family is not Gaussian."""
@@ -564,9 +558,7 @@ class CategoricalSoftmax(Family):
         return x.astype(int)
 
     def log_density(self, theta, x):
-        shifted = self.point(theta)
-        shifted = shifted - shifted.max()
-        return (shifted - np.log(np.exp(shifted).sum()))[self._outcomes(x)]
+        return self.point(theta).state()[1][self._outcomes(x)]
 
     def score(self, theta, x):
         p = self.probabilities(theta)
@@ -590,16 +582,18 @@ class CategoricalSoftmax(Family):
         """The support ``0..k-1`` with unit weights, so integrals are exact sums."""
         return self._support
 
+    def _window_logs(self, points):
+        return (*self._support, [p.state()[1] for p in points])
 
-def _softmax_state(logits: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
-    """The memo state of a categorical point: its read-only probabilities.
-    Softmax and log-softmax (in ``log_density``) are written out as
-    ``scipy.special`` computes them for finite logits, without its array-API
-    dispatch, which costs more than the arithmetic on a few logits."""
-    if p is not None:
-        return p
-    e = np.exp(logits - logits.max())
-    return _read_only(e / e.sum())[0]
+    def _build_state(self, point):
+        """``(softmax, log-softmax)`` of the logits, read-only, written out as
+        ``scipy.special`` computes them for finite logits, without its
+        array-API dispatch, which costs more than the arithmetic on a few
+        logits."""
+        shifted = point.theta - point.theta.max()
+        e = np.exp(shifted)
+        total = e.sum()
+        return _read_only(e / total, shifted - np.log(total))
 
 
 def eq_covariance(inputs: np.ndarray, log_amp: float, log_ls: float) -> np.ndarray:
@@ -626,10 +620,15 @@ class GpPriorEq(Family):
     param_dim = 3
 
     def __init__(self, inputs):
-        inputs = np.atleast_1d(np.asarray(inputs, dtype=float)).copy()
+        # A read-only array (a Dataset's inputs) is kept as given, so a cost
+        # can recognize the dataset's family by identity; a writeable one is
+        # copied, so the caller cannot change the family afterwards.
+        inputs = np.atleast_1d(np.asarray(inputs, dtype=float))
         if inputs.ndim != 1 or inputs.size < 1:
             raise ValueError("inputs must be a non-empty 1-D array")
-        inputs.setflags(write=False)
+        if inputs.flags.writeable:
+            inputs = inputs.copy()
+            inputs.setflags(write=False)
         self.inputs = inputs
         self.sample_dim = int(inputs.size)
         self._sqdist = (inputs[:, None] - inputs[None, :]) ** 2
@@ -669,7 +668,9 @@ class LinearlyReparameterized(Family):
     """View of a base family under the substitution ``theta = A @ xi``.
 
     Used to check that natural-gradient steps transform contravariantly
-    under invertible linear reparameterization.
+    under invertible linear reparameterization.  A point carries its image
+    ``A @ xi`` as a point of the base family, so each operation reads the
+    base point's state instead of validating and building it again.
     """
 
     def __init__(self, base: Family, A):
@@ -689,40 +690,46 @@ class LinearlyReparameterized(Family):
     def _in_domain(self, xi):
         return self.base.in_domain(self.A @ xi)
 
-    def forget(self):
-        super().forget()
-        self.base.forget()
+    def _point(self, xi):
+        # check_point(xi) found A @ xi in the base domain: no second check.
+        base = self.A @ xi
+        base.setflags(write=False)
+        return Point(self, xi, self.base._point(base))
 
     def log_density(self, xi, x):
-        return self.base.log_density(self.A @ self.point(xi), x)
+        return self.base.log_density(self.point(xi).base, x)
 
     def score(self, xi, x):
-        return self.base.score(self.A @ self.point(xi), x) @ self.A
+        return self.base.score(self.point(xi).base, x) @ self.A
 
     def cdf(self, xi, x):
-        return self.base.cdf(self.A @ self.point(xi), x)
+        return self.base.cdf(self.point(xi).base, x)
 
     def quantile(self, xi, q):
-        return self.base.quantile(self.A @ self.point(xi), q)
+        return self.base.quantile(self.point(xi).base, q)
 
     def dcdf_dtheta(self, xi, x):
-        return self.base.dcdf_dtheta(self.A @ self.point(xi), x) @ self.A
+        return self.base.dcdf_dtheta(self.point(xi).base, x) @ self.A
 
     def sample(self, xi, seed, count):
-        return self.base.sample(self.A @ self.point(xi), seed, count)
+        return self.base.sample(self.point(xi).base, seed, count)
 
-    def _gaussian_state(self, xi):
-        base = self.base.gaussian_state(self.A @ xi)
+    def _build_state(self, point):
+        base = self.base.gaussian_state(point.base)
         if base is None:
             return None
-        return GaussianState(*_read_only(xi), base.mean, base.cov, base.chol)
+        return GaussianState(point.theta, base.mean, base.cov, base.chol)
 
-    def _moment_derivs(self, state):
-        base = self.base.gaussian_state(self.A @ state.theta, derivs=True)
-        return self.A.T @ base.dmu, np.tensordot(self.A.T, base.dcov, axes=1)
+    def _with_derivs(self, point, state):
+        base = self.base.gaussian_state(point.base, derivs=True)
+        dmu, dcov = _read_only(self.A.T @ base.dmu, np.tensordot(self.A.T, base.dcov, axes=1))
+        return state._replace(inv=base.inv, dmu=dmu, dcov=dcov)
 
     def window_rule(self, xis):
-        return self.base.window_rule([self.A @ xi for xi in xis])
+        return self.base.window_rule([self.point(xi).base for xi in xis])
+
+    def _window_logs(self, points):
+        return self.base._window_logs([p.base for p in points])
 
 
 FAMILY_IDS = ["gaussian1d", "mvn_lcholesky[:dim]", "categorical_softmax[:k]", "gp_prior_eq"]

@@ -172,6 +172,7 @@ def pullback_fisher_categorical(family: CategoricalSoftmax, theta) -> LocalHessi
     """
     if not isinstance(family, CategoricalSoftmax):
         raise CapabilityError(f"pullback metric is defined for categorical families, not {family.name}")
+    theta = family.point(theta)
     p = family.probabilities(theta)
     return riemannian_pullback(family.softmax_jacobian(theta), np.diag(1.0 / p))
 
@@ -287,7 +288,7 @@ def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHes
         If successive extrapolants disagree by more than ``10 * FD_TOLERANCE``.
     """
     theta = family.point(theta)
-    scale = max(1.0, float(np.max(np.abs(theta))))
+    scale = max(1.0, float(np.max(np.abs(theta.theta))))
 
     def cost(eta):
         return sim.evaluate(family, eta, theta)
@@ -304,7 +305,7 @@ def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHes
     estimates = []
     for eps_rel in FD_EPS_LADDER:
         eps = eps_rel * scale
-        base = theta + eps * u_hat
+        base = theta.theta + eps * u_hat
         estimates.append(central_hessian(cost, base, abs_step=FD_INNER_STEP_RATIO * eps))
     extrapolated = [2.0 * h2 - h1 for h1, h2 in zip(estimates[:-1], estimates[1:])]
     if len(extrapolated) >= 2:

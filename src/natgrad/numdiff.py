@@ -45,8 +45,10 @@ def central_hessian(
     Steps are ``abs_step`` on every axis, or ``HESS_REL_STEP * max(1, |x_i|)``.
     Diagonal entries use the three-point stencil, off-diagonal entries the
     four-point cross stencil; the result is exactly symmetric by
-    construction.
+    construction.  The centre value is ``f(x)`` with ``x`` as given, so a
+    validated point (``Family.point``) reaches ``f`` as one.
     """
+    f0 = f(x)
     x = np.asarray(x, dtype=float)
     n = x.size
     h = _steps(x, abs_step, HESS_REL_STEP)
@@ -54,7 +56,6 @@ def central_hessian(
     steps = np.diag(h)
     plus, minus, steps, h = list(x + steps), list(x - steps), list(steps), h.tolist()
     hess = np.empty((n, n))
-    f0 = f(x)
     for i in range(n):
         hess[i, i] = (f(plus[i]) - 2.0 * f0 + f(minus[i])) / (h[i] * h[i])
         for j in range(i + 1, n):

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NatgradError, NumericError
-from .families import Family
+from .families import Dataset, Family
 from .metric import MetricEngine, LocalHessian, resolve_metric_engine, spd_project
 from .numdiff import central_hessian
 from .similarity import Similarity
@@ -168,17 +168,23 @@ class Trace:
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable scalar cost: ``value(theta)`` and ``gradient(theta)``."""
+    """A differentiable scalar cost: ``value(theta)`` and ``gradient(theta)``,
+    over the points (``Family.point``) of ``family`` when that is set."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    family: Optional[Family] = None
 
 
 def make_objective(family: Family, sim: Similarity, target) -> Objective:
-    """Cost ``theta -> sim(theta, target)`` over one family."""
+    """Cost ``theta -> sim(theta, target)`` over one family; a parameter
+    target is validated here, once, as a point of the family."""
+    if not isinstance(target, Dataset):
+        target = family.point(target)
     return Objective(
         value=lambda theta: sim.evaluate(family, theta, target),
         gradient=lambda theta: sim.grad_theta(family, theta, target),
+        family=family,
     )
 
 
@@ -207,13 +213,15 @@ def natural_gradient_step(
     """Single preconditioned step ``theta - (1/lr) H^-1 g``.
 
     Returns the new point and a record dict with the gradient norm, step
-    norm, and damping added.
+    norm, and damping added.  With ``objective.family`` set, ``theta`` is
+    validated once, as a point that the gradient and the metric both read.
     """
-    theta = np.asarray(theta, dtype=float)
+    if objective.family is not None:
+        theta = objective.family.point(theta)
     g = np.asarray(objective.gradient(theta), dtype=float)
     H = metric_engine(theta, -g)
     v, added = _solve_step(H, g, learning_rate, damping)
-    return theta + v, {
+    return np.asarray(theta, dtype=float) + v, {
         "grad_norm": float(np.linalg.norm(g)),
         "step_norm": float(np.linalg.norm(v)),
         "damping": added,
@@ -306,16 +314,20 @@ def optimize(
     captured in ``Trace.status`` and ``Trace.reason``.  The metric is
     ``config.metric``, or the similarity's own ``sim.metric`` when that is
     None.  ``engine`` overrides both: the GP benchmark passes its resolved
-    engines, and tests inject fakes through it.  A run starts with the
-    family's memo emptied (:meth:`Family.forget`), so what it computes and
-    validates does not depend on the runs before it.
+    engines, and tests inject fakes through it.
+
+    A run holds three points of the family (``Family.point``), each
+    validated once and keeping its state: the target (unless it is a
+    :class:`Dataset`), the iterate and the latest line-search trial.  The
+    accepted trial becomes the next iterate with its state and its cost.
     """
     if engine is None:
         metric = sim.metric if config.metric is None else config.metric
         engine = resolve_metric_engine(metric, family)
+    if not isinstance(target, Dataset):
+        target = family.point(target)
     objective = make_objective(family, sim, target)
-    family.forget()
-    theta = family.point(theta0)
+    theta, cost = family.point(theta0), None
     records: list[StepRecord] = []
     start = time.perf_counter()
 
@@ -325,21 +337,28 @@ def optimize(
                        time.perf_counter() - start, fallback)
         )
 
-    # The latest line-search trial, (point bytes, cost): the accepted trial
-    # is the next iterate, whose cost is then not evaluated again.
-    last_trial = (b"", 0.0)
+    # (point, cost) of the latest line-search trial, the last one evaluated:
+    # when the search accepts a step, it is the accepted one.
+    trial = None
+    target_bits = None if isinstance(target, Dataset) else target.theta.tobytes()
 
-    def trial_cost(point: np.ndarray) -> float:
-        nonlocal last_trial
-        last_trial = (point.tobytes(), float(objective.value(point)))
-        return last_trial[1]
+    def trial_cost(x: np.ndarray) -> float:
+        nonlocal trial
+        # Every trial is one cost evaluation: the cost rejects a trial outside
+        # the domain, as it does any caller's point.  A step onto a
+        # point-target optimum can land on the target bit for bit; the trial
+        # is then the target point.
+        point = (target if x.tobytes() == target_bits
+                 else family.point(x) if family.in_domain(x) else x)
+        trial = (point, float(objective.value(point)))
+        return trial[1]
 
     prev_cost = None
     status, reason = "max_iters", ""
     for it in range(config.max_iters + 1):
         try:
-            key, cost = last_trial
-            if key != theta.tobytes():
+            theta = family.point(theta)
+            if cost is None:
                 cost = float(objective.value(theta))
             g = np.asarray(objective.gradient(theta), dtype=float)
         except NatgradError as exc:
@@ -380,12 +399,12 @@ def optimize(
 
         if config.line_search is not None:
             alpha, flag = backtracking_line_search(
-                trial_cost, theta, v, g, cost, config.line_search,
+                trial_cost, theta.theta, v, g, cost, config.line_search,
                 _predicted_alpha(cost, prev_cost, float(g @ v)),
             )
             if flag:
                 try:
-                    candidate_cost = trial_cost(theta + alpha * v)
+                    candidate_cost = trial_cost(theta.theta + alpha * v)
                 except NatgradError:
                     candidate_cost = float("inf")
                 if not np.isfinite(candidate_cost) or candidate_cost > cost:
@@ -395,12 +414,13 @@ def optimize(
                               f"down to the step floor {ALPHA_FLOOR:g}")
                     break
             step = alpha * v
+            theta, next_cost = trial
         else:
             step = v
+            theta, next_cost = theta.theta + step, None
 
-        theta = theta + step
         rec(it, cost, gn, float(np.linalg.norm(step)), added, fallback)
-        prev_cost = cost
+        prev_cost, cost = cost, next_cost
 
     return Trace(records=tuple(records), status=status, reason=reason)
 

@@ -22,8 +22,10 @@ the optimizer minimizes is the function the engines differentiate.  The
 free functions ``wasserstein_p_1d`` and ``fisher_rao_distance_categorical``
 return the distance itself, and ``squared_w2_gaussian`` the full square.
 
-A Gaussian closed form reads the Cholesky factors of the two memoized
-Gaussian states, one form per measure for value and gradient alike:
+Every measure takes its two arguments as points of the family
+(``Family.point``) or plain arrays, and reads what it needs from the state
+each point keeps.  A Gaussian closed form reads the Cholesky factors of the
+two points' Gaussian states, one form per measure for value and gradient alike:
 KL, reverse KL and ``W2^2`` as sums of non-negative terms, exact near
 coincidence, chi-squared and squared Hellinger through an alpha-integral.
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
@@ -259,8 +261,8 @@ _GAUSSIAN_FORMS = {"kl": _kl, "reverse_kl": _reverse_kl,
                    "chi2": _alpha_form(2.0, 1.0), "hellinger2": _alpha_form(0.5, -2.0)}
 
 
-def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy: str = "auto",
-                 window: Optional[Callable] = None) -> float:
+def f_divergence(spec: FDivergenceSpec, family: Family, theta, target,
+                 strategy: str = "auto") -> float:
     """D_f from the distribution at ``target`` to the one at ``theta``.
 
     ``strategy`` is one of ``auto`` (closed form when known, otherwise
@@ -269,9 +271,8 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
     ``_GAUSSIAN_FORMS``.  Quadrature sums ``p f(q/p)`` on
     ``Family.window_rule`` of both points: Gauss-Legendre nodes over their
     quantile windows for a 1-D continuous family, the whole support,
-    exactly, for a categorical one.  ``window(family, theta, target)``
-    returns that rule's ``(nodes, weights, log p, log q)``.  By default they
-    are built afresh; :class:`FDivergence` passes its memo.
+    exactly, for a categorical one, whose points keep their log-probabilities
+    there, so a value and a gradient at one point read the same ones.
     """
     theta = family.point(theta)
     target = _check_point_target(family, target)
@@ -284,25 +285,15 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target, strategy:
         return _clamp_divergence(value, spec, family)
     if strategy == "closed_form":
         raise CapabilityError(f"no closed form for {spec.name} on {family.name}")
-    _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f, window)
+    _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f)
     return _clamp_divergence(float(weights @ integrand), spec, family)
 
 
-def _window_logs(family: Family, theta: np.ndarray, target: np.ndarray):
-    """``(nodes, weights, log p, log q)``: the window rule of both points and
-    the log-densities at ``theta`` and ``target`` on its nodes, read-only."""
-    nodes, weights = family.window_rule([theta, target])
-    logp, logq = family.log_density(theta, nodes), family.log_density(target, nodes)
-    logp.setflags(write=False)
-    logq.setflags(write=False)
-    return nodes, weights, logp, logq
-
-
-def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn, window=None):
-    """``(nodes, weights, p * fn(q/p))`` on the window rule of both points,
-    with ``p``, ``q`` the densities at ``theta`` and ``target``; raises
+def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
+    """``(nodes, weights, p * fn(q/p))`` on the window rule of the points
+    ``theta`` and ``target``, with ``p``, ``q`` their densities; raises
     :class:`NumericError` where the integrand is not finite."""
-    nodes, weights, logp, logq = (window or _window_logs)(family, theta, target)
+    nodes, weights, (logp, logq) = family._window_logs([theta, target])
     log_ratio = logq - logp
     # Overflow in the ratio or in fn is expected for divergent pairs; it is
     # detected by the finiteness check below, not by warnings.
@@ -332,16 +323,7 @@ def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> fl
 
 
 class FDivergence(Similarity):
-    """An f-divergence.  On a family that integrates it (see
-    :func:`f_divergence`), ``evaluate`` and ``grad_theta`` at the same
-    ``(theta, target)``, as an optimizer asks for them at an accepted
-    line-search point, share one quadrature window: the instance memoizes
-    the last :func:`_window_logs`, keyed on the family object and the exact
-    bytes of both points.  The memo is one read-only tuple swapped in
-    whole, so the instance stays safe to share across threads."""
-
-    # (family, (theta bytes, target bytes), _window_logs result) or None
-    _last_window = None
+    """An f-divergence, :func:`f_divergence` with the default strategy."""
 
     def __init__(self, spec: FDivergenceSpec):
         self.spec = spec
@@ -351,17 +333,8 @@ class FDivergence(Similarity):
     def metric(self) -> str:
         return f"fdiv:{self.name}"
 
-    def _window(self, family, theta, target):
-        key = (theta.tobytes(), target.tobytes())
-        memo = self._last_window
-        if memo is not None and memo[0] is family and memo[1] == key:
-            return memo[2]
-        window = _window_logs(family, theta, target)
-        self._last_window = (family, key, window)
-        return window
-
     def evaluate(self, family, theta, target):
-        return f_divergence(self.spec, family, theta, target, window=self._window)
+        return f_divergence(self.spec, family, theta, target)
 
     def grad_theta(self, family, theta, target):
         """Gradient along the route ``evaluate`` takes: the Gaussian closed
@@ -373,8 +346,7 @@ class FDivergence(Similarity):
         grad = _gaussian_form(_GAUSSIAN_FORMS.get(spec.name), family, theta, target, grad=True)
         if grad is not None:
             return grad
-        nodes, weights, integrand = _window_integrand(
-            spec, family, theta, target, spec.g, self._window)
+        nodes, weights, integrand = _window_integrand(spec, family, theta, target, spec.g)
         return (weights * integrand) @ family.score(theta, nodes)
 
 
@@ -438,7 +410,7 @@ class WassersteinP(Similarity):
         """``W^(2-p) integral |dQ|^(p-2) dQ dQ1/dtheta`` over the levels, with
         ``dQ = Q1 - Q2`` and the quantile velocity ``dQ1/dtheta = -dF/dtheta / rho``
         at ``Q1``; exactly zero where W vanishes."""
-        p = self.p
+        p, theta = self.p, family.point(theta)
         q1, weights, gap, w = _quantile_coupling(family, theta, target, p)
         if w == 0.0:
             return np.zeros(family.param_dim)
@@ -522,25 +494,27 @@ class SquaredFisherRaoCategorical(Similarity):
     name = "fisher_rao2"
     metric = "pullback"
 
-    def _probs(self, family: Family, theta) -> np.ndarray:
+    def _probs(self, family: Family, theta) -> tuple:
+        """``(point, probabilities)`` of ``theta``."""
         if not isinstance(family, CategoricalSoftmax):
             raise CapabilityError(
                 f"fisher_rao2 is defined for categorical families, not {family.name}"
             )
-        p = family.probabilities(theta)
+        point = family.point(theta)
+        p = family.probabilities(point)
         if (p == 0.0).any():  # extreme logits; a line search must be able to catch this
-            raise NumericError("softmax underflowed to a zero probability", {"theta": theta})
-        return p
+            raise NumericError("softmax underflowed to a zero probability", {"theta": point.theta})
+        return point, p
 
     def evaluate(self, family, theta, target):
-        p = self._probs(family, theta)
-        q = self._probs(family, _check_point_target(family, target))
+        _, p = self._probs(family, theta)
+        _, q = self._probs(family, _check_point_target(family, target))
         d = _fisher_rao_distance(p, q)
         return 0.5 * d * d
 
     def grad_theta(self, family, theta, target):
-        p = self._probs(family, theta)
-        q = self._probs(family, _check_point_target(family, target))
+        theta, p = self._probs(family, theta)
+        _, q = self._probs(family, _check_point_target(family, target))
         d = _fisher_rao_distance(p, q)
         # d(half d^2) = d * dd; with B = sum sqrt(pq) = cos(d/2),
         # dd/dp_i = -sqrt(q_i/p_i) / sin(d/2), and d / sin(d/2) -> 2 at 0.
@@ -559,11 +533,11 @@ class SquaredEuclidean(Similarity):
     metric = "euclidean"  # the exact local Hessian is the identity
 
     def evaluate(self, family, theta, target):
-        diff = family.point(theta) - _check_point_target(family, target)
+        diff = family.point(theta).theta - _check_point_target(family, target).theta
         return float(0.5 * diff @ diff)
 
     def grad_theta(self, family, theta, target):
-        return family.point(theta) - _check_point_target(family, target)
+        return family.point(theta).theta - _check_point_target(family, target).theta
 
 
 SIMILARITY_IDS = [

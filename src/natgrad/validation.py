@@ -70,7 +70,7 @@ def check_fisher_vs_fd_kl(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
     kl = FDivergence(F_DIVERGENCES["kl"])
     worst = 0.0
-    for theta in _random_gaussian_points(rng, 20):
+    for theta in map(family.point, _random_gaussian_points(rng, 20)):
         fd = fd_local_hessian(kl, family, theta)
         worst = max(worst, _rel(fd.matrix, fisher_information(family, theta).matrix))
     return CheckResult("fisher_vs_fd_kl_gaussian1d", worst, 1e-4)
@@ -81,7 +81,7 @@ def check_fdiv_scaling(rng: np.random.Generator, fisher_scale: float) -> CheckRe
     worst = 0.0
     for name in ("chi2", "hellinger2"):
         spec = F_DIVERGENCES[name]
-        for theta in _random_gaussian_points(rng, 3):
+        for theta in map(family.point, _random_gaussian_points(rng, 3)):
             analytic = fisher_scale * f_div_local_hessian(spec, family, theta).matrix
             exact = spec.f_second_at_one * fisher_scale * fisher_information(family, theta).matrix
             worst = max(worst, float(np.max(np.abs(analytic - exact))))
@@ -94,7 +94,7 @@ def check_pullback(rng: np.random.Generator) -> CheckResult:
     family = CategoricalSoftmax(3)
     worst = 0.0
     for _ in range(5):
-        theta = rng.normal(0.0, 1.0, 3)
+        theta = family.point(rng.normal(0.0, 1.0, 3))
         pulled = pullback_fisher_categorical(family, theta)
         worst = max(worst, float(np.max(np.abs(pulled.matrix - family.fisher(theta)))))
     return CheckResult("pullback_consistency_categorical", worst, 1e-6)
@@ -105,7 +105,7 @@ def check_fisher_rao_hessian(rng: np.random.Generator) -> CheckResult:
     sim_engine = resolve_metric_engine("fd:fisher_rao2", family)
     worst = 0.0
     for _ in range(10):
-        theta = rng.normal(0.0, 1.0, 3)
+        theta = family.point(rng.normal(0.0, 1.0, 3))
         fd = sim_engine(theta)
         worst = max(worst, _rel(fd.matrix, fisher_information(family, theta).matrix))
     return CheckResult("fisher_rao_hessian_vs_fisher", worst, 1e-4)
@@ -114,7 +114,7 @@ def check_fisher_rao_hessian(rng: np.random.Generator) -> CheckResult:
 def check_w2_identity(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
     worst = 0.0
-    for theta in _random_gaussian_points(rng, 5):
+    for theta in map(family.point, _random_gaussian_points(rng, 5)):
         analytic = w2_local_hessian_1d(family, theta).matrix
         worst = max(worst, float(np.max(np.abs(analytic - np.eye(2)))))
         fd = fd_local_hessian(WassersteinP(2.0), family, theta)
@@ -124,7 +124,7 @@ def check_w2_identity(rng: np.random.Generator) -> CheckResult:
 
 def check_finsler_scale_invariance(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
-    theta = np.array([0.3, 1.4])
+    theta = family.point([0.3, 1.4])
     u = rng.normal(0.0, 1.0, 2)
     a = wp_local_hessian_1d(family, theta, 3.0, u).matrix
     b = wp_local_hessian_1d(family, theta, 3.0, 2.0 * u).matrix
@@ -134,7 +134,7 @@ def check_finsler_scale_invariance(rng: np.random.Generator) -> CheckResult:
 def check_finsler_p2(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
     worst = 0.0
-    for theta in _random_gaussian_points(rng, 5):
+    for theta in map(family.point, _random_gaussian_points(rng, 5)):
         u = rng.normal(0.0, 1.0, 2)
         wp = wp_local_hessian_1d(family, theta, 2.0, u).matrix
         worst = max(worst, float(np.max(np.abs(wp - w2_local_hessian_1d(family, theta).matrix))))
@@ -144,7 +144,7 @@ def check_finsler_p2(rng: np.random.Generator) -> CheckResult:
 def check_finsler_p3_vs_fd(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
     worst = 0.0
-    for theta in _random_gaussian_points(rng, 3):
+    for theta in map(family.point, _random_gaussian_points(rng, 3)):
         u = rng.normal(0.0, 1.0, 2)
         analytic = wp_local_hessian_1d(family, theta, 3.0, u).matrix
         fd = fd_local_hessian(WassersteinP(3.0), family, theta, u).matrix
@@ -166,7 +166,7 @@ def check_newton_limit() -> CheckResult:
     objective = make_objective(family, kl, target)
 
     def deviation(t: float) -> float:
-        theta = target + t * delta
+        theta = family.point(target + t * delta)
         full = central_hessian(objective.value, theta)
         return float(np.linalg.norm(fisher_information(family, theta).matrix - full))
 
@@ -211,8 +211,8 @@ def check_kl_quadrature(rng: np.random.Generator) -> CheckResult:
     family = Gaussian1D()
     worst = 0.0
     for _ in range(5):
-        theta = _random_gaussian_points(rng, 1)[0]
-        target = _random_gaussian_points(rng, 1)[0]
+        theta = family.point(_random_gaussian_points(rng, 1)[0])
+        target = family.point(_random_gaussian_points(rng, 1)[0])
         quad = f_divergence(F_DIVERGENCES["kl"], family, theta, target, strategy="quadrature")
         closed = f_divergence(F_DIVERGENCES["kl"], family, theta, target, strategy="closed_form")
         worst = max(worst, abs(quad - closed))

@@ -299,15 +299,18 @@ def test_categorical_normalization_100_points(rng):
         assert np.all(p > 0)
 
 
-def test_categorical_probabilities_are_memoized_read_only_and_scipy_exact(rng):
+def test_categorical_points_keep_read_only_scipy_exact_probabilities(rng):
     from scipy.special import log_softmax, softmax
 
     fam = CategoricalSoftmax(5)
     for scale in (0.1, 1.0, 30.0):
         theta = scale * rng.normal(size=5)
-        p = fam.probabilities(theta)
-        assert not p.flags.writeable and fam.probabilities(theta.copy()) is p
+        point = fam.point(theta)
+        p = fam.probabilities(point)
+        assert not p.flags.writeable and fam.probabilities(point) is p
+        assert fam.probabilities(theta.copy()).tobytes() == p.tobytes()  # built fresh
         assert p.tobytes() == softmax(theta).tobytes()
+        assert fam.log_density(point, np.arange(5)).tobytes() == log_softmax(theta).tobytes()
         assert fam.log_density(theta, np.arange(5)).tobytes() == log_softmax(theta).tobytes()
     with pytest.raises(InvalidParameterError):
         fam.probabilities(np.array([0.0, np.nan, 0.0, 0.0, 0.0]))

@@ -1,5 +1,5 @@
-"""The memoized Gaussian state: one covariance build and one Cholesky factor
-per point, with the same bits on a memo hit as on a miss."""
+"""The Gaussian state a point keeps: one covariance build and one Cholesky
+factor per point, with the same bits on a point as on a fresh array."""
 
 import sys
 import threading
@@ -17,17 +17,18 @@ from natgrad.families import (
     GpPriorEq,
     LinearlyReparameterized,
     MultivariateNormalLogCholesky,
+    Point,
 )
 from natgrad.gp_bench import GpNllCost, generate_data
 from natgrad.metric import resolve_metric_engine, w2_local_hessian_gaussian
 from natgrad.optimizer import OptimizerConfig, optimize
-from natgrad.similarity import get_similarity
+from natgrad.similarity import gaussian_kl, get_similarity, squared_w2_gaussian
 
 from conftest import power_law_family
 
 REPARAM_A = np.array([[1.2, 0.3], [-0.1, 0.9]])
 
-# Factories, so each call can get a fresh instance with an empty memo.
+# Factories, so each call can get a fresh instance.
 FACTORIES = {
     "gaussian1d": Gaussian1D,
     "reparam(gaussian1d)": lambda: LinearlyReparameterized(Gaussian1D(), REPARAM_A),
@@ -108,16 +109,19 @@ def test_interleaved_points_match_a_fresh_instance_bit_for_bit(name, data):
     b[i] = other[i]
     if not shared.in_domain(b) or np.array_equal(a, b):
         b = other
-    # One-point operations at A, B, A: the first call at a point misses and
-    # builds its state, the next ones hit it (and add the derivatives); the
-    # memo still holds A on the second visit.
-    for theta in (a, b, a):
+    # One-point operations at the points A, B, A: the first call at a point
+    # builds its state, the next ones read it (and add the derivatives); a
+    # new instance given the plain array builds everything afresh.
+    pa, pb, held = (shared.point(t) for t in (a, b, target))
+    for point in (pa, pb, pa):
+        theta = point.theta
         for what, op in _one_point_ops(shared):
-            _assert_same_bits(op(shared, theta), op(make(), theta), f"{what} at {theta}")
-    # Two-point costs keep the target in the memo next to the point.
-    for theta in (a, b, a):
+            _assert_same_bits(op(shared, point), op(make(), theta), f"{what} at {theta}")
+    # Two-point costs read the states of both points.
+    for point in (pa, pb, pa):
+        theta = point.theta
         for what, op in _two_point_ops():
-            _assert_same_bits(op(shared, theta, target), op(make(), theta, target),
+            _assert_same_bits(op(shared, point, held), op(make(), theta, target),
                               f"{what} at {theta} to {target}")
 
 
@@ -141,19 +145,38 @@ def _fixed_point(family):
     return np.linspace(-0.6, 0.4, family.param_dim)
 
 
-def test_the_memo_holds_the_last_three_points():
+def test_a_point_builds_its_state_once_and_keeps_it():
     family = MultivariateNormalLogCholesky(2)
-    a, b, c, d = (np.full(5, v) for v in (0.1, 0.2, 0.3, 0.4))
-    first = family.gaussian_state(a)
-    assert family.gaussian_state(b) is not first
-    family.gaussian_state(c)
-    assert family.gaussian_state(a) is first  # a trial and the iterate do not evict the target
-    family.gaussian_state(d)
-    family.gaussian_state(b)
-    family.gaussian_state(c)
-    assert family.gaussian_state(a) is not first  # evicted by d, b and c
+    a = np.full(5, 0.1)
+    point = family.point(a)
+    assert isinstance(point, Point) and family.point(point) is point
+    assert not point.theta.flags.writeable and np.asarray(point) is point.theta
+    first = family.gaussian_state(point)
+    assert family.gaussian_state(point) is first  # kept on the point
     assert isinstance(first, GaussianState) and first.inv is None and first.dcov is None
     assert all(not arr.flags.writeable for arr in _fields(first)[:4])
+    derived = family.gaussian_state(point, derivs=True)  # adds to the state, no new factor
+    assert derived.chol is first.chol and family.gaussian_state(point) is derived
+    # A plain array, or a point of another instance, is validated and built
+    # fresh, with the same bits.
+    for fresh in (family.gaussian_state(a), MultivariateNormalLogCholesky(2).gaussian_state(point)):
+        assert fresh is not first
+        _assert_same_bits(_fields(fresh)[:4], _fields(first)[:4], "a fresh state")
+
+
+@pytest.mark.parametrize("cov", [[[np.nan]], [[np.inf]], np.diag([np.inf, 1.0]),
+                                 [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["nan", "inf", "diag(inf, 1)", "nan off-diagonal"])
+def test_covariances_that_dpotrf_accepts_but_are_not_finite_raise(cov):
+    # LAPACK dpotrf returns info 0 for each of these, so the finiteness check
+    # in GaussianState.factor is what rejects them.
+    cov = np.array(cov, dtype=float)
+    good_mean, good_cov = np.zeros(len(cov)), np.eye(len(cov))
+    for fn in (gaussian_kl, squared_w2_gaussian):
+        with pytest.raises(NumericError):
+            fn(good_mean, cov, good_mean, good_cov)
+        with pytest.raises(NumericError):
+            fn(good_mean, good_cov, good_mean, cov)
 
 
 def test_a_run_against_a_fixed_target_factors_the_target_once(monkeypatch):
@@ -193,7 +216,7 @@ def test_gp_numeric_failure_raises_every_time_and_leaves_the_next_point_alone():
                 lambda f, t, sim=sim: sim.grad_theta(f, t, target),
                 lambda f, t, sim=sim: sim.evaluate(f, target, t)]
     family = GpPriorEq(inputs)
-    family.score(good, np.zeros(4))  # a valid state in the memo
+    family.score(good, np.zeros(4))  # a valid point before the failures
     for _ in range(2):
         for op in ops:
             with pytest.raises(NumericError):
@@ -237,7 +260,7 @@ def test_gp_w2_run_builds_one_covariance_per_point_and_one_derivative_stack_per_
 
 def _mismatches_under_threads(calls, expected, steps):
     """Run ``calls[k]()`` from four threads in rotating order, with a short
-    switch interval so that threads interleave inside memo updates; return
+    switch interval so that threads interleave inside state builds; return
     the ``k`` whose result differs from ``expected[k]`` in any bit."""
     mismatches, done = [], []
 

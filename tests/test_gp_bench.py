@@ -253,17 +253,20 @@ def test_gp_cost_requires_matching_family():
         cost.evaluate(other, ORACLE_THETA, ds)
 
 
-def test_gp_cost_checks_each_family_dataset_pair_once(monkeypatch):
+def test_gp_cost_knows_the_dataset_family_by_identity_and_others_by_value(monkeypatch):
     ds = generate_data(seed=2, m=4)
     fam, cost, theta = GpPriorEq(ds.inputs), GpNllCost(), np.array([0.1, 0.2, -0.5])
     calls, real = [], np.array_equal
     monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or real(a, b))
     values = [cost.evaluate(fam, theta, ds) for _ in range(3)]
     grad = cost.grad_theta(fam, theta, ds)
-    assert len(calls) == 1
+    assert calls == []  # the family holds the dataset's own inputs
     assert values == [GpNllCost().evaluate(fam, theta, ds)] * 3
     assert grad.tobytes() == GpNllCost().grad_theta(fam, theta, ds).tobytes()
-    # A failing pair is checked on every call and never remembered.
+    # A family on a copy of the inputs is compared by value on every call.
+    copied = GpPriorEq(np.array(ds.inputs))
+    assert cost.evaluate(copied, theta, ds) == values[0] and len(calls) == 1
+    # A failing pair is checked on every call.
     other = GpPriorEq(np.linspace(-1.0, 1.0, 4))
     calls.clear()
     for _ in range(2):
@@ -271,6 +274,20 @@ def test_gp_cost_checks_each_family_dataset_pair_once(monkeypatch):
             cost.evaluate(other, theta, ds)
     cost.evaluate(fam, theta, ds)
     assert len(calls) == 2
+
+
+def test_gp_family_shares_read_only_inputs_and_copies_writeable_ones():
+    ds = generate_data(seed=2, m=4)
+    assert GpPriorEq(ds.inputs).inputs is ds.inputs
+    inputs = np.linspace(-1.0, 1.0, 4)
+    fam = GpPriorEq(inputs)
+    inputs[0] = 5.0  # the caller's array, after construction
+    assert fam.inputs[0] == -1.0 and not fam.inputs.flags.writeable
+    theta = np.array([0.1, 0.2, -0.5])
+    with pytest.raises(TypeError):
+        GpNllCost().evaluate(GpPriorEq(inputs), theta, ds)  # mismatched inputs
+    with pytest.raises(TypeError):
+        GpNllCost().grad_theta(GpPriorEq(inputs), theta, ds)
 
 
 def test_gp_cost_agrees_with_module_functions():

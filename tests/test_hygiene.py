@@ -1,9 +1,17 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source hygiene checks: the source read as text, and the state of
+family and similarity instances after use."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from natgrad.errors import CapabilityError
+from natgrad.families import FAMILY_IDS, LinearlyReparameterized, get_family
+from natgrad.gp_bench import GpNllCost, generate_data
+from natgrad.optimizer import OptimizerConfig, optimize
+from natgrad.similarity import SIMILARITY_IDS, get_similarity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "natgrad"
 
@@ -74,8 +82,8 @@ def _factorizations(path: Path, names=("inv", "cholesky")) -> set[str]:
 
 
 def test_covariance_factorizations_have_one_route():
-    # Inverses and Cholesky factors of covariances come from the memoized
-    # Gaussian state in families.py; nothing else factorizes a covariance.
+    # Inverses and Cholesky factors of covariances come from the Gaussian
+    # state a point keeps (families.py); nothing else factorizes a covariance.
     users = sorted(p.name for p in SRC.glob("*.py") if _factorizations(p))
     assert set(users) <= {"families.py"}
 
@@ -108,3 +116,93 @@ def test_one_transport_route_and_no_family_fallbacks():
     # Only composite_legendre keeps a panel size; Family.window_rule has none.
     users = sorted(p.name for p in SRC.glob("*.py") if "nodes_per_panel" in _names(p))
     assert users == ["quadrature.py"]
+
+
+def _defined(path: Path) -> set[str]:
+    """The names of the functions and classes a module defines."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_no_per_instance_memos():
+    # A validated point carries its own state (Family.point); no family,
+    # similarity or optimizer run keeps a memo of the points it has seen.
+    gone = {"MEMO_POINTS", "_remember", "_memo", "forget", "_last_window", "_window",
+            "_last_checked", "last_trial"}
+    assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
+
+
+DATASET = generate_data(seed=3, m=4)
+SIMILARITY_NAMES = [s.replace("{p}", "2") for s in SIMILARITY_IDS] + ["wasserstein:3"]
+
+
+def _families():
+    """One instance of each registry family, and a reparameterized one, with
+    a valid point and a target near it."""
+    out = []
+    for ident in FAMILY_IDS:
+        family = get_family(ident.partition("[")[0], inputs=DATASET.inputs)
+        theta = np.linspace(-0.3, 0.4, family.param_dim)
+        if family.name == "gaussian1d":
+            theta = np.array([0.3, 1.2])
+        out.append((family, theta, theta - 0.05))
+    reparam = LinearlyReparameterized(get_family("gaussian1d"), [[1.0, 0.3], [0.0, 1.0]])
+    return out + [(reparam, np.array([0.2, 1.1]), np.array([0.1, 1.0]))]
+
+
+def _snapshot(obj) -> dict:
+    return {k: (v, v.tobytes() if isinstance(v, np.ndarray) else None)
+            for k, v in vars(obj).items()}
+
+
+def _assert_unchanged(obj, before, what):
+    after = _snapshot(obj)
+    assert after.keys() == before.keys(), f"{what}: {sorted(after.keys() ^ before.keys())}"
+    for key, (value, data) in before.items():
+        assert after[key][0] is value and after[key][1] == data, f"{what}: {key}"
+
+
+def _family_ops(family, theta):
+    x = family.sample(theta, 0, 3)
+    ops = {
+        "check_point": lambda: family.check_point(theta),
+        "point": lambda: family.point(theta),
+        "in_domain": lambda: family.in_domain(theta),
+        "log_density": lambda: family.log_density(theta, x),
+        "score": lambda: family.score(theta, x),
+        "cdf": lambda: family.cdf(theta, x),
+        "quantile": lambda: family.quantile(theta, [0.25, 0.75]),
+        "dcdf_dtheta": lambda: family.dcdf_dtheta(theta, x),
+        "fisher": lambda: family.fisher(theta),
+        "gaussian_state": lambda: family.gaussian_state(theta, derivs=True),
+        "window_rule": lambda: family.window_rule([theta]),
+    }
+    for name in ("probabilities", "softmax_jacobian", "split"):
+        if hasattr(family, name):
+            ops[name] = lambda fn=getattr(family, name): fn(theta)
+    return ops
+
+
+def test_families_and_similarities_are_not_written_to_after_init():
+    config = OptimizerConfig(max_iters=3)
+    for family, theta, target in _families():
+        before = _snapshot(family)
+        ops = _family_ops(family, theta)  # draws samples
+        _assert_unchanged(family, before, f"{family.name}.sample")
+        for name, op in ops.items():
+            try:
+                op()
+            except CapabilityError:
+                pass
+            _assert_unchanged(family, before, f"{family.name}.{name}")
+        for sim_id in SIMILARITY_NAMES:
+            sim = get_similarity(sim_id)
+            sim_before = _snapshot(sim)
+            optimize(family, sim, theta, target, config)
+            _assert_unchanged(family, before, f"{family.name} after a {sim_id} run")
+            _assert_unchanged(sim, sim_before, f"{sim_id} after a run on {family.name}")
+    family, cost = get_family("gp_prior_eq", inputs=DATASET.inputs), GpNllCost()
+    before, cost_before = _snapshot(family), _snapshot(cost)
+    optimize(family, cost, np.array([0.1, 0.2, -0.5]), DATASET, config)
+    _assert_unchanged(family, before, "gp_prior_eq after a gp_nll run")
+    _assert_unchanged(cost, cost_before, "gp_nll after a run")

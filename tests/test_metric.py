@@ -526,8 +526,11 @@ def test_quadrature_routes_validate_theta_once_per_family_call(monkeypatch):
     f_divergence(F_DIVERGENCES["chi2"], fam, (0.3, 1.2), (0.0, 1.0))
     assert len(calls) == 2  # theta and target, once each
     calls.clear()
-    w2_local_hessian_1d(fam, (0.3, 1.2))
-    assert calls == []  # the memo holds the point
+    point = fam.point((0.3, 1.2))
+    assert len(calls) == 1
+    calls.clear()
+    w2_local_hessian_1d(fam, point)
+    assert calls == []  # a point is not validated again
     w2_local_hessian_1d(fam, (0.4, 1.2))
     assert len(calls) == 1
 

@@ -617,39 +617,41 @@ def test_hellinger2_gradient_is_finite_where_the_target_density_underflows():
 
 
 @pytest.mark.parametrize("name", ["chi2", "hellinger2", "kl", "reverse_kl"])
-def test_fdivergence_value_and_gradient_share_one_quadrature_window(name, monkeypatch):
+def test_fdivergence_value_and_gradient_share_the_log_densities_kept_on_the_points(
+        name, monkeypatch):
     # Gaussian1D has closed forms for all four divergences and reads no
-    # density; the power-law family integrates each on its window rule.  Its
-    # score is in closed form, so the count sees only the window's reads of
-    # log p and log q.
+    # density.  A categorical point keeps its log-probabilities on the
+    # support, the whole window, so a value and a gradient at the same two
+    # points share them and call no log_density.  The power-law family
+    # integrates on a window fit to both points: each call reads log p and
+    # log q there once (its score is in closed form, so the count sees only
+    # the window's reads).
     power_law = type(power_law_family())
     calls = []
-    for cls in (Gaussian1D, power_law):
+    for cls in (Gaussian1D, CategoricalSoftmax, power_law):
         def counting(self, theta, x, real=cls.log_density):
             calls.append(np.shape(x))
             return real(self, theta, x)
 
         monkeypatch.setattr(cls, "log_density", counting)
-    cases = [(Gaussian1D, np.array([0.4, 1.3]), np.array([-0.2, 0.9]), 0),
-             (power_law, np.array([1.6]), np.array([2.3]), 1)]
-    for cls, theta, target, windows in cases:
-        family, sim = cls(), get_similarity(name)
+    cases = [(Gaussian1D(), [0.4, 1.3], [-0.2, 0.9], 0),
+             (CategoricalSoftmax(3), [0.2, -0.1, 0.4], [-0.3, 0.5, 0.0], 0),
+             (power_law(), [1.6], [2.3], 1)]
+    for family, theta, target, windows in cases:
+        sim = get_similarity(name)
+        theta, target = family.point(theta), family.point(target)
         calls.clear()
         value = sim.evaluate(family, theta, target)
         grad = sim.grad_theta(family, theta, target)
-        assert len(calls) == 2 * windows  # log p and log q, once for both
-        # A memo hit runs no arithmetic a fresh instance would not.
-        fresh = get_similarity(name)
-        assert fresh.evaluate(family, theta, target) == value
-        fresh = get_similarity(name)
-        assert fresh.grad_theta(family, theta, target).tobytes() == grad.tobytes()
-        # Another target, point or family misses the memo: each call below
-        # differs from the one before it in one of the three.
-        for args in [(family, theta, target + 0.1), (family, theta + 0.1, target + 0.1),
-                     (cls(), theta + 0.1, target + 0.1)]:
-            calls.clear()
-            assert sim.evaluate(*args) == get_similarity(name).evaluate(*args)
-            assert len(calls) == 4 * windows  # the memo's miss, then the fresh one
+        assert len(calls) == 4 * windows  # log p and log q, once per call
+        # Fresh arrays give the bits the points give.
+        assert sim.evaluate(family, np.array(theta), np.array(target)) == value
+        fresh = sim.grad_theta(family, np.array(theta), np.array(target))
+        assert fresh.tobytes() == grad.tobytes()
+    p, q = (CAT3.point(t) for t in ([0.2, -0.1, 0.4], [-0.3, 0.5, 0.0]))
+    nodes, weights, (logp, logq) = CAT3._window_logs([p, q])
+    assert logp is p.state()[1] and logq is q.state()[1]
+    assert nodes.tolist() == [0, 1, 2] and weights.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_similarity_base_has_no_finite_difference_gradient():
@@ -871,7 +873,7 @@ REGISTERED_SIMILARITIES = ("kl", "reverse_kl", "chi2", "hellinger2", "fisher_rao
 
 
 @pytest.mark.parametrize("name", VALIDATION_CASES)
-def test_evaluate_and_grad_theta_validate_each_fresh_argument_once_and_a_memo_hit_never(
+def test_evaluate_and_grad_theta_validate_each_fresh_argument_once_and_a_point_never(
         name, monkeypatch):
     make, theta, target = VALIDATION_CASES[name]
     checked = []
@@ -886,7 +888,7 @@ def test_evaluate_and_grad_theta_validate_each_fresh_argument_once_and_a_memo_hi
     for sim_id in REGISTERED_SIMILARITIES:
         sim = get_similarity(sim_id)
         for method in ("evaluate", "grad_theta"):
-            family = make()  # an empty memo: both arguments are fresh
+            family = make()
             checked.clear()
             try:
                 getattr(sim, method)(family, theta, target)
@@ -898,8 +900,9 @@ def test_evaluate_and_grad_theta_validate_each_fresh_argument_once_and_a_memo_hi
             assert len(checked) == len(set(checked)), what
             for owner in {owner for owner, _ in checked}:
                 assert sum(1 for o, _ in checked if o == owner) <= 2, what
+            points = family.point(theta), family.point(target)
             checked.clear()
-            getattr(sim, method)(family, theta, target)
-            assert checked == [], f"{what}: a memo hit validated again"
+            getattr(sim, method)(family, *points)
+            assert checked == [], f"{what}: a point validated again"
             ran += 1
     assert ran >= 4
