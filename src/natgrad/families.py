@@ -80,8 +80,10 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
-        inputs = np.atleast_1d(np.asarray(self.inputs, dtype=float))
-        targets = np.atleast_1d(np.asarray(self.targets, dtype=float))
+        # Copies, so the caller's arrays stay writeable and cannot change the
+        # dataset afterwards.
+        inputs = np.array(self.inputs, dtype=float, ndmin=1)
+        targets = np.array(self.targets, dtype=float, ndmin=1)
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError(
                 f"inputs and targets must have equal length, got {inputs.shape[0]} and {targets.shape[0]}"
@@ -620,13 +622,14 @@ class GpPriorEq(Family):
     param_dim = 3
 
     def __init__(self, inputs):
-        # A read-only array (a Dataset's inputs) is kept as given, so a cost
-        # can recognize the dataset's family by identity; a writeable one is
-        # copied, so the caller cannot change the family afterwards.
+        # A read-only array that owns its data (a Dataset's inputs) is kept
+        # as given, so a cost can recognize the dataset's family by identity;
+        # any other is copied, since a view changes with its base and the
+        # caller cannot then change the family afterwards.
         inputs = np.atleast_1d(np.asarray(inputs, dtype=float))
         if inputs.ndim != 1 or inputs.size < 1:
             raise ValueError("inputs must be a non-empty 1-D array")
-        if inputs.flags.writeable:
+        if inputs.base is not None or inputs.flags.writeable:
             inputs = inputs.copy()
             inputs.setflags(write=False)
         self.inputs = inputs

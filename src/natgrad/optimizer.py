@@ -168,12 +168,10 @@ class Trace:
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable scalar cost: ``value(theta)`` and ``gradient(theta)``,
-    over the points (``Family.point``) of ``family`` when that is set."""
+    """A differentiable scalar cost: ``value(theta)`` and ``gradient(theta)``."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    family: Optional[Family] = None
 
 
 def make_objective(family: Family, sim: Similarity, target) -> Objective:
@@ -184,7 +182,6 @@ def make_objective(family: Family, sim: Similarity, target) -> Objective:
     return Objective(
         value=lambda theta: sim.evaluate(family, theta, target),
         gradient=lambda theta: sim.grad_theta(family, theta, target),
-        family=family,
     )
 
 
@@ -213,11 +210,9 @@ def natural_gradient_step(
     """Single preconditioned step ``theta - (1/lr) H^-1 g``.
 
     Returns the new point and a record dict with the gradient norm, step
-    norm, and damping added.  With ``objective.family`` set, ``theta`` is
-    validated once, as a point that the gradient and the metric both read.
+    norm, and damping added.  A point (``Family.point``) as ``theta`` is
+    validated once, for the gradient and the metric both.
     """
-    if objective.family is not None:
-        theta = objective.family.point(theta)
     g = np.asarray(objective.gradient(theta), dtype=float)
     H = metric_engine(theta, -g)
     v, added = _solve_step(H, g, learning_rate, damping)

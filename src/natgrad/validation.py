@@ -196,10 +196,10 @@ def check_reparam_equivariance(rng: np.random.Generator) -> CheckResult:
         obj_theta = make_objective(base, kl, target_theta)
         obj_xi = make_objective(reparam, kl, np.linalg.solve(A, target_theta))
         next_theta, _ = natural_gradient_step(
-            obj_theta, resolve_metric_engine("fisher", base), theta
+            obj_theta, resolve_metric_engine("fisher", base), base.point(theta)
         )
         next_xi, _ = natural_gradient_step(
-            obj_xi, resolve_metric_engine("fisher", reparam), xi
+            obj_xi, resolve_metric_engine("fisher", reparam), reparam.point(xi)
         )
         step_theta = next_theta - theta
         step_xi = next_xi - xi

@@ -288,6 +288,20 @@ def test_gp_family_shares_read_only_inputs_and_copies_writeable_ones():
         GpNllCost().evaluate(GpPriorEq(inputs), theta, ds)  # mismatched inputs
     with pytest.raises(TypeError):
         GpNllCost().grad_theta(GpPriorEq(inputs), theta, ds)
+    # A read-only view changes with its writeable base: the family copies it,
+    # and a dataset copies the caller's arrays before sealing its own.
+    base = np.linspace(-1.0, 1.0, 4)
+    view = base[:]
+    view.setflags(write=False)
+    fam = GpPriorEq(view)
+    base[0] = 5.0
+    assert fam.inputs is not view and fam.inputs[0] == -1.0
+    on_view = Dataset(inputs=view, targets=np.zeros(4), seed=0)
+    assert on_view.inputs is not view and base.flags.writeable
+    base[1] = 7.0
+    assert on_view.inputs[1] == pytest.approx(-1.0 / 3.0)
+    with pytest.raises(TypeError):
+        GpNllCost().evaluate(GpPriorEq(base), theta, on_view)
 
 
 def test_gp_cost_agrees_with_module_functions():
