@@ -19,9 +19,10 @@ is what a natural-gradient step inverts.  Engines here produce it four ways:
   passes it on only for similarities marked ``directional``.
 
 All engines return a :class:`LocalHessian` whose matrix is exactly
-symmetric.  Positive definiteness is enforced separately by
-:func:`spd_project`, which shifts the spectrum up to a damping floor and
-records how much was added.
+symmetric and undamped: a pseudo-metric (such as the pullback through a
+rank-deficient Jacobian) is returned as it is.  Positive definiteness is
+enforced only in the optimizer's step solve, by :func:`spd_project`, which
+shifts the spectrum up to a damping floor and records how much was added.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
 
 FD_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 FD_TOLERANCE = 1e-4  # directional extrapolants must agree to 10x this, relatively
-RANK_RTOL = 1e-10  # smallest/largest singular value below which J^T G J is a pseudo-metric
 
 # Inner stencil width as a fraction of the diagonal offset eps.  Must be
 # small enough that the stencil stays inside the region where the cost is
@@ -78,15 +78,13 @@ FD_INNER_STEP_RATIO = 0.03
 class LocalHessian:
     """A symmetric curvature matrix with provenance metadata.
 
-    ``regularization_added`` is the total diagonal shift applied so far
-    (zero until :func:`spd_project` adds one); ``rank_deficient`` marks
-    pseudo-metrics pulled back through a singular Jacobian.
+    ``regularization_added`` is the diagonal shift :func:`spd_project` added;
+    it is zero on every engine's output, since no engine damps.
     """
 
     matrix: np.ndarray
     regularization_added: float = 0.0
     provenance: str = "analytic"
-    rank_deficient: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -148,18 +146,12 @@ def riemannian_pullback(jacobian, density_hessian) -> LocalHessian:
     """Pull a density-space curvature matrix back to parameter space.
 
     Computes ``J^T G J`` and symmetrizes.  If ``J`` is column-rank
-    deficient the result is only a pseudo-metric: it is flagged and given
-    a small diagonal shift so downstream factorizations succeed.
+    deficient the result is only a pseudo-metric; it is returned undamped,
+    and the optimizer's step solve floors it like any other metric.
     """
     J = np.asarray(jacobian, dtype=float)
     G = np.asarray(density_hessian, dtype=float)
-    H = J.T @ G @ J
-    singular = np.linalg.svd(J, compute_uv=False)
-    deficient = bool(singular.size == 0 or singular[-1] <= RANK_RTOL * max(singular[0], 1.0))
-    out = LocalHessian(H, provenance="pullback", rank_deficient=deficient)
-    if deficient:
-        out = spd_project(out)
-    return out
+    return LocalHessian(J.T @ G @ J, provenance="pullback")
 
 
 def pullback_fisher_categorical(family: CategoricalSoftmax, theta) -> LocalHessian:
@@ -333,7 +325,7 @@ def spd_project(hessian, tau_min: Optional[float] = None) -> LocalHessian:
     """Shift the spectrum so the smallest eigenvalue is at least ``tau_min``.
 
     Accepts a matrix or a :class:`LocalHessian`; metadata is carried over
-    and ``regularization_added`` accumulates the shift.  A Cholesky probe
+    and the shift is added to ``regularization_added``.  A Cholesky probe
     comes first: where ``H - tau I`` factors, the spectrum already clears
     the floor and ``H`` is returned as it is; only where it does not is the
     smallest eigenvalue computed, and the shift is ``tau - eigmin``.

@@ -5,11 +5,12 @@ gradient and ``H`` is the local Hessian produced by the configured metric
 engine at the current iterate (re-evaluated every iteration, with the
 negative gradient passed as the direction hint for direction-dependent
 metrics).  ``H`` is spectrum-shifted to a damping floor before
-factorization, and an optional Armijo backtracking line search scales the
-step.  The search starts from a predicted step (Nocedal & Wright 2006,
-eq. 3.60: twice the last cost decrease over the current slope, at most 1;
-1 on the first iteration) and backtracks to the minimizer of the quadratic
-that interpolates the cost at 0, its slope and the failed trial (§3.5).
+factorization, here and nowhere else (no metric engine damps), and an
+optional Armijo backtracking line search scales the step.  The search
+starts from a predicted step (Nocedal & Wright 2006, eq. 3.60: twice the
+last cost decrease over the current slope, at most 1; 1 on the first
+iteration) and backtracks to the minimizer of the quadratic that
+interpolates the cost at 0, its slope and the failed trial (§3.5).
 Non-descent directions fall back to a plain gradient step for that
 iteration rather than raising.
 
@@ -17,8 +18,8 @@ iteration rather than raising.
 with ``status = "numeric_failure"`` on the returned :class:`Trace`, whose
 ``reason`` names the error.  Termination statuses are checked in the order
 numeric_failure, converged_grad, converged_cost, max_iters; a line search
-that finds no point at or below the current cost ends the run with
-``line_search_stalled`` on that iteration, which is not convergence.
+that accepts no step down to the step floor ``ALPHA_FLOOR`` ends the run
+with ``line_search_stalled`` on that iteration, which is not convergence.
 """
 
 from __future__ import annotations
@@ -312,15 +313,15 @@ def optimize(
     engines, and tests inject fakes through it.
 
     A run holds three points of the family (``Family.point``), each
-    validated once and keeping its state: the target (unless it is a
-    :class:`Dataset`), the iterate and the latest line-search trial.  The
-    accepted trial becomes the next iterate with its state and its cost.
+    validated once and keeping its state: the target (by
+    :func:`make_objective`, unless it is a :class:`Dataset`), the iterate and
+    the latest line-search trial.  The accepted trial becomes the next
+    iterate with its state and its cost; a search that reaches the step
+    floor ends the run ``line_search_stalled``.
     """
     if engine is None:
         metric = sim.metric if config.metric is None else config.metric
         engine = resolve_metric_engine(metric, family)
-    if not isinstance(target, Dataset):
-        target = family.point(target)
     objective = make_objective(family, sim, target)
     theta, cost = family.point(theta0), None
     records: list[StepRecord] = []
@@ -333,18 +334,13 @@ def optimize(
         )
 
     # (point, cost) of the latest line-search trial, the last one evaluated:
-    # when the search accepts a step, it is the accepted one.
+    # when the search accepts a step, it is the accepted one.  A trial outside
+    # the domain raises in ``family.point``, which the search reads as +inf.
     trial = None
-    target_bits = None if isinstance(target, Dataset) else target.theta.tobytes()
 
     def trial_cost(x: np.ndarray) -> float:
         nonlocal trial
-        # Every trial is one cost evaluation: the cost rejects a trial outside
-        # the domain, as it does any caller's point.  A step onto a
-        # point-target optimum can land on the target bit for bit; the trial
-        # is then the target point.
-        point = (target if x.tobytes() == target_bits
-                 else family.point(x) if family.in_domain(x) else x)
+        point = family.point(x)
         trial = (point, float(objective.value(point)))
         return trial[1]
 
@@ -398,16 +394,11 @@ def optimize(
                 _predicted_alpha(cost, prev_cost, float(g @ v)),
             )
             if flag:
-                try:
-                    candidate_cost = trial_cost(theta.theta + alpha * v)
-                except NatgradError:
-                    candidate_cost = float("inf")
-                if not np.isfinite(candidate_cost) or candidate_cost > cost:
-                    rec(it, cost, gn, 0.0, added, fallback)
-                    status = "line_search_stalled"
-                    reason = (f"line search ({flag}) found no point at or below the cost "
-                              f"down to the step floor {ALPHA_FLOOR:g}")
-                    break
+                rec(it, cost, gn, 0.0, added, fallback)
+                status = "line_search_stalled"
+                reason = (f"line search ({flag}) accepted no step down to the step floor "
+                          f"{ALPHA_FLOOR:g}")
+                break
             step = alpha * v
             theta, next_cost = trial
         else:

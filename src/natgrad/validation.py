@@ -97,7 +97,7 @@ def check_pullback(rng: np.random.Generator) -> CheckResult:
         theta = family.point(rng.normal(0.0, 1.0, 3))
         pulled = pullback_fisher_categorical(family, theta)
         worst = max(worst, float(np.max(np.abs(pulled.matrix - family.fisher(theta)))))
-    return CheckResult("pullback_consistency_categorical", worst, 1e-6)
+    return CheckResult("pullback_consistency_categorical", worst, 1e-12)
 
 
 def check_fisher_rao_hessian(rng: np.random.Generator) -> CheckResult:

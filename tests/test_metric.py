@@ -32,6 +32,7 @@ from natgrad.metric import (
     w2_local_hessian_gaussian,
     wp_local_hessian_1d,
 )
+from natgrad.optimizer import _solve_step
 from natgrad.quadrature import unit_interval_grid
 from natgrad.similarity import (
     F_DIVERGENCES,
@@ -157,7 +158,6 @@ def test_pullback_identity_cases(rng):
     out = riemannian_pullback(np.eye(3), G)
     np.testing.assert_allclose(out.matrix, G, atol=1e-14)
     assert out.provenance == "pullback"
-    assert not out.rank_deficient
 
     J = rng.normal(size=(3, 3))
     out2 = riemannian_pullback(J, np.eye(3))
@@ -173,12 +173,16 @@ def test_pullback_general_congruence(rng):
         np.testing.assert_allclose(out.matrix, J.T @ G @ J, atol=1e-12)
 
 
-def test_pullback_flags_rank_deficiency():
+def test_step_solve_floors_a_rank_deficient_pullback():
+    # The pullback through a dead column is a pseudo-metric, returned as it
+    # is; the step solve is what floors it.
     J = np.array([[1.0, 0.0], [0.0, 0.0]])  # second column is dead
     out = riemannian_pullback(J, np.eye(2))
-    assert out.rank_deficient
-    assert out.regularization_added > 0.0
-    assert np.linalg.eigvalsh(out.matrix)[0] > 0.0
+    np.testing.assert_array_equal(out.matrix, np.diag([1.0, 0.0]))
+    assert out.regularization_added == 0.0
+    v, added = _solve_step(out, np.array([1.0, 1.0]), 1.0, None)
+    assert np.all(np.isfinite(v))
+    assert added > 0.0
 
 
 def test_pullback_fisher_categorical_matches_direct(rng):
@@ -621,6 +625,30 @@ def test_resolve_known_engines():
 
     pb = resolve_metric_engine("pullback", CAT3)(np.zeros(3))
     assert pb.provenance == "pullback"
+
+
+@pytest.mark.parametrize(
+    "metric_id, family, theta",
+    [
+        ("fisher", GAUSS, (0.3, 1.2)),
+        ("fisher", CAT3, (0.2, -0.4, 0.1)),
+        ("fdiv:chi2", MultivariateNormalLogCholesky(2), (0.1, -0.2, 0.3, 0.1, -0.2)),
+        ("pullback", CAT3, (0.2, -0.4, 0.1)),
+        ("pullback", CategoricalSoftmax(5), (0.5, -1.0, 0.2, 0.0, 0.9)),
+        ("w2_1d", GAUSS, (0.3, 1.2)),
+        ("wp_1d:3", GAUSS, (0.3, 1.2)),
+        ("w2_gaussian", GpPriorEq(np.array([-1.0, 0.5, 2.0])), (0.1, -0.3, -1.0)),
+        ("fd:kl", GAUSS, (0.3, 1.2)),
+        ("fd:wasserstein:3", GAUSS, (0.3, 1.2)),
+        ("euclidean", CAT3, (0.2, -0.4, 0.1)),
+    ],
+)
+def test_engines_return_undamped_metrics(metric_id, family, theta):
+    # Only the optimizer's step solve floors a metric; the categorical
+    # pullback is singular along (1, ..., 1) and comes back as it is.
+    u = np.linspace(1.0, 2.0, family.param_dim)
+    out = resolve_metric_engine(metric_id, family)(theta, u)
+    assert out.regularization_added == 0.0
 
 
 def test_resolve_wp_engine_passes_direction():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import natgrad.metric
 import natgrad.optimizer
 from natgrad.errors import ConfigError, DivergenceInfiniteError, NumericError
 from natgrad.families import (
@@ -445,6 +446,42 @@ def test_line_search_stall_is_not_convergence():
     assert trace.records[0].step_norm == 0.0 and trace.final_cost == 0.5
 
 
+def test_flat_cost_stalls_at_the_step_floor():
+    # No step lowers a constant cost, so the search reaches the floor and the
+    # run stops there instead of taking the floor step and reading the
+    # unchanged cost as convergence.
+    class Flat(SquaredEuclidean):
+        def evaluate(self, family, theta, target):
+            return 1.0
+
+        def grad_theta(self, family, theta, target):
+            return np.ones(2)
+
+    trace = optimize(GAUSS, Flat(), (0.0, 1.0), (0.0, 1.0), OptimizerConfig(metric="euclidean"))
+    assert trace.status == "line_search_stalled"
+    assert len(trace.records) == 1 and trace.iterations == 0
+    assert trace.records[0].step_norm == 0.0
+    assert f"step floor {ALPHA_FLOOR:g}" in trace.reason
+
+
+def test_pullback_run_projects_the_metric_once_per_iteration(monkeypatch):
+    # The categorical pullback is singular; the step solve is its one floor.
+    calls = []
+    real = natgrad.metric.spd_project
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(natgrad.metric, "spd_project", counting)
+    monkeypatch.setattr(natgrad.optimizer, "spd_project", counting)
+    trace = optimize(CategoricalSoftmax(3), get_similarity("fisher_rao2"), (0.5, -0.3, 0.2),
+                     (-0.4, 0.6, 0.1), OptimizerConfig(metric="pullback"))
+    assert trace.status == "converged_grad" and trace.iterations >= 2
+    assert len(calls) == trace.iterations
+    assert all(r.damping > 0.0 for r in trace.records[:-1])
+
+
 def test_fd_wasserstein_engine_descends_the_registered_cost():
     # the finite-difference engine differentiates the same half-squared W3
     # the optimizer minimizes, so its extrapolation gate holds on the path
@@ -670,8 +707,23 @@ def test_accepted_line_search_cost_is_not_evaluated_again(monkeypatch):
     trace = optimize(GAUSS, sim, (-1.0, 2.0), (0.5, 1.0), OptimizerConfig(metric="fisher"))
     assert trace.status == "converged_grad"
     assert sum(accepted) == trace.iterations >= 3
-    assert len(evaluated) == 1 + len(trials)  # the start, then one per trial
+    # A trial outside the domain (sigma <= 0 here) is rejected before the cost.
+    inside = [t for t in trials if GAUSS.in_domain(t)]
+    assert len(inside) < len(trials)
+    assert len(evaluated) == 1 + len(inside)  # the start, then one per trial inside
     assert len(set(evaluated)) == len(evaluated)
+
+
+def test_trial_outside_the_domain_is_not_evaluated():
+    # From (0, 1) along -(0, 2): alpha 1 and 1/2 give sigma -1 and 0, and
+    # only alpha 1/4, at sigma 0.5, reaches the cost.
+    sim = _Scripted(costs=[1.0, 0.0], grads=[(0.0, 2.0), (1.0, 0.0)])
+    identity = MetricEngine("identity", lambda th, u=None: LocalHessian(np.eye(2)))
+    trace = optimize(GAUSS, sim, (0.0, 1.0), (0.0, 1.0), OptimizerConfig(max_iters=1),
+                     engine=identity)
+    assert trace.status == "max_iters"
+    np.testing.assert_array_equal(sim.points, [[0.0, 1.0], [0.0, 0.5]])
+    assert trace.records[0].step_norm == 0.5
 
 
 def test_fisher_rao_run_to_the_exact_optimum_converges():
