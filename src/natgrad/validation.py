@@ -3,13 +3,13 @@
 Each check compares two computations that should agree (closed form vs
 finite differences, pullback vs direct, scaled divergence metrics vs their
 definitions) and reports the worst deviation against a tolerance.  The
-suite is what ``natgrad validate`` runs; it returns plain results rather
-than raising so the CLI can print a table.
+suite is one ordered table of (name, tolerance, deviations) rows on inputs
+from one seeded generator; ``natgrad validate`` prints it.
 
 ``fisher_scale`` is a fault-injection hook for testing the suite itself:
-it multiplies the analytic Fisher matrix used on the closed-form side of
-the divergence-scaling check, so any value other than 1.0 must make that
-check fail.
+it multiplies the analytic metrics on both sides of the divergence-scaling
+check, so any value other than 1.0 must make that check's comparison with
+finite differences fail.
 """
 
 from __future__ import annotations
@@ -60,107 +60,17 @@ def _rel(observed: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(observed - expected))) / scale
 
 
-def _random_gaussian_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    mu = rng.uniform(-2.0, 2.0, count)
-    sigma = rng.uniform(0.4, 2.5, count)
-    return np.column_stack([mu, sigma])
+def _abs(observed: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.max(np.abs(observed - expected)))
 
 
-def check_fisher_vs_fd_kl(rng: np.random.Generator) -> CheckResult:
-    family = Gaussian1D()
-    kl = FDivergence(F_DIVERGENCES["kl"])
-    worst = 0.0
-    for theta in map(family.point, _random_gaussian_points(rng, 20)):
-        fd = fd_local_hessian(kl, family, theta)
-        worst = max(worst, _rel(fd.matrix, fisher_information(family, theta).matrix))
-    return CheckResult("fisher_vs_fd_kl_gaussian1d", worst, 1e-4)
-
-
-def check_fdiv_scaling(rng: np.random.Generator, fisher_scale: float) -> CheckResult:
-    family = Gaussian1D()
-    worst = 0.0
-    for name in ("chi2", "hellinger2"):
-        spec = F_DIVERGENCES[name]
-        for theta in map(family.point, _random_gaussian_points(rng, 3)):
-            analytic = fisher_scale * f_div_local_hessian(spec, family, theta).matrix
-            exact = spec.f_second_at_one * fisher_scale * fisher_information(family, theta).matrix
-            worst = max(worst, float(np.max(np.abs(analytic - exact))))
-            fd = fd_local_hessian(FDivergence(spec), family, theta)
-            worst = max(worst, _rel(analytic, fd.matrix))
-    return CheckResult("fdiv_scaling_vs_fd", worst, 1e-4)
-
-
-def check_pullback(rng: np.random.Generator) -> CheckResult:
-    family = CategoricalSoftmax(3)
-    worst = 0.0
-    for _ in range(5):
-        theta = family.point(rng.normal(0.0, 1.0, 3))
-        pulled = pullback_fisher_categorical(family, theta)
-        worst = max(worst, float(np.max(np.abs(pulled.matrix - family.fisher(theta)))))
-    return CheckResult("pullback_consistency_categorical", worst, 1e-12)
-
-
-def check_fisher_rao_hessian(rng: np.random.Generator) -> CheckResult:
-    family = CategoricalSoftmax(3)
-    sim_engine = resolve_metric_engine("fd:fisher_rao2", family)
-    worst = 0.0
-    for _ in range(10):
-        theta = family.point(rng.normal(0.0, 1.0, 3))
-        fd = sim_engine(theta)
-        worst = max(worst, _rel(fd.matrix, fisher_information(family, theta).matrix))
-    return CheckResult("fisher_rao_hessian_vs_fisher", worst, 1e-4)
-
-
-def check_w2_identity(rng: np.random.Generator) -> CheckResult:
-    family = Gaussian1D()
-    worst = 0.0
-    for theta in map(family.point, _random_gaussian_points(rng, 5)):
-        analytic = w2_local_hessian_1d(family, theta).matrix
-        worst = max(worst, float(np.max(np.abs(analytic - np.eye(2)))))
-        fd = fd_local_hessian(WassersteinP(2.0), family, theta)
-        worst = max(worst, float(np.max(np.abs(analytic - fd.matrix))))
-    return CheckResult("w2_metric_identity_gaussian1d", worst, 1e-4)
-
-
-def check_finsler_scale_invariance(rng: np.random.Generator) -> CheckResult:
-    family = Gaussian1D()
-    theta = family.point([0.3, 1.4])
-    u = rng.normal(0.0, 1.0, 2)
-    a = wp_local_hessian_1d(family, theta, 3.0, u).matrix
-    b = wp_local_hessian_1d(family, theta, 3.0, 2.0 * u).matrix
-    return CheckResult("finsler_scale_invariance", float(np.max(np.abs(a - b))), 1e-15)
-
-
-def check_finsler_p2(rng: np.random.Generator) -> CheckResult:
-    family = Gaussian1D()
-    worst = 0.0
-    for theta in map(family.point, _random_gaussian_points(rng, 5)):
-        u = rng.normal(0.0, 1.0, 2)
-        wp = wp_local_hessian_1d(family, theta, 2.0, u).matrix
-        worst = max(worst, float(np.max(np.abs(wp - w2_local_hessian_1d(family, theta).matrix))))
-    return CheckResult("finsler_p2_matches_w2", worst, 1e-12)
-
-
-def check_finsler_p3_vs_fd(rng: np.random.Generator) -> CheckResult:
-    family = Gaussian1D()
-    worst = 0.0
-    for theta in map(family.point, _random_gaussian_points(rng, 3)):
-        u = rng.normal(0.0, 1.0, 2)
-        analytic = wp_local_hessian_1d(family, theta, 3.0, u).matrix
-        fd = fd_local_hessian(WassersteinP(3.0), family, theta, u).matrix
-        worst = max(worst, _rel(fd, analytic))
-    return CheckResult("finsler_p3_vs_fd", worst, 5e-3)
-
-
-def check_newton_limit() -> CheckResult:
+def _newton_margin(family: Gaussian1D, kl: FDivergence) -> float:
     """Near a minimum the metric approaches the full cost Hessian linearly.
 
-    Measures E(t) = |Fisher - full Hessian| along a ray toward the
-    optimum of a KL cost; passing means halving t shrinks E by at least
+    Measures E(t) = |Fisher - full Hessian| along a ray toward the optimum
+    of a KL cost; the margin is <= 0 when halving t shrinks E by at least
     1.8x over three halvings and E(0.01) is below 2% of the metric norm.
     """
-    family = Gaussian1D()
-    kl = FDivergence(F_DIVERGENCES["kl"])
     target = np.array([0.0, 1.0])
     delta = -np.array([1.0, 1.0]) / np.sqrt(2.0)
     objective = make_objective(family, kl, target)
@@ -173,16 +83,14 @@ def check_newton_limit() -> CheckResult:
     # Each t once: E(0.2), E(0.1), E(0.05), E(0.025), then E(0.01).
     halvings = [deviation(t) for t in (0.2, 0.1, 0.05, 0.025)]
     ratios = [wide / narrow for wide, narrow in zip(halvings, halvings[1:])]
-    theta_near = target + 0.01 * delta
-    norm_h = float(np.linalg.norm(fisher_information(family, theta_near).matrix))
-    margin = max(1.8 - min(ratios), deviation(0.01) / norm_h - 0.02)
-    return CheckResult("newton_limit_decay", margin, 0.0)
+    norm_h = float(np.linalg.norm(fisher_information(family, target + 0.01 * delta).matrix))
+    return max(1.8 - min(ratios), deviation(0.01) / norm_h - 0.02)
 
 
-def check_reparam_equivariance(rng: np.random.Generator) -> CheckResult:
-    base = Gaussian1D()
-    kl = FDivergence(F_DIVERGENCES["kl"])
-    worst = 0.0
+def _reparam_deviations(rng: np.random.Generator, base, kl) -> list[float]:
+    """``|step_xi - A^-1 step_theta|`` of one KL natural-gradient step in
+    ``theta`` and in ``xi = A^-1 theta``, for up to 20 random ``A``."""
+    deviations, base_fisher = [], resolve_metric_engine("fisher", base)
     for _ in range(20):
         A = np.eye(2) + 0.3 * rng.uniform(-1.0, 1.0, (2, 2))
         if abs(np.linalg.det(A)) < 0.3:
@@ -193,58 +101,88 @@ def check_reparam_equivariance(rng: np.random.Generator) -> CheckResult:
         xi = np.linalg.solve(A, theta)
         if not reparam.in_domain(xi):
             continue
-        obj_theta = make_objective(base, kl, target_theta)
-        obj_xi = make_objective(reparam, kl, np.linalg.solve(A, target_theta))
-        next_theta, _ = natural_gradient_step(
-            obj_theta, resolve_metric_engine("fisher", base), base.point(theta)
-        )
+        next_theta, _ = natural_gradient_step(make_objective(base, kl, target_theta),
+                                              base_fisher, base.point(theta))
         next_xi, _ = natural_gradient_step(
-            obj_xi, resolve_metric_engine("fisher", reparam), reparam.point(xi)
-        )
-        step_theta = next_theta - theta
-        step_xi = next_xi - xi
-        worst = max(worst, float(np.max(np.abs(step_xi - np.linalg.solve(A, step_theta)))))
-    return CheckResult("reparam_equivariance", worst, 1e-8)
-
-
-def check_kl_quadrature(rng: np.random.Generator) -> CheckResult:
-    family = Gaussian1D()
-    worst = 0.0
-    for _ in range(5):
-        theta = family.point(_random_gaussian_points(rng, 1)[0])
-        target = family.point(_random_gaussian_points(rng, 1)[0])
-        quad = f_divergence(F_DIVERGENCES["kl"], family, theta, target, strategy="quadrature")
-        closed = f_divergence(F_DIVERGENCES["kl"], family, theta, target, strategy="closed_form")
-        worst = max(worst, abs(quad - closed))
-    return CheckResult("kl_quadrature_vs_closed_form", worst, 1e-8)
-
-
-def check_w2_gaussian_vs_quantile(rng: np.random.Generator) -> CheckResult:
-    family = Gaussian1D()
-    worst = 0.0
-    for _ in range(5):
-        t1 = _random_gaussian_points(rng, 1)[0]
-        t2 = _random_gaussian_points(rng, 1)[0]
-        closed = squared_w2_gaussian([t1[0]], [[t1[1] ** 2]], [t2[0]], [[t2[1] ** 2]])
-        quad = wasserstein_p_1d(family, t1, t2, 2.0) ** 2
-        worst = max(worst, abs(closed - quad))
-    return CheckResult("w2_gaussian_vs_quantile_quadrature", worst, 1e-8)
+            make_objective(reparam, kl, np.linalg.solve(A, target_theta)),
+            resolve_metric_engine("fisher", reparam), reparam.point(xi))
+        deviations.append(_abs(next_xi - xi, np.linalg.solve(A, next_theta - theta)))
+    return deviations
 
 
 def run_checks(seed: int = 0, fisher_scale: float = 1.0) -> list[CheckResult]:
     """Run the full suite; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
-    return [
-        check_fisher_vs_fd_kl(rng),
-        check_fdiv_scaling(rng, fisher_scale),
-        check_pullback(rng),
-        check_fisher_rao_hessian(rng),
-        check_w2_identity(rng),
-        check_finsler_scale_invariance(rng),
-        check_finsler_p2(rng),
-        check_finsler_p3_vs_fd(rng),
-        check_newton_limit(),
-        check_reparam_equivariance(rng),
-        check_kl_quadrature(rng),
-        check_w2_gaussian_vs_quantile(rng),
+    gauss, cat, kl = Gaussian1D(), CategoricalSoftmax(3), FDivergence(F_DIVERGENCES["kl"])
+
+    def gaussians(count):
+        mu, sigma = rng.uniform(-2.0, 2.0, count), rng.uniform(0.4, 2.5, count)
+        return [gauss.point(t) for t in np.column_stack([mu, sigma])]
+
+    def pairs(count):
+        return [(gaussians(1)[0], gaussians(1)[0]) for _ in range(count)]
+
+    def logits(count):
+        return [cat.point(rng.normal(0.0, 1.0, 3)) for _ in range(count)]
+
+    def wp(theta, p, u):
+        return wp_local_hessian_1d(gauss, theta, p, u).matrix
+
+    fisher_rao, fixed = resolve_metric_engine("fd:fisher_rao2", cat), gauss.point([0.3, 1.4])
+    # Each row's deviations are built here, in row order: the order in which
+    # the rows draw from ``rng`` is part of what a seed means.
+    rows = [
+        ("fisher_vs_fd_kl_gaussian1d", 1e-4, [
+            _rel(fd_local_hessian(kl, gauss, t).matrix, fisher_information(gauss, t).matrix)
+            for t in gaussians(20)
+        ]),
+        ("fdiv_scaling_vs_fd", 1e-4, [
+            dev
+            for spec in (F_DIVERGENCES["chi2"], F_DIVERGENCES["hellinger2"])
+            for t in gaussians(3)
+            for analytic in [fisher_scale * f_div_local_hessian(spec, gauss, t).matrix]
+            for dev in (
+                _abs(analytic, spec.f_second_at_one * fisher_scale
+                     * fisher_information(gauss, t).matrix),
+                _rel(analytic, fd_local_hessian(FDivergence(spec), gauss, t).matrix),
+            )
+        ]),
+        ("pullback_consistency_categorical", 1e-12, [
+            _abs(pullback_fisher_categorical(cat, t).matrix, cat.fisher(t)) for t in logits(5)
+        ]),
+        ("fisher_rao_hessian_vs_fisher", 1e-4, [
+            _rel(fisher_rao(t).matrix, fisher_information(cat, t).matrix) for t in logits(10)
+        ]),
+        ("w2_metric_identity_gaussian1d", 1e-4, [
+            dev
+            for t in gaussians(5)
+            for analytic in [w2_local_hessian_1d(gauss, t).matrix]
+            for dev in (_abs(analytic, np.eye(2)),
+                        _abs(analytic, fd_local_hessian(WassersteinP(2.0), gauss, t).matrix))
+        ]),
+        ("finsler_scale_invariance", 1e-15, [
+            _abs(wp(fixed, 3.0, u), wp(fixed, 3.0, 2.0 * u)) for u in [rng.normal(0.0, 1.0, 2)]
+        ]),
+        ("finsler_p2_matches_w2", 1e-12, [
+            _abs(wp(t, 2.0, u), w2_local_hessian_1d(gauss, t).matrix)
+            for t in gaussians(5) for u in [rng.normal(0.0, 1.0, 2)]
+        ]),
+        ("finsler_p3_vs_fd", 5e-3, [
+            _rel(fd_local_hessian(WassersteinP(3.0), gauss, t, u).matrix, wp(t, 3.0, u))
+            for t in gaussians(3) for u in [rng.normal(0.0, 1.0, 2)]
+        ]),
+        ("newton_limit_decay", 0.0, [_newton_margin(gauss, kl)]),
+        ("reparam_equivariance", 1e-8, _reparam_deviations(rng, gauss, kl)),
+        ("kl_quadrature_vs_closed_form", 1e-8, [
+            abs(f_divergence(kl.spec, gauss, a, b, strategy="quadrature")
+                - f_divergence(kl.spec, gauss, a, b, strategy="closed_form"))
+            for a, b in pairs(5)
+        ]),
+        ("w2_gaussian_vs_quantile_quadrature", 1e-8, [
+            abs(squared_w2_gaussian([a.theta[0]], [[a.theta[1] ** 2]],
+                                    [b.theta[0]], [[b.theta[1] ** 2]])
+                - wasserstein_p_1d(gauss, a, b, 2.0) ** 2)
+            for a, b in pairs(5)
+        ]),
     ]
+    return [CheckResult(name, max(devs, default=0.0), tol) for name, tol, devs in rows]
