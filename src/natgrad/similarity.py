@@ -80,27 +80,37 @@ __all__ = [
 class FDivergenceSpec:
     """Generator of an f-divergence: D_f(p, q) = E_p[f(q(X)/p(X))].
 
-    ``f`` must be convex with ``f(1) = 0`` and twice differentiable at 1;
-    ``f_second_at_one`` stores f''(1), which sets the scale of the induced
-    local metric.  ``g`` is ``f(t) - t f'(t)``, written out per generator:
-    the gradient of D_f in the first point is ``E_p[score(X) g(q(X)/p(X))]``.
-    Written out, ``g`` stays finite where the target density underflows
-    (t = 0), where ``t f'(t)`` is ``0 * inf``.
+    The generator ``f`` must be convex with ``f(1) = 0`` and twice
+    differentiable at 1; ``f_second_at_one`` stores f''(1), which sets the
+    scale of the induced local metric.  With ``g(t) = f(t) - t f'(t)`` the
+    gradient of D_f in the first point is ``E_p[score(X) g(q(X)/p(X))]``.
+
+    The fields ``f`` and ``g`` hold these two in perspective form: they take
+    the log-densities ``(log p, log q)`` at sample points and return
+    ``p f(q/p)`` and ``p g(q/p)``, written out per divergence from the logs.
+    No ratio ``q/p`` is formed, so neither underflows where one density is
+    far below the other, and a value overflows only where the integrand does.
     """
 
     name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f_second_at_one: float
 
 
 F_DIVERGENCES = {
-    "kl": FDivergenceSpec("kl", lambda t: -np.log(t), lambda t: 1.0 - np.log(t), 1.0),
-    "reverse_kl": FDivergenceSpec("reverse_kl", lambda t: t * np.log(t), lambda t: -t, 1.0),
-    "chi2": FDivergenceSpec("chi2", lambda t: (t - 1.0) ** 2, lambda t: 1.0 - t * t, 2.0),
+    "kl": FDivergenceSpec(
+        "kl", lambda lp, lq: np.exp(lp) * (lp - lq),
+        lambda lp, lq: np.exp(lp) * (1.0 + lp - lq), 1.0),
+    "reverse_kl": FDivergenceSpec(
+        "reverse_kl", lambda lp, lq: np.exp(lq) * (lq - lp),
+        lambda lp, lq: -np.exp(lq), 1.0),
+    "chi2": FDivergenceSpec(
+        "chi2", lambda lp, lq: np.exp(lp) * np.expm1(lq - lp) ** 2,
+        lambda lp, lq: np.exp(lp) - np.exp(2.0 * lq - lp), 2.0),
     "hellinger2": FDivergenceSpec(
-        "hellinger2", lambda t: (np.sqrt(t) - 1.0) ** 2, lambda t: 1.0 - np.sqrt(t), 0.5
-    ),
+        "hellinger2", lambda lp, lq: (np.exp(0.5 * lq) - np.exp(0.5 * lp)) ** 2,
+        lambda lp, lq: np.exp(lp) - np.exp(0.5 * (lp + lq)), 0.5),
 }
 
 
@@ -290,17 +300,18 @@ def f_divergence(spec: FDivergenceSpec, family: Family, theta, target,
 
 
 def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
-    """``(nodes, weights, p * fn(q/p))`` on the window rule of the points
-    ``theta`` and ``target``, with ``p``, ``q`` their densities; raises
-    :class:`NumericError` where the integrand is not finite."""
+    """``(nodes, weights, fn(log p, log q))`` on the window rule of the points
+    ``theta`` and ``target``, with ``p``, ``q`` their densities and ``fn`` a
+    perspective form of ``spec``; raises :class:`NumericError` where the
+    integrand is not finite."""
     nodes, weights, (logp, logq) = family._window_logs([theta, target])
-    log_ratio = logq - logp
-    # Overflow in the ratio or in fn is expected for divergent pairs; it is
-    # detected by the finiteness check below, not by warnings.
+    # Overflow in fn is expected for divergent pairs; it is detected by the
+    # finiteness check below, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        integrand = np.exp(logp) * fn(np.exp(log_ratio))
+        integrand = fn(logp, logq)
     if not np.all(np.isfinite(integrand)):
         bad = int(np.sum(~np.isfinite(integrand)))
+        log_ratio = logq - logp
         raise NumericError(
             f"{spec.name} quadrature produced {bad} non-finite integrand values on {family.name}",
             diagnostics={

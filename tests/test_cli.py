@@ -279,6 +279,32 @@ def test_validate_fault_injection_fails_one_check():
     assert failed == ["fdiv_scaling_vs_fd"]
 
 
+@pytest.mark.parametrize("seed", [3, 22, 39, 74, 94, 111, 127, 134, 179, 206, 235, 240])
+def test_validate_passes_where_the_kl_density_ratio_underflowed(seed, capsys):
+    # These seeds draw KL quadrature pairs whose ratio q/p underflowed to 0
+    # on the window, so p f(q/p) read p * inf; the perspective form sums
+    # p (log p - log q) from the logs and stays finite.
+    assert main(["validate", "--seed", str(seed)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("12/12 checks passed\n")
+
+
+# The deviations of run_checks(seed) as measured before the checks became one
+# table, in check order.  A row that draws other points from the seeded
+# generator moves by O(1); roundoff in the integrands moves far less than 1e-3.
+PINNED_DEVIATIONS = {
+    0: [1.76464e-08, 1.39698e-07, 5.55112e-17, 1.61721e-08, 1.03575e-10, 0.0, 0.0,
+        2.51616e-04, -1.10874e-02, 1.77636e-15, 2.58683e-10, 3.41251e-10],
+    1: [3.41970e-08, 1.54758e-07, 5.55112e-17, 9.73435e-09, 1.03575e-10, 0.0, 0.0,
+        1.56237e-04, -1.10874e-02, 6.21725e-15, 2.42831e-11, 1.96327e-10],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DEVIATIONS))
+def test_run_checks_draws_the_pinned_points(seed):
+    deviations = [r.deviation for r in run_checks(seed=seed)]
+    assert deviations == pytest.approx(PINNED_DEVIATIONS[seed], rel=1e-3, abs=1e-13)
+
+
 def test_validate_deterministic(capsys):
     main(["validate"])
     first = capsys.readouterr().out

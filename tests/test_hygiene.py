@@ -132,6 +132,17 @@ def test_no_per_instance_memos():
     assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
 
 
+def test_validation_checks_are_rows_of_one_table():
+    # run_checks builds one ordered list of (name, tolerance, deviations)
+    # rows; no per-check function or point helper of its own remains.
+    gone = {"check_fisher_vs_fd_kl", "check_fdiv_scaling", "check_pullback",
+            "check_fisher_rao_hessian", "check_w2_identity", "check_finsler_scale_invariance",
+            "check_finsler_p2", "check_finsler_p3_vs_fd", "check_newton_limit",
+            "check_reparam_equivariance", "check_kl_quadrature", "check_w2_gaussian_vs_quantile",
+            "_random_gaussian_points"}
+    assert sorted(p.name for p in SRC.glob("*.py") if gone & _defined(p)) == []
+
+
 DATASET = generate_data(seed=3, m=4)
 SIMILARITY_NAMES = [s.replace("{p}", "2") for s in SIMILARITY_IDS] + ["wasserstein:3"]
 

@@ -119,15 +119,15 @@ FITTING_PAIRS = [((0.4, 1.3), (-0.2, 0.9)), ((0.0, 2.0), (1.0, 1.0)), ((0.3, 0.8
 @pytest.mark.parametrize("name", ["chi2", "hellinger2"])
 def test_alpha_integral_closed_forms_match_independent_quadrature(name):
     # scipy's adaptive quadrature over the whole line, independent of the
-    # window rule; Gaussian densities written out here
+    # window rule; Gaussian log-densities written out here
     from scipy.integrate import quad
 
     spec = F_DIVERGENCES[name]
     for (m1, s1), (m2, s2) in FITTING_PAIRS:
         def integrand(x):
-            p = np.exp(-0.5 * ((x - m1) / s1) ** 2) / (s1 * np.sqrt(2.0 * np.pi))
-            q = np.exp(-0.5 * ((x - m2) / s2) ** 2) / (s2 * np.sqrt(2.0 * np.pi))
-            return p * spec.f(q / p) if p > 0.0 else 0.0
+            logp = -0.5 * ((x - m1) / s1) ** 2 - np.log(s1 * np.sqrt(2.0 * np.pi))
+            logq = -0.5 * ((x - m2) / s2) ** 2 - np.log(s2 * np.sqrt(2.0 * np.pi))
+            return spec.f(logp, logq)
 
         oracle = quad(integrand, m1 - 40.0 * s1, m1 + 40.0 * s1, points=[m1, m2], limit=200,
                       epsabs=1e-14, epsrel=1e-12)[0]
