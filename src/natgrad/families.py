@@ -255,11 +255,12 @@ class Family(ABC):
         return Point(self, theta)
 
     def in_domain(self, theta) -> bool:
-        """True if ``theta`` is a valid parameter point."""
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
-        if arr.ndim != 1 or arr.size != self.param_dim or not all(map(math.isfinite, arr.tolist())):
+        """True if :meth:`check_point` accepts ``theta``."""
+        try:
+            self.check_point(theta)
+        except InvalidParameterError:
             return False
-        return self._in_domain(arr)
+        return True
 
     def _in_domain(self, theta: np.ndarray) -> bool:
         return True
@@ -680,8 +681,10 @@ class LinearlyReparameterized(Family):
         A = np.asarray(A, dtype=float)
         if A.shape != (base.param_dim, base.param_dim):
             raise ValueError(f"A must be {base.param_dim}x{base.param_dim}, got {A.shape}")
-        if abs(np.linalg.det(A)) < 1e-12:
-            raise ValueError("A must be invertible")
+        # Conditioning, not the determinant, says whether A^-1 can be trusted:
+        # det(1e-7 I) is 1e-14, while det A of a nearly singular map can be large.
+        if not (np.isfinite(A).all() and np.linalg.cond(A) < 1.0 / np.finfo(float).eps):
+            raise ValueError(f"A must be finite and well-conditioned, got {A.tolist()}")
         self.base = base
         self.A = A.copy()
         self.A.setflags(write=False)

@@ -478,6 +478,30 @@ def test_linear_reparam_rejects_singular_matrix():
         LinearlyReparameterized(Gaussian1D(), np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         LinearlyReparameterized(Gaussian1D(), np.eye(3))
+    # det A is 1e8 here, but the condition number is 1.8e23
+    with pytest.raises(ValueError):
+        LinearlyReparameterized(Gaussian1D(), [[1e8, 1e8], [1.0, 1.0 + 1e-15]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            LinearlyReparameterized(Gaussian1D(), [[bad, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("theta", [[0.0, 1.0], [0.0, -1.0], [0.0, np.nan], [np.inf, 1.0],
+                                   [0.0, 1.0, 2.0], [[0.0, 1.0]]])
+def test_in_domain_is_whether_check_point_accepts(theta):
+    for family in (Gaussian1D(), LinearlyReparameterized(Gaussian1D(), [[2.0, 0.0], [0.0, 2.0]])):
+        try:
+            family.check_point(theta)
+            accepted = True
+        except InvalidParameterError:
+            accepted = False
+        assert family.in_domain(theta) is accepted
+
+
+def test_linear_reparam_accepts_a_small_well_conditioned_matrix():
+    # det(1e-7 I) = 1e-14, yet the map is as well conditioned as I
+    rep = LinearlyReparameterized(Gaussian1D(), 1e-7 * np.eye(2))
+    assert np.array_equal(rep.point([0.0, 1e7]).base.theta, [0.0, 1.0])
 
 
 # -- array contract ------------------------------------------------------------------
