@@ -85,11 +85,10 @@ class FDivergenceSpec:
     scale of the induced local metric.  With ``g(t) = f(t) - t f'(t)`` the
     gradient of D_f in the first point is ``E_p[score(X) g(q(X)/p(X))]``.
 
-    The fields ``f`` and ``g`` hold these two in perspective form: they take
-    the log-densities ``(log p, log q)`` at sample points and return
-    ``p f(q/p)`` and ``p g(q/p)``, written out per divergence from the logs.
-    No ratio ``q/p`` is formed, so neither underflows where one density is
-    far below the other, and a value overflows only where the integrand does.
+    The fields ``f`` and ``g`` hold both in perspective form: from the
+    log-densities ``(log p, log q)`` at sample points they return ``p f(q/p)``
+    and ``p g(q/p)``, written out per divergence.  They form no ratio ``q/p``,
+    which can underflow or overflow where the integrand is finite.
     """
 
     name: str
@@ -98,20 +97,16 @@ class FDivergenceSpec:
     f_second_at_one: float
 
 
-F_DIVERGENCES = {
-    "kl": FDivergenceSpec(
-        "kl", lambda lp, lq: np.exp(lp) * (lp - lq),
-        lambda lp, lq: np.exp(lp) * (1.0 + lp - lq), 1.0),
-    "reverse_kl": FDivergenceSpec(
-        "reverse_kl", lambda lp, lq: np.exp(lq) * (lq - lp),
-        lambda lp, lq: -np.exp(lq), 1.0),
-    "chi2": FDivergenceSpec(
-        "chi2", lambda lp, lq: np.exp(lp) * np.expm1(lq - lp) ** 2,
-        lambda lp, lq: np.exp(lp) - np.exp(2.0 * lq - lp), 2.0),
-    "hellinger2": FDivergenceSpec(
-        "hellinger2", lambda lp, lq: (np.exp(0.5 * lq) - np.exp(0.5 * lp)) ** 2,
-        lambda lp, lq: np.exp(lp) - np.exp(0.5 * (lp + lq)), 0.5),
-}
+F_DIVERGENCES = {spec.name: spec for spec in (
+    FDivergenceSpec("kl", lambda lp, lq: np.exp(lp) * (lp - lq),
+                    lambda lp, lq: np.exp(lp) * (1.0 + lp - lq), 1.0),
+    FDivergenceSpec("reverse_kl", lambda lp, lq: np.exp(lq) * (lq - lp),
+                    lambda lp, lq: -np.exp(lq), 1.0),
+    FDivergenceSpec("chi2", lambda lp, lq: np.exp(lp) * np.expm1(lq - lp) ** 2,
+                    lambda lp, lq: np.exp(lp) - np.exp(2.0 * lq - lp), 2.0),
+    FDivergenceSpec("hellinger2", lambda lp, lq: (np.exp(0.5 * lq) - np.exp(0.5 * lp)) ** 2,
+                    lambda lp, lq: np.exp(lp) - np.exp(0.5 * (lp + lq)), 0.5),
+)}
 
 
 def _check_point_target(family: Family, target) -> np.ndarray:
