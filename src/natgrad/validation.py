@@ -154,11 +154,10 @@ def run_checks(seed: int = 0, fisher_scale: float = 1.0) -> list[CheckResult]:
             _rel(fisher_rao(t).matrix, fisher_information(cat, t).matrix) for t in logits(10)
         ]),
         ("w2_metric_identity_gaussian1d", 1e-4, [
-            dev
+            _abs(analytic, expected)
             for t in gaussians(5)
             for analytic in [w2_local_hessian_1d(gauss, t).matrix]
-            for dev in (_abs(analytic, np.eye(2)),
-                        _abs(analytic, fd_local_hessian(WassersteinP(2.0), gauss, t).matrix))
+            for expected in (np.eye(2), fd_local_hessian(WassersteinP(2.0), gauss, t).matrix)
         ]),
         ("finsler_scale_invariance", 1e-15, [
             _abs(wp(fixed, 3.0, u), wp(fixed, 3.0, 2.0 * u)) for u in [rng.normal(0.0, 1.0, 2)]
@@ -185,4 +184,6 @@ def run_checks(seed: int = 0, fisher_scale: float = 1.0) -> list[CheckResult]:
             for a, b in pairs(5)
         ]),
     ]
-    return [CheckResult(name, max(devs, default=0.0), tol) for name, tol, devs in rows]
+    # np.max, unlike max, keeps a NaN deviation wherever it stands, so the check fails.
+    return [CheckResult(name, float(np.max(devs)) if devs else 0.0, tol)
+            for name, tol, devs in rows]

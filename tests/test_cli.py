@@ -305,6 +305,12 @@ def test_run_checks_draws_the_pinned_points(seed):
     assert deviations == pytest.approx(PINNED_DEVIATIONS[seed], rel=1e-3, abs=1e-13)
 
 
+def test_validate_fails_a_check_whose_deviations_are_nan():
+    # the worst of a check's deviations is NaN when any of them is, not 0.0
+    results = run_checks(seed=0, fisher_scale=float("nan"))
+    assert [r.name for r in results if not r.passed] == ["fdiv_scaling_vs_fd"]
+
+
 def test_validate_deterministic(capsys):
     main(["validate"])
     first = capsys.readouterr().out
