@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,10 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _field_names(config_class) -> set[str]:
+    return {f.name for f in fields(config_class)}
+
+
 def _pop_keys(data: dict, allowed: set[str], context: str) -> None:
     unknown = set(data) - allowed
     if unknown:
@@ -66,7 +71,7 @@ def _line_search_from(config) -> Optional[LineSearchConfig]:
     if config is True or config == "backtracking":
         return LineSearchConfig()
     if isinstance(config, dict):
-        _pop_keys(config, {"c1", "shrink"}, "line_search")
+        _pop_keys(config, _field_names(LineSearchConfig), "line_search")
         try:
             return LineSearchConfig(**config)
         except ValueError as exc:
@@ -76,11 +81,7 @@ def _line_search_from(config) -> Optional[LineSearchConfig]:
 
 def _optimizer_config_from(data: dict, metric: Optional[str] = None) -> OptimizerConfig:
     data = dict(data or {})
-    _pop_keys(
-        data,
-        {"learning_rate", "max_iters", "grad_tol", "cost_tol", "line_search", "damping"},
-        "optimizer",
-    )
+    _pop_keys(data, _field_names(OptimizerConfig) - {"metric"}, "optimizer")
     if "line_search" in data:
         data["line_search"] = _line_search_from(data["line_search"])
     try:
@@ -129,14 +130,7 @@ def cmd_run(args) -> int:
 
 def _run_benchmark_config(data: dict) -> int:
     data = dict(data)
-    _pop_keys(
-        data,
-        {
-            "m", "seed", "true_theta", "theta0", "metrics", "optimizer",
-            "threshold_offset", "cost_threshold", "output_dir",
-        },
-        "gp_benchmark config",
-    )
+    _pop_keys(data, _field_names(BenchmarkConfig) | {"output_dir"}, "gp_benchmark config")
     output_dir = data.pop("output_dir", ".")
     if "optimizer" in data:
         data["optimizer"] = _optimizer_config_from(data["optimizer"])

@@ -35,6 +35,7 @@ are exact.  1-D transport integrates over quantile levels instead, on
 from __future__ import annotations
 
 import math
+import re
 from abc import ABC
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -63,6 +64,7 @@ __all__ = [
     "LinearlyReparameterized",
     "eq_covariance",
     "get_family",
+    "resolve_id",
     "FAMILY_IDS",
 ]
 
@@ -694,7 +696,10 @@ class LinearlyReparameterized(Family):
         self.has_cdf = base.has_cdf
 
     def _in_domain(self, xi):
-        return self.base.in_domain(self.A @ xi)
+        # A finite xi can overflow A @ xi; the base check rejects the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = self.A @ xi
+        return self.base.in_domain(image)
 
     def _point(self, xi):
         # check_point(xi) found A @ xi in the base domain: no second check.
@@ -734,37 +739,55 @@ class LinearlyReparameterized(Family):
     def window_rule(self, xis):
         return self.base.window_rule([self.point(xi).base for xi in xis])
 
-    def _window_logs(self, points):
-        return self.base._window_logs([p.base for p in points])
+
+# A registry key is ``name`` (no argument), ``name[:arg]`` (an optional one)
+# or ``name:{arg}`` (a required one).
+_KEY = re.compile(r"(\w+)(\[:\w+\])?(:\{\w+\})?")
 
 
-FAMILY_IDS = ["gaussian1d", "mvn_lcholesky[:dim]", "categorical_softmax[:k]", "gp_prior_eq"]
+def resolve_id(identifier: str, table: dict, kind: str, plural: str, *context):
+    """Build what ``identifier`` names in ``table``, which maps registry keys
+    to builders: ``build(*context)``, or ``build(*context, arg)`` for
+    ``name:arg``.  A colon must be followed by an argument that the key
+    takes; anything else raises :class:`ConfigError`, as does a builder's
+    ``ValueError``."""
+    name, colon, arg = str(identifier).partition(":")
+    for key, build in table.items():
+        if not key.startswith(name):  # skips the regex on most keys
+            continue
+        head, optional, required = _KEY.fullmatch(key).groups()
+        if head == name and ((arg and (optional or required)) if colon else not required):
+            try:
+                return build(*context, arg) if colon else build(*context)
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"invalid {kind} {identifier!r}: {exc}") from exc
+    raise ConfigError(f"unknown {kind} {identifier!r}; valid {plural}: {', '.join(table)}")
+
+
+def _gp_prior_eq(inputs) -> GpPriorEq:
+    if inputs is None:
+        raise ConfigError("gp_prior_eq requires evaluation inputs; supply a dataset "
+                          "(see the GP benchmark configuration)")
+    return GpPriorEq(inputs)
+
+
+# Family builders ``build(inputs[, arg])``, keyed by identifier.
+FAMILIES = {
+    "gaussian1d": lambda inputs: Gaussian1D(),
+    "mvn_lcholesky[:dim]": lambda inputs, dim=2: MultivariateNormalLogCholesky(int(dim)),
+    "categorical_softmax[:k]": lambda inputs, k=3: CategoricalSoftmax(int(k)),
+    "gp_prior_eq": _gp_prior_eq,
+}
+FAMILY_IDS = list(FAMILIES)
 
 
 def get_family(identifier: str, inputs=None) -> Family:
-    """Resolve a family by string identifier.
+    """Resolve a family by string identifier (see ``FAMILY_IDS``).
 
     ``mvn_lcholesky`` and ``categorical_softmax`` accept an optional
     ``:<int>`` suffix for the dimension / outcome count (defaults 2 and 3).
     ``gp_prior_eq`` needs the evaluation inputs, supplied by the caller.
     """
-    name, _, arg = str(identifier).partition(":")
-    try:
-        if name == "gaussian1d":
-            return Gaussian1D()
-        if name == "mvn_lcholesky":
-            return MultivariateNormalLogCholesky(int(arg) if arg else 2)
-        if name == "categorical_softmax":
-            return CategoricalSoftmax(int(arg) if arg else 3)
-        if name == "gp_prior_eq":
-            if inputs is None:
-                raise ConfigError(
-                    "gp_prior_eq requires evaluation inputs; supply a dataset "
-                    "(see the GP benchmark configuration)"
-                )
-            return GpPriorEq(inputs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid family identifier {identifier!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown family {identifier!r}; valid families: {', '.join(FAMILY_IDS)}"
-    )
+    return resolve_id(identifier, FAMILIES, "family", "families", inputs)

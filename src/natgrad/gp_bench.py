@@ -14,14 +14,13 @@ The ``w2`` run uses the closed-form Bures-Wasserstein metric;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .families import Dataset, GpPriorEq, eq_covariance
-from .metric import (LocalHessian, MetricEngine, fd_local_hessian, fisher_information,
-                     resolve_metric_engine)
+from .families import Dataset, GpPriorEq, eq_covariance, resolve_id
+from .metric import LocalHessian, fd_local_hessian, fisher_information, resolve_metric_engine
 from .optimizer import OptimizerConfig, Trace, optimize
 from .similarity import Similarity, SquaredW2Gaussian
 
@@ -41,7 +40,13 @@ __all__ = [
 ]
 
 SUMMARY_CSV_HEADER = "metric,iters_to_threshold,final_cost,status"
-BENCHMARK_METRIC_IDS = ["euclidean", "fisher", "w2"]
+# Each benchmark metric's engine builder ``build(family)``.
+BENCHMARK_METRICS = {
+    "euclidean": partial(resolve_metric_engine, "euclidean"),
+    "fisher": partial(resolve_metric_engine, "fisher"),
+    "w2": partial(resolve_metric_engine, "w2_gaussian"),
+}
+BENCHMARK_METRIC_IDS = list(BENCHMARK_METRICS)
 
 DEFAULT_TRUE_THETA = (0.0, 0.0, -1.5)
 DEFAULT_THETA0 = (1.0, 1.2, 0.3)
@@ -165,19 +170,12 @@ class BenchmarkResult:
         return "\n".join(lines) + "\n"
 
 
-def _benchmark_engine(metric: str, family: GpPriorEq) -> MetricEngine:
-    if metric not in BENCHMARK_METRIC_IDS:
-        raise ConfigError(
-            f"unknown benchmark metric {metric!r}; valid metrics: {', '.join(BENCHMARK_METRIC_IDS)}"
-        )
-    return resolve_metric_engine("w2_gaussian" if metric == "w2" else metric, family)
-
-
 def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResult:
     """Run every configured metric from the same start on the same data."""
     dataset = generate_data(config.seed, config.m, config.true_theta)
     family = GpPriorEq(dataset.inputs)
-    engines = {metric: _benchmark_engine(metric, family) for metric in config.metrics}
+    engines = {metric: resolve_id(metric, BENCHMARK_METRICS, "benchmark metric", "metrics", family)
+               for metric in config.metrics}
     threshold = (
         config.cost_threshold
         if config.cost_threshold is not None

@@ -34,8 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .errors import CapabilityError, ConfigError, NumericError
-from .families import CategoricalSoftmax, Family
+from .errors import CapabilityError, NumericError
+from .families import CategoricalSoftmax, Family, resolve_id
 from .numdiff import HESS_REL_STEP, central_hessian
 from .quadrature import unit_interval_grid
 from .similarity import (
@@ -363,51 +363,35 @@ class MetricEngine:
         return self.fn(theta, u)
 
 
-METRIC_IDS = [
-    "fisher",
-    "fdiv:{name}",
-    "pullback",
-    "w2_1d",
-    "wp_1d:{p}",
-    "w2_gaussian",
-    "fd:{similarity}",
-    "euclidean",
-]
+def _f_divergence(name: str) -> FDivergenceSpec:
+    if name not in F_DIVERGENCES:
+        raise ValueError(f"unknown f-divergence {name!r}; valid names: {', '.join(F_DIVERGENCES)}")
+    return F_DIVERGENCES[name]
+
+
+# Builders of engine functions ``fn(theta, u=None)`` from ``(family[, arg])``,
+# keyed by identifier.  Each function looks up the engine it calls when it is
+# called, so a wrapper set on this module later is the one that runs, and a
+# default argument keeps what the identifier's argument resolved to.
+METRICS = {
+    "fisher": lambda family: lambda th, u=None: fisher_information(family, th),
+    "fdiv:{name}": lambda family, name: (
+        lambda th, u=None, spec=_f_divergence(name): f_div_local_hessian(spec, family, th)),
+    "pullback": lambda family: lambda th, u=None: pullback_fisher_categorical(family, th),
+    "w2_1d": lambda family: lambda th, u=None: w2_local_hessian_1d(family, th),
+    "wp_1d:{p}": lambda family, p: (
+        lambda th, u=None, p=_wp_order(p): wp_local_hessian_1d(family, th, p, u)),
+    "w2_gaussian": lambda family: lambda th, u=None: w2_local_hessian_gaussian(family, th),
+    # smooth costs take the stencil at theta, not the ladder
+    "fd:{similarity}": lambda family, sim_id: (
+        lambda th, u=None, sim=get_similarity(sim_id):
+            fd_local_hessian(sim, family, th, u if sim.directional else None)),
+    "euclidean": lambda family: lambda th, u=None: LocalHessian(np.eye(family.param_dim)),
+}
+METRIC_IDS = list(METRICS)
 
 
 def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
     """Resolve a metric engine by string identifier (see ``METRIC_IDS``)."""
-    ident = str(identifier)
-    name, _, arg = ident.partition(":")
-    if name == "fisher" and not arg:
-        return MetricEngine(ident, lambda th, u=None: fisher_information(family, th))
-    if name == "fdiv":
-        if arg not in F_DIVERGENCES:
-            raise ConfigError(
-                f"unknown f-divergence {arg!r} in metric {ident!r}; "
-                f"valid names: {', '.join(sorted(F_DIVERGENCES))}"
-            )
-        spec = F_DIVERGENCES[arg]
-        return MetricEngine(ident, lambda th, u=None: f_div_local_hessian(spec, family, th))
-    if name == "pullback" and not arg:
-        return MetricEngine(ident, lambda th, u=None: pullback_fisher_categorical(family, th))
-    if name == "w2_1d" and not arg:
-        return MetricEngine(ident, lambda th, u=None: w2_local_hessian_1d(family, th))
-    if name == "wp_1d" and arg:
-        try:
-            p = _wp_order(arg)
-        except ValueError as exc:
-            raise ConfigError(f"invalid order in metric {ident!r}: {exc}") from exc
-        return MetricEngine(ident, lambda th, u=None: wp_local_hessian_1d(family, th, p, u))
-    if name == "w2_gaussian" and not arg:
-        return MetricEngine(ident, lambda th, u=None: w2_local_hessian_gaussian(family, th))
-    if name == "fd" and arg:
-        sim = get_similarity(arg)  # smooth costs take the stencil at theta, not the ladder
-        return MetricEngine(ident, lambda th, u=None: fd_local_hessian(
-            sim, family, th, u if sim.directional else None))
-    if name == "euclidean" and not arg:
-        dim = family.param_dim
-        return MetricEngine(ident, lambda th, u=None: LocalHessian(np.eye(dim)))
-    raise ConfigError(
-        f"unknown metric {identifier!r}; valid metrics: {', '.join(METRIC_IDS)}"
-    )
+    fn = resolve_id(identifier, METRICS, "metric", "metrics", family)
+    return MetricEngine(str(identifier), fn)

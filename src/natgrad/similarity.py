@@ -45,18 +45,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    DivergenceInfiniteError,
-    NumericError,
-)
-from .families import CategoricalSoftmax, Dataset, Family, GaussianState
+from .errors import CapabilityError, DivergenceInfiniteError, NumericError
+from .families import CategoricalSoftmax, Dataset, Family, GaussianState, resolve_id
 from .quadrature import unit_interval_grid
 
 __all__ = [
@@ -546,34 +542,17 @@ class SquaredEuclidean(Similarity):
         return family.point(theta).theta - _check_point_target(family, target).theta
 
 
-SIMILARITY_IDS = [
-    "kl",
-    "reverse_kl",
-    "chi2",
-    "hellinger2",
-    "fisher_rao2",
-    "wasserstein:{p}",
-    "w2_gaussian",
-    "sq_euclidean",
-]
+# Similarity builders ``build([arg])``, keyed by identifier.
+SIMILARITIES = {
+    **{name: partial(FDivergence, spec) for name, spec in F_DIVERGENCES.items()},
+    "fisher_rao2": SquaredFisherRaoCategorical,
+    "wasserstein:{p}": lambda p: WassersteinP(float(p)),
+    "w2_gaussian": SquaredW2Gaussian,
+    "sq_euclidean": SquaredEuclidean,
+}
+SIMILARITY_IDS = list(SIMILARITIES)
 
 
 def get_similarity(identifier: str) -> Similarity:
     """Resolve a similarity by string identifier (see ``SIMILARITY_IDS``)."""
-    name, _, arg = str(identifier).partition(":")
-    if name in F_DIVERGENCES and not arg:
-        return FDivergence(F_DIVERGENCES[name])
-    if name == "wasserstein" and arg:
-        try:
-            return WassersteinP(float(arg))
-        except ValueError as exc:
-            raise ConfigError(f"invalid Wasserstein order in {identifier!r}: {exc}") from exc
-    if name == "fisher_rao2" and not arg:
-        return SquaredFisherRaoCategorical()
-    if name == "w2_gaussian" and not arg:
-        return SquaredW2Gaussian()
-    if name == "sq_euclidean" and not arg:
-        return SquaredEuclidean()
-    raise ConfigError(
-        f"unknown similarity {identifier!r}; valid similarities: {', '.join(SIMILARITY_IDS)}"
-    )
+    return resolve_id(identifier, SIMILARITIES, "similarity", "similarities")

@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from natgrad.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from natgrad.optimizer import TRACE_CSV_HEADER
-from natgrad.gp_bench import SUMMARY_CSV_HEADER
+from natgrad.optimizer import TRACE_CSV_HEADER, LineSearchConfig, OptimizerConfig
+from natgrad.gp_bench import SUMMARY_CSV_HEADER, BenchmarkConfig
 from natgrad.validation import run_checks
 
 
@@ -150,6 +151,38 @@ def test_run_unknown_config_key(tmp_path, capsys):
     code = main(["run", _run_config(tmp_path, learning="fast")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and "allowed keys" in err
+
+
+# A valid JSON value for each config field the CLI accepts.
+FIELD_VALUES = {
+    "optimizer": {"learning_rate": 1.0, "max_iters": 5, "grad_tol": 1e-8, "cost_tol": 1e-14,
+                  "line_search": "backtracking", "damping": 1e-8},
+    "line_search": {"c1": 1e-3, "shrink": 0.4},
+    "gp_benchmark": {"m": 4, "seed": 3, "true_theta": [0.0, 0.0, -1.5], "theta0": [1.0, 1.2, 0.3],
+                     "metrics": ["fisher"], "optimizer": {"max_iters": 3},
+                     "threshold_offset": 1.0, "cost_threshold": 5.0},
+}
+CONFIG_FIELDS = (
+    [("optimizer", f.name) for f in fields(OptimizerConfig) if f.name != "metric"]
+    + [("line_search", f.name) for f in fields(LineSearchConfig)]
+    + [("gp_benchmark", f.name) for f in fields(BenchmarkConfig)]
+)
+
+
+@pytest.mark.parametrize("section,key", CONFIG_FIELDS)
+def test_run_accepts_every_config_field(tmp_path, capsys, section, key):
+    # The allowed keys of each config section are its dataclass's fields.
+    value = FIELD_VALUES[section][key]
+    if section == "optimizer":
+        cfg = _run_config(tmp_path, optimizer={key: value})
+    elif section == "line_search":
+        cfg = _run_config(tmp_path, optimizer={"line_search": {key: value}})
+    else:
+        payload = {"m": 4, "metrics": ["euclidean"], "optimizer": {"max_iters": 3},
+                   "output_dir": str(tmp_path / "bench"), key: value}
+        cfg = _write_config(tmp_path, "bench.json", {"gp_benchmark": payload})
+    code = main(["run", cfg])
+    assert code == EXIT_OK, capsys.readouterr().err
 
 
 def test_run_missing_file(tmp_path, capsys):

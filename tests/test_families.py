@@ -1,5 +1,7 @@
 """Family primitives: densities, scores, CDFs, quantiles, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -496,6 +498,20 @@ def test_in_domain_is_whether_check_point_accepts(theta):
         except InvalidParameterError:
             accepted = False
         assert family.in_domain(theta) is accepted
+
+
+def test_linear_reparam_rejects_an_overflowing_image_without_warnings():
+    # A @ xi overflows to inf for a finite xi; the base check rejects it, and
+    # the overflow in the product itself raises no RuntimeWarning.
+    rep = LinearlyReparameterized(Gaussian1D(), 2.0 * np.eye(2))
+    xi = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            rep.check_point(xi)
+        with pytest.raises(InvalidParameterError):
+            rep.point(xi)
+        assert rep.in_domain(xi) is False
 
 
 def test_linear_reparam_accepts_a_small_well_conditioned_matrix():

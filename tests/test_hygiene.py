@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from natgrad.errors import CapabilityError
-from natgrad.families import FAMILY_IDS, LinearlyReparameterized, get_family
-from natgrad.gp_bench import GpNllCost, generate_data
+from natgrad.errors import CapabilityError, ConfigError
+from natgrad.families import (FAMILIES, FAMILY_IDS, LinearlyReparameterized, get_family,
+                              resolve_id)
+from natgrad.gp_bench import BENCHMARK_METRIC_IDS, BENCHMARK_METRICS, GpNllCost, generate_data
+from natgrad.metric import METRIC_IDS, METRICS, resolve_metric_engine
 from natgrad.optimizer import OptimizerConfig, optimize
-from natgrad.similarity import SIMILARITY_IDS, get_similarity
+from natgrad.similarity import SIMILARITIES, SIMILARITY_IDS, get_similarity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "natgrad"
 
@@ -217,3 +219,95 @@ def test_families_and_similarities_are_not_written_to_after_init():
     optimize(family, cost, np.array([0.1, 0.2, -0.5]), DATASET, config)
     _assert_unchanged(family, before, "gp_prior_eq after a gp_nll run")
     _assert_unchanged(cost, cost_before, "gp_nll after a run")
+
+
+def _partition_colon_users(path: Path) -> bool:
+    """Whether the module calls ``.partition(":")``."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "partition"
+               and [getattr(a, "value", None) for a in node.args] == [":"]
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_the_shared_resolver_parses_identifiers():
+    # Every registry resolves through families.resolve_id, the one parser of
+    # the name[:arg] / name:{arg} grammar, and lists the keys of its table.
+    assert sorted(p.name for p in SRC.glob("*.py") if _partition_colon_users(p)) == ["families.py"]
+    assert FAMILY_IDS == list(FAMILIES)
+    assert SIMILARITY_IDS == list(SIMILARITIES)
+    assert METRIC_IDS == list(METRICS)
+    assert BENCHMARK_METRIC_IDS == list(BENCHMARK_METRICS)
+
+
+GP = get_family("gp_prior_eq", inputs=DATASET.inputs)
+# Each registry's listed IDs and its resolver.
+REGISTRIES = {
+    "families": (FAMILY_IDS, lambda i: get_family(i, inputs=DATASET.inputs)),
+    "similarities": (SIMILARITY_IDS, get_similarity),
+    "metrics": (METRIC_IDS, lambda i: resolve_metric_engine(i, GP)),
+    "benchmark metrics": (
+        BENCHMARK_METRIC_IDS,
+        lambda i: resolve_id(i, BENCHMARK_METRICS, "benchmark metric", "metrics", GP),
+    ),
+}
+PLACEHOLDERS = {"{p}": "3", "{name}": "chi2", "{similarity}": "kl", "[:dim]": ":2", "[:k]": ":2"}
+
+
+def _filled(key: str) -> str:
+    for placeholder, arg in PLACEHOLDERS.items():
+        key = key.replace(placeholder, arg)
+    return key
+
+
+def _cases(make):
+    return [pytest.param(kind, ident, id=f"{kind}-{ident}")
+            for kind, (ids, _) in REGISTRIES.items() for key in ids
+            for ident in make(key)]
+
+
+@pytest.mark.parametrize("kind,ident", _cases(
+    lambda key: [_filled(key)] + ([key.partition("[")[0]] if "[" in key else [])))
+def test_every_listed_id_resolves(kind, ident):
+    _, resolve = REGISTRIES[kind]
+    assert resolve(ident) is not None
+
+
+# A stray argument on an ID that takes none (gaussian1d:1, fisher_rao2:1), and
+# a colon with no argument (kl:, fisher:, mvn_lcholesky:).
+REJECTED = _cases(lambda key: [key + ":1"] if not ("[" in key or "{" in key) else []) + _cases(
+    lambda key: [key.partition("[")[0].partition(":")[0] + ":"]) + [
+    pytest.param("families", "gaussian1d:5", id="families-gaussian1d:5"),
+    pytest.param("families", "gp_prior_eq:3", id="families-gp_prior_eq:3"),
+]
+
+
+@pytest.mark.parametrize("kind,ident", REJECTED)
+def test_stray_and_empty_arguments_are_rejected(kind, ident):
+    ids, resolve = REGISTRIES[kind]
+    with pytest.raises(ConfigError, match=f"unknown .*valid {kind.split()[-1]}: ") as exc:
+        resolve(ident)
+    assert str(exc.value).endswith(", ".join(ids))
+
+
+# Identifiers the benchmark workloads name, and the names they resolve to.
+WORKLOAD_IDS = [
+    ("metrics", ident, ident) for ident in (
+        "fdiv:chi2", "fdiv:hellinger2", "fdiv:reverse_kl", "w2_1d", "wp_1d:3", "pullback",
+        "fisher", "fd:wasserstein:3")
+] + [
+    ("families", ident, ident)
+    for ident in ("gaussian1d", "mvn_lcholesky:2", "mvn_lcholesky:3", "categorical_softmax:5")
+] + [
+    ("similarities", ident, ident)
+    for ident in ("kl", "reverse_kl", "chi2", "hellinger2", "fisher_rao2", "wasserstein:3")
+] + [
+    ("families", "mvn_lcholesky", "mvn_lcholesky:2"),
+    ("similarities", "wasserstein:2.0", "wasserstein:2"),
+    ("benchmark metrics", "w2", "w2_gaussian"),
+]
+
+
+@pytest.mark.parametrize("kind,ident,name", WORKLOAD_IDS)
+def test_benchmark_identifiers_resolve_as_before(kind, ident, name):
+    _, resolve = REGISTRIES[kind]
+    assert resolve(ident).name == name
