@@ -78,11 +78,7 @@ from .similarity import (
     SquaredFisherRaoCategorical,
     SquaredW2Gaussian,
     WassersteinP,
-    f_divergence,
-    gaussian_kl,
     get_similarity,
-    squared_w2_gaussian,
-    wasserstein_p_1d,
 )
 from .validation import CheckResult, run_checks
 

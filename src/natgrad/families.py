@@ -90,6 +90,8 @@ class Dataset:
             raise ValueError(
                 f"inputs and targets must have equal length, got {inputs.shape[0]} and {targets.shape[0]}"
             )
+        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+            raise ValueError("inputs and targets must be finite")
         inputs.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
@@ -630,8 +632,8 @@ class GpPriorEq(Family):
         # any other is copied, since a view changes with its base and the
         # caller cannot then change the family afterwards.
         inputs = np.atleast_1d(np.asarray(inputs, dtype=float))
-        if inputs.ndim != 1 or inputs.size < 1:
-            raise ValueError("inputs must be a non-empty 1-D array")
+        if inputs.ndim != 1 or inputs.size < 1 or not np.isfinite(inputs).all():
+            raise ValueError("inputs must be a non-empty finite 1-D array")
         if inputs.base is not None or inputs.flags.writeable:
             inputs = inputs.copy()
             inputs.setflags(write=False)

@@ -13,6 +13,7 @@ The ``w2`` run uses the closed-form Bures-Wasserstein metric;
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -99,7 +100,7 @@ class GpNllCost(Similarity):
     # The expected Hessian of a negative log-likelihood is the Fisher matrix.
     metric = "fisher"
 
-    def _check(self, family, target) -> Dataset:
+    def target(self, family, target) -> Dataset:
         if not isinstance(target, Dataset):
             raise TypeError("gp_nll requires a Dataset target")
         # A family built on the dataset's read-only inputs holds that array.
@@ -108,13 +109,10 @@ class GpNllCost(Similarity):
             raise TypeError("gp_nll requires a gp_prior_eq family built on the dataset inputs")
         return target
 
-    def evaluate(self, family, theta, target):
-        dataset = self._check(family, target)
+    def _cost(self, family, theta, dataset, grad):
+        if grad:
+            return -family.score(theta, dataset.targets)
         return -family.log_density(theta, dataset.targets)
-
-    def grad_theta(self, family, theta, target):
-        dataset = self._check(family, target)
-        return -family.score(theta, dataset.targets)
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,8 @@ class BenchmarkConfig:
     cost_threshold: Optional[float] = None
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 2:
+            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
         if len(self.metrics) == 0:
             raise ValueError("metrics must be non-empty")
 

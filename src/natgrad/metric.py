@@ -185,6 +185,14 @@ def _wp_order(p) -> float:
     return p
 
 
+def _direction(family: Family, u) -> np.ndarray:
+    """``u`` as a float vector; ``ValueError`` unless it has ``param_dim`` entries."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (family.param_dim,):
+        raise ValueError(f"direction must have length {family.param_dim}, got shape {u.shape}")
+    return u
+
+
 def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian:
     """Directional local Hessian of half the squared p-Wasserstein distance.
 
@@ -203,7 +211,7 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
         if p != 2.0:
             raise ValueError("wp_local_hessian_1d needs a direction u for p != 2")
         u = np.ones(family.param_dim)
-    u = np.asarray(u, dtype=float)
+    u = _direction(family, u)
     norm = np.linalg.norm(u)
     if not np.all(np.isfinite(u)) or norm == 0.0:
         raise ValueError(f"direction must be finite and nonzero, got {u}")
@@ -286,7 +294,7 @@ def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHes
         return sim.evaluate(family, eta, theta)
 
     if u is not None:
-        u = np.asarray(u, dtype=float)
+        u = _direction(family, u)
         if np.linalg.norm(u) < 1e-12:
             u = None
     if u is None:

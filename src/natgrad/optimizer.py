@@ -25,6 +25,7 @@ with ``line_search_stalled`` on that iteration, which is not convergence.
 from __future__ import annotations
 
 import io
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NatgradError, NumericError
-from .families import Dataset, Family
+from .families import Family
 from .metric import MetricEngine, LocalHessian, resolve_metric_engine, spd_project
 from .numdiff import central_hessian
 from .similarity import Similarity
@@ -97,8 +98,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.grad_tol > 0.0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if not self.cost_tol > 0.0:
@@ -176,10 +177,9 @@ class Objective:
 
 
 def make_objective(family: Family, sim: Similarity, target) -> Objective:
-    """Cost ``theta -> sim(theta, target)`` over one family; a parameter
-    target is validated here, once, as a point of the family."""
-    if not isinstance(target, Dataset):
-        target = family.point(target)
+    """Cost ``theta -> sim(theta, target)`` over one family; the target is
+    validated here, once, by ``sim.target``."""
+    target = sim.target(family, target)
     return Objective(
         value=lambda theta: sim.evaluate(family, theta, target),
         gradient=lambda theta: sim.grad_theta(family, theta, target),
@@ -314,8 +314,8 @@ def optimize(
 
     A run holds three points of the family (``Family.point``), each
     validated once and keeping its state: the target (by
-    :func:`make_objective`, unless it is a :class:`Dataset`), the iterate and
-    the latest line-search trial.  The accepted trial becomes the next
+    :func:`make_objective`; a likelihood cost's target is its dataset), the
+    iterate and the latest line-search trial.  The accepted trial becomes the next
     iterate with its state and its cost; a search that reaches the step
     floor ends the run ``line_search_stalled``.
     """

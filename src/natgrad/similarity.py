@@ -18,16 +18,19 @@ not differentiable where it vanishes, its half square is, and the half
 square is the cost whose local Hessian the metric engines compute.  So
 ``WassersteinP``, ``SquaredW2Gaussian``, ``SquaredFisherRaoCategorical`` and
 ``SquaredEuclidean`` all evaluate to half a squared distance, and the cost
-the optimizer minimizes is the function the engines differentiate.  The
-free functions ``wasserstein_p_1d`` and ``fisher_rao_distance_categorical``
-return the distance itself, and ``squared_w2_gaussian`` the full square.
+the optimizer minimizes is the function the engines differentiate.  A
+distance itself is ``sqrt(2 * evaluate)``.
 
 Every measure takes its two arguments as points of the family
-(``Family.point``) or plain arrays, and reads what it needs from the state
-each point keeps.  A Gaussian closed form reads the Cholesky factors of the
-two points' Gaussian states, one form per measure for value and gradient alike:
-KL, reverse KL and ``W2^2`` as sums of non-negative terms, exact near
-coincidence, chi-squared and squared Hellinger through an alpha-integral.
+(``Family.point``) or plain arrays.  ``Similarity.evaluate`` and
+``Similarity.grad_theta`` validate them once, ``theta`` by ``Family.point``
+and the target by ``Similarity.target``, and hand both points to
+``Similarity._cost``, the one method a measure implements; it reads what it
+needs from the state each point keeps.  A Gaussian closed form reads the
+Cholesky factors of the two points' Gaussian states, one form per measure
+for value and gradient alike: KL, reverse KL and ``W2^2`` as sums of
+non-negative terms, exact near coincidence, chi-squared and squared
+Hellinger through an alpha-integral.
 
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
 roundoff and is non-negative.  ``grad_theta`` is the analytic gradient in
@@ -64,10 +67,6 @@ __all__ = [
     "SquaredW2Gaussian",
     "SquaredFisherRaoCategorical",
     "SquaredEuclidean",
-    "gaussian_kl",
-    "squared_w2_gaussian",
-    "wasserstein_p_1d",
-    "f_divergence",
     "get_similarity",
     "SIMILARITY_IDS",
 ]
@@ -105,23 +104,14 @@ F_DIVERGENCES = {spec.name: spec for spec in (
 )}
 
 
-def _check_point_target(family: Family, target) -> np.ndarray:
-    """``family.point(target)``; a :class:`Dataset` raises ``TypeError``."""
-    if isinstance(target, Dataset):
-        raise TypeError(
-            "this similarity compares two parameter points; dataset targets are "
-            "only supported by the GP benchmark cost"
-        )
-    return family.point(target)
-
-
 class Similarity:
     """Base class: a non-negative cost ``c(theta, target)`` over one family.
 
     ``metric`` names the engine of the similarity's own local Hessian, the
     default metric of runs over it (base: finite differences of the cost).
     ``directional`` marks costs whose curvature depends on the approach
-    direction: those not twice differentiable on the diagonal.
+    direction: those not twice differentiable on the diagonal.  A subclass
+    implements ``_cost``, and ``target`` if its target is not a point.
     """
 
     name: str = ""
@@ -132,14 +122,29 @@ class Similarity:
         return f"fd:{self.name}"
 
     def evaluate(self, family: Family, theta, target) -> float:
-        raise NotImplementedError
+        return self._cost(family, family.point(theta), self.target(family, target), False)
 
     def grad_theta(self, family: Family, theta, target) -> np.ndarray:
         """Gradient of ``evaluate`` in its first argument."""
+        return self._cost(family, family.point(theta), self.target(family, target), True)
+
+    def target(self, family: Family, target):
+        """``target`` validated as ``_cost`` takes it: a point of ``family``;
+        a :class:`Dataset` raises ``TypeError``."""
+        if isinstance(target, Dataset):
+            raise TypeError(
+                "this similarity compares two parameter points; dataset targets are "
+                "only supported by the GP benchmark cost"
+            )
+        return family.point(target)
+
+    def _cost(self, family: Family, theta, target, grad: bool):
+        """The cost between the point ``theta`` and a validated ``target``,
+        or with ``grad`` its gradient in ``theta``."""
         raise NotImplementedError
 
 
-def _gaussian_form(form, family: Family, theta, target, grad: bool = False):
+def _gaussian_form(form, family: Family, theta, target, grad: bool):
     """The value of ``form`` between ``theta`` and ``target``, or with
     ``grad`` its gradient in ``theta``, ``dmu_i . d_mean + tr(d_cov dS_i)``;
     None without a form or on a family that is not Gaussian.  A form
@@ -157,18 +162,6 @@ def _gaussian_form(form, family: Family, theta, target, grad: bool = False):
 
 
 # -- f-divergences -------------------------------------------------------------
-
-
-def gaussian_kl(mean1, cov1, mean2, cov2) -> float:
-    """``KL(N(mean1, cov1) || N(mean2, cov2))`` from copies of the arguments;
-    a covariance that is not positive definite raises :class:`NumericError`."""
-    return _kl(_state(mean1, cov1), _state(mean2, cov2))
-
-
-def _state(mean, cov) -> GaussianState:
-    """The factored state of copies: the caller's arrays stay writeable."""
-    mean = np.array(mean, dtype=float, ndmin=1)
-    return GaussianState.factor(mean, mean, np.array(cov, dtype=float, ndmin=2))
 
 
 def _kl(s1: GaussianState, s2: GaussianState, grad: bool = False):
@@ -262,34 +255,6 @@ _GAUSSIAN_FORMS = {"kl": _kl, "reverse_kl": _reverse_kl,
                    "chi2": _alpha_form(2.0, 1.0), "hellinger2": _alpha_form(0.5, -2.0)}
 
 
-def f_divergence(spec: FDivergenceSpec, family: Family, theta, target,
-                 strategy: str = "auto") -> float:
-    """D_f from the distribution at ``target`` to the one at ``theta``.
-
-    ``strategy`` is one of ``auto`` (closed form when known, otherwise
-    quadrature), ``closed_form``, or ``quadrature``.  Every Gaussian family
-    has a closed form for each of the four registered divergences, in
-    ``_GAUSSIAN_FORMS``.  Quadrature sums ``p f(q/p)`` on
-    ``Family.window_rule`` of both points: Gauss-Legendre nodes over their
-    quantile windows for a 1-D continuous family, the whole support,
-    exactly, for a categorical one, whose points keep their log-probabilities
-    there, so a value and a gradient at one point read the same ones.
-    """
-    theta = family.point(theta)
-    target = _check_point_target(family, target)
-    if strategy not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    form = _GAUSSIAN_FORMS.get(spec.name) if strategy != "quadrature" else None
-    value = _gaussian_form(form, family, theta, target)
-    if value is not None:
-        return _clamp_divergence(value, spec, family)
-    if strategy == "closed_form":
-        raise CapabilityError(f"no closed form for {spec.name} on {family.name}")
-    _, weights, integrand = _window_integrand(spec, family, theta, target, spec.f)
-    return _clamp_divergence(float(weights @ integrand), spec, family)
-
-
 def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
     """``(nodes, weights, fn(log p, log q))`` on the window rule of the points
     ``theta`` and ``target``, with ``p``, ``q`` their densities and ``fn`` a
@@ -325,7 +290,15 @@ def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> fl
 
 
 class FDivergence(Similarity):
-    """An f-divergence, :func:`f_divergence` with the default strategy."""
+    """D_f from the distribution at ``target`` to the one at ``theta``.
+
+    Every Gaussian family has a closed form for each of the four registered
+    divergences, in ``_GAUSSIAN_FORMS``.  Otherwise the value sums ``p
+    f(q/p)``, and the gradient ``p score g(q/p)``, on ``Family.window_rule``
+    of both points: Gauss-Legendre nodes over their quantile windows for a
+    1-D continuous family, the whole support, exactly, for a categorical
+    one, whose points keep their log-probabilities there.
+    """
 
     def __init__(self, spec: FDivergenceSpec):
         self.spec = spec
@@ -335,34 +308,19 @@ class FDivergence(Similarity):
     def metric(self) -> str:
         return f"fdiv:{self.name}"
 
-    def evaluate(self, family, theta, target):
-        return f_divergence(self.spec, family, theta, target)
-
-    def grad_theta(self, family, theta, target):
-        """Gradient along the route ``evaluate`` takes: the Gaussian closed
-        forms through the moments of ``theta``, else ``integral p score
-        g(q/p)`` on the same window rule as the divergence."""
+    def _cost(self, family, theta, target, grad):
         spec = self.spec
-        theta = family.point(theta)
-        target = _check_point_target(family, target)
-        grad = _gaussian_form(_GAUSSIAN_FORMS.get(spec.name), family, theta, target, grad=True)
-        if grad is not None:
-            return grad
-        nodes, weights, integrand = _window_integrand(spec, family, theta, target, spec.g)
-        return (weights * integrand) @ family.score(theta, nodes)
+        result = _gaussian_form(_GAUSSIAN_FORMS.get(spec.name), family, theta, target, grad)
+        if result is not None:
+            return result if grad else _clamp_divergence(result, spec, family)
+        nodes, weights, integrand = _window_integrand(
+            spec, family, theta, target, spec.g if grad else spec.f)
+        if grad:
+            return (weights * integrand) @ family.score(theta, nodes)
+        return _clamp_divergence(float(weights @ integrand), spec, family)
 
 
 # -- Wasserstein distances ------------------------------------------------------
-
-
-def wasserstein_p_1d(family: Family, theta, target, p: float) -> float:
-    """p-Wasserstein distance between two members of a 1-D family.
-
-    Uses the quantile-coupling representation: the p-th power of the
-    distance is the integral over quantile levels of ``|Q1 - Q2|**p``,
-    evaluated on a quadrature grid graded toward both endpoints.
-    """
-    return _quantile_coupling(family, theta, target, _check_order(p))[-1]
 
 
 def _check_order(p) -> float:
@@ -374,12 +332,11 @@ def _check_order(p) -> float:
 
 
 def _quantile_coupling(family: Family, theta, target, p: float):
-    """``(Q1, weights, Q1 - Q2, W_p)``: the quantiles of ``theta`` on
-    ``unit_interval_grid()``, its weights, the quantile gap to ``target``
-    and the distance, for an order ``p`` that passed :func:`_check_order`.
+    """``(Q1, weights, Q1 - Q2, W_p)`` between the points ``theta`` and
+    ``target``: the quantiles of ``theta`` on ``unit_interval_grid()``, its
+    weights, the quantile gap to ``target`` and ``W_p = (integral |Q1 -
+    Q2|**p)**(1/p)``, for an order ``p`` that passed :func:`_check_order`.
     A family without a quantile raises :class:`CapabilityError`."""
-    theta = family.point(theta)
-    target = _check_point_target(family, target)
     levels, weights = unit_interval_grid()
     q1 = family.quantile(theta, levels)
     gap = q1 - family.quantile(target, levels)
@@ -405,30 +362,24 @@ class WassersteinP(Similarity):
     def metric(self) -> str:
         return "w2_1d" if self.p == 2.0 else f"wp_1d:{self.p:g}"
 
-    def evaluate(self, family, theta, target):
-        return 0.5 * wasserstein_p_1d(family, theta, target, self.p) ** 2
-
-    def grad_theta(self, family, theta, target):
-        """``W^(2-p) integral |dQ|^(p-2) dQ dQ1/dtheta`` over the levels, with
-        ``dQ = Q1 - Q2`` and the quantile velocity ``dQ1/dtheta = -dF/dtheta / rho``
-        at ``Q1``; exactly zero where W vanishes."""
-        p, theta = self.p, family.point(theta)
+    def _cost(self, family, theta, target, grad):
+        """``W**2 / 2``, or with ``grad`` ``W^(2-p) integral |dQ|^(p-2) dQ
+        dQ1/dtheta`` over the levels, with ``dQ = Q1 - Q2`` and the quantile
+        velocity ``dQ1/dtheta = -dF/dtheta / rho`` at ``Q1``; exactly zero
+        where W vanishes."""
+        p = self.p
         q1, weights, gap, w = _quantile_coupling(family, theta, target, p)
+        if not grad:
+            return 0.5 * w ** 2
         if w == 0.0:
             return np.zeros(family.param_dim)
         pull = weights * np.sign(gap) * np.abs(gap) ** (p - 1.0)
         return w ** (2.0 - p) * (pull @ _quantile_velocity(family, theta, q1))
 
 
-def squared_w2_gaussian(mean1, cov1, mean2, cov2) -> float:
-    """``W2^2`` between Gaussians, ``|mu1 - mu2|^2 + tr(S1 + S2 - 2 (S2^1/2 S1
-    S2^1/2)^1/2)``, by :func:`_half_w2` from copies of the arguments; a
-    covariance that is not positive definite raises :class:`NumericError`."""
-    return 2.0 * _half_w2(_state(mean1, cov1), _state(mean2, cov2))
-
-
 def _half_w2(s1: GaussianState, s2: GaussianState, grad: bool = False):
-    """The form (see :func:`_gaussian_form`) of ``W2^2 / 2``, with the SVD
+    """The form (see :func:`_gaussian_form`) of ``W2^2 / 2``, where ``W2^2 =
+    |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S2^1/2 S1 S2^1/2)^1/2)``, with the SVD
     ``L1^T L2 = U diag(s) V^T``::
 
         W2^2 = |m1 - m2|^2 + |L1 - L2 V U^T|_F^2
@@ -451,31 +402,19 @@ class SquaredW2Gaussian(Similarity):
     name = "w2_gaussian"
     metric = "w2_gaussian"
 
-    def _form(self, family, theta, target, grad: bool):
-        result = _gaussian_form(_half_w2, family, theta, _check_point_target(family, target), grad)
+    def _cost(self, family, theta, target, grad):
+        result = _gaussian_form(_half_w2, family, theta, target, grad)
         if result is None:
             raise CapabilityError(f"{family.name} is not Gaussian; w2_gaussian does not apply")
         return result
-
-    def evaluate(self, family, theta, target):
-        return self._form(family, theta, target, False)
-
-    def grad_theta(self, family, theta, target):
-        return self._form(family, theta, target, True)
 
 
 # -- Fisher-Rao geometry on the simplex ------------------------------------------
 
 
-def _check_simplex(p) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-8:
-        raise ValueError(f"not a strictly positive probability vector: {p}")
-    return p
-
-
-def fisher_rao_distance_categorical(p, q) -> float:
-    """Fisher-Rao geodesic distance ``2 * arccos(sum_i sqrt(p_i q_i))``.
+def _fisher_rao_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Fisher-Rao geodesic distance ``2 * arccos(sum_i sqrt(p_i q_i))``
+    between the probability vectors ``p`` and ``q``.
 
     Categorical distributions embed isometrically onto the positive orthant
     of the radius-2 sphere via ``2 * sqrt(p)``, and geodesics are great
@@ -483,41 +422,28 @@ def fisher_rao_distance_categorical(p, q) -> float:
     ``4 * arcsin(|sqrt(p) - sqrt(q)| / 2)``, which resolves distances far
     below the ~3e-8 that the arccos of an affinity near 1 can.
     """
-    return _fisher_rao_distance(_check_simplex(p), _check_simplex(q))
-
-
-def _fisher_rao_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """:func:`fisher_rao_distance_categorical` of probability vectors."""
     chord = np.linalg.norm(np.sqrt(p) - np.sqrt(q))
     return float(4.0 * np.arcsin(min(0.5 * chord, 1.0)))
 
 
 class SquaredFisherRaoCategorical(Similarity):
+    """Half the squared Fisher-Rao distance between categorical distributions."""
+
     name = "fisher_rao2"
     metric = "pullback"
 
-    def _probs(self, family: Family, theta) -> tuple:
-        """``(point, probabilities)`` of ``theta``."""
+    def _cost(self, family, theta, target, grad):
         if not isinstance(family, CategoricalSoftmax):
             raise CapabilityError(
                 f"fisher_rao2 is defined for categorical families, not {family.name}"
             )
-        point = family.point(theta)
-        p = family.probabilities(point)
-        if (p == 0.0).any():  # extreme logits; a line search must be able to catch this
-            raise NumericError("softmax underflowed to a zero probability", {"theta": point.theta})
-        return point, p
-
-    def evaluate(self, family, theta, target):
-        _, p = self._probs(family, theta)
-        _, q = self._probs(family, _check_point_target(family, target))
+        p, q = family.probabilities(theta), family.probabilities(target)
+        if not (p.all() and q.all()):  # extreme logits; a line search must be able to catch this
+            raise NumericError("softmax underflowed to a zero probability",
+                               {"theta": theta.theta, "target": target.theta})
         d = _fisher_rao_distance(p, q)
-        return 0.5 * d * d
-
-    def grad_theta(self, family, theta, target):
-        theta, p = self._probs(family, theta)
-        _, q = self._probs(family, _check_point_target(family, target))
-        d = _fisher_rao_distance(p, q)
+        if not grad:
+            return 0.5 * d * d
         # d(half d^2) = d * dd; with B = sum sqrt(pq) = cos(d/2),
         # dd/dp_i = -sqrt(q_i/p_i) / sin(d/2), and d / sin(d/2) -> 2 at 0.
         factor = 2.0 if d < 1e-8 else d / np.sin(0.5 * d)
@@ -534,12 +460,9 @@ class SquaredEuclidean(Similarity):
     name = "sq_euclidean"
     metric = "euclidean"  # the exact local Hessian is the identity
 
-    def evaluate(self, family, theta, target):
-        diff = family.point(theta).theta - _check_point_target(family, target).theta
-        return float(0.5 * diff @ diff)
-
-    def grad_theta(self, family, theta, target):
-        return family.point(theta).theta - _check_point_target(family, target).theta
+    def _cost(self, family, theta, target, grad):
+        diff = theta.theta - target.theta
+        return diff if grad else float(0.5 * diff @ diff)
 
 
 # Similarity builders ``build([arg])``, keyed by identifier.

@@ -33,10 +33,9 @@ from .optimizer import make_objective, natural_gradient_step
 from .similarity import (
     F_DIVERGENCES,
     FDivergence,
+    SquaredW2Gaussian,
     WassersteinP,
-    f_divergence,
-    squared_w2_gaussian,
-    wasserstein_p_1d,
+    _window_integrand,
 )
 
 __all__ = ["CheckResult", "run_checks"]
@@ -173,14 +172,13 @@ def run_checks(seed: int = 0, fisher_scale: float = 1.0) -> list[CheckResult]:
         ("newton_limit_decay", 0.0, [_newton_margin(gauss, kl)]),
         ("reparam_equivariance", 1e-8, _reparam_deviations(rng, gauss, kl)),
         ("kl_quadrature_vs_closed_form", 1e-8, [
-            abs(f_divergence(kl.spec, gauss, a, b, strategy="quadrature")
-                - f_divergence(kl.spec, gauss, a, b, strategy="closed_form"))
+            abs(float(weights @ integrand) - kl.evaluate(gauss, a, b))
             for a, b in pairs(5)
+            for _, weights, integrand in [_window_integrand(kl.spec, gauss, a, b, kl.spec.f)]
         ]),
         ("w2_gaussian_vs_quantile_quadrature", 1e-8, [
-            abs(squared_w2_gaussian([a.theta[0]], [[a.theta[1] ** 2]],
-                                    [b.theta[0]], [[b.theta[1] ** 2]])
-                - wasserstein_p_1d(gauss, a, b, 2.0) ** 2)
+            2.0 * abs(SquaredW2Gaussian().evaluate(gauss, a, b)
+                      - WassersteinP(2.0).evaluate(gauss, a, b))
             for a, b in pairs(5)
         ]),
     ]

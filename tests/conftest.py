@@ -74,6 +74,15 @@ def random_gaussian_thetas(rng, count, mu_range=(-2.0, 2.0), sigma_range=(0.4, 2
     return np.column_stack([mus, sigmas])
 
 
+def mvn_theta(mean, cov):
+    """The ``mvn_lcholesky`` parameter vector of ``N(mean, cov)``: the mean,
+    then the rows of the lower Cholesky factor of ``cov`` with its diagonal
+    as logs."""
+    L = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    L[np.diag_indices_from(L)] = np.log(L.diagonal())
+    return np.concatenate([np.asarray(mean, dtype=float), L[np.tril_indices(len(L))]])
+
+
 def power_law_family():
     """Test-only family with density a * x^(a-1) on (0, 1).
 

@@ -80,6 +80,12 @@ def test_run_numeric_failure_exit_code(tmp_path, capsys):
     assert "status=numeric_failure" in out
 
 
+def test_run_names_a_non_integral_max_iters(tmp_path, capsys):
+    code = main(["run", _run_config(tmp_path, optimizer={"max_iters": 2.5})])
+    assert code == EXIT_CONFIG
+    assert "max_iters must be an integer" in capsys.readouterr().err
+
+
 def test_run_prints_the_failure_reason_on_stderr(tmp_path, capsys):
     cfg = _run_config(tmp_path, similarity="chi2", theta0=[0.0, 1.0], target=[0.0, 2.0])
     code = main(["run", cfg])
@@ -256,6 +262,13 @@ def test_hessian_directional_wasserstein(capsys):
     assert code == EXIT_OK and "metric=wp_1d:3" in out
     H = _parse_matrix(out.split("\n"))
     assert H.shape == (2, 2) and np.all(np.isfinite(H))
+
+
+def test_hessian_refuses_a_direction_of_the_wrong_length(capsys):
+    code = main(["hessian", "gaussian1d", "wasserstein:3", "0,1", "--metric", "fd:wasserstein:3",
+                 "--direction", "1"])
+    assert code == EXIT_CONFIG
+    assert "direction must have length 2" in capsys.readouterr().err
 
 
 def test_hessian_directional_requires_direction(capsys):

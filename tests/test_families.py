@@ -388,6 +388,18 @@ def test_invalid_parameter_error_is_value_error():
     assert issubclass(CapabilityError, TypeError)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gp_data_must_be_finite(bad):
+    # Accepted, a non-finite target ended every run numeric_failure and a
+    # non-finite input made every state raise "covariance is not finite".
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(inputs=[0.0, 1.0, 2.0], targets=[0.0, bad, 1.0], seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(inputs=[0.0, bad, 2.0], targets=[0.0, 0.5, 1.0], seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        GpPriorEq([bad, 0.0, 1.0])
+
+
 def test_dataset_validates_lengths():
     with pytest.raises(ValueError):
         Dataset(inputs=np.arange(3.0), targets=np.arange(4.0), seed=0)

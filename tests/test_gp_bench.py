@@ -324,6 +324,13 @@ def test_benchmark_config_validation():
     assert BenchmarkConfig().metrics == ("euclidean", "fisher", "w2")
 
 
+@pytest.mark.parametrize("m", [2.5, 30.0, "30"])
+def test_benchmark_config_rejects_a_non_integral_size(m):
+    # Accepted, m = 2.5 became a 2-point GP in generate_data.
+    with pytest.raises(ValueError, match="m must be an integer"):
+        BenchmarkConfig(m=m)
+
+
 def test_benchmark_unknown_metric_raises():
     with pytest.raises(ConfigError):
         run_benchmark(BenchmarkConfig(metrics=("bogus",)))

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import natgrad
+import natgrad.similarity
 from natgrad.errors import CapabilityError, ConfigError
 from natgrad.families import (FAMILIES, FAMILY_IDS, LinearlyReparameterized, get_family,
                               resolve_id)
@@ -143,6 +145,22 @@ def test_validation_checks_are_rows_of_one_table():
             "check_reparam_equivariance", "check_kl_quadrature", "check_w2_gaussian_vs_quantile",
             "_random_gaussian_points"}
     assert sorted(p.name for p in SRC.glob("*.py") if gone & _defined(p)) == []
+
+
+def test_one_route_into_every_similarity():
+    # Similarity.evaluate and grad_theta validate both arguments, the target
+    # by Similarity.target, and hand the points to _cost, which a subclass
+    # implements; no second route on another scale (W_p, W2^2, d) remains.
+    entries = sorted(f"{p.name}:{node.name}" for p in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(p.read_text()))
+                     if isinstance(node, ast.ClassDef)
+                     and any(isinstance(f, ast.FunctionDef) and f.name in ("evaluate", "grad_theta")
+                             for f in node.body))
+    assert entries == ["similarity.py:Similarity"]
+    assert "Dataset" not in (SRC / "optimizer.py").read_text()
+    gone = ("f_divergence", "gaussian_kl", "squared_w2_gaussian", "wasserstein_p_1d",
+            "fisher_rao_distance_categorical")
+    assert [n for n in gone if hasattr(natgrad, n) or hasattr(natgrad.similarity, n)] == []
 
 
 DATASET = generate_data(seed=3, m=4)

@@ -42,7 +42,6 @@ from natgrad.similarity import (
     SquaredW2Gaussian,
     WassersteinP,
     _quantile_velocity,
-    f_divergence,
     get_similarity,
 )
 
@@ -260,6 +259,16 @@ def test_wp_rejects_bad_orders_and_directions():
         wp_local_hessian_1d(GAUSS, (0.0, 1.0), 3.0, np.zeros(2))
     # p = 2 is direction-free
     wp_local_hessian_1d(GAUSS, (0.0, 1.0), 2.0)
+
+
+@pytest.mark.parametrize("u", [[1.0], [1.0, 0.5, 0.2], [[1.0, 0.5]]], ids=["1", "3", "1x2"])
+def test_directions_of_the_wrong_shape_are_refused(u):
+    # A length-1 direction would broadcast to (1, 1): the fd engine took the
+    # curvature along (1, 1) at step sqrt(2) eps, and the W_p engine failed in a matmul.
+    for engine in (lambda: fd_local_hessian(WassersteinP(3.0), GAUSS, (0.0, 1.0), u),
+                   lambda: wp_local_hessian_1d(GAUSS, (0.0, 1.0), 3.0, u)):
+        with pytest.raises(ValueError, match="direction must have length 2"):
+            engine()
 
 
 def test_wp_small_order_blowup_guard():
@@ -527,7 +536,7 @@ def test_quadrature_routes_validate_theta_once_per_family_call(monkeypatch):
     calls = []
     check = fam.check_point
     monkeypatch.setattr(fam, "check_point", lambda theta: calls.append(theta) or check(theta))
-    f_divergence(F_DIVERGENCES["chi2"], fam, (0.3, 1.2), (0.0, 1.0))
+    FDivergence(F_DIVERGENCES["chi2"]).evaluate(fam, (0.3, 1.2), (0.0, 1.0))
     assert len(calls) == 2  # theta and target, once each
     calls.clear()
     point = fam.point((0.3, 1.2))

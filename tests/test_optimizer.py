@@ -63,11 +63,20 @@ def _quadratic_objective(A, center):
         {"grad_tol": 0.0},
         {"cost_tol": -1e-9},
         {"damping": 0.0},
+        {"max_iters": 2.5},
+        {"max_iters": 3.0},
     ],
 )
 def test_optimizer_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         OptimizerConfig(**kwargs)
+
+
+def test_optimizer_config_names_a_non_integral_max_iters():
+    # Accepted, it raised "'float' object cannot be interpreted as an integer"
+    # from inside optimize, with no key named.
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        OptimizerConfig(max_iters=2.5)
 
 
 @pytest.mark.parametrize("kwargs", [{"c1": 0.0}, {"c1": 1.0}, {"shrink": 0.0}, {"shrink": 1.0}])
