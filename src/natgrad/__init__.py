@@ -57,7 +57,6 @@ from .metric import (
     wp_local_hessian_1d,
 )
 from .optimizer import (
-    LineSearchConfig,
     Objective,
     OptimizerConfig,
     StepRecord,

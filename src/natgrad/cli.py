@@ -28,7 +28,7 @@ from .errors import ConfigError, DivergenceInfiniteError, NatgradError, NumericE
 from .families import FAMILY_IDS, get_family
 from .gp_bench import BenchmarkConfig, run_benchmark
 from .metric import METRIC_IDS, fd_local_hessian, resolve_metric_engine
-from .optimizer import LineSearchConfig, OptimizerConfig, optimize
+from .optimizer import OptimizerConfig, optimize
 from .similarity import SIMILARITY_IDS, get_similarity
 from .validation import run_checks
 
@@ -65,25 +65,9 @@ def _pop_keys(data: dict, allowed: set[str], context: str) -> None:
         )
 
 
-def _line_search_from(config) -> Optional[LineSearchConfig]:
-    if config is None or config is False or config == "off":
-        return None
-    if config is True or config == "backtracking":
-        return LineSearchConfig()
-    if isinstance(config, dict):
-        _pop_keys(config, _field_names(LineSearchConfig), "line_search")
-        try:
-            return LineSearchConfig(**config)
-        except ValueError as exc:
-            raise ConfigError(f"invalid line_search: {exc}") from exc
-    raise ConfigError(f"line_search must be an object, 'off', or null, got {config!r}")
-
-
 def _optimizer_config_from(data: dict, metric: Optional[str] = None) -> OptimizerConfig:
     data = dict(data or {})
     _pop_keys(data, _field_names(OptimizerConfig) - {"metric"}, "optimizer")
-    if "line_search" in data:
-        data["line_search"] = _line_search_from(data["line_search"])
     try:
         return OptimizerConfig(metric=metric, **data)
     except (TypeError, ValueError) as exc:

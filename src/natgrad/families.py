@@ -366,8 +366,15 @@ class Family(ABC):
 
     def _build_state(self, point: Point):
         """The state ``point`` builds on first use (see :meth:`Point.state`):
-        a Gaussian family's :class:`GaussianState`, else None."""
-        return self._gaussian_state(point.theta)
+        a Gaussian family's :class:`GaussianState`, else None.
+
+        Extreme parameters can overflow the covariance or make it NaN;
+        :meth:`GaussianState.factor` then raises NumericError, so every
+        operation at the point fails alike and line searches treat it as
+        infinitely bad.  The floating-point warnings on the way are that
+        same failure and are not reported again."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return self._gaussian_state(point.theta)
 
     def _with_derivs(self, point: Point, state: GaussianState) -> GaussianState:
         """The state of ``point`` with the inverse and the moment derivatives."""
@@ -650,13 +657,9 @@ class GpPriorEq(Family):
         return z @ L.T
 
     def _gaussian_state(self, theta):
-        # Extreme log-parameters overflow K; the state then raises
-        # NumericError, so every operation at the point fails alike and line
-        # searches treat it as infinitely bad instead of crashing.
         log_amp, log_ls, log_noise = theta
-        with np.errstate(over="ignore"):
-            K = _eq_kernel(self._sqdist, log_amp, log_ls)
-            K = K + np.exp(2.0 * log_noise) * np.eye(self.sample_dim)
+        K = _eq_kernel(self._sqdist, log_amp, log_ls)
+        K = K + np.exp(2.0 * log_noise) * np.eye(self.sample_dim)
         return GaussianState.factor(theta, np.zeros(self.sample_dim), K)
 
     def _moment_derivs(self, state):

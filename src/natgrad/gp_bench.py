@@ -16,7 +16,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -83,11 +82,15 @@ def gp_w2_metric(theta, inputs, u=None) -> LocalHessian:
     return fd_local_hessian(SquaredW2Gaussian(), GpPriorEq(inputs), theta, u)
 
 
+def _check_size(m) -> None:
+    if not isinstance(m, numbers.Integral) or m < 2:
+        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+
+
 def generate_data(seed: int = 42, m: int = 30, true_theta=DEFAULT_TRUE_THETA) -> Dataset:
     """Equispaced inputs on [-3, 3] and one seeded draw from the GP prior."""
-    if int(m) < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    inputs = np.linspace(-3.0, 3.0, int(m))
+    _check_size(m)
+    inputs = np.linspace(-3.0, 3.0, m)
     family = GpPriorEq(inputs)
     targets = family.sample(true_theta, seed, 1)[0]
     return Dataset(inputs=inputs, targets=targets, seed=int(seed))
@@ -119,8 +122,8 @@ class GpNllCost(Similarity):
 class BenchmarkConfig:
     """Benchmark settings; defaults reproduce the shipped comparison.
 
-    ``cost_threshold=None`` sets the threshold to the negative
-    log-likelihood at ``true_theta`` plus ``threshold_offset`` nats.
+    The threshold is the negative log-likelihood at ``true_theta`` plus
+    ``threshold_offset`` nats.
     """
 
     m: int = 30
@@ -132,11 +135,9 @@ class BenchmarkConfig:
         default_factory=lambda: OptimizerConfig(max_iters=2000, grad_tol=1e-6)
     )
     threshold_offset: float = 0.5
-    cost_threshold: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral) or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
+        _check_size(self.m)
         if len(self.metrics) == 0:
             raise ValueError("metrics must be non-empty")
 
@@ -174,11 +175,7 @@ def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResul
     family = GpPriorEq(dataset.inputs)
     engines = {metric: resolve_id(metric, BENCHMARK_METRICS, "benchmark metric", "metrics", family)
                for metric in config.metrics}
-    threshold = (
-        config.cost_threshold
-        if config.cost_threshold is not None
-        else gp_nll(np.asarray(config.true_theta, dtype=float), dataset) + config.threshold_offset
-    )
+    threshold = gp_nll(np.asarray(config.true_theta, dtype=float), dataset) + config.threshold_offset
     cost = GpNllCost()
     traces = {}
     for metric, engine in engines.items():

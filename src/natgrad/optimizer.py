@@ -6,13 +6,13 @@ engine at the current iterate (re-evaluated every iteration, with the
 negative gradient passed as the direction hint for direction-dependent
 metrics).  ``H`` is spectrum-shifted to a damping floor before
 factorization, here and nowhere else (no metric engine damps), and an
-optional Armijo backtracking line search scales the step.  The search
-starts from a predicted step (Nocedal & Wright 2006, eq. 3.60: twice the
-last cost decrease over the current slope, at most 1; 1 on the first
-iteration) and backtracks to the minimizer of the quadratic that
-interpolates the cost at 0, its slope and the failed trial (§3.5).
-Non-descent directions fall back to a plain gradient step for that
-iteration rather than raising.
+Armijo backtracking line search scales the step.  The search starts from
+a predicted step (Nocedal & Wright 2006, eq. 3.60: twice the last cost
+decrease over the current slope, at most 1; 1 on the first iteration)
+and backtracks to the minimizer of the quadratic that interpolates the
+cost at 0, its slope and the failed trial (§3.5).  A direction that is
+not a descent direction is not searched: the run ends
+``line_search_stalled`` with the reason ``non_descent``.
 
 ``optimize`` never lets numerical failures escape: they terminate the run
 with ``status = "numeric_failure"`` on the returned :class:`Trace`, whose
@@ -27,7 +27,7 @@ from __future__ import annotations
 import io
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ from .numdiff import central_hessian
 from .similarity import Similarity
 
 __all__ = [
-    "LineSearchConfig",
     "OptimizerConfig",
     "StepRecord",
     "Trace",
@@ -54,26 +53,9 @@ __all__ = [
 
 TRACE_CSV_HEADER = "iter,cost,grad_norm,step_norm,damping,time_s"
 ALPHA_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class LineSearchConfig:
-    """Armijo backtracking: accept the first trial ``alpha`` with
-    ``cost(theta + alpha v) <= cost(theta) + c1 alpha g.v``.
-
-    After a failed finite trial the next one is the minimizer of the
-    interpolating quadratic, clamped to ``[0.1 alpha, shrink alpha]``, so
-    ``shrink`` is the largest backtracking factor; after a trial whose cost
-    is not finite or raises, ``alpha`` is multiplied by ``shrink``."""
-
-    c1: float = 1e-4
-    shrink: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must be in (0, 1), got {self.c1}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must be in (0, 1), got {self.shrink}")
+# Armijo sufficient-decrease constant and largest backtracking factor.
+ARMIJO_C1 = 1e-4
+SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -81,17 +63,15 @@ class OptimizerConfig:
     """Settings for :func:`optimize`.
 
     ``learning_rate`` is the trust-region weight: the unscaled step is
-    ``-(1/learning_rate) H^-1 g``.  ``line_search=None`` disables
-    backtracking (full steps).  ``damping=None`` uses the scale-aware
-    default floor.  ``metric=None`` uses the similarity's own metric,
-    ``Similarity.metric``.
+    ``-(1/learning_rate) H^-1 g``, which the Armijo line search scales.
+    ``damping=None`` uses the scale-aware default floor.  ``metric=None``
+    uses the similarity's own metric, ``Similarity.metric``.
     """
 
     learning_rate: float = 1.0
     max_iters: int = 100
     grad_tol: float = 1e-8
     cost_tol: float = 1e-14
-    line_search: Optional[LineSearchConfig] = field(default_factory=LineSearchConfig)
     metric: Optional[str] = None
     damping: Optional[float] = None
 
@@ -112,9 +92,9 @@ class OptimizerConfig:
 class StepRecord:
     """One optimizer iteration: state when entering it, step taken from it.
 
-    ``damping`` is the diagonal shift added to the metric this iteration
-    and ``fallback`` marks plain-gradient rescue steps; terminal records
-    have ``step_norm == 0``.
+    ``damping`` is the diagonal shift added to the metric this iteration;
+    terminal records have ``step_norm == 0``.  ``fallback`` is always
+    False: every step is the line-searched natural-gradient step.
     """
 
     iter: int
@@ -249,15 +229,15 @@ def backtracking_line_search(
     direction: np.ndarray,
     grad: np.ndarray,
     cost0: float,
-    config: LineSearchConfig,
     alpha0: float = 1.0,
 ) -> tuple[float, str]:
     """Armijo backtracking from ``alpha = alpha0``.
 
     A finite trial that fails the Armijo test is followed by the minimizer
     of the quadratic through ``cost0``, the slope ``grad . direction`` and
-    that trial, clamped to ``[0.1 alpha, shrink alpha]``; a trial where the
-    cost is undefined counts as +inf and is followed by ``shrink alpha``.
+    that trial, clamped to ``[0.1 alpha, SHRINK alpha]``; a trial where the
+    cost is undefined counts as +inf and is followed by ``SHRINK alpha``.
+    A trial is accepted when ``cost <= cost0 + ARMIJO_C1 alpha g.v``.
 
     Returns ``(alpha, flag)`` where flag is empty on success,
     ``"non_descent"`` if the direction was not a descent direction (alpha
@@ -274,14 +254,14 @@ def backtracking_line_search(
         except NatgradError:
             candidate = float("inf")
         if not np.isfinite(candidate):
-            alpha *= config.shrink
-        elif candidate <= cost0 + config.c1 * alpha * slope:
+            alpha *= SHRINK
+        elif candidate <= cost0 + ARMIJO_C1 * alpha * slope:
             return alpha, ""
         else:
             # Failing Armijo makes the quadratic's curvature positive.
             curvature = candidate - cost0 - slope * alpha
             alpha = min(max(-0.5 * slope * alpha * alpha / curvature, 0.1 * alpha),
-                        config.shrink * alpha)
+                        SHRINK * alpha)
     return ALPHA_FLOOR, "floor"
 
 
@@ -327,10 +307,10 @@ def optimize(
     records: list[StepRecord] = []
     start = time.perf_counter()
 
-    def rec(it, cost, gn, step, damp, fallback=False):
+    def rec(it, cost, gn, step, damp):
         records.append(
             StepRecord(it, float(cost), float(gn), float(step), float(damp),
-                       time.perf_counter() - start, fallback)
+                       time.perf_counter() - start)
         )
 
     # (point, cost) of the latest line-search trial, the last one evaluated:
@@ -381,32 +361,18 @@ def optimize(
             status, reason = "numeric_failure", _error_reason(exc)
             break
 
-        fallback = False
-        if float(g @ v) >= 0.0:
-            # The projected metric failed to produce descent; take one plain
-            # gradient step instead and keep going.
-            v = -g / config.learning_rate
-            fallback = True
-
-        if config.line_search is not None:
-            alpha, flag = backtracking_line_search(
-                trial_cost, theta.theta, v, g, cost, config.line_search,
-                _predicted_alpha(cost, prev_cost, float(g @ v)),
-            )
-            if flag:
-                rec(it, cost, gn, 0.0, added, fallback)
-                status = "line_search_stalled"
-                reason = (f"line search ({flag}) accepted no step down to the step floor "
-                          f"{ALPHA_FLOOR:g}")
-                break
-            step = alpha * v
-            theta, next_cost = trial
-        else:
-            step = v
-            theta, next_cost = theta.theta + step, None
-
-        rec(it, cost, gn, float(np.linalg.norm(step)), added, fallback)
-        prev_cost, cost = cost, next_cost
+        alpha, flag = backtracking_line_search(
+            trial_cost, theta.theta, v, g, cost, _predicted_alpha(cost, prev_cost, float(g @ v)),
+        )
+        if flag:
+            rec(it, cost, gn, 0.0, added)
+            status = "line_search_stalled"
+            reason = (f"line search ({flag}) accepted no step down to the step floor "
+                      f"{ALPHA_FLOOR:g}")
+            break
+        rec(it, cost, gn, float(np.linalg.norm(alpha * v)), added)
+        prev_cost = cost
+        theta, cost = trial
 
     return Trace(records=tuple(records), status=status, reason=reason)
 

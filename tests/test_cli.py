@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from natgrad.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from natgrad.optimizer import TRACE_CSV_HEADER, LineSearchConfig, OptimizerConfig
+from natgrad.optimizer import TRACE_CSV_HEADER, OptimizerConfig
 from natgrad.gp_bench import SUMMARY_CSV_HEADER, BenchmarkConfig
 from natgrad.validation import run_checks
 
@@ -162,15 +162,13 @@ def test_run_unknown_config_key(tmp_path, capsys):
 # A valid JSON value for each config field the CLI accepts.
 FIELD_VALUES = {
     "optimizer": {"learning_rate": 1.0, "max_iters": 5, "grad_tol": 1e-8, "cost_tol": 1e-14,
-                  "line_search": "backtracking", "damping": 1e-8},
-    "line_search": {"c1": 1e-3, "shrink": 0.4},
+                  "damping": 1e-8},
     "gp_benchmark": {"m": 4, "seed": 3, "true_theta": [0.0, 0.0, -1.5], "theta0": [1.0, 1.2, 0.3],
                      "metrics": ["fisher"], "optimizer": {"max_iters": 3},
-                     "threshold_offset": 1.0, "cost_threshold": 5.0},
+                     "threshold_offset": 1.0},
 }
 CONFIG_FIELDS = (
     [("optimizer", f.name) for f in fields(OptimizerConfig) if f.name != "metric"]
-    + [("line_search", f.name) for f in fields(LineSearchConfig)]
     + [("gp_benchmark", f.name) for f in fields(BenchmarkConfig)]
 )
 
@@ -181,8 +179,6 @@ def test_run_accepts_every_config_field(tmp_path, capsys, section, key):
     value = FIELD_VALUES[section][key]
     if section == "optimizer":
         cfg = _run_config(tmp_path, optimizer={key: value})
-    elif section == "line_search":
-        cfg = _run_config(tmp_path, optimizer={"line_search": {key: value}})
     else:
         payload = {"m": 4, "metrics": ["euclidean"], "optimizer": {"max_iters": 3},
                    "output_dir": str(tmp_path / "bench"), key: value}
@@ -205,14 +201,14 @@ def test_run_invalid_json(tmp_path, capsys):
     assert main(["run", str(path)]) == EXIT_CONFIG
 
 
-def test_run_invalid_line_search(tmp_path, capsys):
-    cfg = _run_config(tmp_path, optimizer={"line_search": {"c1": 2.0}})
+@pytest.mark.parametrize("line_search", ["off", "backtracking", {"c1": 1e-3}])
+def test_run_refuses_a_line_search_setting(tmp_path, capsys, line_search):
+    # The Armijo search with fixed constants is the only step rule.
+    cfg = _run_config(tmp_path, optimizer={"line_search": line_search})
     assert main(["run", cfg]) == EXIT_CONFIG
-    # fixed steps need a tamer start: full natural steps from far away overshoot sigma <= 0
-    cfg = _run_config(
-        tmp_path, theta0=[0.4, 1.1], optimizer={"line_search": "off", "max_iters": 100}
-    )
-    assert main(["run", cfg]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "unknown optimizer keys: line_search" in err
+    assert "allowed keys: cost_tol, damping, grad_tol, learning_rate, max_iters" in err
 
 
 # -- hessian -----------------------------------------------------------------------
@@ -413,6 +409,14 @@ def test_bench_gp_rejects_bad_metric(tmp_path, capsys):
 def test_bench_gp_rejects_unknown_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, "bench4.json", _bench_payload(tmp_path, granularity=3))
     assert main(["bench-gp", cfg]) == EXIT_CONFIG
+
+
+def test_bench_gp_refuses_a_cost_threshold(tmp_path, capsys):
+    # The threshold is NLL(true_theta) + threshold_offset; it has no second key.
+    cfg = _write_config(tmp_path, "bench5.json", _bench_payload(tmp_path, cost_threshold=5.0))
+    assert main(["bench-gp", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown gp_benchmark config keys: cost_threshold" in err and "threshold_offset" in err
 
 
 def test_bench_gp_summary_deterministic(tmp_path):

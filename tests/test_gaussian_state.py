@@ -3,6 +3,7 @@ factor per point, with the same bits on a point as on a fresh array."""
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,26 @@ def test_covariances_that_dpotrf_accepts_but_are_not_finite_raise(cov):
     mean = np.zeros(len(cov))
     with pytest.raises(NumericError):
         GaussianState.factor(mean, mean, cov)
+
+
+@pytest.mark.parametrize(
+    "family, theta",
+    [
+        (Gaussian1D(), [0.0, 1e200]),  # sigma^2 overflows
+        (LinearlyReparameterized(Gaussian1D(), REPARAM_A), [0.0, 1e200]),
+        (MultivariateNormalLogCholesky(2), [0.0, 0.0, 800.0, 0.0, 0.0]),  # exp(log L_11) overflows
+        (GpPriorEq(np.linspace(-1.0, 1.0, 4)), [400.0, 0.0, 0.0]),  # amplitude overflows
+        (GpPriorEq(np.linspace(-1.0, 1.0, 4)), [0.0, -400.0, 0.0]),  # length-scale underflows to 0
+    ],
+    ids=["gaussian1d", "reparam(gaussian1d)", "mvn_lcholesky:2", "gp amplitude", "gp length-scale"],
+)
+def test_a_covariance_that_overflows_raises_without_a_warning(family, theta):
+    # The non-finite covariance is the failure GaussianState.factor reports;
+    # the floating-point warnings that made it are not reported besides.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="covariance is not finite"):
+            family.gaussian_state(np.array(theta))
 
 
 def test_a_run_against_a_fixed_target_factors_the_target_once(monkeypatch):

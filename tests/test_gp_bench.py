@@ -233,6 +233,22 @@ def test_generate_data_small_m():
         generate_data(seed=1, m=0)
 
 
+@pytest.mark.parametrize("m", [2, np.int64(5)])
+def test_generate_data_takes_any_integer_size(m):
+    ds = generate_data(seed=1, m=m)
+    np.testing.assert_array_equal(ds.inputs, np.linspace(-3.0, 3.0, int(m)))
+    assert ds.targets.shape == (int(m),)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2.5, 4.0, "4"])
+def test_generate_data_refuses_what_the_config_refuses(m):
+    # One rule for both: int(2.5) used to make a 2-point dataset.
+    with pytest.raises(ValueError, match="m must be an integer >= 2"):
+        BenchmarkConfig(m=m)
+    with pytest.raises(ValueError, match="m must be an integer >= 2"):
+        generate_data(seed=1, m=m)
+
+
 # -- likelihood cost object --------------------------------------------------------------
 
 
@@ -396,16 +412,6 @@ def test_benchmark_threshold_miss_reports_minus_one():
     assert res.iters_to_threshold("euclidean") == -1
     row = res.summary_rows()[0]
     assert row[0] == "euclidean" and row[1] == -1
-
-
-def test_benchmark_explicit_threshold_override():
-    config = BenchmarkConfig(
-        m=8, metrics=("fisher",), cost_threshold=1e6,
-        optimizer=OptimizerConfig(max_iters=3, grad_tol=1e-12),
-    )
-    res = run_benchmark(config)
-    assert res.threshold == 1e6
-    assert res.iters_to_threshold("fisher") == 0  # already under a huge threshold
 
 
 def test_benchmark_result_is_plain_data(default_result):

@@ -136,6 +136,14 @@ def test_no_per_instance_memos():
     assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
 
 
+def test_one_step_rule_and_one_benchmark_threshold():
+    # optimize steps by Armijo backtracking with fixed constants only: no
+    # line-search settings, no full-step mode.  The benchmark threshold is
+    # NLL(true_theta) + threshold_offset, with no second knob.
+    gone = {"LineSearchConfig", "_line_search_from", "cost_threshold"}
+    assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
+
+
 def test_validation_checks_are_rows_of_one_table():
     # run_checks builds one ordered list of (name, tolerance, deviations)
     # rows; no per-check function or point helper of its own remains.

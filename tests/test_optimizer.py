@@ -1,6 +1,7 @@
 """Natural-gradient stepping, line search, trace records, termination."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from natgrad.errors import ConfigError, DivergenceInfiniteError, NumericError
 from natgrad.families import (
     CategoricalSoftmax,
     Gaussian1D,
+    GpPriorEq,
     LinearlyReparameterized,
     MultivariateNormalLogCholesky,
 )
-from natgrad.gp_bench import BenchmarkConfig, run_benchmark
+from natgrad.gp_bench import BenchmarkConfig, generate_data, run_benchmark
 from natgrad.metric import LocalHessian, MetricEngine, resolve_metric_engine
 from natgrad.optimizer import (
     ALPHA_FLOOR,
+    SHRINK,
     TRACE_CSV_HEADER,
-    LineSearchConfig,
     Objective,
     OptimizerConfig,
     Trace,
@@ -79,10 +81,10 @@ def test_optimizer_config_names_a_non_integral_max_iters():
         OptimizerConfig(max_iters=2.5)
 
 
-@pytest.mark.parametrize("kwargs", [{"c1": 0.0}, {"c1": 1.0}, {"shrink": 0.0}, {"shrink": 1.0}])
-def test_line_search_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        LineSearchConfig(**kwargs)
+def test_optimizer_config_has_no_line_search_setting():
+    # Armijo backtracking with fixed constants is the only step rule.
+    with pytest.raises(TypeError):
+        OptimizerConfig(line_search=None)
 
 
 def test_trace_rejects_unknown_status():
@@ -222,7 +224,7 @@ def test_line_search_accepts_full_newton_step():
     theta = np.array([1.0, 2.0])
     direction = -theta  # exact Newton direction
     alpha, flag = backtracking_line_search(
-        obj.value, theta, direction, obj.gradient(theta), obj.value(theta), LineSearchConfig()
+        obj.value, theta, direction, obj.gradient(theta), obj.value(theta)
     )
     assert alpha == 1.0 and flag == ""
 
@@ -232,7 +234,7 @@ def test_line_search_halves_overshooting_step():
     # 0.5 overshoot past the Armijo bound; 0.25 lands on the minimum
     value = lambda th: float(th[0] ** 2)
     alpha, flag = backtracking_line_search(
-        value, np.array([1.0]), np.array([-4.0]), np.array([2.0]), 1.0, LineSearchConfig()
+        value, np.array([1.0]), np.array([-4.0]), np.array([2.0]), 1.0
     )
     assert alpha == 0.25 and flag == ""
 
@@ -240,7 +242,7 @@ def test_line_search_halves_overshooting_step():
 def test_line_search_flags_non_descent():
     value = lambda th: float(th[0] ** 2)
     alpha, flag = backtracking_line_search(
-        value, np.array([1.0]), np.array([1.0]), np.array([2.0]), 1.0, LineSearchConfig()
+        value, np.array([1.0]), np.array([1.0]), np.array([2.0]), 1.0
     )
     assert flag == "non_descent" and alpha == ALPHA_FLOOR
 
@@ -250,7 +252,7 @@ def test_line_search_floor_when_no_progress_possible():
     # fails Armijo and the search reports the floor
     value = lambda th: float((th[0]) ** 2)
     alpha, flag = backtracking_line_search(
-        value, np.array([1.0]), np.array([1.0]), np.array([-1.0]), 1.0, LineSearchConfig()
+        value, np.array([1.0]), np.array([1.0]), np.array([-1.0]), 1.0
     )
     assert flag == "floor" and alpha == ALPHA_FLOOR
 
@@ -262,7 +264,7 @@ def test_line_search_treats_errors_as_infinite_cost():
         return float(th[0] ** 2)
 
     alpha, flag = backtracking_line_search(
-        value, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0, LineSearchConfig()
+        value, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0
     )
     # alpha = 1, 0.5 raise; 0.25 evaluates and satisfies the decrease test
     assert flag == "floor" or alpha <= 0.25
@@ -280,7 +282,6 @@ def _recording(value):
     return recorded, trials
 
 
-@pytest.mark.parametrize("shrink", [0.2, 0.5, 0.9])
 @pytest.mark.parametrize(
     "value",
     [
@@ -290,15 +291,14 @@ def _recording(value):
         lambda a: np.sin(12.0 * a) / 12.0 - a + a ** 4,
     ],
 )
-def test_line_search_interpolated_trial_stays_in_the_clamp(value, shrink):
+def test_line_search_interpolated_trial_stays_in_the_clamp(value):
     recorded, trials = _recording(value)
-    config = LineSearchConfig(shrink=shrink)
     alpha, flag = backtracking_line_search(
-        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0, config
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0
     )
     assert trials[0] == 1.0 and alpha == trials[-1] and flag == ""
     for prev, nxt in zip(trials, trials[1:]):
-        assert 0.1 * prev <= nxt <= shrink * prev
+        assert 0.1 * prev <= nxt <= SHRINK * prev
 
 
 def test_line_search_moves_to_the_interpolated_minimizer():
@@ -306,14 +306,13 @@ def test_line_search_moves_to_the_interpolated_minimizer():
     # quadratic, so the second trial is its minimizer
     recorded, trials = _recording(lambda a: (a - 0.3) ** 2 - 0.09)
     alpha, flag = backtracking_line_search(
-        recorded, np.array([0.0]), np.array([1.0]), np.array([-0.6]), 0.0, LineSearchConfig()
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-0.6]), 0.0
     )
     assert flag == "" and trials == [1.0, alpha] and alpha == pytest.approx(0.3, rel=1e-12)
 
 
-@pytest.mark.parametrize("shrink", [0.3, 0.5])
 @pytest.mark.parametrize("bad", ["inf", "nan", "raise"])
-def test_line_search_non_finite_trial_shrinks_by_shrink(bad, shrink):
+def test_line_search_non_finite_trial_shrinks_by_shrink(bad):
     def value(a):
         if a > 0.2:
             if bad == "raise":
@@ -323,20 +322,18 @@ def test_line_search_non_finite_trial_shrinks_by_shrink(bad, shrink):
 
     recorded, trials = _recording(value)
     alpha, flag = backtracking_line_search(
-        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0,
-        LineSearchConfig(shrink=shrink),
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0
     )
     expected = [1.0]
     while expected[-1] > 0.2:
-        expected.append(expected[-1] * shrink)
+        expected.append(expected[-1] * SHRINK)
     assert trials == expected and alpha == expected[-1] and flag == ""
 
 
 def test_line_search_returns_an_accepted_first_trial_below_one():
     recorded, trials = _recording(lambda a: (a - 0.5) ** 2 - 0.25)
     alpha, flag = backtracking_line_search(
-        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0, LineSearchConfig(),
-        alpha0=0.37,
+        recorded, np.array([0.0]), np.array([1.0]), np.array([-1.0]), 0.0, alpha0=0.37,
     )
     assert (alpha, flag) == (0.37, "") and trials == [0.37]
 
@@ -471,6 +468,38 @@ def test_flat_cost_stalls_at_the_step_floor():
     assert len(trace.records) == 1 and trace.iterations == 0
     assert trace.records[0].step_norm == 0.0
     assert f"step floor {ALPHA_FLOOR:g}" in trace.reason
+
+
+def test_non_descent_direction_stalls_without_a_gradient_step(monkeypatch):
+    # A step solve that points uphill is not replaced by a plain gradient
+    # step: the search refuses it and the run says why.
+    monkeypatch.setattr(natgrad.optimizer, "_solve_step", lambda H, g, lr, damping: (g, 0.0))
+    trace = optimize(GAUSS, KL, (1.0, 1.0), (0.0, 1.0), OptimizerConfig(metric="fisher"))
+    assert trace.status == "line_search_stalled" and "non_descent" in trace.reason
+    assert len(trace.records) == 1 and trace.records[0].step_norm == 0.0
+    assert not any(r.fallback for r in trace.records)
+
+
+@pytest.mark.parametrize(
+    "family, sim, theta0, target, config, status",
+    [
+        # A rejected trial overflowed L L^T in the MVN covariance.
+        (MultivariateNormalLogCholesky(2), get_similarity("chi2"),
+         (-0.1029, 0.5979, -0.529, -0.3604, 0.5998), (0.0141, 0.0128, -0.5276, -0.9709, 0.8664),
+         OptimizerConfig(), "converged_grad"),
+        # Rejected trials divided by an underflowed length-scale in the kernel.
+        (GpPriorEq(generate_data(42, 4).inputs), get_similarity("kl"),
+         (-0.4717, -0.3757, 0.1706), (0.1472, 0.1154, -0.1163),
+         OptimizerConfig(metric="fisher", damping=1e-14, max_iters=200), "max_iters"),
+    ],
+    ids=["mvn-chi2", "gp-kl"],
+)
+def test_rejected_trials_emit_no_floating_point_warnings(family, sim, theta0, target, config,
+                                                         status):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = optimize(family, sim, theta0, target, config)
+    assert trace.status == status
 
 
 def test_pullback_run_projects_the_metric_once_per_iteration(monkeypatch):
