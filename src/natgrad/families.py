@@ -11,11 +11,12 @@ freely across threads.  What is computed at one parameter vector lives on a
 :class:`Point`, which :meth:`Family.point` validates once and which builds
 the family's state there when first asked for it: a :class:`GaussianState`
 for a Gaussian family, the read-only probabilities and log-probabilities
-for a categorical one.  Every operation takes a point or a plain array;
-anything but a point of the same family is validated and built fresh, so
-invalid parameters fail with :class:`InvalidParameterError` rather than
-producing NaNs downstream, and a caller that hands one vector to several
-operations wraps it once.
+for a categorical one; and a 1-D point's quantiles on the transport grid
+and, once asked for, their velocities (:meth:`Point.transport`).  Every
+operation takes a point or a plain array; anything but a point of the same
+family is validated and built fresh, so invalid parameters fail with
+:class:`InvalidParameterError` rather than producing NaNs downstream, and a
+caller that hands one vector to several operations wraps it once.
 
 Array contract: ``log_density``, ``score``, ``cdf`` and ``dcdf_dtheta`` take
 one sample point or a batch of them, and ``quantile`` one level or an array
@@ -49,6 +50,7 @@ from .quadrature import (
     DEFAULT_TAIL_MASS,
     _read_only,
     composite_legendre,
+    unit_interval_grid,
     unit_interval_normal_scores,
 )
 
@@ -154,15 +156,17 @@ class Point:
 
     ``theta`` is the read-only array, also ``np.asarray(point)``.  A point of
     a :class:`LinearlyReparameterized` family carries ``base``, its image
-    ``A @ theta`` as a point of the base family.  :meth:`state` builds the
-    family's state here on first use and keeps it; threads that race on one
-    point may each build it, and all read the same bits.
+    ``A @ theta`` as a point of the base family.  :meth:`state` and
+    :meth:`transport` build the family's state here on first use and keep
+    it; threads that race on one point may each build it, and all read the
+    same bits.  A build that raises keeps nothing, so it raises again.
     """
 
-    __slots__ = ("family", "theta", "base", "_state")
+    __slots__ = ("family", "theta", "base", "_state", "_transport")
 
     def __init__(self, family: "Family", theta: np.ndarray, base: Optional["Point"] = None):
-        self.family, self.theta, self.base, self._state = family, theta, base, _UNBUILT
+        self.family, self.theta, self.base = family, theta, base
+        self._state, self._transport = _UNBUILT, None
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.theta, dtype=dtype, copy=copy)
@@ -174,8 +178,19 @@ class Point:
         state = self._state
         if state is _UNBUILT:
             state = self._state = self.family._build_state(self)
-        if derivs and state is not None and state.dcov is None:
+        if derivs and isinstance(state, GaussianState) and state.dcov is None:
             state = self._state = self.family._with_derivs(self, state)
+        return state
+
+    def transport(self, velocities: bool = False) -> tuple:
+        """``(Q, dQ/dtheta)``, read-only: the quantiles on the levels of
+        ``unit_interval_grid()`` and, with ``velocities``, their parameter
+        derivatives, one row per level (else None), of a 1-D family."""
+        state = self._transport
+        if state is None:
+            state = self._transport = (self.family._grid_quantiles(self), None)
+        if velocities and state[1] is None:
+            state = self._transport = (state[0], self.family._quantile_velocities(self, state[0]))
         return state
 
 
@@ -240,9 +255,9 @@ class Family(ABC):
             )
         # np.isfinite(arr).all() at a sixth of the cost on short vectors
         if not all(map(math.isfinite, arr.tolist())):
-            raise InvalidParameterError(f"{self.name}: parameters must be finite, got {arr}")
+            raise InvalidParameterError(f"{self.name}: parameters must be finite, got {arr.tolist()}")
         if not self._in_domain(arr):
-            raise InvalidParameterError(f"{self.name}: parameters outside domain: {arr}")
+            raise InvalidParameterError(f"{self.name}: parameters outside domain: {arr.tolist()}")
         return arr.copy()
 
     def point(self, theta) -> Point:
@@ -389,6 +404,14 @@ class Family(ABC):
         """``(dmu, dcov)`` at the point of ``state``, of a Gaussian family."""
         raise NotImplementedError
 
+    def _grid_quantiles(self, point: Point) -> np.ndarray:
+        """The quantiles of ``point`` on the levels of ``unit_interval_grid()``."""
+        return _read_only(self.quantile(point, unit_interval_grid()[0]))[0]
+
+    def _quantile_velocities(self, point: Point, q: np.ndarray) -> np.ndarray:
+        """``dQ/dtheta = -dF/dtheta / rho`` at the quantiles ``q`` of ``point``."""
+        return _read_only(-self.dcdf_dtheta(point, q) / np.exp(self.log_density(point, q))[:, None])[0]
+
     def _check_x(self, x) -> tuple[np.ndarray, bool]:
         """Validate ``x``; return it as an ``(n, sample_dim)`` batch and
         whether it was a single sample."""
@@ -457,13 +480,10 @@ class Gaussian1D(Family):
 
     def quantile(self, theta, q):
         mu, sigma = self.point(theta).theta
-        levels, z = unit_interval_normal_scores()
         q = np.asarray(q, dtype=float)
-        if q is not levels:  # the transport grid's scores are cached
-            if np.any(~((q > 0.0) & (q < 1.0))):
-                raise ValueError(f"quantile level must be in (0, 1), got {q}")
-            z = ndtri(q)
-        out = mu + sigma * z
+        if np.any(~((q > 0.0) & (q < 1.0))):
+            raise ValueError(f"quantile level must be in (0, 1), got {q}")
+        out = mu + sigma * ndtri(q)
         return float(out) if out.ndim == 0 else out
 
     def dcdf_dtheta(self, theta, x):
@@ -484,6 +504,13 @@ class Gaussian1D(Family):
 
     def _moment_derivs(self, state):
         return np.array([[1.0], [0.0]]), np.array([[[0.0]], [[2.0 * state.theta[1]]]])
+
+    def _grid_quantiles(self, point):
+        mu, sigma = point.theta
+        return _read_only(mu + sigma * unit_interval_normal_scores()[0])[0]
+
+    def _quantile_velocities(self, point, q):
+        return unit_interval_normal_scores()[1]  # Q = mu + sigma z: (1, z), shared
 
 
 class MultivariateNormalLogCholesky(Family):
@@ -665,13 +692,14 @@ class GpPriorEq(Family):
     def _moment_derivs(self, state):
         log_amp, log_ls, log_noise = state.theta
         # The kernel part of the covariance, exactly: the noise sits on the
-        # diagonal only, where the kernel is exactly a^2.
+        # diagonal only, where the kernel is exactly a^2.  Where the kernel
+        # underflows to 0, so does its length-scale derivative (not 0 * inf).
         K_eq = state.cov.copy()
         np.fill_diagonal(K_eq, np.exp(2.0 * log_amp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_ls = np.where(K_eq > 0.0, K_eq * (self._sqdist / np.exp(2.0 * log_ls)), 0.0)
         return np.zeros((self.param_dim, self.sample_dim)), np.stack([
-            2.0 * K_eq,
-            K_eq * (self._sqdist / np.exp(2.0 * log_ls)),
-            2.0 * np.exp(2.0 * log_noise) * np.eye(self.sample_dim),
+            2.0 * K_eq, d_ls, 2.0 * np.exp(2.0 * log_noise) * np.eye(self.sample_dim),
         ])
 
 
@@ -743,6 +771,12 @@ class LinearlyReparameterized(Family):
 
     def window_rule(self, xis):
         return self.base.window_rule([self.point(xi).base for xi in xis])
+
+    def _grid_quantiles(self, point):
+        return point.base.transport()[0]
+
+    def _quantile_velocities(self, point, q):
+        return _read_only(point.base.transport(True)[1] @ self.A)[0]
 
 
 # A registry key is ``name`` (no argument), ``name[:arg]`` (an optional one)

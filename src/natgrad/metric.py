@@ -6,8 +6,9 @@ the curvature the similarity assigns to parameter space at ``theta``, and it
 is what a natural-gradient step inverts.  Engines here produce it four ways:
 
 * analytically, for f-divergences (``f''(1)`` times the Fisher information),
-  for 1-D Wasserstein distances (quantile velocities on the cost's own
-  grid, so at ``p = 2`` the metric is the Hessian of the discretized cost)
+  for 1-D Wasserstein distances (the quantile velocities a point keeps,
+  ``Point.transport``, on the cost's own grid, so at ``p = 2`` the metric is
+  the Hessian of the discretized cost)
   and for Gaussian 2-Wasserstein (Bures-Wasserstein, from moment derivatives);
 * by pulling a density-space Hessian back through the parameterization
   Jacobian (``J^T G J``);
@@ -42,7 +43,6 @@ from .similarity import (
     F_DIVERGENCES,
     FDivergenceSpec,
     Similarity,
-    _quantile_velocity,
     get_similarity,
 )
 
@@ -203,7 +203,8 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
     scale invariance exact.  At ``p = 2`` the direction-dependent terms
     carry zero coefficients and the 2-Wasserstein form is recovered.  The
     integrals run over the quantile levels of ``unit_interval_grid``, with
-    the velocities of ``similarity._quantile_velocity``.
+    the velocities the point keeps (``Point.transport``), those of the
+    cost's gradient.
     """
     theta = family.point(theta)
     p = _wp_order(p)
@@ -217,8 +218,8 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
         raise ValueError(f"direction must be finite and nonzero, got {u}")
     u_hat = u / norm
 
-    levels, weights = unit_interval_grid()
-    g = _quantile_velocity(family, theta, family.quantile(theta, levels))
+    weights = unit_interval_grid()[1]
+    g = theta.transport(True)[1]
     G = g @ u_hat  # velocity of the chosen direction at each node
     absG = np.abs(G)
     scale = float(np.max(absG))

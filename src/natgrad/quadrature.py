@@ -14,7 +14,8 @@ All functions return ``(nodes, weights)`` as float arrays; integrals are
 plain weighted sums so callers can reuse a grid for several integrands.
 Grids are returned read-only; the Gauss-Legendre reference rules and the
 unit-interval grid are cached, and so are the standard normal quantiles of
-the unit-interval levels, :func:`unit_interval_normal_scores`.
+the unit-interval levels and a normal family's quantile velocities there,
+:func:`unit_interval_normal_scores`.
 """
 
 from __future__ import annotations
@@ -82,13 +83,13 @@ def unit_interval_grid() -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1)
 def unit_interval_normal_scores() -> tuple[np.ndarray, np.ndarray]:
-    """``(levels, ndtri(levels))`` for the levels of :func:`unit_interval_grid`,
-    the same arrays on every call: a location-scale family's quantiles on
-    the grid without a fresh ``ndtri`` per call."""
+    """``(z, [1, z])``, ``z = ndtri(levels)`` on :func:`unit_interval_grid`,
+    the same read-only arrays on every call: a normal family's quantiles
+    ``mu + sigma z`` there and their ``(n, 2)`` velocities ``dQ/d(mu, sigma)``."""
     # Through the private _unit_interval_grid: filling this cache then calls
     # no public function, whose call count would depend on what ran before.
-    levels = _unit_interval_grid()[0]
-    return levels, _read_only(ndtri(levels))[0]
+    z = ndtri(_unit_interval_grid()[0])
+    return _read_only(z, np.column_stack([np.ones_like(z), z]))
 
 
 @lru_cache(maxsize=1)

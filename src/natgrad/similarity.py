@@ -36,12 +36,13 @@ Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
 roundoff and is non-negative.  ``grad_theta`` is the analytic gradient in
 the first argument, built from the ingredients the similarity's own metric
 uses: scores for integrated f-divergences, moment derivatives for
-Gaussian closed forms, quantile velocities for 1-D transport.  Where a
-family has no route for a similarity, ``grad_theta`` raises the same
-:class:`CapabilityError` as ``evaluate``, and where a closed form diverges
-(chi-squared to a target too wide for ``theta``) the same
-:class:`DivergenceInfiniteError`.  The Fisher-Rao distance stays categorical-only: it is
-geometry of the probability simplex, not an integral over samples.
+Gaussian closed forms, for 1-D transport the quantile velocities each point
+keeps (``Point.transport``).  Where a family has no route for a similarity,
+``grad_theta`` raises the same :class:`CapabilityError` as ``evaluate``, and
+where a closed form diverges (chi-squared to a target too wide for
+``theta``) the same :class:`DivergenceInfiniteError`.  The Fisher-Rao
+distance stays categorical-only: it is geometry of the probability simplex,
+not an integral over samples.
 """
 
 from __future__ import annotations
@@ -331,23 +332,15 @@ def _check_order(p) -> float:
     return p
 
 
-def _quantile_coupling(family: Family, theta, target, p: float):
-    """``(Q1, weights, Q1 - Q2, W_p)`` between the points ``theta`` and
-    ``target``: the quantiles of ``theta`` on ``unit_interval_grid()``, its
-    weights, the quantile gap to ``target`` and ``W_p = (integral |Q1 -
+def _quantile_coupling(theta, target, p: float):
+    """``(weights, Q1 - Q2, W_p)`` between the points ``theta`` and ``target``:
+    the weights of ``unit_interval_grid()``, the gap between the quantiles
+    the two points keep on its levels and ``W_p = (integral |Q1 -
     Q2|**p)**(1/p)``, for an order ``p`` that passed :func:`_check_order`.
     A family without a quantile raises :class:`CapabilityError`."""
-    levels, weights = unit_interval_grid()
-    q1 = family.quantile(theta, levels)
-    gap = q1 - family.quantile(target, levels)
-    return q1, weights, gap, float((weights @ np.abs(gap) ** p) ** (1.0 / p))
-
-
-def _quantile_velocity(family: Family, theta: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """Transport velocities ``dQ/dtheta = -dF/dtheta / rho``, one row per level
-    of ``unit_interval_grid()``, at the quantiles ``q1`` of ``theta`` there:
-    the one route of the 1-D transport gradient and local Hessian."""
-    return -family.dcdf_dtheta(theta, q1) / np.exp(family.log_density(theta, q1))[:, None]
+    weights = unit_interval_grid()[1]
+    gap = theta.transport()[0] - target.transport()[0]
+    return weights, gap, float((weights @ np.abs(gap) ** p) ** (1.0 / p))
 
 
 class WassersteinP(Similarity):
@@ -365,16 +358,16 @@ class WassersteinP(Similarity):
     def _cost(self, family, theta, target, grad):
         """``W**2 / 2``, or with ``grad`` ``W^(2-p) integral |dQ|^(p-2) dQ
         dQ1/dtheta`` over the levels, with ``dQ = Q1 - Q2`` and the quantile
-        velocity ``dQ1/dtheta = -dF/dtheta / rho`` at ``Q1``; exactly zero
-        where W vanishes."""
+        velocities ``dQ1/dtheta`` that ``theta`` keeps; exactly zero where W
+        vanishes."""
         p = self.p
-        q1, weights, gap, w = _quantile_coupling(family, theta, target, p)
+        weights, gap, w = _quantile_coupling(theta, target, p)
         if not grad:
             return 0.5 * w ** 2
         if w == 0.0:
             return np.zeros(family.param_dim)
         pull = weights * np.sign(gap) * np.abs(gap) ** (p - 1.0)
-        return w ** (2.0 - p) * (pull @ _quantile_velocity(family, theta, q1))
+        return w ** (2.0 - p) * (pull @ theta.transport(True)[1])
 
 
 def _half_w2(s1: GaussianState, s2: GaussianState, grad: bool = False):

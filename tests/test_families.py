@@ -383,6 +383,17 @@ def test_eager_rejection_of_bad_parameters():
         fam.log_density((0.0, 1.0, 2.0), 0.0)  # wrong length
 
 
+def test_a_rejected_point_names_its_values_at_full_precision():
+    # The message lists the values (not numpy's array printer, which rounds
+    # them and costs more than the check on a line-search trial).
+    fam = Gaussian1D()
+    for bad, shown in [((0.1 + 0.2, -1.0 / 3.0), "[0.30000000000000004, -0.3333333333333333]"),
+                       ((0.25, np.nan), "[0.25, nan]")]:
+        with pytest.raises(InvalidParameterError) as exc:
+            fam.point(bad)
+        assert str(exc.value).endswith(shown)
+
+
 def test_invalid_parameter_error_is_value_error():
     assert issubclass(InvalidParameterError, ValueError)
     assert issubclass(CapabilityError, TypeError)

@@ -21,9 +21,14 @@ from natgrad.families import (
     Point,
 )
 from natgrad.gp_bench import GpNllCost, generate_data
-from natgrad.metric import resolve_metric_engine, w2_local_hessian_gaussian
+from natgrad.metric import (
+    resolve_metric_engine,
+    w2_local_hessian_1d,
+    w2_local_hessian_gaussian,
+    wp_local_hessian_1d,
+)
 from natgrad.optimizer import OptimizerConfig, optimize
-from natgrad.similarity import get_similarity
+from natgrad.similarity import Similarity, get_similarity
 
 from conftest import power_law_family
 
@@ -197,6 +202,32 @@ def test_a_covariance_that_overflows_raises_without_a_warning(family, theta):
             family.gaussian_state(np.array(theta))
 
 
+def test_a_categorical_point_asked_for_derivatives_returns_its_probabilities():
+    # Moment derivatives belong to Gaussian states; a categorical point's
+    # state is its (p, log p) whether or not they are asked for.
+    logits = np.array([0.1, 0.2, 0.3])
+    point = CategoricalSoftmax(3).point(logits)
+    p, log_p = point.state(derivs=True)
+    assert point.state() is point.state(True)
+    np.testing.assert_allclose(p, np.exp(logits) / np.exp(logits).sum(), rtol=1e-15)
+    np.testing.assert_allclose(log_p, np.log(p), rtol=1e-15)
+
+
+def test_a_gp_kernel_that_underflows_has_a_finite_score_and_fisher_without_warnings():
+    # At log length-scale -360, exp(2 log_ls) is subnormal: K is finite (its
+    # off-diagonal underflows to 0) and accepted.  The length-scale
+    # derivative of the kernel is 0 wherever the kernel is, not 0 * inf.
+    family, theta = GpPriorEq(np.linspace(-1.0, 1.0, 4)), np.array([0.0, -360.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score, fisher = family.score(theta, np.zeros(4)), family.fisher(theta)
+        dcov = family.gaussian_state(theta, derivs=True).dcov
+    assert score[1] == 0.0
+    np.testing.assert_allclose(score, [-2.0, 0.0, -2.0], rtol=1e-15)
+    assert np.isfinite(fisher).all()
+    np.testing.assert_array_equal(dcov[1], np.zeros((4, 4)))
+
+
 def test_a_run_against_a_fixed_target_factors_the_target_once(monkeypatch):
     family, kl = MultivariateNormalLogCholesky(2), get_similarity("kl")
     theta0 = np.array([1.0, -0.5, 1.2, 0.4, -0.3])
@@ -276,6 +307,38 @@ def test_gp_w2_run_builds_one_covariance_per_point_and_one_derivative_stack_per_
     assert set(stacks) <= set(builds)
 
 
+def test_a_w3_run_builds_one_transport_state_per_point(monkeypatch):
+    family, sim = Gaussian1D(), get_similarity("wasserstein:3")
+    theta0, target = np.array([2.0, 3.0]), np.array([0.0, 1.0])
+    quantiles, velocities, evaluated = [], [], []
+    real_quantiles, real_velocities, real_evaluate = (
+        Gaussian1D._grid_quantiles, Gaussian1D._quantile_velocities, Similarity.evaluate)
+
+    def grid_quantiles(self, point):
+        quantiles.append(point.theta.tobytes())
+        return real_quantiles(self, point)
+
+    def quantile_velocities(self, point, q):
+        velocities.append(point.theta.tobytes())
+        return real_velocities(self, point, q)
+
+    def evaluate(self, fam, theta, target):
+        evaluated.append(np.asarray(theta, dtype=float).tobytes())
+        return real_evaluate(self, fam, theta, target)
+
+    monkeypatch.setattr(Gaussian1D, "_grid_quantiles", grid_quantiles)
+    monkeypatch.setattr(Gaussian1D, "_quantile_velocities", quantile_velocities)
+    monkeypatch.setattr(Similarity, "evaluate", evaluate)
+    trace = optimize(family, sim, theta0, target, OptimizerConfig(metric="wp_1d:3"))
+    assert trace.status == "converged_grad" and trace.iterations == 5
+    # Every point evaluated, and the target, builds its quantiles once; each
+    # iterate its velocities once, for its gradient and its metric both.
+    assert len(quantiles) == len(set(quantiles)) == len(set(evaluated)) + 1
+    assert set(quantiles) == set(evaluated) | {target.tobytes()}
+    assert len(velocities) == len(set(velocities)) == trace.iterations + 1
+    assert set(velocities) <= set(evaluated)
+
+
 def _mismatches_under_threads(calls, expected, steps):
     """Run ``calls[k]()`` from four threads in rotating order, with a short
     switch interval so that threads interleave inside state builds; return
@@ -350,3 +413,26 @@ def test_an_fdivergence_shared_across_threads_gives_single_thread_bits():
     expected = [results(get_similarity("chi2"), power_law(), *pair) for pair in pairs]
     calls = [lambda pair=pair: results(sim, family, *pair) for pair in pairs]
     assert _mismatches_under_threads(calls, expected, steps=600) == []
+
+
+def test_transport_states_shared_across_threads_give_single_thread_bits():
+    # Four threads race on the first transport builds of shared 1-D points
+    # and of the shared targets; every read must see single-thread bits.
+    w2, w3 = get_similarity("wasserstein:2"), get_similarity("wasserstein:3")
+    u = np.array([0.6, -0.8])
+
+    def results(fam, theta, target):
+        return (w2.evaluate(fam, theta, target), w3.grad_theta(fam, theta, target),
+                w2_local_hessian_1d(fam, theta).matrix,
+                wp_local_hessian_1d(fam, theta, 3.0, u).matrix)
+
+    names = ("gaussian1d", "reparam(gaussian1d)")
+    thetas = [np.array([0.2 * k - 0.5, 0.6 + 0.3 * k]) for k in range(3)]
+    target = np.array([0.1, 0.9])
+    expected = [results(FACTORIES[name](), theta, target) for name in names for theta in thetas]
+    families = [FACTORIES[name]() for name in names]
+    targets = [family.point(target) for family in families]
+    shared = [(family, family.point(theta), point)
+              for family, point in zip(families, targets) for theta in thetas]
+    calls = [lambda case=case: results(*case) for case in shared]
+    assert _mismatches_under_threads(calls, expected, steps=2000) == []

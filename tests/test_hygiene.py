@@ -122,6 +122,16 @@ def test_one_transport_route_and_no_family_fallbacks():
     assert users == ["quadrature.py"]
 
 
+def test_the_quantile_velocity_has_one_home():
+    # A 1-D point builds its quantile velocities (Point.transport); cost,
+    # gradient and metric read them, so only families.py takes dcdf_dtheta
+    # or the cached normal scores, and no transport helper of its own remains.
+    built = {"dcdf_dtheta", "unit_interval_normal_scores"}
+    assert sorted(p.name for p in SRC.glob("*.py") if built & _names(p)) == ["families.py"]
+    for name in ("similarity.py", "metric.py"):
+        assert "_quantile_velocity" not in _names(SRC / name) | _defined(SRC / name)
+
+
 def _defined(path: Path) -> set[str]:
     """The names of the functions and classes a module defines."""
     return {node.name for node in ast.walk(ast.parse(path.read_text()))

@@ -32,8 +32,8 @@ from natgrad.metric import (
     w2_local_hessian_gaussian,
     wp_local_hessian_1d,
 )
+from natgrad.numdiff import HESS_REL_STEP, central_hessian
 from natgrad.optimizer import _solve_step
-from natgrad.quadrature import unit_interval_grid
 from natgrad.similarity import (
     F_DIVERGENCES,
     FDivergence,
@@ -41,7 +41,6 @@ from natgrad.similarity import (
     SquaredEuclidean,
     SquaredW2Gaussian,
     WassersteinP,
-    _quantile_velocity,
     get_similarity,
 )
 
@@ -274,9 +273,8 @@ def test_directions_of_the_wrong_shape_are_refused(u):
 def test_wp_small_order_blowup_guard():
     # for p < 2 the integrand carries |velocity|^(p-2); a direction whose
     # velocity vanishes at a quadrature node must be rejected, not clamped
-    theta = np.array([0.0, 1.0])
-    levels, _ = unit_interval_grid()
-    g = _quantile_velocity(GAUSS, theta, GAUSS.quantile(theta, levels))
+    theta = GAUSS.point([0.0, 1.0])
+    g = theta.transport(velocities=True)[1]
     u = np.array([-g[100, 1], 1.0])  # exact zero velocity at node 100
     with pytest.raises(NumericError) as exc:
         wp_local_hessian_1d(GAUSS, theta, 1.5, u)
@@ -286,6 +284,44 @@ def test_wp_small_order_blowup_guard():
 def test_transport_metric_needs_cdf():
     with pytest.raises(CapabilityError):
         w2_local_hessian_1d(CAT3, np.zeros(3))
+
+
+@pytest.mark.parametrize("family, theta", [
+    (MultivariateNormalLogCholesky(2), np.zeros(5)),
+    (CAT3, np.array([0.1, 0.2, 0.3])),
+    (GpPriorEq(np.linspace(-1.0, 1.0, 3)), np.array([0.1, -0.2, -1.0])),
+], ids=["mvn_lcholesky:2", "categorical_softmax:3", "gp_prior_eq"])
+def test_transport_without_a_quantile_raises_on_every_call(family, theta):
+    # A failed transport build keeps nothing on the point, so the next call
+    # on the same point fails alike instead of reading a half-built state.
+    sim, engine = get_similarity("wasserstein:2"), resolve_metric_engine("w2_1d", family)
+    point = family.point(theta)
+    for _ in range(3):
+        for op in (lambda: sim.evaluate(family, point, point),
+                   lambda: sim.grad_theta(family, point, point),
+                   lambda: engine(point)):
+            with pytest.raises(CapabilityError):
+                op()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mu=st.floats(-3.0, 3.0), sigma=st.floats(0.2, 5.0))
+def test_point_velocities_match_the_cdf_ratio_and_w2_is_the_hessian_of_the_cost(mu, sigma):
+    # gaussian1d velocities are (1, z), constants of the grid; they must be
+    # what -dF/dtheta / rho gives there, and at p = 2 the metric built from
+    # them the Hessian of the discretized half squared W2 the optimizer sees.
+    A = np.array([[1.2, 0.3], [-0.1, 0.9]])
+    w2 = WassersteinP(2.0)
+    for family, theta in ((GAUSS, np.array([mu, sigma])),
+                          (LinearlyReparameterized(GAUSS, A), np.linalg.solve(A, [mu, sigma]))):
+        point = family.point(theta)
+        q, g = point.transport(velocities=True)
+        ratio = -family.dcdf_dtheta(point, q) / np.exp(family.log_density(point, q))[:, None]
+        assert np.max(np.abs(g - ratio)) <= 1e-13 * np.max(np.abs(g))
+        H = w2_local_hessian_1d(family, point).matrix
+        step = HESS_REL_STEP * max(1.0, float(np.max(np.abs(theta))))
+        ref = central_hessian(lambda eta: w2.evaluate(family, eta, point), theta, abs_step=step)
+        np.testing.assert_allclose(H, ref, rtol=0, atol=1e-8 * np.max(np.abs(H)))
 
 
 # -- finite-difference engine -------------------------------------------------------

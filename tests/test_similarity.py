@@ -300,12 +300,12 @@ def test_transport_grid_quantiles_take_ndtri_once_per_process(monkeypatch):
     again = (sim.evaluate(GAUSS, theta, target), sim.grad_theta(GAUSS, theta, target))
     assert calls == []
     assert again[0] == first[0] and np.array_equal(again[1], first[1])
-    # The cached scores give the bits a fresh ndtri gives, on the grid itself
-    # and on a copy of its levels, which takes the uncached route.
+    # The quantiles a point keeps on the grid, from the cached scores, are the
+    # bits that quantile gives on the grid's levels through a fresh ndtri.
     levels = unit_interval_grid()[0]
-    cached, copied = GAUSS.quantile(theta, levels), GAUSS.quantile(theta, levels.copy())
+    cached, fresh = GAUSS.point(theta).transport()[0], GAUSS.quantile(theta, levels)
     assert calls == [levels.size]
-    assert cached.tobytes() == copied.tobytes()
+    assert cached.tobytes() == fresh.tobytes()
 
 
 # -- Gaussian closed-form squared W2 --------------------------------------------------
