@@ -25,11 +25,12 @@ shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
 ``(n, sample_dim)``.  An ``(n, sample_dim)`` array is a batch in either case.
 A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
 ``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
-Integrals over the samples of a family (Fisher matrices without a closed
-form, f-divergences) use one rule, :meth:`Family.window_rule`:
-Gauss-Legendre nodes over the quantile window of a 1-D continuous family,
-the support ``0..k-1`` with unit weights of a categorical one, so its sums
-are exact.  1-D transport integrates over quantile levels instead, on
+Every Fisher matrix and f-divergence is a closed form (every Gaussian
+family) or an exact sum over a finite support (a categorical family, also
+under ``LinearlyReparameterized``): :meth:`Family._window_logs` gives the
+support with unit weights and each point's log-probabilities there, and
+raises :class:`CapabilityError` on any other family.  1-D transport
+integrates over quantile levels instead, on
 ``quadrature.unit_interval_grid``.
 """
 
@@ -46,13 +47,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 from scipy.special import ndtr, ndtri
 
 from .errors import CapabilityError, ConfigError, InvalidParameterError, NumericError
-from .quadrature import (
-    DEFAULT_TAIL_MASS,
-    _read_only,
-    composite_legendre,
-    unit_interval_grid,
-    unit_interval_normal_scores,
-)
+from .quadrature import _read_only, unit_interval_grid, unit_interval_normal_scores
 
 __all__ = [
     "Dataset",
@@ -203,12 +198,11 @@ class Family(ABC):
     ``log_density`` and ``score``; from those the base class derives
     :meth:`gaussian_state`, the state each :class:`Point` builds once, and
     from that the log-density, the score and the closed-form Fisher matrix.
-    Any other family gets its Fisher matrix from integrals on
-    :meth:`window_rule`.  The base class has no numeric fallbacks: ``cdf``,
-    ``quantile``, ``dcdf_dtheta``, ``sample`` and the ``window_rule`` of a
-    family with neither a quantile nor a finite support raise
-    :class:`CapabilityError`, so each family implements what it supports in
-    closed form.
+    A family with a finite support overrides :meth:`_window_logs`, and gets
+    its Fisher matrix and f-divergences as exact sums there.  The base class
+    has no numeric fallbacks: ``cdf``, ``quantile``, ``dcdf_dtheta``,
+    ``sample`` and ``_window_logs`` raise :class:`CapabilityError`, so each
+    family implements what it supports in closed form.
 
     An instance is never written to after ``__init__``.  Every operation
     validates its argument once, through :meth:`point`, and passes the
@@ -216,7 +210,8 @@ class Family(ABC):
     arithmetic whichever operation builds it.
 
     Sample-point operations follow the module's array contract; the
-    quadrature routes pass batches to ``log_density``, ``score`` and ``dcdf_dtheta``.
+    support sums and the transport grid pass batches to ``log_density``,
+    ``score`` and ``dcdf_dtheta``.
 
     Attributes
     ----------
@@ -227,8 +222,7 @@ class Family(ABC):
     sample_dim : int
         Dimension of one sample (1 means scalar samples).
     has_cdf : bool
-        Whether cdf/quantile/dcdf_dtheta are available (1-D families only),
-        and with them the quantile-window :meth:`window_rule`.
+        Whether cdf/quantile/dcdf_dtheta are available (1-D families only).
     """
 
     name: str = ""
@@ -341,14 +335,14 @@ class Family(ABC):
         """Fisher information matrix ``E[s s^T]`` of the score ``s``.
 
         Gaussian families use the closed form
-        ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``; the others sum
-        the score outer product against the density on :meth:`window_rule`,
-        from one batched score call at its nodes.
+        ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``; a family with
+        a finite support sums the score outer product against the
+        probabilities on :meth:`_window_logs`, from one batched score call.
 
         Raises
         ------
         CapabilityError
-            If the family is not Gaussian and has no :meth:`window_rule`.
+            If the family has no Gaussian state and no finite support.
         """
         point = self.point(theta)
         state = self.gaussian_state(point, derivs=True)
@@ -423,32 +417,19 @@ class Family(ABC):
             raise ValueError(f"{self.name}: sample shape {x.shape} does not fit sample_dim {d}")
         return x.reshape(-1, d), single
 
-    def window_rule(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """``(nodes, weights)`` of the one sample-space rule of Fisher
-        matrices without a closed form and f-divergences, fit to the points
-        ``thetas``.
-
-        For a 1-D continuous family: composite Gauss-Legendre, 8 equal
-        panels of 32 nodes, over the union of the quantile windows
-        ``[quantile(delta), quantile(1 - delta)]`` of the points,
-        ``delta = DEFAULT_TAIL_MASS``.
+    def _window_logs(self, points) -> tuple:
+        """``(nodes, weights, logs)``: the support with unit weights, so
+        sums on it are exact, and the log-probabilities there of each of
+        ``points`` (of this family), the one sample-space hook of Fisher
+        matrices without a closed form and of f-divergences.
 
         Raises
         ------
         CapabilityError
-            If the family has neither a quantile nor an override.
+            Unless the family overrides it: a family with no Gaussian state
+            and no finite support has no exact sample-space sum.
         """
-        if not self.has_cdf:
-            raise CapabilityError(f"{self.name}: no sample-space rule for integrals")
-        levels = (DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS)
-        ends = np.array([self.quantile(theta, levels) for theta in thetas])
-        return composite_legendre(ends[:, 0].min(), ends[:, 1].max())
-
-    def _window_logs(self, points) -> tuple:
-        """``(nodes, weights, logs)``: :meth:`window_rule` fit to ``points``
-        (of this family) and each point's log-densities on its nodes."""
-        nodes, weights = self.window_rule(points)
-        return nodes, weights, [self.log_density(p, nodes) for p in points]
+        raise CapabilityError(f"{self.name}: no Gaussian state and no finite support")
 
 
 class Gaussian1D(Family):
@@ -619,11 +600,9 @@ class CategoricalSoftmax(Family):
         p = self.probabilities(theta)
         return np.diag(p) - np.outer(p, p)
 
-    def window_rule(self, thetas):
-        """The support ``0..k-1`` with unit weights, so integrals are exact sums."""
-        return self._support
-
     def _window_logs(self, points):
+        """The support ``0..k-1``, unit weights and the log-probabilities
+        each point keeps there."""
         return (*self._support, [p.state()[1] for p in points])
 
     def _build_state(self, point):
@@ -769,8 +748,8 @@ class LinearlyReparameterized(Family):
         dmu, dcov = _read_only(self.A.T @ base.dmu, np.tensordot(self.A.T, base.dcov, axes=1))
         return state._replace(inv=base.inv, dmu=dmu, dcov=dcov)
 
-    def window_rule(self, xis):
-        return self.base.window_rule([self.point(xi).base for xi in xis])
+    def _window_logs(self, points):
+        return self.base._window_logs([p.base for p in points])
 
     def _grid_quantiles(self, point):
         return point.base.transport()[0]

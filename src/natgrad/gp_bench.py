@@ -13,6 +13,7 @@ The ``w2`` run uses the closed-form Bures-Wasserstein metric;
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
@@ -123,7 +124,7 @@ class BenchmarkConfig:
     """Benchmark settings; defaults reproduce the shipped comparison.
 
     The threshold is the negative log-likelihood at ``true_theta`` plus
-    ``threshold_offset`` nats.
+    ``threshold_offset`` nats, a finite number.
     """
 
     m: int = 30
@@ -140,6 +141,8 @@ class BenchmarkConfig:
         _check_size(self.m)
         if len(self.metrics) == 0:
             raise ValueError("metrics must be non-empty")
+        if not math.isfinite(self.threshold_offset):
+            raise ValueError(f"threshold_offset must be finite, got {self.threshold_offset}")
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,10 @@ class LocalHessian:
 def fisher_information(family: Family, theta) -> LocalHessian:
     """Fisher information matrix at ``theta``, :meth:`Family.fisher` as a
     :class:`LocalHessian`: the closed form of a Gaussian or categorical
-    family, otherwise ``E[s s^T]`` on the family's ``window_rule``.  A
-    family with neither raises :class:`CapabilityError`;
-    :func:`monte_carlo_fisher` estimates its matrix from samples.
+    family, otherwise ``E[s s^T]`` summed exactly over the family's finite
+    support (``Family._window_logs``).  A family with neither raises
+    :class:`CapabilityError`; :func:`monte_carlo_fisher` estimates its
+    matrix from samples.
     """
     return LocalHessian(family.fisher(theta), provenance="analytic")
 

@@ -1,6 +1,6 @@
 """Natural-gradient descent driven by pluggable metric engines.
 
-Each iteration solves ``H v = -g / learning_rate`` where ``g`` is the cost
+Each iteration solves ``H v = -g`` where ``g`` is the cost
 gradient and ``H`` is the local Hessian produced by the configured metric
 engine at the current iterate (re-evaluated every iteration, with the
 negative gradient passed as the direction hint for direction-dependent
@@ -25,6 +25,7 @@ with ``line_search_stalled`` on that iteration, which is not convergence.
 from __future__ import annotations
 
 import io
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -62,13 +63,13 @@ SHRINK = 0.5
 class OptimizerConfig:
     """Settings for :func:`optimize`.
 
-    ``learning_rate`` is the trust-region weight: the unscaled step is
-    ``-(1/learning_rate) H^-1 g``, which the Armijo line search scales.
+    The step ``-H^-1 g`` is scaled by the Armijo line search alone.
     ``damping=None`` uses the scale-aware default floor.  ``metric=None``
-    uses the similarity's own metric, ``Similarity.metric``.
+    uses the similarity's own metric, ``Similarity.metric``.  The
+    tolerances and the damping must be finite and positive: an infinite
+    tolerance would report convergence at any point.
     """
 
-    learning_rate: float = 1.0
     max_iters: int = 100
     grad_tol: float = 1e-8
     cost_tol: float = 1e-14
@@ -76,16 +77,14 @@ class OptimizerConfig:
     damping: Optional[float] = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if not self.cost_tol > 0.0:
-            raise ValueError(f"cost_tol must be positive, got {self.cost_tol}")
-        if self.damping is not None and not self.damping > 0.0:
-            raise ValueError(f"damping must be positive, got {self.damping}")
+        settings = {"grad_tol": self.grad_tol, "cost_tol": self.cost_tol}
+        if self.damping is not None:
+            settings["damping"] = self.damping
+        for name, value in settings.items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,8 @@ def make_objective(family: Family, sim: Similarity, target) -> Objective:
     )
 
 
-def _solve_step(hessian: LocalHessian, grad: np.ndarray, learning_rate: float, damping) -> tuple[np.ndarray, float]:
-    """Solve ``H v = -g / learning_rate`` after projecting H to the SPD cone."""
+def _solve_step(hessian: LocalHessian, grad: np.ndarray, damping) -> tuple[np.ndarray, float]:
+    """Solve ``H v = -g`` after projecting H to the SPD cone."""
     projected = spd_project(hessian, damping)
     chol, info = dpotrf(projected.matrix, lower=1)
     if info != 0:
@@ -175,7 +174,7 @@ def _solve_step(hessian: LocalHessian, grad: np.ndarray, learning_rate: float, d
             f"metric factorization failed after damping: {info}-th leading minor of the "
             "array is not positive definite"
         )
-    v, _ = dpotrs(chol, -grad / learning_rate, lower=1)  # info flags bad arguments only
+    v, _ = dpotrs(chol, -grad, lower=1)  # info flags bad arguments only
     if not np.all(np.isfinite(v)):
         raise NumericError("metric solve produced non-finite step")
     return v, projected.regularization_added
@@ -185,10 +184,9 @@ def natural_gradient_step(
     objective: Objective,
     metric_engine: MetricEngine,
     theta,
-    learning_rate: float = 1.0,
     damping: Optional[float] = None,
 ) -> tuple[np.ndarray, dict]:
-    """Single preconditioned step ``theta - (1/lr) H^-1 g``.
+    """Single preconditioned step ``theta - H^-1 g``.
 
     Returns the new point and a record dict with the gradient norm, step
     norm, and damping added.  A point (``Family.point``) as ``theta`` is
@@ -196,7 +194,7 @@ def natural_gradient_step(
     """
     g = np.asarray(objective.gradient(theta), dtype=float)
     H = metric_engine(theta, -g)
-    v, added = _solve_step(H, g, learning_rate, damping)
+    v, added = _solve_step(H, g, damping)
     return np.asarray(theta, dtype=float) + v, {
         "grad_norm": float(np.linalg.norm(g)),
         "step_norm": float(np.linalg.norm(v)),
@@ -207,7 +205,6 @@ def natural_gradient_step(
 def newton_step(
     objective: Objective,
     theta,
-    learning_rate: float = 1.0,
     damping: Optional[float] = None,
 ) -> tuple[np.ndarray, dict]:
     """Newton step: :func:`natural_gradient_step` whose metric is the full
@@ -220,7 +217,7 @@ def newton_step(
         "newton",
         lambda th, u=None: LocalHessian(central_hessian(objective.value, th), provenance="finite_difference"),
     )
-    return natural_gradient_step(objective, hessian, theta, learning_rate, damping)
+    return natural_gradient_step(objective, hessian, theta, damping)
 
 
 def backtracking_line_search(
@@ -355,7 +352,7 @@ def optimize(
 
         try:
             H = engine(theta, -g)
-            v, added = _solve_step(H, g, config.learning_rate, config.damping)
+            v, added = _solve_step(H, g, config.damping)
         except NatgradError as exc:
             rec(it, cost, gn, 0.0, 0.0)
             status, reason = "numeric_failure", _error_reason(exc)

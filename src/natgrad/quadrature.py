@@ -2,10 +2,11 @@
 
 Two grid builders cover the integrals used elsewhere in the package:
 
-* :func:`composite_legendre` -- panels of equal width on a finite interval,
-  used for integrals against a density in sample space.  The finite
-  interval of a 1-D family is its quantile window; ``Family.window_rule``
-  builds that rule, the one sample-space rule of the package.
+* :func:`composite_legendre` -- panels of equal width on a finite interval.
+  ``natgrad validate`` sums KL on it over the quantile windows of two 1-D
+  Gaussians, a reference for the closed form; no library route integrates
+  in sample space (every Fisher matrix and f-divergence is a closed form or
+  an exact sum over a finite support).
 * :func:`unit_interval_grid` -- the one fixed grid over quantile levels,
   with panels graded geometrically toward 0 and 1 where the integrand is
   steep; the 1-D transport cost, its gradient and its metric all use it.
@@ -38,6 +39,8 @@ __all__ = [
 # truncated part of second-moment integrands) below 1e-9, which is what the
 # tightest consumers of these grids need.
 DEFAULT_TAIL_MASS = 1e-12
+# Gauss-Legendre nodes in each of the 26 panels of unit_interval_grid.
+GRID_NODES_PER_PANEL = 18
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,14 +72,15 @@ def composite_legendre(
 
 
 def unit_interval_grid() -> tuple[np.ndarray, np.ndarray]:
-    """512-node quadrature grid on ``(delta, 1 - delta)``, graded toward both
+    """468-node quadrature grid on ``(delta, 1 - delta)``, graded toward both
     endpoints, with ``delta = DEFAULT_TAIL_MASS``; the same cached arrays on
     every call.
 
     Panel edges shrink geometrically (decade by decade) toward 0 and 1 so
     that integrands of the form ``g(quantile(q))``, which vary rapidly near
-    the endpoints for unbounded supports, are resolved accurately.  The
-    node budget is split evenly across panels.
+    the endpoints for unbounded supports, are resolved accurately.  Every
+    panel has ``GRID_NODES_PER_PANEL`` nodes and a positive width, so every
+    weight is positive.
     """
     return _unit_interval_grid()
 
@@ -94,15 +98,13 @@ def unit_interval_normal_scores() -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1)
 def _unit_interval_grid() -> tuple[np.ndarray, np.ndarray]:
-    lower = [DEFAULT_TAIL_MASS]
-    q = DEFAULT_TAIL_MASS
-    while q * 10.0 < 0.1:
-        q *= 10.0
-        lower.append(q)
-    lower.append(0.1)
-    upper = [1.0 - q for q in reversed(lower)]
-    edges = np.array(lower + [0.3, 0.5, 0.7] + upper)
-    return _panels(edges, max(4, 512 // (len(edges) - 1)))
+    # The decades DEFAULT_TAIL_MASS = 1e-12 .. 1e-1, each rounded once, by
+    # dividing by exact powers of 10: repeated multiplication by 10 puts an
+    # edge 2.8e-17 below 0.1 (a panel of zero weights), and numpy's
+    # 10.0 ** -5 is an ulp below 1e-5.
+    lower = 1.0 / 10.0 ** np.arange(12, 0, -1)
+    edges = np.concatenate([lower, [0.3, 0.5, 0.7], 1.0 - lower[::-1]])
+    return _panels(edges, GRID_NODES_PER_PANEL)
 
 
 @lru_cache(maxsize=16)

@@ -3,9 +3,9 @@
 Covers three groups:
 
 * f-divergences (KL, reverse KL, chi-squared, squared Hellinger), in
-  closed form on every Gaussian family and otherwise on the family's
-  sample-space rule, ``Family.window_rule``: quadrature for a continuous
-  family, an exact sum for a categorical one.  Total variation is
+  closed form on every Gaussian family and otherwise as exact sums over a
+  finite support, ``Family._window_logs`` (a categorical family); any
+  other family raises :class:`CapabilityError`.  Total variation is
   deliberately absent: its generator is not twice differentiable at 1, so
   it admits no local Hessian.
 * optimal-transport distances: p-Wasserstein for one-dimensional families
@@ -35,7 +35,7 @@ Hellinger through an alpha-integral.
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
 roundoff and is non-negative.  ``grad_theta`` is the analytic gradient in
 the first argument, built from the ingredients the similarity's own metric
-uses: scores for integrated f-divergences, moment derivatives for
+uses: scores for summed f-divergences, moment derivatives for
 Gaussian closed forms, for 1-D transport the quantile velocities each point
 keeps (``Point.transport``).  Where a family has no route for a similarity,
 ``grad_theta`` raises the same :class:`CapabilityError` as ``evaluate``, and
@@ -257,10 +257,10 @@ _GAUSSIAN_FORMS = {"kl": _kl, "reverse_kl": _reverse_kl,
 
 
 def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
-    """``(nodes, weights, fn(log p, log q))`` on the window rule of the points
-    ``theta`` and ``target``, with ``p``, ``q`` their densities and ``fn`` a
-    perspective form of ``spec``; raises :class:`NumericError` where the
-    integrand is not finite."""
+    """``(nodes, weights, fn(log p, log q))`` on the support of the points
+    ``theta`` and ``target`` (``Family._window_logs``), with ``p``, ``q``
+    their probabilities and ``fn`` a perspective form of ``spec``; raises
+    :class:`NumericError` where the summand is not finite."""
     nodes, weights, (logp, logq) = family._window_logs([theta, target])
     # Overflow in fn is expected for divergent pairs; it is detected by the
     # finiteness check below, not by warnings.
@@ -270,7 +270,7 @@ def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
         bad = int(np.sum(~np.isfinite(integrand)))
         log_ratio = logq - logp
         raise NumericError(
-            f"{spec.name} quadrature produced {bad} non-finite integrand values on {family.name}",
+            f"{spec.name} sum produced {bad} non-finite integrand values on {family.name}",
             diagnostics={
                 "non_finite_nodes": bad,
                 "max_log_ratio": float(np.max(log_ratio)),
@@ -295,10 +295,9 @@ class FDivergence(Similarity):
 
     Every Gaussian family has a closed form for each of the four registered
     divergences, in ``_GAUSSIAN_FORMS``.  Otherwise the value sums ``p
-    f(q/p)``, and the gradient ``p score g(q/p)``, on ``Family.window_rule``
-    of both points: Gauss-Legendre nodes over their quantile windows for a
-    1-D continuous family, the whole support, exactly, for a categorical
-    one, whose points keep their log-probabilities there.
+    f(q/p)``, and the gradient ``p score g(q/p)``, exactly over the finite
+    support of ``Family._window_logs``, where a categorical point keeps its
+    log-probabilities; a family with neither raises :class:`CapabilityError`.
     """
 
     def __init__(self, spec: FDivergenceSpec):

@@ -161,8 +161,7 @@ def test_run_unknown_config_key(tmp_path, capsys):
 
 # A valid JSON value for each config field the CLI accepts.
 FIELD_VALUES = {
-    "optimizer": {"learning_rate": 1.0, "max_iters": 5, "grad_tol": 1e-8, "cost_tol": 1e-14,
-                  "damping": 1e-8},
+    "optimizer": {"max_iters": 5, "grad_tol": 1e-8, "cost_tol": 1e-14, "damping": 1e-8},
     "gp_benchmark": {"m": 4, "seed": 3, "true_theta": [0.0, 0.0, -1.5], "theta0": [1.0, 1.2, 0.3],
                      "metrics": ["fisher"], "optimizer": {"max_iters": 3},
                      "threshold_offset": 1.0},
@@ -208,7 +207,16 @@ def test_run_refuses_a_line_search_setting(tmp_path, capsys, line_search):
     assert main(["run", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "unknown optimizer keys: line_search" in err
-    assert "allowed keys: cost_tol, damping, grad_tol, learning_rate, max_iters" in err
+    assert "allowed keys: cost_tol, damping, grad_tol, max_iters" in err
+
+
+def test_run_refuses_an_infinite_tolerance(tmp_path, capsys):
+    # json reads Infinity; accepted, grad_tol = inf ended the run
+    # converged_grad at iteration 0, far from the target.
+    cfg = _run_config(tmp_path, optimizer={"grad_tol": float("inf")})
+    assert "Infinity" in open(cfg).read()
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "grad_tol must be finite and positive" in capsys.readouterr().err
 
 
 # -- hessian -----------------------------------------------------------------------

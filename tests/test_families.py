@@ -22,7 +22,7 @@ from natgrad.families import (
     eq_covariance,
     get_family,
 )
-from natgrad.quadrature import gauss_legendre
+from natgrad.quadrature import DEFAULT_TAIL_MASS, composite_legendre, gauss_legendre
 
 from conftest import fd_gradient, power_law_family, random_gaussian_thetas
 
@@ -280,10 +280,17 @@ def test_sampler_capability_error():
 
 
 def _expectation(fam, theta, fn):
-    """``E[fn(X)]`` at ``theta`` on the family's window rule."""
-    nodes, weights = fam.window_rule([theta])
-    mass = weights * np.exp(fam.log_density(theta, nodes))
-    return np.einsum("n,n...->...", mass, fn(nodes))
+    """``E[fn(X)]`` at ``theta``: the exact sum over the support of a
+    categorical family, composite Gauss-Legendre over the quantile window
+    ``[quantile(delta), quantile(1 - delta)]`` of a 1-D continuous one."""
+    point = fam.point(theta)
+    if fam.has_cdf:
+        levels = (DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS)
+        nodes, weights = composite_legendre(*fam.quantile(point, levels))
+        logp = fam.log_density(point, nodes)
+    else:
+        nodes, weights, (logp,) = fam._window_logs([point])
+    return np.einsum("n,n...->...", weights * np.exp(logp), fn(nodes))
 
 
 def test_gaussian_normalization_100_points(rng):

@@ -30,8 +30,6 @@ from natgrad.metric import (
 from natgrad.optimizer import OptimizerConfig, optimize
 from natgrad.similarity import Similarity, get_similarity
 
-from conftest import power_law_family
-
 REPARAM_A = np.array([[1.2, 0.3], [-0.1, 0.9]])
 
 # Factories, so each call can get a fresh instance.
@@ -401,16 +399,17 @@ def test_a_categorical_family_shared_across_threads_gives_single_thread_bits():
 
 
 def test_an_fdivergence_shared_across_threads_gives_single_thread_bits():
-    # The same for the quadrature window memo of one f-divergence instance,
-    # on a family that integrates (Gaussians take the closed form).
-    power_law = type(power_law_family())
-    family, sim = power_law(), get_similarity("chi2")
-    pairs = [(np.array([1.0 + 0.1 * k]), np.array([0.8 + 0.05 * k])) for k in range(4)]
+    # The same for one f-divergence instance on a family that sums over its
+    # support (Gaussians take the closed form).
+    A = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]])
+    family, sim = LinearlyReparameterized(CategoricalSoftmax(3), A), get_similarity("chi2")
+    pairs = [(np.array([0.1 * k, -0.2, 0.3]), np.array([0.2, 0.05 * k, -0.1])) for k in range(4)]
 
     def results(s, fam, theta, target):
         return s.evaluate(fam, theta, target), s.grad_theta(fam, theta, target)
 
-    expected = [results(get_similarity("chi2"), power_law(), *pair) for pair in pairs]
+    expected = [results(get_similarity("chi2"), LinearlyReparameterized(CategoricalSoftmax(3), A),
+                        *pair) for pair in pairs]
     calls = [lambda pair=pair: results(sim, family, *pair) for pair in pairs]
     assert _mismatches_under_threads(calls, expected, steps=600) == []
 

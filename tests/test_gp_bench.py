@@ -347,6 +347,14 @@ def test_benchmark_config_rejects_a_non_integral_size(m):
         BenchmarkConfig(m=m)
 
 
+def test_benchmark_config_rejects_a_non_finite_threshold_offset():
+    # Accepted, a NaN offset made the threshold NaN: no cost ever reached it
+    # and iters_to_threshold read -1 for every metric.
+    for offset in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="threshold_offset must be finite"):
+            BenchmarkConfig(m=4, threshold_offset=offset)
+
+
 def test_benchmark_unknown_metric_raises():
     with pytest.raises(ConfigError):
         run_benchmark(BenchmarkConfig(metrics=("bogus",)))

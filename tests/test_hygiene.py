@@ -63,9 +63,8 @@ def test_finite_difference_gradients_only_back_family_defaults():
 
 
 def test_no_discrete_or_closed_form_fisher_flags():
-    # Every sample-space integral, discrete sums included, goes through
-    # Family.window_rule, and every Fisher matrix through Family.fisher; no
-    # flag may select a second route.
+    # Every sample-space sum goes through Family._window_logs, and every
+    # Fisher matrix through Family.fisher; no flag may select a second route.
     flags = {"is_discrete", "has_closed_form_fisher"}
     users = sorted(p.name for p in SRC.glob("*.py") if flags & _names(p))
     assert users == []
@@ -117,7 +116,7 @@ def test_one_transport_route_and_no_family_fallbacks():
     # finite-difference score, so nothing raises an undefined-score error.
     gone = {"_velocity_basis", "expectation", "UndefinedScoreError"}
     assert sorted(p.name for p in SRC.glob("*.py") if gone & _names(p)) == []
-    # Only composite_legendre keeps a panel size; Family.window_rule has none.
+    # Only composite_legendre keeps a panel size; no family builds a rule.
     users = sorted(p.name for p in SRC.glob("*.py") if "nodes_per_panel" in _names(p))
     assert users == ["quadrature.py"]
 
@@ -136,6 +135,24 @@ def _defined(path: Path) -> set[str]:
     """The names of the functions and classes a module defines."""
     return {node.name for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _called(path: Path) -> set[str]:
+    """The names a module calls, as ``name(...)`` or ``obj.name(...)``."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)}
+
+
+def test_every_fisher_matrix_and_fdivergence_is_closed_form_or_an_exact_sum():
+    # Family._window_logs, a finite support with unit weights, is the one
+    # sample-space hook; no family builds a quadrature rule over a quantile
+    # window.  Only validate integrates in sample space, as a reference for
+    # the closed form of KL.
+    assert sorted(p.name for p in SRC.glob("*.py")
+                  if "window_rule" in _defined(p) | _names(p)) == []
+    assert {"composite_legendre", "DEFAULT_TAIL_MASS"} & _names(SRC / "families.py") == set()
+    callers = sorted(p.name for p in SRC.glob("*.py") if "composite_legendre" in _called(p))
+    assert callers == ["validation.py"]
 
 
 def test_no_per_instance_memos():
@@ -224,7 +241,6 @@ def _family_ops(family, theta):
         "dcdf_dtheta": lambda: family.dcdf_dtheta(theta, x),
         "fisher": lambda: family.fisher(theta),
         "gaussian_state": lambda: family.gaussian_state(theta, derivs=True),
-        "window_rule": lambda: family.window_rule([theta]),
     }
     for name in ("probabilities", "softmax_jacobian", "split"):
         if hasattr(family, name):

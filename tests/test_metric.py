@@ -94,16 +94,9 @@ def test_fisher_reparameterized_categorical_is_the_congruent_matrix(rng):
         assert H.provenance == "analytic"
 
 
-def test_fisher_quadrature_route_power_law():
-    # no closed form and no sampler: exercises the score-outer-product
-    # quadrature; the exact Fisher information is 1/theta^2
-    fam = power_law_family()
-    for a, rtol in ((2.0, 1e-5), (3.0, 1e-7)):
-        H = fisher_information(fam, (a,))
-        assert H.matrix[0, 0] == pytest.approx(1.0 / a**2, rel=rtol)
-
-
 def test_fisher_no_route_raises():
+    # No Gaussian state and no finite support: no closed form and no exact
+    # sum, whether or not the family has a quantile; every call raises.
     class Opaque(Family):
         name = "opaque"
         param_dim = 1
@@ -112,8 +105,11 @@ def test_fisher_no_route_raises():
         def log_density(self, theta, x):
             return 0.0
 
-    with pytest.raises(CapabilityError):
-        fisher_information(Opaque(), (0.5,))
+    for fam in (Opaque(), power_law_family()):
+        point = fam.point((1.5,))
+        for theta in (point, point, (2.0,)):
+            with pytest.raises(CapabilityError, match="no Gaussian state and no finite support"):
+                fisher_information(fam, theta)
 
 
 def test_monte_carlo_fisher_confidence(rng):
@@ -178,7 +174,7 @@ def test_step_solve_floors_a_rank_deficient_pullback():
     out = riemannian_pullback(J, np.eye(2))
     np.testing.assert_array_equal(out.matrix, np.diag([1.0, 0.0]))
     assert out.regularization_added == 0.0
-    v, added = _solve_step(out, np.array([1.0, 1.0]), 1.0, None)
+    v, added = _solve_step(out, np.array([1.0, 1.0]), None)
     assert np.all(np.isfinite(v))
     assert added > 0.0
 

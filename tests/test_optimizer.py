@@ -59,18 +59,23 @@ def _quadratic_objective(A, center):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"learning_rate": 0.0},
-        {"learning_rate": -1.0},
+        # Non-finite values: an infinite tolerance ends any run converged at
+        # once, an infinite damping makes every step solve fail.  (The first
+        # two and the last two, so kwargs2..kwargs7 keep their cases.)
+        {"grad_tol": np.inf},
+        {"cost_tol": np.inf},
         {"max_iters": 0},
         {"grad_tol": 0.0},
         {"cost_tol": -1e-9},
         {"damping": 0.0},
         {"max_iters": 2.5},
         {"max_iters": 3.0},
+        {"damping": np.inf},
+        {"grad_tol": np.nan},
     ],
 )
 def test_optimizer_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
         OptimizerConfig(**kwargs)
 
 
@@ -85,6 +90,12 @@ def test_optimizer_config_has_no_line_search_setting():
     # Armijo backtracking with fixed constants is the only step rule.
     with pytest.raises(TypeError):
         OptimizerConfig(line_search=None)
+
+
+def test_optimizer_config_has_no_learning_rate():
+    # The Armijo search scales the step -H^-1 g; no second scale caps it.
+    with pytest.raises(TypeError):
+        OptimizerConfig(learning_rate=1.0)
 
 
 def test_trace_rejects_unknown_status():
@@ -122,15 +133,6 @@ def test_fisher_step_hand_solved():
     assert info["step_norm"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_step_honors_learning_rate():
-    engine = resolve_metric_engine("euclidean", GAUSS)
-    obj = make_objective(GAUSS, KL, np.array([0.0, 1.0]))
-    theta = np.array([1.0, 1.0])
-    nxt, _ = natural_gradient_step(obj, engine, theta, learning_rate=4.0)
-    g = obj.gradient(theta)
-    np.testing.assert_allclose(nxt, theta - g / 4.0, atol=1e-14)
-
-
 def test_step_with_indefinite_metric_uses_projected_solve():
     # mirror of the documented projection rule: shift only the amount that
     # lifts the smallest eigenvalue to the damping floor
@@ -149,8 +151,8 @@ def test_step_solve_equals_the_scipy_cholesky_wrappers_bit_for_bit(rng):
     for n in (1, 2, 3, 6):
         A = rng.normal(size=(n, n))
         H, g = LocalHessian(A @ A.T + 0.1 * np.eye(n)), rng.normal(size=n)
-        v, added = natgrad.optimizer._solve_step(H, g, 2.0, None)
-        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H.matrix, lower=True), -g / 2.0)
+        v, added = natgrad.optimizer._solve_step(H, g, None)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H.matrix, lower=True), -g)
         assert added == 0.0 and v.tobytes() == ref.tobytes()
 
 
@@ -161,20 +163,19 @@ def test_step_solve_computes_no_eigenvalues_for_a_metric_above_the_floor(rng, mo
     for n in (1, 2, 3, 6):
         A = rng.normal(size=(n, n))
         H = LocalHessian(A @ A.T + 0.1 * np.eye(n))  # lambda_min >= 0.1, far above the floor
-        _, added = natgrad.optimizer._solve_step(H, rng.normal(size=n), 1.0, None)
+        _, added = natgrad.optimizer._solve_step(H, rng.normal(size=n), None)
         assert added == 0.0
     assert calls == []
-    _, added = natgrad.optimizer._solve_step(LocalHessian(np.diag([1.0, -0.5])), np.ones(2), 1.0,
-                                             1e-8)
+    _, added = natgrad.optimizer._solve_step(LocalHessian(np.diag([1.0, -0.5])), np.ones(2), 1e-8)
     assert len(calls) == 1 and added == pytest.approx(0.5 + 1e-8, abs=1e-15)
 
 
 def test_step_solve_failures_are_numeric_errors():
     # A negative floor leaves the indefinite metric as it is.
     with pytest.raises(NumericError, match="metric factorization failed after damping: 1-th"):
-        natgrad.optimizer._solve_step(LocalHessian(-np.eye(2)), np.ones(2), 1.0, -2.0)
+        natgrad.optimizer._solve_step(LocalHessian(-np.eye(2)), np.ones(2), -2.0)
     with pytest.raises(NumericError, match="metric solve produced non-finite step"):
-        natgrad.optimizer._solve_step(LocalHessian(np.eye(2)), np.array([1.0, np.inf]), 1.0, None)
+        natgrad.optimizer._solve_step(LocalHessian(np.eye(2)), np.array([1.0, np.inf]), None)
 
 
 def test_exact_hessian_engine_solves_quadratic_in_one_step(rng):
@@ -473,7 +474,7 @@ def test_flat_cost_stalls_at_the_step_floor():
 def test_non_descent_direction_stalls_without_a_gradient_step(monkeypatch):
     # A step solve that points uphill is not replaced by a plain gradient
     # step: the search refuses it and the run says why.
-    monkeypatch.setattr(natgrad.optimizer, "_solve_step", lambda H, g, lr, damping: (g, 0.0))
+    monkeypatch.setattr(natgrad.optimizer, "_solve_step", lambda H, g, damping: (g, 0.0))
     trace = optimize(GAUSS, KL, (1.0, 1.0), (0.0, 1.0), OptimizerConfig(metric="fisher"))
     assert trace.status == "line_search_stalled" and "non_descent" in trace.reason
     assert len(trace.records) == 1 and trace.records[0].step_norm == 0.0

@@ -26,3 +26,13 @@ def test_composite_rule_equals_panel_loop():
     got = composite_legendre(-1.5, 4.0, n_panels=4, nodes_per_panel=6)
     np.testing.assert_array_equal(got[0], np.concatenate(nodes))
     np.testing.assert_array_equal(got[1], np.concatenate(weights))
+
+
+def test_unit_interval_grid_has_no_degenerate_panel():
+    # Edges built by repeated multiplication put one 2.8e-17 below 0.1: a
+    # panel of 18 zero weights and 18 nodes squeezed together.
+    nodes, weights = unit_interval_grid()
+    assert nodes.shape == weights.shape == (468,)
+    assert np.all(weights > 0.0) and np.all(np.diff(nodes) > 0.0)
+    assert 0.0 < nodes[0] and nodes[-1] < 1.0
+    assert weights.sum() == pytest.approx(1.0 - 2e-12, abs=1e-15)

@@ -25,7 +25,7 @@ from natgrad.families import (
 from natgrad.gp_bench import GpNllCost
 from natgrad.metric import resolve_metric_engine
 from natgrad.optimizer import OptimizerConfig, optimize
-from natgrad.quadrature import unit_interval_grid
+from natgrad.quadrature import DEFAULT_TAIL_MASS, composite_legendre, unit_interval_grid
 from natgrad.similarity import (
     F_DIVERGENCES,
     SIMILARITY_IDS,
@@ -36,22 +36,26 @@ from natgrad.similarity import (
     SquaredW2Gaussian,
     WassersteinP,
     _fisher_rao_distance,
-    _window_integrand,
     get_similarity,
 )
 
-from conftest import fd_gradient, mvn_theta, power_law_family, richardson_gradient
+from conftest import fd_gradient, mvn_theta, richardson_gradient
 
 GAUSS = Gaussian1D()
 CAT3 = CategoricalSoftmax(3)
 
 
 def _window_sum(spec, family, theta, target):
-    """D_f summed on the window rule alone, the route of a family without a
-    closed form, on any family."""
+    """D_f of a 1-D continuous family by composite Gauss-Legendre over the
+    union of the two points' quantile windows ``[quantile(delta),
+    quantile(1 - delta)]``, ``delta = DEFAULT_TAIL_MASS``: a route
+    independent of the closed forms."""
     points = family.point(theta), family.point(target)
-    _, weights, integrand = _window_integrand(spec, family, *points, spec.f)
-    return float(weights @ integrand)
+    levels = (DEFAULT_TAIL_MASS, 1.0 - DEFAULT_TAIL_MASS)
+    ends = np.array([family.quantile(p, levels) for p in points])
+    nodes, weights = composite_legendre(ends[:, 0].min(), ends[:, 1].max())
+    logp, logq = (family.log_density(p, nodes) for p in points)
+    return float(weights @ spec.f(logp, logq))
 
 
 def _wasserstein(theta, target, p):
@@ -188,8 +192,8 @@ def test_chi2_closed_form_where_the_window_truncates_and_descent_converges():
 @pytest.mark.parametrize("family", [GAUSS, MultivariateNormalLogCholesky(2)], ids=lambda f: f.name)
 @pytest.mark.parametrize("sim_id", ["chi2", "hellinger2"])
 def test_gaussian_alpha_divergence_runs_build_no_window(family, sim_id, monkeypatch):
-    calls, real = [], natgrad.families.Family.window_rule
-    monkeypatch.setattr(natgrad.families.Family, "window_rule",
+    calls, real = [], natgrad.families.Family._window_logs
+    monkeypatch.setattr(natgrad.families.Family, "_window_logs",
                         lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
     theta0 = np.linspace(0.4, 1.2, family.param_dim)
     target = theta0 - np.linspace(0.3, -0.2, family.param_dim)
@@ -623,28 +627,27 @@ def test_fdivergence_value_and_gradient_share_the_log_densities_kept_on_the_poin
     # Gaussian1D has closed forms for all four divergences and reads no
     # density.  A categorical point keeps its log-probabilities on the
     # support, the whole window, so a value and a gradient at the same two
-    # points share them and call no log_density.  The power-law family
-    # integrates on a window fit to both points: each call reads log p and
-    # log q there once (its score is in closed form, so the count sees only
-    # the window's reads).
-    power_law = type(power_law_family())
+    # points share them and call no log_density; a reparameterized
+    # categorical point reads those its base point keeps.
     calls = []
-    for cls in (Gaussian1D, CategoricalSoftmax, power_law):
+    for cls in (Gaussian1D, CategoricalSoftmax, LinearlyReparameterized):
         def counting(self, theta, x, real=cls.log_density):
             calls.append(np.shape(x))
             return real(self, theta, x)
 
         monkeypatch.setattr(cls, "log_density", counting)
-    cases = [(Gaussian1D(), [0.4, 1.3], [-0.2, 0.9], 0),
-             (CategoricalSoftmax(3), [0.2, -0.1, 0.4], [-0.3, 0.5, 0.0], 0),
-             (power_law(), [1.6], [2.3], 1)]
-    for family, theta, target, windows in cases:
+    A = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]])
+    cases = [(Gaussian1D(), [0.4, 1.3], [-0.2, 0.9]),
+             (CategoricalSoftmax(3), [0.2, -0.1, 0.4], [-0.3, 0.5, 0.0]),
+             (LinearlyReparameterized(CategoricalSoftmax(3), A), [0.2, -0.1, 0.4],
+              [-0.3, 0.5, 0.0])]
+    for family, theta, target in cases:
         sim = get_similarity(name)
         theta, target = family.point(theta), family.point(target)
         calls.clear()
         value = sim.evaluate(family, theta, target)
         grad = sim.grad_theta(family, theta, target)
-        assert len(calls) == 4 * windows  # log p and log q, once per call
+        assert calls == []
         # Fresh arrays give the bits the points give.
         assert sim.evaluate(family, np.array(theta), np.array(target)) == value
         fresh = sim.grad_theta(family, np.array(theta), np.array(target))
@@ -744,6 +747,13 @@ def test_half_squared_distance_matches_gaussian_closed_form(rng):
         assert w2.evaluate(GAUSS, a, b) == pytest.approx(closed.evaluate(GAUSS, a, b), abs=1e-8)
 
 
+def test_w2_between_far_apart_gaussians_is_infinite_not_nan():
+    # A zero grid weight times an infinite squared quantile gap read NaN.
+    with np.errstate(over="ignore"):
+        value = WassersteinP(2.0).evaluate(GAUSS, (0.0, 1e300), (0.0, 1.0))
+    assert value == np.inf
+
+
 def test_half_squared_distance_gradient(rng):
     w2 = WassersteinP(2.0)
     theta = np.array([0.4, 1.3])
@@ -759,10 +769,12 @@ def test_half_squared_distance_gradient(rng):
 
 
 def test_divergent_chi2_raises_numeric_error():
-    # the density ratio explodes on the integration window; the integrand
-    # overflows and the non-finite values are reported, not silently clamped
-    with pytest.raises(NumericError):
-        _window_sum(F_DIVERGENCES["chi2"], GAUSS, (0.0, 1.0), (0.0, 20.0))
+    # the probability ratio explodes on the support where softmax underflows
+    # to 0; the summand is 0 * inf and the non-finite values are reported,
+    # not silently clamped
+    with pytest.raises(NumericError) as info:
+        FDivergence(F_DIVERGENCES["chi2"]).evaluate(CAT3, (-800.0, 0.0, 0.0), np.zeros(3))
+    assert info.value.diagnostics["non_finite_nodes"] == 1
     # the closed form knows the integral diverges: 2 S1 - S2 = 2 - 400 < 0
     with pytest.raises(DivergenceInfiniteError):
         FDivergence(F_DIVERGENCES["chi2"]).evaluate(GAUSS, (0.0, 1.0), (0.0, 20.0))
