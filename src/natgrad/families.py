@@ -25,13 +25,12 @@ shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
 ``(n, sample_dim)``.  An ``(n, sample_dim)`` array is a batch in either case.
 A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
 ``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
-Every Fisher matrix and f-divergence is a closed form (every Gaussian
-family) or an exact sum over a finite support (a categorical family, also
-under ``LinearlyReparameterized``): :meth:`Family._window_logs` gives the
-support with unit weights and each point's log-probabilities there, and
-raises :class:`CapabilityError` on any other family.  1-D transport
-integrates over quantile levels instead, on
-``quadrature.unit_interval_grid``.
+Every Fisher matrix is a closed form, and every f-divergence a closed form
+(Gaussian) or an exact sum over a finite support (categorical, also under
+``LinearlyReparameterized``): :meth:`Family._window_logs` gives the support
+with unit weights and each point's log-probabilities there, and raises
+:class:`CapabilityError` on any other family.  1-D transport integrates
+over quantile levels instead, on ``quadrature.unit_interval_grid``.
 """
 
 from __future__ import annotations
@@ -197,12 +196,11 @@ class Family(ABC):
     implements ``_gaussian_state`` and ``_moment_derivs`` instead of
     ``log_density`` and ``score``; from those the base class derives
     :meth:`gaussian_state`, the state each :class:`Point` builds once, and
-    from that the log-density, the score and the closed-form Fisher matrix.
-    A family with a finite support overrides :meth:`_window_logs`, and gets
-    its Fisher matrix and f-divergences as exact sums there.  The base class
-    has no numeric fallbacks: ``cdf``, ``quantile``, ``dcdf_dtheta``,
-    ``sample`` and ``_window_logs`` raise :class:`CapabilityError`, so each
-    family implements what it supports in closed form.
+    from that the log-density, the score, samples and the Fisher matrix.
+    A family with a finite support overrides :meth:`_window_logs` for exact
+    f-divergence sums.  The base class has no numeric fallbacks: ``cdf``,
+    ``quantile``, ``dcdf_dtheta``, ``_window_logs``, and ``sample`` and
+    ``fisher`` without a Gaussian state, raise :class:`CapabilityError`.
 
     An instance is never written to after ``__init__``.  Every operation
     validates its argument once, through :meth:`point`, and passes the
@@ -328,28 +326,29 @@ class Family(ABC):
         raise CapabilityError(f"{self.name}: dcdf_dtheta is not available")
 
     def sample(self, theta, seed: int, count: int) -> np.ndarray:
-        """Draw ``count`` samples; deterministic for fixed ``(theta, seed)``."""
-        raise CapabilityError(f"{self.name}: no sampler available")
+        """Draw ``count`` samples; deterministic for fixed ``(theta, seed)``.
+        A Gaussian family draws ``mean + z L^T``, ``L`` numpy's factor of the
+        covariance: seeded draws (the benchmark datasets) must not move."""
+        state = self.gaussian_state(theta)
+        if state is None:
+            raise CapabilityError(f"{self.name}: no sampler available")
+        z = np.random.default_rng(seed).standard_normal((int(count), self.sample_dim))
+        out = state.mean + z @ np.linalg.cholesky(state.cov).T
+        return out[:, 0] if self.sample_dim == 1 else out
 
     def fisher(self, theta) -> np.ndarray:
-        """Fisher information matrix ``E[s s^T]`` of the score ``s``.
-
-        Gaussian families use the closed form
-        ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``; a family with
-        a finite support sums the score outer product against the
-        probabilities on :meth:`_window_logs`, from one batched score call.
+        """Fisher information matrix ``E[s s^T]`` of the score ``s``: the
+        Gaussian closed form ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``,
+        else the family's own (the softmax Jacobian, or ``A^T F A``).
 
         Raises
         ------
         CapabilityError
-            If the family has no Gaussian state and no finite support.
+            If the family has no Gaussian state and no closed form of its own.
         """
-        point = self.point(theta)
-        state = self.gaussian_state(point, derivs=True)
+        state = self.gaussian_state(theta, derivs=True)
         if state is None:
-            nodes, weights, (logp,) = self._window_logs([point])
-            s = self.score(point, nodes)
-            return np.einsum("n,n...->...", weights * np.exp(logp), s[:, :, None] * s[:, None, :])
+            raise CapabilityError(f"{self.name}: no Gaussian state and no finite support")
         sens = state.inv @ state.dcov
         n = len(sens)
         trace_term = sens.reshape(n, -1) @ sens.transpose(0, 2, 1).reshape(n, -1).T
@@ -371,7 +370,8 @@ class Family(ABC):
         NumericError
             Where the covariance is not finite or not positive definite.
         """
-        return self.point(theta).state(derivs)
+        state = self.point(theta).state(derivs)
+        return state if isinstance(state, GaussianState) else None
 
     def _build_state(self, point: Point):
         """The state ``point`` builds on first use (see :meth:`Point.state`):
@@ -420,8 +420,8 @@ class Family(ABC):
     def _window_logs(self, points) -> tuple:
         """``(nodes, weights, logs)``: the support with unit weights, so
         sums on it are exact, and the log-probabilities there of each of
-        ``points`` (of this family), the one sample-space hook of Fisher
-        matrices without a closed form and of f-divergences.
+        ``points`` (of this family), the one sample-space hook of
+        f-divergences without a closed form.
 
         Raises
         ------
@@ -449,11 +449,6 @@ class Gaussian1D(Family):
         xs, single = self._check_x(x)
         return sigma, (xs[:, 0] - mu) / sigma, single
 
-    def log_density(self, theta, x):
-        sigma, z, single = self._standardize(theta, x)
-        out = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * z * z
-        return out[0] if single else out
-
     def cdf(self, theta, x):
         _, z, single = self._standardize(theta, x)
         out = ndtr(z)
@@ -473,11 +468,6 @@ class Gaussian1D(Family):
         pdf = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma)
         out = np.stack([-pdf, -z * pdf], axis=-1)
         return out[0] if single else out
-
-    def sample(self, theta, seed, count):
-        mu, sigma = self.point(theta).theta
-        rng = np.random.default_rng(seed)
-        return mu + sigma * rng.standard_normal(int(count))
 
     def _gaussian_state(self, theta):
         mu, sigma = theta
@@ -524,12 +514,6 @@ class MultivariateNormalLogCholesky(Family):
         np.fill_diagonal(L, diag)
         return mean, L
 
-    def sample(self, theta, seed, count):
-        mean, L = self.split(theta)
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((int(count), self.dim))
-        return mean + z @ L.T
-
     def _gaussian_state(self, theta):
         mean, L = self._split(theta)
         return GaussianState.factor(theta, mean, L @ L.T)
@@ -566,11 +550,6 @@ class CategoricalSoftmax(Family):
     def probabilities(self, theta) -> np.ndarray:
         """The softmax of the logits ``theta``, read-only, kept on the point."""
         return self.point(theta).state()[0]
-
-    def gaussian_state(self, theta, derivs=False):
-        """None, after validating ``theta``: the family is not Gaussian."""
-        self.point(theta)
-        return None
 
     def _outcomes(self, x) -> np.ndarray:
         """Validate one outcome or a 1-D batch; return them as integers."""
@@ -654,14 +633,6 @@ class GpPriorEq(Family):
         self.sample_dim = int(inputs.size)
         self._sqdist = (inputs[:, None] - inputs[None, :]) ** 2
 
-    def sample(self, theta, seed, count):
-        # numpy's factor, not the state's: the two LAPACK builds can round
-        # differently, and seeded draws (the benchmark datasets) must not move.
-        L = np.linalg.cholesky(self.gaussian_state(theta).cov)
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((int(count), self.sample_dim))
-        return z @ L.T
-
     def _gaussian_state(self, theta):
         log_amp, log_ls, log_noise = theta
         K = _eq_kernel(self._sqdist, log_amp, log_ls)
@@ -736,6 +707,10 @@ class LinearlyReparameterized(Family):
 
     def sample(self, xi, seed, count):
         return self.base.sample(self.point(xi).base, seed, count)
+
+    def fisher(self, xi):
+        # The Fisher matrix is a (0,2)-tensor: under theta = A xi it is A^T F A.
+        return self.A.T @ self.base.fisher(self.point(xi).base) @ self.A
 
     def _build_state(self, point):
         base = self.base.gaussian_state(point.base)

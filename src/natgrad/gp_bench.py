@@ -88,9 +88,15 @@ def _check_size(m) -> None:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def generate_data(seed: int = 42, m: int = 30, true_theta=DEFAULT_TRUE_THETA) -> Dataset:
     """Equispaced inputs on [-3, 3] and one seeded draw from the GP prior."""
     _check_size(m)
+    _check_seed(seed)
     inputs = np.linspace(-3.0, 3.0, m)
     family = GpPriorEq(inputs)
     targets = family.sample(true_theta, seed, 1)[0]
@@ -124,7 +130,7 @@ class BenchmarkConfig:
     """Benchmark settings; defaults reproduce the shipped comparison.
 
     The threshold is the negative log-likelihood at ``true_theta`` plus
-    ``threshold_offset`` nats, a finite number.
+    ``threshold_offset`` nats, a finite number (not a bool).
     """
 
     m: int = 30
@@ -139,10 +145,11 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         _check_size(self.m)
+        _check_seed(self.seed)
         if len(self.metrics) == 0:
             raise ValueError("metrics must be non-empty")
-        if not math.isfinite(self.threshold_offset):
-            raise ValueError(f"threshold_offset must be finite, got {self.threshold_offset}")
+        if isinstance(self.threshold_offset, bool) or not math.isfinite(self.threshold_offset):
+            raise ValueError(f"threshold_offset must be finite, got {self.threshold_offset!r}")
 
 
 @dataclass(frozen=True)

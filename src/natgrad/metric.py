@@ -3,7 +3,7 @@
 The central object is the local Hessian of a similarity ``c``: the second
 derivative of ``eta -> c(eta, theta)`` evaluated at ``eta = theta``.  It is
 the curvature the similarity assigns to parameter space at ``theta``, and it
-is what a natural-gradient step inverts.  Engines here produce it four ways:
+is what a natural-gradient step inverts.  Engines here produce it three ways:
 
 * analytically, for f-divergences (``f''(1)`` times the Fisher information),
   for 1-D Wasserstein distances (the quantile velocities a point keeps,
@@ -106,10 +106,9 @@ class LocalHessian:
 def fisher_information(family: Family, theta) -> LocalHessian:
     """Fisher information matrix at ``theta``, :meth:`Family.fisher` as a
     :class:`LocalHessian`: the closed form of a Gaussian or categorical
-    family, otherwise ``E[s s^T]`` summed exactly over the family's finite
-    support (``Family._window_logs``).  A family with neither raises
-    :class:`CapabilityError`; :func:`monte_carlo_fisher` estimates its
-    matrix from samples.
+    family, or the congruent matrix ``A^T F(A xi) A`` of a linearly
+    reparameterized one.  Any other family raises :class:`CapabilityError`;
+    :func:`monte_carlo_fisher` estimates its matrix from samples.
     """
     return LocalHessian(family.fisher(theta), provenance="analytic")
 
@@ -119,8 +118,8 @@ def monte_carlo_fisher(
 ) -> tuple[LocalHessian, np.ndarray]:
     """Monte Carlo Fisher estimate and entrywise standard errors.
 
-    Test and validation aid; optimization paths use analytic or quadrature
-    routes.
+    Test and validation aid; optimization paths use the closed forms of
+    :meth:`Family.fisher`.
     """
     theta = family.point(theta)
     scores = family.score(theta, family.sample(theta, seed, count))
@@ -310,17 +309,16 @@ def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHes
         base = theta.theta + eps * u_hat
         estimates.append(central_hessian(cost, base, abs_step=FD_INNER_STEP_RATIO * eps))
     extrapolated = [2.0 * h2 - h1 for h1, h2 in zip(estimates[:-1], estimates[1:])]
-    if len(extrapolated) >= 2:
-        gap = float(np.max(np.abs(extrapolated[-1] - extrapolated[-2])))
-        if gap > 10.0 * FD_TOLERANCE * max(1.0, float(np.max(np.abs(extrapolated[-1])))):
-            raise NumericError(
-                "directional Hessian extrapolation did not converge",
-                diagnostics={
-                    "extrapolation_gap": gap,
-                    "tolerance": FD_TOLERANCE,
-                    "eps_ladder": [e * scale for e in FD_EPS_LADDER],
-                },
-            )
+    gap = float(np.max(np.abs(extrapolated[-1] - extrapolated[-2])))
+    if gap > 10.0 * FD_TOLERANCE * max(1.0, float(np.max(np.abs(extrapolated[-1])))):
+        raise NumericError(
+            "directional Hessian extrapolation did not converge",
+            diagnostics={
+                "extrapolation_gap": gap,
+                "tolerance": FD_TOLERANCE,
+                "eps_ladder": [e * scale for e in FD_EPS_LADDER],
+            },
+        )
     return LocalHessian(extrapolated[-1], provenance="finite_difference")
 
 

@@ -67,7 +67,7 @@ class OptimizerConfig:
     ``damping=None`` uses the scale-aware default floor.  ``metric=None``
     uses the similarity's own metric, ``Similarity.metric``.  The
     tolerances and the damping must be finite and positive: an infinite
-    tolerance would report convergence at any point.
+    tolerance would report convergence at any point.  No setting is a bool.
     """
 
     max_iters: int = 100
@@ -77,14 +77,15 @@ class OptimizerConfig:
     damping: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         settings = {"grad_tol": self.grad_tol, "cost_tol": self.cost_tol}
         if self.damping is not None:
             settings["damping"] = self.damping
         for name, value in settings.items():
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if isinstance(value, bool) or not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -292,23 +293,16 @@ def optimize(
     A run holds three points of the family (``Family.point``), each
     validated once and keeping its state: the target (by
     :func:`make_objective`; a likelihood cost's target is its dataset), the
-    iterate and the latest line-search trial.  The accepted trial becomes the next
-    iterate with its state and its cost; a search that reaches the step
-    floor ends the run ``line_search_stalled``.
+    iterate and the latest line-search trial, which becomes the next
+    iterate with its state and its cost when the search accepts it.
     """
     if engine is None:
         metric = sim.metric if config.metric is None else config.metric
         engine = resolve_metric_engine(metric, family)
     objective = make_objective(family, sim, target)
-    theta, cost = family.point(theta0), None
+    theta, cost, prev_cost = family.point(theta0), None, None
     records: list[StepRecord] = []
     start = time.perf_counter()
-
-    def rec(it, cost, gn, step, damp):
-        records.append(
-            StepRecord(it, float(cost), float(gn), float(step), float(damp),
-                       time.perf_counter() - start)
-        )
 
     # (point, cost) of the latest line-search trial, the last one evaluated:
     # when the search accepts a step, it is the accepted one.  A trial outside
@@ -321,11 +315,9 @@ def optimize(
         trial = (point, float(objective.value(point)))
         return trial[1]
 
-    prev_cost = None
-    status, reason = "max_iters", ""
     for it in range(config.max_iters + 1):
+        status, reason, step, added = "", "", 0.0, 0.0
         try:
-            theta = family.point(theta)
             if cost is None:
                 cost = float(objective.value(theta))
             g = np.asarray(objective.gradient(theta), dtype=float)
@@ -334,40 +326,30 @@ def optimize(
             break
         gn = float(np.linalg.norm(g))
         if not (np.isfinite(cost) and np.all(np.isfinite(g))):
-            rec(it, cost, gn, 0.0, 0.0)
             status, reason = "numeric_failure", "non-finite cost or gradient"
-            break
-        if gn < config.grad_tol:
-            rec(it, cost, gn, 0.0, 0.0)
+        elif gn < config.grad_tol:
             status = "converged_grad"
-            break
-        if prev_cost is not None and abs(prev_cost - cost) < config.cost_tol:
-            rec(it, cost, gn, 0.0, 0.0)
+        elif prev_cost is not None and abs(prev_cost - cost) < config.cost_tol:
             status = "converged_cost"
-            break
-        if it == config.max_iters:
-            rec(it, cost, gn, 0.0, 0.0)
+        elif it == config.max_iters:
             status = "max_iters"
+        else:
+            try:
+                v, added = _solve_step(engine(theta, -g), g, config.damping)
+            except NatgradError as exc:
+                status, reason = "numeric_failure", _error_reason(exc)
+            else:
+                alpha0 = _predicted_alpha(cost, prev_cost, float(g @ v))
+                alpha, flag = backtracking_line_search(trial_cost, theta.theta, v, g, cost, alpha0)
+                if flag:
+                    status = "line_search_stalled"
+                    reason = (f"line search ({flag}) accepted no step down to the step floor "
+                              f"{ALPHA_FLOOR:g}")
+                else:
+                    step = float(np.linalg.norm(alpha * v))
+        records.append(StepRecord(it, cost, gn, step, float(added), time.perf_counter() - start))
+        if status:
             break
-
-        try:
-            H = engine(theta, -g)
-            v, added = _solve_step(H, g, config.damping)
-        except NatgradError as exc:
-            rec(it, cost, gn, 0.0, 0.0)
-            status, reason = "numeric_failure", _error_reason(exc)
-            break
-
-        alpha, flag = backtracking_line_search(
-            trial_cost, theta.theta, v, g, cost, _predicted_alpha(cost, prev_cost, float(g @ v)),
-        )
-        if flag:
-            rec(it, cost, gn, 0.0, added)
-            status = "line_search_stalled"
-            reason = (f"line search ({flag}) accepted no step down to the step floor "
-                      f"{ALPHA_FLOOR:g}")
-            break
-        rec(it, cost, gn, float(np.linalg.norm(alpha * v)), added)
         prev_cost = cost
         theta, cost = trial
 

@@ -88,8 +88,9 @@ def power_law_family():
 
     Implements log_density, score, cdf, quantile and dcdf_dtheta in closed
     form (score 1/a + log x, cdf x^a, quantile q^(1/a), dcdf/da x^a log x)
-    and the domain check.  It has no Gaussian state, so the Fisher matrix
-    and the f-divergences take the integrals on ``Family.window_rule``.
+    and the domain check.  It has no Gaussian state and no finite support,
+    so it has no sampler, no Fisher matrix and no f-divergence: those raise
+    ``CapabilityError``.
     """
     from natgrad.families import Family
 

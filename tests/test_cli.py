@@ -219,6 +219,14 @@ def test_run_refuses_an_infinite_tolerance(tmp_path, capsys):
     assert "grad_tol must be finite and positive" in capsys.readouterr().err
 
 
+def test_run_refuses_a_boolean_setting(tmp_path, capsys):
+    # Accepted, "max_iters": true ran one iteration and exited 0.
+    cfg = _run_config(tmp_path, optimizer={"max_iters": True})
+    assert '"max_iters": true' in open(cfg).read()
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert "max_iters must be an integer" in capsys.readouterr().err
+
+
 # -- hessian -----------------------------------------------------------------------
 
 

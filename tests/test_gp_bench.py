@@ -224,6 +224,37 @@ def test_generate_data_distribution():
     np.testing.assert_array_less(np.abs(emp - K), 5.0 * se)
 
 
+def test_generate_data_is_one_prior_draw_through_numpys_factor():
+    # The family's sampler draws z L^T with L numpy's Cholesky factor of K;
+    # the benchmark datasets keep their bits.
+    x = np.linspace(-3.0, 3.0, 30)
+    K = np.exp(-0.5 * (x[:, None] - x[None, :]) ** 2) + np.exp(-3.0) * np.eye(30)
+    expected = np.random.default_rng(42).standard_normal((1, 30)) @ np.linalg.cholesky(K).T
+    np.testing.assert_array_equal(generate_data(42, 30).targets, expected[0])
+
+
+def test_gp_prior_on_one_input_samples_scalars():
+    # sample_dim 1: a batch of scalar samples, as every other family's.
+    draws = GpPriorEq([0.0]).sample(DEFAULT_TRUE_THETA, 0, 3)
+    assert draws.shape == (3,)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, True, "42", None])
+def test_seed_is_checked_when_the_config_is_built(seed):
+    # Accepted, 2.5 and -1 failed later inside numpy's default_rng, and True
+    # quietly drew dataset 1.
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        BenchmarkConfig(seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        generate_data(seed=seed, m=4)
+
+
+def test_generate_data_takes_any_non_negative_integer_seed():
+    np.testing.assert_array_equal(generate_data(np.int64(7), 4).targets,
+                                  generate_data(7, 4).targets)
+    assert generate_data(0, 4).seed == 0
+
+
 def test_generate_data_small_m():
     ds = generate_data(seed=1, m=2)
     assert ds.targets.shape == (2,)
@@ -353,6 +384,12 @@ def test_benchmark_config_rejects_a_non_finite_threshold_offset():
     for offset in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="threshold_offset must be finite"):
             BenchmarkConfig(m=4, threshold_offset=offset)
+
+
+@pytest.mark.parametrize("offset", [True, False])
+def test_benchmark_config_rejects_a_boolean_threshold_offset(offset):
+    with pytest.raises(ValueError, match="threshold_offset must be finite"):
+        BenchmarkConfig(m=4, threshold_offset=offset)
 
 
 def test_benchmark_unknown_metric_raises():

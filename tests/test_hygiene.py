@@ -155,6 +155,41 @@ def test_every_fisher_matrix_and_fdivergence_is_closed_form_or_an_exact_sum():
     assert callers == ["validation.py"]
 
 
+def _class_methods(path: Path) -> dict[str, dict[str, ast.FunctionDef]]:
+    """Each class a module defines, with the methods its body defines."""
+    return {node.name: {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)}
+
+
+def _calls_to(node: ast.AST, name: str) -> int:
+    """How many times ``node`` calls ``name(...)``."""
+    return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+               for n in ast.walk(node))
+
+
+def test_each_family_fact_has_one_route():
+    # A Gaussian family (one that builds a _gaussian_state) gets its
+    # log-density and its sampler from the state on the base class; only the
+    # base class turns a point's state into a Gaussian state or nothing; the
+    # base Fisher matrix is the Gaussian closed form and no support sum.
+    classes = _class_methods(SRC / "families.py")
+    gaussian = {name: methods for name, methods in classes.items()
+                if "_gaussian_state" in methods and name != "Family"}
+    assert sorted(gaussian) == ["Gaussian1D", "GpPriorEq", "MultivariateNormalLogCholesky"]
+    assert {name: sorted({"sample", "log_density"} & set(methods))
+            for name, methods in gaussian.items()} == {name: [] for name in gaussian}
+    definers = sorted(f"{p.name}:{cls}" for p in SRC.glob("*.py")
+                      for cls, methods in _class_methods(p).items() if "gaussian_state" in methods)
+    assert definers == ["families.py:Family"]
+    fisher = classes["Family"]["fisher"]
+    named = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(fisher)}
+    assert {"_window_logs", "score"} & named == set()
+    # optimize decides each iteration's status in one chain: one record, one trace.
+    optimize_def = next(node for node in ast.parse((SRC / "optimizer.py").read_text()).body
+                        if isinstance(node, ast.FunctionDef) and node.name == "optimize")
+    assert (_calls_to(optimize_def, "StepRecord"), _calls_to(optimize_def, "Trace")) == (1, 1)
+
+
 def test_no_per_instance_memos():
     # A validated point carries its own state (Family.point); no family,
     # similarity or optimizer run keeps a memo of the points it has seen.

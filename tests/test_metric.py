@@ -83,8 +83,8 @@ def test_fisher_categorical_uniform():
 
 
 def test_fisher_reparameterized_categorical_is_the_congruent_matrix(rng):
-    # no closed form of its own: E[s s^T] summed over the base support
-    # forwarded through A, with scores s^T A
+    # the base's softmax Jacobian pulled back through A: A^T F(A xi) A, the
+    # route LinearlyReparameterized.fisher takes for every base family
     A = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]])
     fam = LinearlyReparameterized(CAT3, A)
     for _ in range(10):

@@ -72,6 +72,13 @@ def _quadratic_objective(A, center):
         {"max_iters": 3.0},
         {"damping": np.inf},
         {"grad_tol": np.nan},
+        # A bool is an Integral and a number: max_iters=True ran one iteration
+        # and grad_tol=True was a tolerance of 1.0.
+        {"max_iters": True},
+        {"max_iters": False},
+        {"grad_tol": True},
+        {"cost_tol": True},
+        {"damping": True},
     ],
 )
 def test_optimizer_config_rejects_bad_values(kwargs):
