@@ -2,14 +2,14 @@
 
 Subcommands::
 
-    natgrad run <config.json>       optimization run (or GP benchmark config)
+    natgrad run <config.json>       optimization run
     natgrad hessian <family> <similarity> <theta> [--metric ID] [--check]
     natgrad validate [--seed N]
-    natgrad bench-gp <config.json>
+    natgrad bench-gp <config.json>  GP benchmark (its only CLI route)
 
 Exit codes: 0 on success, 1 for configuration errors (with a message
-listing valid identifiers where relevant), 2 for numerical failures or
-failed validation checks.  All randomness is seeded from the configs, so
+listing valid identifiers or keys where relevant), 2 for numerical failures
+or failed validation checks.  All randomness is seeded from the configs, so
 outputs are deterministic up to wall-time columns.
 """
 
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import Optional
 
 import numpy as np
 
@@ -52,11 +51,7 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _field_names(config_class) -> set[str]:
-    return {f.name for f in fields(config_class)}
-
-
-def _pop_keys(data: dict, allowed: set[str], context: str) -> None:
+def _check_keys(data: dict, allowed: set[str], context: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(
@@ -65,13 +60,23 @@ def _pop_keys(data: dict, allowed: set[str], context: str) -> None:
         )
 
 
-def _optimizer_config_from(data: dict, metric: Optional[str] = None) -> OptimizerConfig:
-    data = dict(data or {})
-    _pop_keys(data, _field_names(OptimizerConfig) - {"metric"}, "optimizer")
+def _load_config(config_class, data, context: str, extra: frozenset = frozenset(), **given):
+    """``config_class`` from the JSON object ``data``, whose keys are its fields
+    less those ``given`` plus the ``extra`` ones the caller reads; the
+    dataclass checks the values.  Lists become tuples, ``optimizer`` objects
+    OptimizerConfigs."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {data!r}")
+    _check_keys(data, {f.name for f in fields(config_class)} - set(given) | extra, context)
+    values = {key: tuple(v) if isinstance(v, list) else v
+              for key, v in data.items() if key not in extra}
+    if "optimizer" in values:
+        values["optimizer"] = _load_config(OptimizerConfig, values["optimizer"], "optimizer",
+                                           metric=None)
     try:
-        return OptimizerConfig(metric=metric, **data)
+        return config_class(**values, **given)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid optimizer settings: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _parse_theta(text: str) -> np.ndarray:
@@ -83,9 +88,7 @@ def _parse_theta(text: str) -> np.ndarray:
 
 def cmd_run(args) -> int:
     config = _load_json(args.config)
-    if "gp_benchmark" in config:
-        return _run_benchmark_config(config["gp_benchmark"])
-    _pop_keys(
+    _check_keys(
         config,
         {"family", "similarity", "metric", "theta0", "target", "optimizer", "output"},
         "run config",
@@ -95,7 +98,8 @@ def cmd_run(args) -> int:
             raise ConfigError(f"run config is missing required key {key!r}")
     family = get_family(config["family"])
     sim = get_similarity(config["similarity"])
-    opt = _optimizer_config_from(config.get("optimizer", {}), config.get("metric"))
+    opt = _load_config(OptimizerConfig, config.get("optimizer", {}), "optimizer",
+                       metric=config.get("metric"))
     trace = optimize(
         family,
         sim,
@@ -110,34 +114,6 @@ def cmd_run(args) -> int:
         print(f"{trace.status}: {trace.reason}", file=sys.stderr)
     print(f"trace written to {output}")
     return EXIT_NUMERIC if trace.status == "numeric_failure" else EXIT_OK
-
-
-def _run_benchmark_config(data: dict) -> int:
-    data = dict(data)
-    _pop_keys(data, _field_names(BenchmarkConfig) | {"output_dir"}, "gp_benchmark config")
-    output_dir = data.pop("output_dir", ".")
-    if "optimizer" in data:
-        data["optimizer"] = _optimizer_config_from(data["optimizer"])
-    for key in ("true_theta", "theta0", "metrics"):
-        if key in data:
-            data[key] = tuple(data[key])
-    try:
-        config = BenchmarkConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid gp_benchmark config: {exc}") from exc
-    result = run_benchmark(config)
-    os.makedirs(output_dir, exist_ok=True)
-    for metric, trace in result.traces.items():
-        trace.to_csv(os.path.join(output_dir, f"trace_{metric.replace(':', '_')}.csv"))
-    summary_path = os.path.join(output_dir, "summary.csv")
-    with open(summary_path, "w") as fh:
-        fh.write(result.summary_csv())
-    print(f"threshold={result.threshold:.6e}")
-    for metric, iters, cost, status in result.summary_rows():
-        print(f"{metric}: iters_to_threshold={iters} final_cost={cost:.6e} status={status}")
-    print(f"outputs written to {output_dir}")
-    failed = any(t.status == "numeric_failure" for t in result.traces.values())
-    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def cmd_hessian(args) -> int:
@@ -172,10 +148,25 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench_gp(args) -> int:
-    config = _load_json(args.config)
-    if "gp_benchmark" in config:
-        config = config["gp_benchmark"]
-    return _run_benchmark_config(config)
+    data = _load_json(args.config)
+    if "gp_benchmark" in data:  # a wrapped config holds nothing else
+        _check_keys(data, {"gp_benchmark"}, "wrapped bench-gp config")
+        data = data["gp_benchmark"]
+    config = _load_config(BenchmarkConfig, data, "gp_benchmark config",
+                          extra=frozenset({"output_dir"}))
+    output_dir = data.get("output_dir", ".")
+    result = run_benchmark(config)
+    os.makedirs(output_dir, exist_ok=True)
+    for metric, trace in result.traces.items():
+        trace.to_csv(os.path.join(output_dir, f"trace_{metric.replace(':', '_')}.csv"))
+    with open(os.path.join(output_dir, "summary.csv"), "w") as fh:
+        fh.write(result.summary_csv())
+    print(f"threshold={result.threshold:.6e}")
+    for metric, iters, cost, status in result.summary_rows():
+        print(f"{metric}: iters_to_threshold={iters} final_cost={cost:.6e} status={status}")
+    print(f"outputs written to {output_dir}")
+    failed = any(t.status == "numeric_failure" for t in result.traces.values())
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -444,13 +444,13 @@ class Gaussian1D(Family):
         return theta[1] > 0.0
 
     def _standardize(self, theta, x):
-        """``(sigma, z, single)`` with ``z = (x - mu) / sigma`` of shape (n,)."""
+        """``(z, xs, single)``: ``z = (x - mu) / sigma`` (n,), ``xs`` an (n, 1) batch."""
         mu, sigma = self.point(theta).theta
         xs, single = self._check_x(x)
-        return sigma, (xs[:, 0] - mu) / sigma, single
+        return (xs[:, 0] - mu) / sigma, xs, single
 
     def cdf(self, theta, x):
-        _, z, single = self._standardize(theta, x)
+        z, _, single = self._standardize(theta, x)
         out = ndtr(z)
         return float(out[0]) if single else out
 
@@ -464,8 +464,9 @@ class Gaussian1D(Family):
 
     def dcdf_dtheta(self, theta, x):
         # d/dmu Phi((x-mu)/sigma) = -pdf(x); d/dsigma = -z * pdf(x)
-        sigma, z, single = self._standardize(theta, x)
-        pdf = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma)
+        point = self.point(theta)
+        z, xs, single = self._standardize(point, x)
+        pdf = np.exp(self.log_density(point, xs))
         out = np.stack([-pdf, -z * pdf], axis=-1)
         return out[0] if single else out
 

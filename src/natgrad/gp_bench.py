@@ -22,7 +22,7 @@ import numpy as np
 
 from .families import Dataset, GpPriorEq, eq_covariance, resolve_id
 from .metric import LocalHessian, fd_local_hessian, fisher_information, resolve_metric_engine
-from .optimizer import OptimizerConfig, Trace, optimize
+from .optimizer import OptimizerConfig, Trace, check_setting, optimize
 from .similarity import Similarity, SquaredW2Gaussian
 
 __all__ = [
@@ -51,6 +51,8 @@ BENCHMARK_METRIC_IDS = list(BENCHMARK_METRICS)
 
 DEFAULT_TRUE_THETA = (0.0, 0.0, -1.5)
 DEFAULT_THETA0 = (1.0, 1.2, 0.3)
+# The threshold is this many nats above the NLL at DEFAULT_TRUE_THETA.
+THRESHOLD_OFFSET = 0.5
 
 
 def eq_kernel(inputs, log_amp: float, log_ls: float) -> np.ndarray:
@@ -83,23 +85,14 @@ def gp_w2_metric(theta, inputs, u=None) -> LocalHessian:
     return fd_local_hessian(SquaredW2Gaussian(), GpPriorEq(inputs), theta, u)
 
 
-def _check_size(m) -> None:
-    if not isinstance(m, numbers.Integral) or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
-
-
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def generate_data(seed: int = 42, m: int = 30, true_theta=DEFAULT_TRUE_THETA) -> Dataset:
-    """Equispaced inputs on [-3, 3] and one seeded draw from the GP prior."""
-    _check_size(m)
-    _check_seed(seed)
+def generate_data(seed: int = 42, m: int = 30) -> Dataset:
+    """Equispaced inputs on [-3, 3] and one seeded draw from the GP prior
+    at ``DEFAULT_TRUE_THETA``."""
+    check_setting("m", m, least=2)
+    check_setting("seed", seed, least=0)
     inputs = np.linspace(-3.0, 3.0, m)
     family = GpPriorEq(inputs)
-    targets = family.sample(true_theta, seed, 1)[0]
+    targets = family.sample(DEFAULT_TRUE_THETA, seed, 1)[0]
     return Dataset(inputs=inputs, targets=targets, seed=int(seed))
 
 
@@ -129,27 +122,30 @@ class GpNllCost(Similarity):
 class BenchmarkConfig:
     """Benchmark settings; defaults reproduce the shipped comparison.
 
-    The threshold is the negative log-likelihood at ``true_theta`` plus
-    ``threshold_offset`` nats, a finite number (not a bool).
+    ``m`` is an integer of at least 2, ``seed`` one of at least 0, ``theta0``
+    three finite numbers and ``metrics`` a non-empty sequence of ids (not a
+    string).  The data are drawn at ``DEFAULT_TRUE_THETA``; the threshold is
+    the negative log-likelihood there plus ``THRESHOLD_OFFSET`` nats.
     """
 
     m: int = 30
     seed: int = 42
-    true_theta: tuple[float, ...] = DEFAULT_TRUE_THETA
     theta0: tuple[float, ...] = DEFAULT_THETA0
     metrics: tuple[str, ...] = tuple(BENCHMARK_METRIC_IDS)
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(max_iters=2000, grad_tol=1e-6)
     )
-    threshold_offset: float = 0.5
 
     def __post_init__(self):
-        _check_size(self.m)
-        _check_seed(self.seed)
-        if len(self.metrics) == 0:
-            raise ValueError("metrics must be non-empty")
-        if isinstance(self.threshold_offset, bool) or not math.isfinite(self.threshold_offset):
-            raise ValueError(f"threshold_offset must be finite, got {self.threshold_offset!r}")
+        check_setting("m", self.m, least=2)
+        check_setting("seed", self.seed, least=0)
+        theta0 = np.asarray(self.theta0, dtype=object)
+        if theta0.shape != (3,) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                for v in theta0):
+            raise ValueError(f"theta0 must be three finite numbers, got {self.theta0!r}")
+        if isinstance(self.metrics, str) or len(self.metrics) == 0:
+            raise ValueError(f"metrics must be a non-empty sequence of ids, got {self.metrics!r}")
 
 
 @dataclass(frozen=True)
@@ -181,11 +177,11 @@ class BenchmarkResult:
 
 def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResult:
     """Run every configured metric from the same start on the same data."""
-    dataset = generate_data(config.seed, config.m, config.true_theta)
+    dataset = generate_data(config.seed, config.m)
     family = GpPriorEq(dataset.inputs)
     engines = {metric: resolve_id(metric, BENCHMARK_METRICS, "benchmark metric", "metrics", family)
                for metric in config.metrics}
-    threshold = gp_nll(np.asarray(config.true_theta, dtype=float), dataset) + config.threshold_offset
+    threshold = gp_nll(np.asarray(DEFAULT_TRUE_THETA, dtype=float), dataset) + THRESHOLD_OFFSET
     cost = GpNllCost()
     traces = {}
     for metric, engine in engines.items():

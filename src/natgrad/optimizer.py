@@ -17,9 +17,10 @@ not a descent direction is not searched: the run ends
 ``optimize`` never lets numerical failures escape: they terminate the run
 with ``status = "numeric_failure"`` on the returned :class:`Trace`, whose
 ``reason`` names the error.  Termination statuses are checked in the order
-numeric_failure, converged_grad, converged_cost, max_iters; a line search
-that accepts no step down to the step floor ``ALPHA_FLOOR`` ends the run
-with ``line_search_stalled`` on that iteration, which is not convergence.
+numeric_failure, converged_grad, converged_cost (a cost change below
+``COST_TOL``), max_iters; a line search that accepts no step down to the
+step floor ``ALPHA_FLOOR`` ends the run with ``line_search_stalled`` on
+that iteration, which is not convergence.
 """
 
 from __future__ import annotations
@@ -54,9 +55,22 @@ __all__ = [
 
 TRACE_CSV_HEADER = "iter,cost,grad_norm,step_norm,damping,time_s"
 ALPHA_FLOOR = 1e-8
+COST_TOL = 1e-14  # a smaller cost change in one step ends a run converged_cost
 # Armijo sufficient-decrease constant and largest backtracking factor.
 ARMIJO_C1 = 1e-4
 SHRINK = 0.5
+
+
+def check_setting(name: str, value, least: Optional[int] = None) -> None:
+    """Refuse a numeric setting with a ``ValueError`` that names it: with
+    ``least``, anything but an integer ``>= least``; without, anything but
+    a finite positive real.  A bool, a string or None is never a number."""
+    if least is None:
+        ok, want = isinstance(value, numbers.Real) and 0.0 < value < math.inf, "finite and positive"
+    else:
+        ok, want = isinstance(value, numbers.Integral) and value >= least, f"an integer >= {least}"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,27 +79,22 @@ class OptimizerConfig:
 
     The step ``-H^-1 g`` is scaled by the Armijo line search alone.
     ``damping=None`` uses the scale-aware default floor.  ``metric=None``
-    uses the similarity's own metric, ``Similarity.metric``.  The
-    tolerances and the damping must be finite and positive: an infinite
-    tolerance would report convergence at any point.  No setting is a bool.
+    uses the similarity's own metric, ``Similarity.metric``.  ``max_iters``
+    is an integer of at least 1; ``grad_tol`` and the damping are finite
+    and positive (an infinite tolerance would report convergence at any
+    point).  The cost-change tolerance is the constant ``COST_TOL``.
     """
 
     max_iters: int = 100
     grad_tol: float = 1e-8
-    cost_tol: float = 1e-14
     metric: Optional[str] = None
     damping: Optional[float] = None
 
     def __post_init__(self):
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        settings = {"grad_tol": self.grad_tol, "cost_tol": self.cost_tol}
+        check_setting("max_iters", self.max_iters, least=1)
+        check_setting("grad_tol", self.grad_tol)
         if self.damping is not None:
-            settings["damping"] = self.damping
-        for name, value in settings.items():
-            if isinstance(value, bool) or not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            check_setting("damping", self.damping)
 
 
 @dataclass(frozen=True)
@@ -329,7 +338,7 @@ def optimize(
             status, reason = "numeric_failure", "non-finite cost or gradient"
         elif gn < config.grad_tol:
             status = "converged_grad"
-        elif prev_cost is not None and abs(prev_cost - cost) < config.cost_tol:
+        elif prev_cost is not None and abs(prev_cost - cost) < COST_TOL:
             status = "converged_cost"
         elif it == config.max_iters:
             status = "max_iters"

@@ -161,10 +161,9 @@ def test_run_unknown_config_key(tmp_path, capsys):
 
 # A valid JSON value for each config field the CLI accepts.
 FIELD_VALUES = {
-    "optimizer": {"max_iters": 5, "grad_tol": 1e-8, "cost_tol": 1e-14, "damping": 1e-8},
-    "gp_benchmark": {"m": 4, "seed": 3, "true_theta": [0.0, 0.0, -1.5], "theta0": [1.0, 1.2, 0.3],
-                     "metrics": ["fisher"], "optimizer": {"max_iters": 3},
-                     "threshold_offset": 1.0},
+    "optimizer": {"max_iters": 5, "grad_tol": 1e-8, "damping": 1e-8},
+    "gp_benchmark": {"m": 4, "seed": 3, "theta0": [1.0, 1.2, 0.3], "metrics": ["fisher"],
+                     "optimizer": {"max_iters": 3}},
 }
 CONFIG_FIELDS = (
     [("optimizer", f.name) for f in fields(OptimizerConfig) if f.name != "metric"]
@@ -173,16 +172,16 @@ CONFIG_FIELDS = (
 
 
 @pytest.mark.parametrize("section,key", CONFIG_FIELDS)
-def test_run_accepts_every_config_field(tmp_path, capsys, section, key):
-    # The allowed keys of each config section are its dataclass's fields.
+def test_cli_accepts_every_config_field(tmp_path, capsys, section, key):
+    # The allowed keys of each config section are its dataclass's fields:
+    # the optimizer object of run, and the GP benchmark config of bench-gp.
     value = FIELD_VALUES[section][key]
     if section == "optimizer":
-        cfg = _run_config(tmp_path, optimizer={key: value})
+        code = main(["run", _run_config(tmp_path, optimizer={key: value})])
     else:
         payload = {"m": 4, "metrics": ["euclidean"], "optimizer": {"max_iters": 3},
                    "output_dir": str(tmp_path / "bench"), key: value}
-        cfg = _write_config(tmp_path, "bench.json", {"gp_benchmark": payload})
-    code = main(["run", cfg])
+        code = main(["bench-gp", _write_config(tmp_path, "bench.json", payload)])
     assert code == EXIT_OK, capsys.readouterr().err
 
 
@@ -207,7 +206,7 @@ def test_run_refuses_a_line_search_setting(tmp_path, capsys, line_search):
     assert main(["run", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "unknown optimizer keys: line_search" in err
-    assert "allowed keys: cost_tol, damping, grad_tol, max_iters" in err
+    assert "allowed keys: damping, grad_tol, max_iters" in err
 
 
 def test_run_refuses_an_infinite_tolerance(tmp_path, capsys):
@@ -217,6 +216,26 @@ def test_run_refuses_an_infinite_tolerance(tmp_path, capsys):
     assert "Infinity" in open(cfg).read()
     assert main(["run", cfg]) == EXIT_CONFIG
     assert "grad_tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_run_refuses_a_cost_tolerance(tmp_path, capsys):
+    # The cost-change tolerance is the constant optimizer.COST_TOL.
+    cfg = _run_config(tmp_path, optimizer={"cost_tol": 1e-6})
+    assert main(["run", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown optimizer keys: cost_tol; allowed keys: damping, grad_tol, max_iters" in err
+
+
+@pytest.mark.parametrize("key, value", [("grad_tol", "1e-8"), ("damping", "1e-8"),
+                                        ("grad_tol", None)])
+def test_run_refuses_a_setting_that_is_not_a_number(tmp_path, capsys, key, value):
+    # Accepted, "grad_tol": "1e-8" failed with "'<' not supported between
+    # instances of 'float' and 'str'", naming no key.  (A null damping is
+    # the default floor.)
+    cfg = _run_config(tmp_path, optimizer={key: value})
+    assert main(["run", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key} must be finite and positive" in err
 
 
 def test_run_refuses_a_boolean_setting(tmp_path, capsys):
@@ -406,13 +425,34 @@ def test_bench_gp_outputs(tmp_path, capsys):
         assert trace_lines[0] == TRACE_CSV_HEADER
 
 
-def test_run_accepts_gp_benchmark_config(tmp_path, capsys):
+def test_run_refuses_a_gp_benchmark_config(tmp_path, capsys):
+    # bench-gp is the one route to the GP benchmark.
     cfg = _write_config(
         tmp_path, "bench2.json", {"gp_benchmark": _bench_payload(tmp_path, metrics=["fisher"])}
     )
-    code = main(["run", cfg])
+    assert main(["run", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown run config keys: gp_benchmark; allowed keys: family, metric" in err
+    assert not (tmp_path / "bench").exists()
+
+
+def test_bench_gp_accepts_a_wrapped_config(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "bench2.json", {"gp_benchmark": _bench_payload(tmp_path, metrics=["fisher"])}
+    )
+    code = main(["bench-gp", cfg])
     out = capsys.readouterr().out
     assert code == EXIT_OK and "fisher:" in out
+
+
+def test_bench_gp_refuses_keys_beside_a_wrapped_config(tmp_path, capsys):
+    # Accepted, a top-level "seed": 5 beside the wrapped config was ignored
+    # and the run drew dataset 42.
+    payload = {"gp_benchmark": _bench_payload(tmp_path, metrics=["fisher"]), "seed": 5}
+    assert main(["bench-gp", _write_config(tmp_path, "bench7.json", payload)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown wrapped bench-gp config keys: seed; allowed keys: gp_benchmark" in err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_gp_rejects_bad_metric(tmp_path, capsys):
@@ -427,12 +467,34 @@ def test_bench_gp_rejects_unknown_key(tmp_path, capsys):
     assert main(["bench-gp", cfg]) == EXIT_CONFIG
 
 
-def test_bench_gp_refuses_a_cost_threshold(tmp_path, capsys):
-    # The threshold is NLL(true_theta) + threshold_offset; it has no second key.
-    cfg = _write_config(tmp_path, "bench5.json", _bench_payload(tmp_path, cost_threshold=5.0))
+@pytest.mark.parametrize("key, value", [("cost_threshold", 5.0), ("threshold_offset", 1.0),
+                                        ("true_theta", [0.0, 0.0, -1.5])])
+def test_bench_gp_refuses_a_threshold_or_true_theta_setting(tmp_path, capsys, key, value):
+    # The threshold is NLL(DEFAULT_TRUE_THETA) + THRESHOLD_OFFSET; no key sets it.
+    cfg = _write_config(tmp_path, "bench5.json", _bench_payload(tmp_path, **{key: value}))
     assert main(["bench-gp", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "unknown gp_benchmark config keys: cost_threshold" in err and "threshold_offset" in err
+    assert (f"unknown gp_benchmark config keys: {key}; "
+            "allowed keys: m, metrics, optimizer, output_dir, seed, theta0") in err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"m": "4"}, "m must be an integer >= 2"),
+    ({"seed": None}, "seed must be an integer >= 0"),
+    ({"metrics": "fisher"}, "metrics must be a non-empty sequence"),
+    ({"theta0": "abc"}, "theta0 must be three finite numbers"),
+    ({"theta0": [1.0, 2.0]}, "theta0 must be three finite numbers"),
+    ({"optimizer": {"grad_tol": "1e-8"}}, "grad_tol must be finite and positive"),
+    ({"optimizer": {"damping": "1e-8"}}, "damping must be finite and positive"),
+    ({"optimizer": {"cost_tol": 1e-6}}, "unknown optimizer keys: cost_tol"),
+    ({"optimizer": [300]}, "optimizer must be a JSON object"),
+])
+def test_bench_gp_names_the_bad_setting(tmp_path, capsys, overrides, named):
+    cfg = _write_config(tmp_path, "bench6.json", _bench_payload(tmp_path, **overrides))
+    assert main(["bench-gp", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_gp_summary_deterministic(tmp_path):

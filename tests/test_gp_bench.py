@@ -378,18 +378,27 @@ def test_benchmark_config_rejects_a_non_integral_size(m):
         BenchmarkConfig(m=m)
 
 
-def test_benchmark_config_rejects_a_non_finite_threshold_offset():
-    # Accepted, a NaN offset made the threshold NaN: no cost ever reached it
-    # and iters_to_threshold read -1 for every metric.
-    for offset in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="threshold_offset must be finite"):
-            BenchmarkConfig(m=4, threshold_offset=offset)
+def test_benchmark_config_refuses_a_bare_string_of_metrics():
+    # Accepted, "fisher" ran as its characters and failed inside run_benchmark
+    # with "unknown benchmark metric 'f'".
+    with pytest.raises(ValueError, match="metrics must be a non-empty sequence"):
+        BenchmarkConfig(m=4, metrics="fisher")
 
 
-@pytest.mark.parametrize("offset", [True, False])
-def test_benchmark_config_rejects_a_boolean_threshold_offset(offset):
-    with pytest.raises(ValueError, match="threshold_offset must be finite"):
-        BenchmarkConfig(m=4, threshold_offset=offset)
+@pytest.mark.parametrize(
+    "theta0", ["abc", (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (1.0, float("nan"), 0.0),
+               (1.0, "2", 0.0), (True, 1.0, 0.0), 1.0, ((1.0,), (2.0,), (3.0,))],
+)
+def test_benchmark_config_refuses_a_start_that_is_not_three_finite_numbers(theta0):
+    # Accepted, "abc" failed with "could not convert string to float: 'a'"
+    # and (1, 2) only inside run_benchmark.
+    with pytest.raises(ValueError, match="theta0 must be three finite numbers"):
+        BenchmarkConfig(m=4, theta0=theta0)
+
+
+def test_benchmark_config_takes_any_three_finite_numbers():
+    for theta0 in ([1, 2, 3], np.array([1.0, 1.2, 0.3]), (np.float64(1.0), 1.2, -3)):
+        assert BenchmarkConfig(m=4, theta0=theta0).theta0 is theta0
 
 
 def test_benchmark_unknown_metric_raises():

@@ -2,6 +2,9 @@
 family and similarity instances after use."""
 
 import ast
+import inspect
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +15,14 @@ import natgrad.similarity
 from natgrad.errors import CapabilityError, ConfigError
 from natgrad.families import (FAMILIES, FAMILY_IDS, LinearlyReparameterized, get_family,
                               resolve_id)
-from natgrad.gp_bench import BENCHMARK_METRIC_IDS, BENCHMARK_METRICS, GpNllCost, generate_data
+from natgrad.gp_bench import (BENCHMARK_METRIC_IDS, BENCHMARK_METRICS, BenchmarkConfig, GpNllCost,
+                              generate_data)
 from natgrad.metric import METRIC_IDS, METRICS, resolve_metric_engine
 from natgrad.optimizer import OptimizerConfig, optimize
 from natgrad.similarity import SIMILARITIES, SIMILARITY_IDS, get_similarity
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "natgrad"
+README = SRC.parent.parent / "README.md"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -201,9 +206,44 @@ def test_no_per_instance_memos():
 def test_one_step_rule_and_one_benchmark_threshold():
     # optimize steps by Armijo backtracking with fixed constants only: no
     # line-search settings, no full-step mode.  The benchmark threshold is
-    # NLL(true_theta) + threshold_offset, with no second knob.
-    gone = {"LineSearchConfig", "_line_search_from", "cost_threshold"}
+    # NLL(DEFAULT_TRUE_THETA) + THRESHOLD_OFFSET, with no knob.
+    gone = {"LineSearchConfig", "_line_search_from", "cost_threshold", "cost_tol",
+            "true_theta", "threshold_offset"}
     assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
+
+
+def test_the_settable_values_are_the_kept_ones():
+    # Only the similarity, the budget, the gradient tolerance and the damping
+    # are chosen per run; the cost tolerance, the true parameters and the
+    # threshold offset are constants.
+    assert [f.name for f in fields(OptimizerConfig)] == ["max_iters", "grad_tol", "metric",
+                                                         "damping"]
+    assert [f.name for f in fields(BenchmarkConfig)] == ["m", "seed", "theta0", "metrics",
+                                                         "optimizer"]
+    assert list(inspect.signature(generate_data).parameters) == ["seed", "m"]
+
+
+def test_one_check_for_every_numeric_setting():
+    # optimizer.check_setting names the field; no module keeps a checker of
+    # its own for one setting.
+    gone = {"_check_size", "_check_seed", "_optimizer_config_from", "_run_benchmark_config"}
+    assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
+    assert sorted(p.name for p in SRC.glob("*.py") if "check_setting" in _called(p)) == [
+        "gp_bench.py", "optimizer.py"]
+
+
+def _readme_keys(section: str, pattern: str) -> list[str]:
+    """The backticked names of the first match of ``pattern`` in the README
+    section whose heading starts with ``section``."""
+    text = README.read_text().split(f"### {section}", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"`(\w+)`", re.search(pattern, " ".join(text.split())).group(1))
+
+
+def test_readme_lists_the_config_keys_the_cli_accepts():
+    assert _readme_keys("`natgrad run", r"The `optimizer` object accepts .*?: (.*?)\.") == [
+        f.name for f in fields(OptimizerConfig) if f.name != "metric"]
+    assert _readme_keys("`natgrad bench-gp", r"Keys \(.*?\): (.*?)\.") == [
+        f.name for f in fields(BenchmarkConfig)] + ["output_dir"]
 
 
 def test_validation_checks_are_rows_of_one_table():

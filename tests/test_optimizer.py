@@ -21,6 +21,7 @@ from natgrad.gp_bench import BenchmarkConfig, generate_data, run_benchmark
 from natgrad.metric import LocalHessian, MetricEngine, resolve_metric_engine
 from natgrad.optimizer import (
     ALPHA_FLOOR,
+    COST_TOL,
     SHRINK,
     TRACE_CSV_HEADER,
     Objective,
@@ -60,13 +61,14 @@ def _quadratic_objective(A, center):
     "kwargs",
     [
         # Non-finite values: an infinite tolerance ends any run converged at
-        # once, an infinite damping makes every step solve fail.  (The first
-        # two and the last two, so kwargs2..kwargs7 keep their cases.)
+        # once, an infinite damping makes every step solve fail.
         {"grad_tol": np.inf},
-        {"cost_tol": np.inf},
+        # A string number: accepted, comparing it raised "'<' not supported
+        # between instances of 'float' and 'str'", with no key named.
+        {"grad_tol": "1e-8"},
         {"max_iters": 0},
         {"grad_tol": 0.0},
-        {"cost_tol": -1e-9},
+        {"damping": "1e-8"},
         {"damping": 0.0},
         {"max_iters": 2.5},
         {"max_iters": 3.0},
@@ -77,7 +79,7 @@ def _quadratic_objective(A, center):
         {"max_iters": True},
         {"max_iters": False},
         {"grad_tol": True},
-        {"cost_tol": True},
+        {"grad_tol": None},
         {"damping": True},
     ],
 )
@@ -438,12 +440,14 @@ def test_max_iters_status():
 
 
 def test_converged_cost_status():
-    # gradient tolerance set unreachably small so the cost-change test
-    # is the one that fires
-    config = OptimizerConfig(metric="fisher", grad_tol=1e-300, cost_tol=1e-6, max_iters=50)
-    trace = optimize(GAUSS, KL, (0.51, 1.3), (0.5, 1.0), config)
+    # gradient tolerance set unreachably small so the cost-change test,
+    # with its fixed tolerance COST_TOL, is the one that fires; from this
+    # start the last step leaves a gradient of 4e-16, not an exact zero
+    assert COST_TOL == 1e-14
+    config = OptimizerConfig(metric="fisher", grad_tol=1e-300, max_iters=50)
+    trace = optimize(GAUSS, KL, (0.5, 1.2), (0.5, 1.0), config)
     assert trace.status == "converged_cost"
-    assert abs(trace.records[-1].cost - trace.records[-2].cost) < 1e-6
+    assert abs(trace.records[-1].cost - trace.records[-2].cost) < 1e-14
     assert trace.records[-1].grad_norm > 0.0
 
 
