@@ -6,7 +6,9 @@ Hessian of that similarity turns its geometry into a metric on parameter
 space.  Preconditioning gradient descent with that metric gives the
 corresponding natural-gradient method; near a minimum the metric approaches
 the full cost Hessian, so the methods inherit Newton-like behavior without
-ever computing second derivatives of the cost.
+ever computing second derivatives of the cost.  The step does not depend on
+the coordinates: ``linear_reparameterization`` gives the objective and the
+metric in ``theta = A xi`` by the chain rule, and its step is the same move.
 """
 
 from .errors import (
@@ -24,7 +26,6 @@ from .families import (
     FAMILY_IDS,
     Gaussian1D,
     GpPriorEq,
-    LinearlyReparameterized,
     MultivariateNormalLogCholesky,
     get_family,
 )
@@ -62,6 +63,7 @@ from .optimizer import (
     StepRecord,
     Trace,
     backtracking_line_search,
+    linear_reparameterization,
     make_objective,
     natural_gradient_step,
     newton_step,

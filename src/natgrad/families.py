@@ -26,16 +26,20 @@ shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
 A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
 ``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
 Every Fisher matrix is a closed form, and every f-divergence a closed form
-(Gaussian) or an exact sum over a finite support (categorical, also under
-``LinearlyReparameterized``): :meth:`Family._window_logs` gives the support
-with unit weights and each point's log-probabilities there, and raises
-:class:`CapabilityError` on any other family.  1-D transport integrates
-over quantile levels instead, on ``quadrature.unit_interval_grid``.
+(Gaussian) or an exact sum over a finite support (categorical):
+:meth:`Family._window_logs` gives the support with unit weights and each
+point's log-probabilities there, and raises :class:`CapabilityError` on any
+other family.  1-D transport integrates over quantile levels instead, on
+``quadrature.unit_interval_grid``.  A family is one parameterization; the
+same family in coordinates ``theta = A xi`` is the chain rule on the
+objective and its metric (``optimizer.linear_reparameterization``), not a
+family of its own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from abc import ABC
 from dataclasses import dataclass
@@ -57,7 +61,7 @@ __all__ = [
     "MultivariateNormalLogCholesky",
     "CategoricalSoftmax",
     "GpPriorEq",
-    "LinearlyReparameterized",
+    "check_setting",
     "eq_covariance",
     "get_family",
     "resolve_id",
@@ -66,6 +70,18 @@ __all__ = [
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 _UNBUILT = object()  # the state of a point that has not been asked for one
+
+
+def check_setting(name: str, value, least: Optional[int] = None) -> None:
+    """Refuse a numeric setting with a ``ValueError`` that names it: with
+    ``least``, anything but an integer ``>= least``; without, anything but
+    a finite positive real.  A bool, a string or None is never a number."""
+    if least is None:
+        ok, want = isinstance(value, numbers.Real) and 0.0 < value < math.inf, "finite and positive"
+    else:
+        ok, want = isinstance(value, numbers.Integral) and value >= least, f"an integer >= {least}"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,18 +164,17 @@ class GaussianState(NamedTuple):
 class Point:
     """A parameter vector validated by ``family`` (see :meth:`Family.point`).
 
-    ``theta`` is the read-only array, also ``np.asarray(point)``.  A point of
-    a :class:`LinearlyReparameterized` family carries ``base``, its image
-    ``A @ theta`` as a point of the base family.  :meth:`state` and
-    :meth:`transport` build the family's state here on first use and keep
-    it; threads that race on one point may each build it, and all read the
-    same bits.  A build that raises keeps nothing, so it raises again.
+    ``theta`` is the read-only array, also ``np.asarray(point)``.
+    :meth:`state` and :meth:`transport` build the family's state here on
+    first use and keep it; threads that race on one point may each build
+    it, and all read the same bits.  A build that raises keeps nothing, so
+    it raises again.
     """
 
-    __slots__ = ("family", "theta", "base", "_state", "_transport")
+    __slots__ = ("family", "theta", "_state", "_transport")
 
-    def __init__(self, family: "Family", theta: np.ndarray, base: Optional["Point"] = None):
-        self.family, self.theta, self.base = family, theta, base
+    def __init__(self, family: "Family", theta: np.ndarray):
+        self.family, self.theta = family, theta
         self._state, self._transport = _UNBUILT, None
 
     def __array__(self, dtype=None, copy=None):
@@ -173,7 +188,7 @@ class Point:
         if state is _UNBUILT:
             state = self._state = self.family._build_state(self)
         if derivs and isinstance(state, GaussianState) and state.dcov is None:
-            state = self._state = self.family._with_derivs(self, state)
+            state = self._state = state.with_derivs(*self.family._moment_derivs(state))
         return state
 
     def transport(self, velocities: bool = False) -> tuple:
@@ -259,11 +274,7 @@ class Family(ABC):
             return theta
         arr = self.check_point(theta)
         arr.setflags(write=False)
-        return self._point(arr)
-
-    def _point(self, theta: np.ndarray) -> Point:
-        """The point of a ``theta`` that :meth:`check_point` accepted, read-only."""
-        return Point(self, theta)
+        return Point(self, arr)
 
     def in_domain(self, theta) -> bool:
         """True if :meth:`check_point` accepts ``theta``."""
@@ -339,7 +350,7 @@ class Family(ABC):
     def fisher(self, theta) -> np.ndarray:
         """Fisher information matrix ``E[s s^T]`` of the score ``s``: the
         Gaussian closed form ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``,
-        else the family's own (the softmax Jacobian, or ``A^T F A``).
+        else the family's own (the softmax Jacobian).
 
         Raises
         ------
@@ -384,10 +395,6 @@ class Family(ABC):
         same failure and are not reported again."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return self._gaussian_state(point.theta)
-
-    def _with_derivs(self, point: Point, state: GaussianState) -> GaussianState:
-        """The state of ``point`` with the inverse and the moment derivatives."""
-        return state.with_derivs(*self._moment_derivs(state))
 
     def _gaussian_state(self, theta: np.ndarray) -> Optional[GaussianState]:
         """The state at a validated ``theta``; None for a family that is not
@@ -495,8 +502,7 @@ class MultivariateNormalLogCholesky(Family):
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        check_setting("dim", dim, least=1)
         self.dim = int(dim)
         self.name = f"mvn_lcholesky:{dim}"
         self.param_dim = dim + dim * (dim + 1) // 2
@@ -540,8 +546,7 @@ class CategoricalSoftmax(Family):
     """
 
     def __init__(self, k: int):
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
+        check_setting("k", k, least=2)
         self.k = int(k)
         self.name = f"categorical_softmax:{k}"
         self.param_dim = self.k
@@ -652,86 +657,6 @@ class GpPriorEq(Family):
         return np.zeros((self.param_dim, self.sample_dim)), np.stack([
             2.0 * K_eq, d_ls, 2.0 * np.exp(2.0 * log_noise) * np.eye(self.sample_dim),
         ])
-
-
-class LinearlyReparameterized(Family):
-    """View of a base family under the substitution ``theta = A @ xi``.
-
-    Used to check that natural-gradient steps transform contravariantly
-    under invertible linear reparameterization.  A point carries its image
-    ``A @ xi`` as a point of the base family, so each operation reads the
-    base point's state instead of validating and building it again.
-    """
-
-    def __init__(self, base: Family, A):
-        A = np.asarray(A, dtype=float)
-        if A.shape != (base.param_dim, base.param_dim):
-            raise ValueError(f"A must be {base.param_dim}x{base.param_dim}, got {A.shape}")
-        # Conditioning, not the determinant, says whether A^-1 can be trusted:
-        # det(1e-7 I) is 1e-14, while det A of a nearly singular map can be large.
-        if not (np.isfinite(A).all() and np.linalg.cond(A) < 1.0 / np.finfo(float).eps):
-            raise ValueError(f"A must be finite and well-conditioned, got {A.tolist()}")
-        self.base = base
-        self.A = A.copy()
-        self.A.setflags(write=False)
-        self.name = f"reparam({base.name})"
-        self.param_dim = base.param_dim
-        self.sample_dim = base.sample_dim
-        self.has_cdf = base.has_cdf
-
-    def _in_domain(self, xi):
-        # A finite xi can overflow A @ xi; the base check rejects the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            image = self.A @ xi
-        return self.base.in_domain(image)
-
-    def _point(self, xi):
-        # check_point(xi) found A @ xi in the base domain: no second check.
-        base = self.A @ xi
-        base.setflags(write=False)
-        return Point(self, xi, self.base._point(base))
-
-    def log_density(self, xi, x):
-        return self.base.log_density(self.point(xi).base, x)
-
-    def score(self, xi, x):
-        return self.base.score(self.point(xi).base, x) @ self.A
-
-    def cdf(self, xi, x):
-        return self.base.cdf(self.point(xi).base, x)
-
-    def quantile(self, xi, q):
-        return self.base.quantile(self.point(xi).base, q)
-
-    def dcdf_dtheta(self, xi, x):
-        return self.base.dcdf_dtheta(self.point(xi).base, x) @ self.A
-
-    def sample(self, xi, seed, count):
-        return self.base.sample(self.point(xi).base, seed, count)
-
-    def fisher(self, xi):
-        # The Fisher matrix is a (0,2)-tensor: under theta = A xi it is A^T F A.
-        return self.A.T @ self.base.fisher(self.point(xi).base) @ self.A
-
-    def _build_state(self, point):
-        base = self.base.gaussian_state(point.base)
-        if base is None:
-            return None
-        return GaussianState(point.theta, base.mean, base.cov, base.chol)
-
-    def _with_derivs(self, point, state):
-        base = self.base.gaussian_state(point.base, derivs=True)
-        dmu, dcov = _read_only(self.A.T @ base.dmu, np.tensordot(self.A.T, base.dcov, axes=1))
-        return state._replace(inv=base.inv, dmu=dmu, dcov=dcov)
-
-    def _window_logs(self, points):
-        return self.base._window_logs([p.base for p in points])
-
-    def _grid_quantiles(self, point):
-        return point.base.transport()[0]
-
-    def _quantile_velocities(self, point, q):
-        return _read_only(point.base.transport(True)[1] @ self.A)[0]
 
 
 # A registry key is ``name`` (no argument), ``name[:arg]`` (an optional one)

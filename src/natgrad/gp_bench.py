@@ -20,9 +20,9 @@ from functools import partial
 
 import numpy as np
 
-from .families import Dataset, GpPriorEq, eq_covariance, resolve_id
+from .families import Dataset, GpPriorEq, check_setting, eq_covariance, resolve_id
 from .metric import LocalHessian, fd_local_hessian, fisher_information, resolve_metric_engine
-from .optimizer import OptimizerConfig, Trace, check_setting, optimize
+from .optimizer import OptimizerConfig, Trace, optimize
 from .similarity import Similarity, SquaredW2Gaussian
 
 __all__ = [

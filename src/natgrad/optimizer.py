@@ -26,17 +26,15 @@ that iteration, which is not convergence.
 from __future__ import annotations
 
 import io
-import math
-import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NatgradError, NumericError
-from .families import Family
+from .families import Family, check_setting
 from .metric import MetricEngine, LocalHessian, resolve_metric_engine, spd_project
 from .numdiff import central_hessian
 from .similarity import Similarity
@@ -47,6 +45,7 @@ __all__ = [
     "Trace",
     "Objective",
     "make_objective",
+    "linear_reparameterization",
     "natural_gradient_step",
     "newton_step",
     "backtracking_line_search",
@@ -59,18 +58,6 @@ COST_TOL = 1e-14  # a smaller cost change in one step ends a run converged_cost
 # Armijo sufficient-decrease constant and largest backtracking factor.
 ARMIJO_C1 = 1e-4
 SHRINK = 0.5
-
-
-def check_setting(name: str, value, least: Optional[int] = None) -> None:
-    """Refuse a numeric setting with a ``ValueError`` that names it: with
-    ``least``, anything but an integer ``>= least``; without, anything but
-    a finite positive real.  A bool, a string or None is never a number."""
-    if least is None:
-        ok, want = isinstance(value, numbers.Real) and 0.0 < value < math.inf, "finite and positive"
-    else:
-        ok, want = isinstance(value, numbers.Integral) and value >= least, f"an integer >= {least}"
-    if isinstance(value, bool) or not ok:
-        raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +160,32 @@ def make_objective(family: Family, sim: Similarity, target) -> Objective:
         value=lambda theta: sim.evaluate(family, theta, target),
         gradient=lambda theta: sim.grad_theta(family, theta, target),
     )
+
+
+def linear_reparameterization(objective: Objective, engine: MetricEngine,
+                              A) -> tuple[Objective, MetricEngine]:
+    """``objective`` and ``engine`` in the coordinates ``xi`` of ``theta = A xi``,
+    by the chain rule: the cost ``c(A xi)``, the gradient ``A^T g(A xi)`` and
+    the metric ``A^T H(A xi) A``, whose engine is handed a direction ``u`` as
+    ``A u``, the same move in ``theta``.  The natural-gradient step is then
+    the same move in either coordinates, ``A v_xi = v_theta`` (Martens 2020).
+    ``A`` must be a finite square matrix (``ValueError``); nothing inverts it.
+    """
+    A = np.array(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
+        raise ValueError(f"A must be a finite square matrix, got {A.tolist()}")
+
+    def to_theta(xi):
+        return A @ np.asarray(xi, dtype=float)
+
+    def metric(xi, u=None):
+        H = engine.fn(to_theta(xi), None if u is None else to_theta(u))
+        return replace(H, matrix=A.T @ H.matrix @ A)
+
+    return Objective(
+        value=lambda xi: objective.value(to_theta(xi)),
+        gradient=lambda xi: A.T @ np.asarray(objective.gradient(to_theta(xi)), dtype=float),
+    ), MetricEngine(engine.name, metric)
 
 
 def _solve_step(hessian: LocalHessian, grad: np.ndarray, damping) -> tuple[np.ndarray, float]:

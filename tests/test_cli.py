@@ -302,6 +302,14 @@ def test_hessian_refuses_a_direction_of_the_wrong_length(capsys):
     assert "direction must have length 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("direction", ["nan,1", "inf,0"])
+def test_hessian_refuses_a_non_finite_direction(capsys, direction):
+    code = main(["hessian", "gaussian1d", "wasserstein:3", "0,1", "--metric", "fd:wasserstein:3",
+                 "--direction", direction])
+    assert code == EXIT_CONFIG
+    assert "config error: direction must be finite" in capsys.readouterr().err
+
+
 def test_hessian_directional_requires_direction(capsys):
     code = main(["hessian", "gaussian1d", "wasserstein:3", "0,1"])
     assert code == EXIT_CONFIG

@@ -1,7 +1,5 @@
 """Family primitives: densities, scores, CDFs, quantiles, sampling."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from natgrad.families import (
     Family,
     Gaussian1D,
     GpPriorEq,
-    LinearlyReparameterized,
     MultivariateNormalLogCholesky,
     eq_covariance,
     get_family,
@@ -484,81 +481,35 @@ def test_eq_covariance_values():
     assert far[0, 1] < 1e-300
 
 
-# -- reparameterization wrapper ------------------------------------------------------
-
-
-def test_linear_reparam_transforms_score_and_fisher(rng):
-    base = Gaussian1D()
-    A = np.array([[1.2, 0.3], [-0.1, 0.9]])
-    rep = LinearlyReparameterized(base, A)
-    xi = np.linalg.solve(A, np.array([0.5, 1.5]))
-    np.testing.assert_allclose(
-        rep.score(xi, 0.7), A.T @ base.score(A @ xi, 0.7), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        rep.fisher(xi), A.T @ base.fisher(A @ xi) @ A, atol=1e-12
-    )
-    state, base_state = rep.gaussian_state(xi, derivs=True), base.gaussian_state(A @ xi, derivs=True)
-    np.testing.assert_allclose(state.dmu, A.T @ base_state.dmu, atol=1e-12)
-    np.testing.assert_allclose(
-        state.dcov.reshape(2, -1), A.T @ base_state.dcov.reshape(2, -1), atol=1e-12
-    )
-
-
-def test_linear_reparam_rejects_singular_matrix():
-    with pytest.raises(ValueError):
-        LinearlyReparameterized(Gaussian1D(), np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        LinearlyReparameterized(Gaussian1D(), np.eye(3))
-    # det A is 1e8 here, but the condition number is 1.8e23
-    with pytest.raises(ValueError):
-        LinearlyReparameterized(Gaussian1D(), [[1e8, 1e8], [1.0, 1.0 + 1e-15]])
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            LinearlyReparameterized(Gaussian1D(), [[bad, 0.0], [0.0, 1.0]])
-
-
 @pytest.mark.parametrize("theta", [[0.0, 1.0], [0.0, -1.0], [0.0, np.nan], [np.inf, 1.0],
                                    [0.0, 1.0, 2.0], [[0.0, 1.0]]])
 def test_in_domain_is_whether_check_point_accepts(theta):
-    for family in (Gaussian1D(), LinearlyReparameterized(Gaussian1D(), [[2.0, 0.0], [0.0, 2.0]])):
-        try:
-            family.check_point(theta)
-            accepted = True
-        except InvalidParameterError:
-            accepted = False
-        assert family.in_domain(theta) is accepted
+    family = Gaussian1D()
+    try:
+        family.check_point(theta)
+        accepted = True
+    except InvalidParameterError:
+        accepted = False
+    assert family.in_domain(theta) is accepted
 
 
-def test_linear_reparam_rejects_an_overflowing_image_without_warnings():
-    # A @ xi overflows to inf for a finite xi; the base check rejects it, and
-    # the overflow in the product itself raises no RuntimeWarning.
-    rep = LinearlyReparameterized(Gaussian1D(), 2.0 * np.eye(2))
-    xi = np.array([1e308, 1e308])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidParameterError):
-            rep.check_point(xi)
-        with pytest.raises(InvalidParameterError):
-            rep.point(xi)
-        assert rep.in_domain(xi) is False
-
-
-def test_linear_reparam_accepts_a_small_well_conditioned_matrix():
-    # det(1e-7 I) = 1e-14, yet the map is as well conditioned as I
-    rep = LinearlyReparameterized(Gaussian1D(), 1e-7 * np.eye(2))
-    assert np.array_equal(rep.point([0.0, 1e7]).base.theta, [0.0, 1.0])
+@pytest.mark.parametrize("make, name, least", [(MultivariateNormalLogCholesky, "dim", 1),
+                                                (CategoricalSoftmax, "k", 2)])
+@pytest.mark.parametrize("size", [2.5, True, "3"])
+def test_a_family_size_must_be_an_integer(make, name, least, size):
+    # 2.5 once built mvn_lcholesky:2.5 with dim 2 and param_dim 6.5, and
+    # True the family mvn_lcholesky:True.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got "):
+        make(size)
 
 
 # -- array contract ------------------------------------------------------------------
 
-REPARAM_A = np.array([[1.2, 0.3], [-0.1, 0.9]])
 ARRAY_FAMILIES = [
     Gaussian1D(),
     MultivariateNormalLogCholesky(2),
     GpPriorEq(np.linspace(-1.0, 1.0, 3)),
     CategoricalSoftmax(4),
-    LinearlyReparameterized(Gaussian1D(), REPARAM_A),
     POWERLAW,
 ]
 
@@ -572,11 +523,8 @@ def _draw_point_and_batch(data, fam):
 
     if fam.has_cdf and fam.param_dim == 1:  # power law on (0, 1)
         return floats(0.3, 4.0, 1), floats(0.01, 0.99, n)
-    if fam.has_cdf:  # Gaussian (mu, sigma), reparameterized or not
-        theta = np.concatenate([floats(-2.0, 2.0, 1), floats(0.3, 3.0, 1)])
-        if isinstance(fam, LinearlyReparameterized):
-            theta = np.linalg.solve(REPARAM_A, theta)
-        return theta, floats(-4.0, 4.0, n)
+    if fam.has_cdf:  # Gaussian (mu, sigma)
+        return np.concatenate([floats(-2.0, 2.0, 1), floats(0.3, 3.0, 1)]), floats(-4.0, 4.0, n)
     theta = floats(-0.7, 0.7, fam.param_dim)
     if isinstance(fam, CategoricalSoftmax):
         return theta, np.array(data.draw(st.lists(st.integers(0, fam.k - 1), min_size=n, max_size=n)))

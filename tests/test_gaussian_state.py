@@ -16,7 +16,6 @@ from natgrad.families import (
     Gaussian1D,
     GaussianState,
     GpPriorEq,
-    LinearlyReparameterized,
     MultivariateNormalLogCholesky,
     Point,
 )
@@ -30,12 +29,9 @@ from natgrad.metric import (
 from natgrad.optimizer import OptimizerConfig, optimize
 from natgrad.similarity import Similarity, get_similarity
 
-REPARAM_A = np.array([[1.2, 0.3], [-0.1, 0.9]])
-
 # Factories, so each call can get a fresh instance.
 FACTORIES = {
     "gaussian1d": Gaussian1D,
-    "reparam(gaussian1d)": lambda: LinearlyReparameterized(Gaussian1D(), REPARAM_A),
     **{f"mvn_lcholesky:{d}": (lambda d=d: MultivariateNormalLogCholesky(d)) for d in (1, 2, 3)},
     **{f"gp_prior_eq m={m}": (lambda m=m: GpPriorEq(np.linspace(-1.0, 1.0, m)))
        for m in (1, 2, 3, 4, 5)},
@@ -50,9 +46,8 @@ def points(draw, family):
     def uniform(lo, hi, n):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
 
-    if isinstance(family, (Gaussian1D, LinearlyReparameterized)):
-        theta = np.concatenate([uniform(-2.0, 2.0, 1), uniform(0.3, 3.0, 1)])
-        return np.linalg.solve(REPARAM_A, theta) if family.name.startswith("reparam") else theta
+    if isinstance(family, Gaussian1D):
+        return np.concatenate([uniform(-2.0, 2.0, 1), uniform(0.3, 3.0, 1)])
     if isinstance(family, GpPriorEq):
         return uniform(-1.0, 0.5, 3)
     return uniform(-1.0, 1.0, family.param_dim)
@@ -143,9 +138,8 @@ def test_every_array_of_the_state_is_read_only(name):
 
 
 def _fixed_point(family):
-    if isinstance(family, (Gaussian1D, LinearlyReparameterized)):
-        theta = np.array([0.4, 1.3])
-        return np.linalg.solve(REPARAM_A, theta) if family.name.startswith("reparam") else theta
+    if isinstance(family, Gaussian1D):
+        return np.array([0.4, 1.3])
     return np.linspace(-0.6, 0.4, family.param_dim)
 
 
@@ -184,12 +178,11 @@ def test_covariances_that_dpotrf_accepts_but_are_not_finite_raise(cov):
     "family, theta",
     [
         (Gaussian1D(), [0.0, 1e200]),  # sigma^2 overflows
-        (LinearlyReparameterized(Gaussian1D(), REPARAM_A), [0.0, 1e200]),
         (MultivariateNormalLogCholesky(2), [0.0, 0.0, 800.0, 0.0, 0.0]),  # exp(log L_11) overflows
         (GpPriorEq(np.linspace(-1.0, 1.0, 4)), [400.0, 0.0, 0.0]),  # amplitude overflows
         (GpPriorEq(np.linspace(-1.0, 1.0, 4)), [0.0, -400.0, 0.0]),  # length-scale underflows to 0
     ],
-    ids=["gaussian1d", "reparam(gaussian1d)", "mvn_lcholesky:2", "gp amplitude", "gp length-scale"],
+    ids=["gaussian1d", "mvn_lcholesky:2", "gp amplitude", "gp length-scale"],
 )
 def test_a_covariance_that_overflows_raises_without_a_warning(family, theta):
     # The non-finite covariance is the failure GaussianState.factor reports;
@@ -401,22 +394,20 @@ def test_a_categorical_family_shared_across_threads_gives_single_thread_bits():
 def test_an_fdivergence_shared_across_threads_gives_single_thread_bits():
     # The same for one f-divergence instance on a family that sums over its
     # support (Gaussians take the closed form).
-    A = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]])
-    family, sim = LinearlyReparameterized(CategoricalSoftmax(3), A), get_similarity("chi2")
+    family, sim = CategoricalSoftmax(3), get_similarity("chi2")
     pairs = [(np.array([0.1 * k, -0.2, 0.3]), np.array([0.2, 0.05 * k, -0.1])) for k in range(4)]
 
     def results(s, fam, theta, target):
         return s.evaluate(fam, theta, target), s.grad_theta(fam, theta, target)
 
-    expected = [results(get_similarity("chi2"), LinearlyReparameterized(CategoricalSoftmax(3), A),
-                        *pair) for pair in pairs]
+    expected = [results(get_similarity("chi2"), CategoricalSoftmax(3), *pair) for pair in pairs]
     calls = [lambda pair=pair: results(sim, family, *pair) for pair in pairs]
     assert _mismatches_under_threads(calls, expected, steps=600) == []
 
 
 def test_transport_states_shared_across_threads_give_single_thread_bits():
     # Four threads race on the first transport builds of shared 1-D points
-    # and of the shared targets; every read must see single-thread bits.
+    # and of the shared target; every read must see single-thread bits.
     w2, w3 = get_similarity("wasserstein:2"), get_similarity("wasserstein:3")
     u = np.array([0.6, -0.8])
 
@@ -425,13 +416,11 @@ def test_transport_states_shared_across_threads_give_single_thread_bits():
                 w2_local_hessian_1d(fam, theta).matrix,
                 wp_local_hessian_1d(fam, theta, 3.0, u).matrix)
 
-    names = ("gaussian1d", "reparam(gaussian1d)")
     thetas = [np.array([0.2 * k - 0.5, 0.6 + 0.3 * k]) for k in range(3)]
     target = np.array([0.1, 0.9])
-    expected = [results(FACTORIES[name](), theta, target) for name in names for theta in thetas]
-    families = [FACTORIES[name]() for name in names]
-    targets = [family.point(target) for family in families]
-    shared = [(family, family.point(theta), point)
-              for family, point in zip(families, targets) for theta in thetas]
+    expected = [results(Gaussian1D(), theta, target) for theta in thetas]
+    family = Gaussian1D()
+    held = family.point(target)
+    shared = [(family, family.point(theta), held) for theta in thetas]
     calls = [lambda case=case: results(*case) for case in shared]
     assert _mismatches_under_threads(calls, expected, steps=2000) == []

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import natgrad
+import natgrad.families
 import natgrad.similarity
 from natgrad.errors import CapabilityError, ConfigError
-from natgrad.families import (FAMILIES, FAMILY_IDS, LinearlyReparameterized, get_family,
-                              resolve_id)
+from natgrad.families import FAMILIES, FAMILY_IDS, Family, Point, get_family, resolve_id
 from natgrad.gp_bench import (BENCHMARK_METRIC_IDS, BENCHMARK_METRICS, BenchmarkConfig, GpNllCost,
                               generate_data)
 from natgrad.metric import METRIC_IDS, METRICS, resolve_metric_engine
@@ -224,12 +224,27 @@ def test_the_settable_values_are_the_kept_ones():
 
 
 def test_one_check_for_every_numeric_setting():
-    # optimizer.check_setting names the field; no module keeps a checker of
-    # its own for one setting.
+    # families.check_setting names the field, family sizes included; no
+    # module keeps a checker of its own for one setting.
     gone = {"_check_size", "_check_seed", "_optimizer_config_from", "_run_benchmark_config"}
     assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
+    assert sorted(p.name for p in SRC.glob("*.py") if "check_setting" in _defined(p)) == [
+        "families.py"]
     assert sorted(p.name for p in SRC.glob("*.py") if "check_setting" in _called(p)) == [
-        "gp_bench.py", "optimizer.py"]
+        "families.py", "gp_bench.py", "optimizer.py"]
+
+
+def test_every_family_is_a_registry_family():
+    # A family is one parameterization: every Family subclass the package
+    # defines is built by a FAMILIES entry, and a change of coordinates is
+    # the chain rule on the objective (optimizer.linear_reparameterization).
+    defined = {cls for cls in vars(natgrad.families).values()
+               if isinstance(cls, type) and issubclass(cls, Family) and cls is not Family}
+    built = {type(build(DATASET.inputs)) for build in FAMILIES.values()}
+    assert defined == built
+    gone = {"LinearlyReparameterized", "_point", "_with_derivs"}
+    assert sorted(p.name for p in SRC.glob("*.py") if gone & (_names(p) | _defined(p))) == []
+    assert "base" not in Point.__slots__ and not hasattr(Point, "base")
 
 
 def _readme_keys(section: str, pattern: str) -> list[str]:
@@ -278,8 +293,8 @@ SIMILARITY_NAMES = [s.replace("{p}", "2") for s in SIMILARITY_IDS] + ["wasserste
 
 
 def _families():
-    """One instance of each registry family, and a reparameterized one, with
-    a valid point and a target near it."""
+    """One instance of each registry family, with a valid point and a target
+    near it."""
     out = []
     for ident in FAMILY_IDS:
         family = get_family(ident.partition("[")[0], inputs=DATASET.inputs)
@@ -287,8 +302,7 @@ def _families():
         if family.name == "gaussian1d":
             theta = np.array([0.3, 1.2])
         out.append((family, theta, theta - 0.05))
-    reparam = LinearlyReparameterized(get_family("gaussian1d"), [[1.0, 0.3], [0.0, 1.0]])
-    return out + [(reparam, np.array([0.2, 1.1]), np.array([0.1, 1.0]))]
+    return out
 
 
 def _snapshot(obj) -> dict:

@@ -11,7 +11,6 @@ from natgrad.families import (
     Family,
     Gaussian1D,
     GpPriorEq,
-    LinearlyReparameterized,
     MultivariateNormalLogCholesky,
 )
 from natgrad.metric import (
@@ -33,7 +32,7 @@ from natgrad.metric import (
     wp_local_hessian_1d,
 )
 from natgrad.numdiff import HESS_REL_STEP, central_hessian
-from natgrad.optimizer import _solve_step
+from natgrad.optimizer import _solve_step, linear_reparameterization, make_objective
 from natgrad.similarity import (
     F_DIVERGENCES,
     FDivergence,
@@ -82,14 +81,21 @@ def test_fisher_categorical_uniform():
     np.testing.assert_allclose(H.matrix, np.diag(p) - np.outer(p, p), atol=1e-15)
 
 
+def _pulled_back(metric, family, A):
+    """The KL objective and the engine ``metric`` of ``family`` in the
+    coordinates xi of theta = A xi."""
+    objective = make_objective(family, get_similarity("kl"),
+                               np.linspace(0.1, 1.0, family.param_dim))
+    return linear_reparameterization(objective, resolve_metric_engine(metric, family), A)
+
+
 def test_fisher_reparameterized_categorical_is_the_congruent_matrix(rng):
-    # the base's softmax Jacobian pulled back through A: A^T F(A xi) A, the
-    # route LinearlyReparameterized.fisher takes for every base family
+    # the softmax Jacobian pulled back through A by the chain rule: A^T F(A xi) A
     A = np.array([[1.0, 0.3, 0.0], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]])
-    fam = LinearlyReparameterized(CAT3, A)
+    _, fisher = _pulled_back("fisher", CAT3, A)
     for _ in range(10):
         xi = rng.normal(size=3)
-        H = fisher_information(fam, xi)
+        H = fisher(xi)
         np.testing.assert_allclose(H.matrix, A.T @ CAT3.fisher(A @ xi) @ A, rtol=0, atol=1e-14)
         assert H.provenance == "analytic"
 
@@ -266,6 +272,20 @@ def test_directions_of_the_wrong_shape_are_refused(u):
             engine()
 
 
+@pytest.mark.parametrize("u", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_directions_are_refused(u):
+    # The fd engine once shifted theta by nan (reported as non-finite
+    # parameters) or divided inf by inf (a RuntimeWarning); a zero direction
+    # still takes the stencil at theta.
+    for engine in (lambda: fd_local_hessian(WassersteinP(3.0), GAUSS, (0.0, 1.0), u),
+                   lambda: wp_local_hessian_1d(GAUSS, (0.0, 1.0), 3.0, u)):
+        with pytest.raises(ValueError, match="^direction must be finite"):
+            engine()
+    zero = fd_local_hessian(WassersteinP(2.0), GAUSS, (0.0, 1.0), np.zeros(2)).matrix
+    np.testing.assert_array_equal(zero, fd_local_hessian(WassersteinP(2.0), GAUSS, (0.0, 1.0)).matrix)
+
+
 def test_wp_small_order_blowup_guard():
     # for p < 2 the integrand carries |velocity|^(p-2); a direction whose
     # velocity vanishes at a quadrature node must be rejected, not clamped
@@ -306,18 +326,27 @@ def test_point_velocities_match_the_cdf_ratio_and_w2_is_the_hessian_of_the_cost(
     # gaussian1d velocities are (1, z), constants of the grid; they must be
     # what -dF/dtheta / rho gives there, and at p = 2 the metric built from
     # them the Hessian of the discretized half squared W2 the optimizer sees.
+    # In coordinates theta = A xi the metric pulled back by the chain rule
+    # is the Hessian of xi -> W2(A xi, .) alike.
     A = np.array([[1.2, 0.3], [-0.1, 0.9]])
     w2 = WassersteinP(2.0)
-    for family, theta in ((GAUSS, np.array([mu, sigma])),
-                          (LinearlyReparameterized(GAUSS, A), np.linalg.solve(A, [mu, sigma]))):
-        point = family.point(theta)
-        q, g = point.transport(velocities=True)
-        ratio = -family.dcdf_dtheta(point, q) / np.exp(family.log_density(point, q))[:, None]
-        assert np.max(np.abs(g - ratio)) <= 1e-13 * np.max(np.abs(g))
-        H = w2_local_hessian_1d(family, point).matrix
-        step = HESS_REL_STEP * max(1.0, float(np.max(np.abs(theta))))
-        ref = central_hessian(lambda eta: w2.evaluate(family, eta, point), theta, abs_step=step)
+    theta = np.array([mu, sigma])
+    point = GAUSS.point(theta)
+    q, g = point.transport(velocities=True)
+    ratio = -GAUSS.dcdf_dtheta(point, q) / np.exp(GAUSS.log_density(point, q))[:, None]
+    assert np.max(np.abs(g - ratio)) <= 1e-13 * np.max(np.abs(g))
+
+    def assert_is_the_hessian(H, cost, x):
+        step = HESS_REL_STEP * max(1.0, float(np.max(np.abs(x))))
+        ref = central_hessian(cost, x, abs_step=step)
         np.testing.assert_allclose(H, ref, rtol=0, atol=1e-8 * np.max(np.abs(H)))
+
+    assert_is_the_hessian(w2_local_hessian_1d(GAUSS, point).matrix,
+                          lambda eta: w2.evaluate(GAUSS, eta, point), theta)
+    objective, engine = linear_reparameterization(
+        make_objective(GAUSS, w2, point), resolve_metric_engine("w2_1d", GAUSS), A)
+    xi = np.linalg.solve(A, theta)
+    assert_is_the_hessian(engine(xi).matrix, objective.value, xi)
 
 
 # -- finite-difference engine -------------------------------------------------------
@@ -556,11 +585,11 @@ def test_gaussian_w2_equals_1d_transport_metric(mu, sigma):
 def test_reparameterized_gaussian_w2_equals_1d_transport_metric(rng):
     # The Gaussian1D W2 metric is the identity, so the reparameterized one is A^T A.
     A = np.array([[2.0, 1.0], [0.0, 1.0]])
-    fam = LinearlyReparameterized(GAUSS, A)
+    (_, gaussian), (_, transport) = (_pulled_back(m, GAUSS, A) for m in ("w2_gaussian", "w2_1d"))
     for xi in [(0.1, 1.0), *random_gaussian_thetas(rng, 10)]:  # A keeps sigma = xi[1]
-        H = w2_local_hessian_gaussian(fam, xi).matrix
+        H = gaussian(xi).matrix
         np.testing.assert_allclose(H, [[4.0, 2.0], [2.0, 2.0]], atol=1e-12)
-        np.testing.assert_allclose(H, w2_local_hessian_1d(fam, xi).matrix, atol=1e-8)
+        np.testing.assert_allclose(H, transport(xi).matrix, atol=1e-8)
 
 
 def test_quadrature_routes_validate_theta_once_per_family_call(monkeypatch):

@@ -14,7 +14,6 @@ from natgrad.families import (
     CategoricalSoftmax,
     Gaussian1D,
     GpPriorEq,
-    LinearlyReparameterized,
     MultivariateNormalLogCholesky,
 )
 from natgrad.gp_bench import BenchmarkConfig, generate_data, run_benchmark
@@ -28,6 +27,7 @@ from natgrad.optimizer import (
     OptimizerConfig,
     Trace,
     backtracking_line_search,
+    linear_reparameterization,
     make_objective,
     natural_gradient_step,
     newton_step,
@@ -581,16 +581,23 @@ def test_w2_metric_is_the_hessian_of_the_cost(A):
     # quantile grid is exactly quadratic in the parameters, and the w2_1d
     # metric, integrated on that same grid, is its Hessian: one step lands
     # on the target up to roundoff.  A metric integrated on any other rule
-    # is only close to that Hessian, and its one step stops short.
-    family = GAUSS if np.array_equal(A, np.eye(2)) else LinearlyReparameterized(GAUSS, A)
+    # is only close to that Hessian, and its one step stops short.  In
+    # coordinates theta = A xi the cost is still quadratic, and the metric
+    # pulled back by the chain rule is still its Hessian.
+    w2 = get_similarity("wasserstein:2")
     rng = np.random.default_rng(14)
     for _ in range(20):
-        theta0, target = (np.linalg.solve(A, [rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)])
-                          for _ in range(2))
-        trace = optimize(family, get_similarity("wasserstein:2"), theta0, target,
-                         OptimizerConfig())
-        assert trace.status == "converged_grad" and trace.iterations == 1
-        assert trace.final_cost < 1e-28
+        theta0, target = ([rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)] for _ in range(2))
+        if np.array_equal(A, np.eye(2)):
+            trace = optimize(GAUSS, w2, theta0, target, OptimizerConfig())
+            assert trace.status == "converged_grad" and trace.iterations == 1
+            assert trace.final_cost < 1e-28
+            continue
+        objective, engine = linear_reparameterization(
+            make_objective(GAUSS, w2, target), resolve_metric_engine("w2_1d", GAUSS), A)
+        xi, _ = natural_gradient_step(objective, engine, np.linalg.solve(A, theta0))
+        assert objective.value(xi) < 1e-28
+        assert np.linalg.norm(objective.gradient(xi)) < OptimizerConfig().grad_tol
 
 
 def test_transport_order_without_a_metric_fails_before_any_cost():
@@ -663,26 +670,51 @@ def test_direction_hint_is_negative_gradient():
 def test_step_transforms_contravariantly(rng):
     # v_xi = A^-1 v_theta for theta = A xi: the natural-gradient step
     # computed in either coordinate system describes the same move
+    fisher = resolve_metric_engine("fisher", GAUSS)
     for _ in range(20):
         A = rng.uniform(-1.5, 1.5, size=(2, 2))
         while abs(np.linalg.det(A)) < 0.3:
             A = rng.uniform(-1.5, 1.5, size=(2, 2))
-        rep = LinearlyReparameterized(GAUSS, A)
         theta0 = np.array([rng.uniform(-1, 1), rng.uniform(0.7, 1.8)])
         target = np.array([rng.uniform(-1, 1), rng.uniform(0.7, 1.8)])
-        xi0 = np.linalg.solve(A, theta0)
-        if not rep.in_domain(xi0):
-            continue
-
-        obj_theta = make_objective(GAUSS, KL, target)
-        obj_xi = make_objective(rep, KL, np.linalg.solve(A, target))
-        next_theta, _ = natural_gradient_step(
-            obj_theta, resolve_metric_engine("fisher", GAUSS), theta0, damping=1e-14
-        )
-        next_xi, _ = natural_gradient_step(
-            obj_xi, resolve_metric_engine("fisher", rep), xi0, damping=1e-14
-        )
+        objective = make_objective(GAUSS, KL, target)
+        next_theta, _ = natural_gradient_step(objective, fisher, theta0, damping=1e-14)
+        next_xi, _ = natural_gradient_step(*linear_reparameterization(objective, fisher, A),
+                                           np.linalg.solve(A, theta0), damping=1e-14)
         np.testing.assert_allclose(A @ next_xi, next_theta, atol=1e-8)
+
+
+def test_linear_reparameterization_hands_the_direction_on_in_theta():
+    # cost c(A xi), gradient A^T g(A xi), metric A^T H(A xi) A; a direction
+    # u in xi reaches the engine as A u, and no direction as None
+    A = np.array([[1.2, 0.3], [-0.1, 0.9]])
+    seen = []
+
+    def recording(th, u=None):
+        seen.append((np.asarray(th, dtype=float), u))
+        return LocalHessian(np.array([[2.0, 0.5], [0.5, 1.0]]))
+
+    objective = make_objective(GAUSS, KL, [0.2, 1.1])
+    pulled, engine = linear_reparameterization(objective, MetricEngine("rec", recording), A)
+    xi, u = np.linalg.solve(A, [0.4, 1.3]), np.array([0.3, -0.7])
+    assert pulled.value(xi) == objective.value(A @ xi)
+    np.testing.assert_array_equal(pulled.gradient(xi), A.T @ objective.gradient(A @ xi))
+    H = engine(xi, u)
+    np.testing.assert_allclose(H.matrix, A.T @ [[2.0, 0.5], [0.5, 1.0]] @ A, rtol=1e-15)
+    assert H.provenance == "analytic" and engine.name == "rec"
+    engine(xi)
+    (th, hint), (_, none) = seen
+    np.testing.assert_array_equal(th, A @ xi)
+    np.testing.assert_array_equal(hint, A @ u)
+    assert none is None
+
+
+@pytest.mark.parametrize("A", [np.eye(3)[:2], np.ones(2), [[np.nan, 0.0], [0.0, 1.0]],
+                               [[1.0, 0.0], [0.0, np.inf]]], ids=["2x3", "1-D", "nan", "inf"])
+def test_linear_reparameterization_refuses_a_matrix_that_is_not_finite_and_square(A):
+    fisher = resolve_metric_engine("fisher", GAUSS)
+    with pytest.raises(ValueError, match="^A must be a finite square matrix"):
+        linear_reparameterization(make_objective(GAUSS, KL, [0.0, 1.0]), fisher, A)
 
 
 # -- trace output ------------------------------------------------------------------------
