@@ -43,14 +43,12 @@ from .gp_bench import (
 )
 from .metric import (
     LocalHessian,
-    METRIC_IDS,
     MetricEngine,
     f_div_local_hessian,
     fd_local_hessian,
     fisher_information,
     monte_carlo_fisher,
     pullback_fisher_categorical,
-    resolve_metric_engine,
     riemannian_pullback,
     spd_project,
     w2_local_hessian_1d,
@@ -73,6 +71,7 @@ from .similarity import (
     F_DIVERGENCES,
     FDivergence,
     FDivergenceSpec,
+    METRIC_ALIASES,
     SIMILARITY_IDS,
     Similarity,
     SquaredEuclidean,
@@ -80,6 +79,7 @@ from .similarity import (
     SquaredW2Gaussian,
     WassersteinP,
     get_similarity,
+    resolve_metric_engine,
 )
 from .validation import CheckResult, run_checks
 

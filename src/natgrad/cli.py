@@ -26,9 +26,10 @@ import numpy as np
 from .errors import ConfigError, DivergenceInfiniteError, NatgradError, NumericError
 from .families import FAMILY_IDS, get_family
 from .gp_bench import BenchmarkConfig, run_benchmark
-from .metric import METRIC_IDS, fd_local_hessian, resolve_metric_engine
+from .metric import fd_local_hessian
 from .optimizer import OptimizerConfig, optimize
-from .similarity import SIMILARITY_IDS, get_similarity
+from .similarity import (METRIC_ALIASES, SIMILARITY_IDS, get_similarity, own_metric_engine,
+                         resolve_metric_engine)
 from .validation import run_checks
 
 __all__ = ["main"]
@@ -121,11 +122,11 @@ def cmd_hessian(args) -> int:
     sim = get_similarity(args.similarity)
     theta = _parse_theta(args.theta)
     direction = _parse_theta(args.direction) if args.direction else None
-    metric_id = args.metric or sim.metric
-    engine = resolve_metric_engine(metric_id, family)
+    engine = (resolve_metric_engine(args.metric, family) if args.metric
+              else own_metric_engine(sim, family))
     theta = family.point(theta)  # one point for the engine and --check
     hessian = engine(theta, direction)
-    print(f"metric={metric_id} provenance={hessian.provenance}")
+    print(f"metric={engine.name} provenance={hessian.provenance}")
     for row in hessian.matrix:
         print("[" + ", ".join(f"{v:.12g}" for v in row) + "]")
     if args.check:
@@ -184,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hess.add_argument("family", help=f"family id ({', '.join(FAMILY_IDS)})")
     p_hess.add_argument("similarity", help=f"similarity id ({', '.join(SIMILARITY_IDS)})")
     p_hess.add_argument("theta", help="comma-separated parameter vector, e.g. 0,1")
-    p_hess.add_argument("--metric", help=f"metric engine id ({', '.join(METRIC_IDS)})")
+    p_hess.add_argument("--metric", help="metric id: a similarity id (its own metric, the "
+                        "default), fd:{similarity} (finite differences of it) or an alias "
+                        f"({', '.join(METRIC_ALIASES)})")
     p_hess.add_argument("--direction", help="comma-separated direction for directional metrics")
     p_hess.add_argument(
         "--check", action="store_true", help="compare against the finite-difference engine"

@@ -7,8 +7,10 @@ different metrics drive natural-gradient descent to a near-optimal negative
 log-likelihood.  The same seeded dataset and starting point are used for
 every metric; per-metric failures are isolated in their own Trace.
 
-The ``w2`` run uses the closed-form Bures-Wasserstein metric;
-:func:`gp_w2_metric` is its finite-difference oracle.
+A benchmark metric is any metric id; the shipped ``euclidean``, ``fisher``
+and ``w2`` name the own metrics of ``sq_euclidean``, ``kl`` and
+``w2_gaussian`` (closed-form Bures-Wasserstein; :func:`gp_w2_metric` is its
+finite-difference oracle).
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .families import Dataset, GpPriorEq, check_setting, eq_covariance, resolve_id
-from .metric import LocalHessian, fd_local_hessian, fisher_information, resolve_metric_engine
+from .families import Dataset, GpPriorEq, check_setting, eq_covariance
+from .metric import LocalHessian, fd_local_hessian, fisher_information
 from .optimizer import OptimizerConfig, Trace, optimize
-from .similarity import Similarity, SquaredW2Gaussian
+from .similarity import Similarity, SquaredW2Gaussian, resolve_metric_engine
 
 __all__ = [
     "eq_kernel",
@@ -36,18 +37,10 @@ __all__ = [
     "BenchmarkConfig",
     "BenchmarkResult",
     "run_benchmark",
-    "BENCHMARK_METRIC_IDS",
     "SUMMARY_CSV_HEADER",
 ]
 
 SUMMARY_CSV_HEADER = "metric,iters_to_threshold,final_cost,status"
-# Each benchmark metric's engine builder ``build(family)``.
-BENCHMARK_METRICS = {
-    "euclidean": partial(resolve_metric_engine, "euclidean"),
-    "fisher": partial(resolve_metric_engine, "fisher"),
-    "w2": partial(resolve_metric_engine, "w2_gaussian"),
-}
-BENCHMARK_METRIC_IDS = list(BENCHMARK_METRICS)
 
 DEFAULT_TRUE_THETA = (0.0, 0.0, -1.5)
 DEFAULT_THETA0 = (1.0, 1.2, 0.3)
@@ -100,8 +93,6 @@ class GpNllCost(Similarity):
     """Likelihood cost over a fixed dataset; the only dataset-target cost."""
 
     name = "gp_nll"
-    # The expected Hessian of a negative log-likelihood is the Fisher matrix.
-    metric = "fisher"
 
     def target(self, family, target) -> Dataset:
         if not isinstance(target, Dataset):
@@ -117,21 +108,26 @@ class GpNllCost(Similarity):
             return -family.score(theta, dataset.targets)
         return -family.log_density(theta, dataset.targets)
 
+    def local_hessian(self, family, theta, u=None):
+        """The expected Hessian of a negative log-likelihood: the Fisher matrix."""
+        return fisher_information(family, theta)
+
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Benchmark settings; defaults reproduce the shipped comparison.
 
     ``m`` is an integer of at least 2, ``seed`` one of at least 0, ``theta0``
-    three finite numbers and ``metrics`` a non-empty sequence of ids (not a
-    string).  The data are drawn at ``DEFAULT_TRUE_THETA``; the threshold is
-    the negative log-likelihood there plus ``THRESHOLD_OFFSET`` nats.
+    three finite numbers and ``metrics`` a non-empty sequence of metric
+    ids (not a string), each resolved by ``resolve_metric_engine``.  The
+    data are drawn at ``DEFAULT_TRUE_THETA``; the threshold is the negative
+    log-likelihood there plus ``THRESHOLD_OFFSET`` nats.
     """
 
     m: int = 30
     seed: int = 42
     theta0: tuple[float, ...] = DEFAULT_THETA0
-    metrics: tuple[str, ...] = tuple(BENCHMARK_METRIC_IDS)
+    metrics: tuple[str, ...] = ("euclidean", "fisher", "w2")
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(max_iters=2000, grad_tol=1e-6)
     )
@@ -179,8 +175,7 @@ def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResul
     """Run every configured metric from the same start on the same data."""
     dataset = generate_data(config.seed, config.m)
     family = GpPriorEq(dataset.inputs)
-    engines = {metric: resolve_id(metric, BENCHMARK_METRICS, "benchmark metric", "metrics", family)
-               for metric in config.metrics}
+    engines = {metric: resolve_metric_engine(metric, family) for metric in config.metrics}
     threshold = gp_nll(np.asarray(DEFAULT_TRUE_THETA, dtype=float), dataset) + THRESHOLD_OFFSET
     cost = GpNllCost()
     traces = {}

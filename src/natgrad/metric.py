@@ -16,8 +16,10 @@ is what a natural-gradient step inverts.  Engines here produce it three ways:
   transport distances with ``p != 2`` have curvature that depends on the
   approach direction, so the FD engine evaluates at ``theta + eps * u_hat``
   for a shrinking ladder of ``eps`` and extrapolates to zero; the direction
-  is taken from the gradient of the outer objective, and the ``fd`` engine
-  passes it on only for similarities marked ``directional``.
+  is taken from the gradient of the outer objective.
+
+A similarity's ``local_hessian`` (``natgrad.similarity``) calls its engine
+here; this module does not import the similarities.
 
 All engines return a :class:`LocalHessian` whose matrix is exactly
 symmetric and undamped: a pseudo-metric (such as the pullback through a
@@ -28,7 +30,6 @@ shifts the spectrum up to a damping floor and records how much was added.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -36,15 +37,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .errors import CapabilityError, NumericError
-from .families import CategoricalSoftmax, Family, resolve_id
+from .families import CategoricalSoftmax, Family
 from .numdiff import HESS_REL_STEP, central_hessian
 from .quadrature import unit_interval_grid
-from .similarity import (
-    F_DIVERGENCES,
-    FDivergenceSpec,
-    Similarity,
-    get_similarity,
-)
 
 __all__ = [
     "LocalHessian",
@@ -59,8 +54,6 @@ __all__ = [
     "fd_local_hessian",
     "spd_project",
     "MetricEngine",
-    "resolve_metric_engine",
-    "METRIC_IDS",
 ]
 
 FD_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
@@ -128,8 +121,9 @@ def monte_carlo_fisher(
     return LocalHessian(mean, provenance="analytic"), stderr
 
 
-def f_div_local_hessian(spec: FDivergenceSpec, family: Family, theta) -> LocalHessian:
-    """Local Hessian of the f-divergence: ``f''(1)`` times Fisher information.
+def f_div_local_hessian(spec, family: Family, theta) -> LocalHessian:
+    """Local Hessian of the f-divergence of ``spec`` (a ``FDivergenceSpec``):
+    ``f''(1)`` times Fisher information.
 
     Every twice-differentiable f-divergence induces the same metric up to
     this scalar, so the Fisher matrix is computed once and scaled, making
@@ -175,15 +169,6 @@ def w2_local_hessian_1d(family: Family, theta) -> LocalHessian:
     return wp_local_hessian_1d(family, theta, 2.0)
 
 
-def _wp_order(p) -> float:
-    """``p`` as a float; ``ValueError`` unless ``1 < p < inf`` (at ``p = 1``
-    the metric has rank one and ``|velocity|^(p-2)`` is unbounded)."""
-    p = float(p)
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"order p must be finite and > 1, got {p}")
-    return p
-
-
 def _direction(family: Family, u) -> np.ndarray:
     """``u`` as a float vector; ``ValueError`` unless it has ``param_dim``
     entries, all finite."""
@@ -209,7 +194,6 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
     cost's gradient.
     """
     theta = family.point(theta)
-    p = _wp_order(p)
     if u is None:
         if p != 2.0:
             raise ValueError("wp_local_hessian_1d needs a direction u for p != 2")
@@ -274,16 +258,16 @@ def w2_local_hessian_gaussian(family: Family, theta) -> LocalHessian:
     return LocalHessian(state.dmu @ state.dmu.T + 0.5 * flat @ flat.T, provenance="analytic")
 
 
-def fd_local_hessian(sim: Similarity, family: Family, theta, u=None) -> LocalHessian:
+def fd_local_hessian(sim, family: Family, theta, u=None) -> LocalHessian:
     """Local Hessian of a similarity by central finite differences.
 
-    Differentiates ``eta -> sim(eta, theta)`` at ``eta = theta``.  With a
-    direction ``u`` the stencil is centered at ``theta + eps * u_hat`` for the
-    geometric ladder ``FD_EPS_LADDER`` (ratio 2) and extrapolated to
-    ``eps = 0`` assuming a leading error linear in ``eps``; this recovers the
-    directional curvature of costs that are not twice differentiable on the
-    diagonal.  Without ``u`` (or with a numerically zero one) the stencil
-    sits at ``theta`` itself, which is correct for smooth costs.
+    Differentiates ``eta -> sim.evaluate(family, eta, theta)`` at ``eta =
+    theta``.  With a direction ``u`` the stencil is centered at ``theta + eps
+    * u_hat`` for the geometric ladder ``FD_EPS_LADDER`` (ratio 2) and
+    extrapolated to ``eps = 0`` assuming a leading error linear in ``eps``;
+    this recovers the directional curvature of costs that are not twice
+    differentiable on the diagonal.  Without ``u`` (or with a numerically
+    zero one) the stencil sits at ``theta`` itself, correct for smooth costs.
 
     Raises
     ------
@@ -371,37 +355,3 @@ class MetricEngine:
 
     def __call__(self, theta, u=None) -> LocalHessian:
         return self.fn(theta, u)
-
-
-def _f_divergence(name: str) -> FDivergenceSpec:
-    if name not in F_DIVERGENCES:
-        raise ValueError(f"unknown f-divergence {name!r}; valid names: {', '.join(F_DIVERGENCES)}")
-    return F_DIVERGENCES[name]
-
-
-# Builders of engine functions ``fn(theta, u=None)`` from ``(family[, arg])``,
-# keyed by identifier.  Each function looks up the engine it calls when it is
-# called, so a wrapper set on this module later is the one that runs, and a
-# default argument keeps what the identifier's argument resolved to.
-METRICS = {
-    "fisher": lambda family: lambda th, u=None: fisher_information(family, th),
-    "fdiv:{name}": lambda family, name: (
-        lambda th, u=None, spec=_f_divergence(name): f_div_local_hessian(spec, family, th)),
-    "pullback": lambda family: lambda th, u=None: pullback_fisher_categorical(family, th),
-    "w2_1d": lambda family: lambda th, u=None: w2_local_hessian_1d(family, th),
-    "wp_1d:{p}": lambda family, p: (
-        lambda th, u=None, p=_wp_order(p): wp_local_hessian_1d(family, th, p, u)),
-    "w2_gaussian": lambda family: lambda th, u=None: w2_local_hessian_gaussian(family, th),
-    # smooth costs take the stencil at theta, not the ladder
-    "fd:{similarity}": lambda family, sim_id: (
-        lambda th, u=None, sim=get_similarity(sim_id):
-            fd_local_hessian(sim, family, th, u if sim.directional else None)),
-    "euclidean": lambda family: lambda th, u=None: LocalHessian(np.eye(family.param_dim)),
-}
-METRIC_IDS = list(METRICS)
-
-
-def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
-    """Resolve a metric engine by string identifier (see ``METRIC_IDS``)."""
-    fn = resolve_id(identifier, METRICS, "metric", "metrics", family)
-    return MetricEngine(str(identifier), fn)

@@ -35,9 +35,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NatgradError, NumericError
 from .families import Family, check_setting
-from .metric import MetricEngine, LocalHessian, resolve_metric_engine, spd_project
+from .metric import MetricEngine, LocalHessian, spd_project
 from .numdiff import central_hessian
-from .similarity import Similarity
+from .similarity import Similarity, own_metric_engine, resolve_metric_engine
 
 __all__ = [
     "OptimizerConfig",
@@ -65,8 +65,9 @@ class OptimizerConfig:
     """Settings for :func:`optimize`.
 
     The step ``-H^-1 g`` is scaled by the Armijo line search alone.
-    ``damping=None`` uses the scale-aware default floor.  ``metric=None``
-    uses the similarity's own metric, ``Similarity.metric``.  ``max_iters``
+    ``damping=None`` uses the scale-aware default floor.  ``metric`` is a
+    metric id (``resolve_metric_engine``); ``metric=None`` uses the
+    similarity's own metric, ``Similarity.local_hessian``.  ``max_iters``
     is an integer of at least 1; ``grad_tol`` and the damping are finite
     and positive (an infinite tolerance would report convergence at any
     point).  The cost-change tolerance is the constant ``COST_TOL``.
@@ -308,8 +309,8 @@ def optimize(
     Configuration errors (unknown metric, invalid starting point) do raise,
     since no meaningful Trace exists yet; anything numeric after that is
     captured in ``Trace.status`` and ``Trace.reason``.  The metric is
-    ``config.metric``, or the similarity's own ``sim.metric`` when that is
-    None.  ``engine`` overrides both: the GP benchmark passes its resolved
+    ``config.metric``, or the similarity's own, ``sim.local_hessian``, when
+    that is None.  ``engine`` overrides both: the GP benchmark passes its resolved
     engines, and tests inject fakes through it.
 
     A run holds three points of the family (``Family.point``), each
@@ -319,8 +320,8 @@ def optimize(
     iterate with its state and its cost when the search accepts it.
     """
     if engine is None:
-        metric = sim.metric if config.metric is None else config.metric
-        engine = resolve_metric_engine(metric, family)
+        engine = (own_metric_engine(sim, family) if config.metric is None
+                  else resolve_metric_engine(config.metric, family))
     objective = make_objective(family, sim, target)
     theta, cost, prev_cost = family.point(theta0), None, None
     records: list[StepRecord] = []

@@ -13,13 +13,9 @@ Covers three groups:
   closed form.
 * the Fisher-Rao geodesic distance between categorical distributions.
 
-Distances are registered as their half squares ``d**2 / 2``: a distance is
-not differentiable where it vanishes, its half square is, and the half
-square is the cost whose local Hessian the metric engines compute.  So
-``WassersteinP``, ``SquaredW2Gaussian``, ``SquaredFisherRaoCategorical`` and
-``SquaredEuclidean`` all evaluate to half a squared distance, and the cost
-the optimizer minimizes is the function the engines differentiate.  A
-distance itself is ``sqrt(2 * evaluate)``.
+Distances are registered as their half squares ``d**2 / 2`` (a distance
+itself is ``sqrt(2 * evaluate)``): a distance is not differentiable where it
+vanishes, its half square is, and it is the cost the optimizer minimizes.
 
 Every measure takes its two arguments as points of the family
 (``Family.point``) or plain arrays.  ``Similarity.evaluate`` and
@@ -33,21 +29,26 @@ non-negative terms, exact near coincidence, chi-squared and squared
 Hellinger through an alpha-integral.
 
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
-roundoff and is non-negative.  ``grad_theta`` is the analytic gradient in
-the first argument, built from the ingredients the similarity's own metric
-uses: scores for summed f-divergences, moment derivatives for
-Gaussian closed forms, for 1-D transport the quantile velocities each point
-keeps (``Point.transport``).  Where a family has no route for a similarity,
-``grad_theta`` raises the same :class:`CapabilityError` as ``evaluate``, and
-where a closed form diverges (chi-squared to a target too wide for
-``theta``) the same :class:`DivergenceInfiniteError`.  The Fisher-Rao
-distance stays categorical-only: it is geometry of the probability simplex,
-not an integral over samples.
+roundoff and is non-negative, and determines its metric, the Hessian of
+``eta -> c(eta, theta)`` at ``eta = theta`` (Eguchi 1983; Amari & Cichocki
+2010): ``Similarity.local_hessian``, which a metric id names by the
+similarity id (:func:`resolve_metric_engine`).  ``grad_theta`` is the
+analytic gradient in the first argument, built from the ingredients the
+similarity's own metric uses: scores for summed f-divergences, moment
+derivatives for Gaussian closed forms, for 1-D transport the quantile
+velocities each point keeps (``Point.transport``).  Where a family has no
+route for a similarity, ``grad_theta`` raises the same
+:class:`CapabilityError` as ``evaluate``, and where a closed form diverges
+(chi-squared to a target too wide for ``theta``) the same
+:class:`DivergenceInfiniteError`.  The Fisher-Rao distance stays
+categorical-only: it is geometry of the probability simplex, not an
+integral over samples.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -55,8 +56,10 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
-from .errors import CapabilityError, DivergenceInfiniteError, NumericError
+from .errors import CapabilityError, ConfigError, DivergenceInfiniteError, NumericError
 from .families import CategoricalSoftmax, Dataset, Family, GaussianState, resolve_id
+from .metric import (LocalHessian, MetricEngine, f_div_local_hessian, fd_local_hessian,
+                     pullback_fisher_categorical, w2_local_hessian_gaussian, wp_local_hessian_1d)
 from .quadrature import unit_interval_grid
 
 __all__ = [
@@ -70,6 +73,9 @@ __all__ = [
     "SquaredEuclidean",
     "get_similarity",
     "SIMILARITY_IDS",
+    "METRIC_ALIASES",
+    "own_metric_engine",
+    "resolve_metric_engine",
 ]
 
 @dataclass(frozen=True)
@@ -108,19 +114,24 @@ F_DIVERGENCES = {spec.name: spec for spec in (
 class Similarity:
     """Base class: a non-negative cost ``c(theta, target)`` over one family.
 
-    ``metric`` names the engine of the similarity's own local Hessian, the
-    default metric of runs over it (base: finite differences of the cost).
-    ``directional`` marks costs whose curvature depends on the approach
-    direction: those not twice differentiable on the diagonal.  A subclass
-    implements ``_cost``, and ``target`` if its target is not a point.
+    ``local_hessian`` is the similarity's own metric, the default metric of
+    runs over it.  ``directional`` marks costs whose curvature depends on
+    the approach direction: those not twice differentiable on the diagonal.
+    A subclass implements ``_cost``, ``target`` if its target is not a
+    point, and ``local_hessian`` where it has a closed form.
     """
 
     name: str = ""
     directional: bool = False
 
-    @property
-    def metric(self) -> str:
-        return f"fd:{self.name}"
+    def local_hessian(self, family: Family, theta, u=None) -> LocalHessian:
+        """The Hessian of ``eta -> c(eta, theta)`` at ``eta = theta``, along
+        the direction ``u`` for a ``directional`` cost; base: by finite
+        differences, :func:`fd_local_hessian`, the route of ``fd:`` ids."""
+        return fd_local_hessian(self, family, theta, u if self.directional else None)
+
+    def check_metric(self) -> None:
+        """Raise :class:`ConfigError` where ``local_hessian`` is no metric."""
 
     def evaluate(self, family: Family, theta, target) -> float:
         return self._cost(family, family.point(theta), self.target(family, target), False)
@@ -304,9 +315,8 @@ class FDivergence(Similarity):
         self.spec = spec
         self.name = spec.name
 
-    @property
-    def metric(self) -> str:
-        return f"fdiv:{self.name}"
+    def local_hessian(self, family, theta, u=None):
+        return f_div_local_hessian(self.spec, family, theta)
 
     def _cost(self, family, theta, target, grad):
         spec = self.spec
@@ -323,44 +333,36 @@ class FDivergence(Similarity):
 # -- Wasserstein distances ------------------------------------------------------
 
 
-def _check_order(p) -> float:
-    """``p`` as a float; ``ValueError`` unless it is finite and ``p >= 1``."""
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"order p must be finite and >= 1, got {p}")
-    return p
-
-
-def _quantile_coupling(theta, target, p: float):
-    """``(weights, Q1 - Q2, W_p)`` between the points ``theta`` and ``target``:
-    the weights of ``unit_interval_grid()``, the gap between the quantiles
-    the two points keep on its levels and ``W_p = (integral |Q1 -
-    Q2|**p)**(1/p)``, for an order ``p`` that passed :func:`_check_order`.
-    A family without a quantile raises :class:`CapabilityError`."""
-    weights = unit_interval_grid()[1]
-    gap = theta.transport()[0] - target.transport()[0]
-    return weights, gap, float((weights @ np.abs(gap) ** p) ** (1.0 / p))
-
-
 class WassersteinP(Similarity):
-    """Half the squared p-Wasserstein distance, ``W_p**2 / 2`` (1-D)."""
+    """Half the squared p-Wasserstein distance, ``W_p**2 / 2`` (1-D), for a
+    finite order ``p >= 1`` (else ``ValueError``); its metric needs ``p > 1``."""
 
     def __init__(self, p: float):
-        self.p = _check_order(p)
+        self.p = float(p)
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"order p must be finite and >= 1, got {self.p}")
         self.name = f"wasserstein:{p:g}"
         self.directional = self.p != 2.0
 
-    @property
-    def metric(self) -> str:
-        return "w2_1d" if self.p == 2.0 else f"wp_1d:{self.p:g}"
+    def check_metric(self):
+        if self.p == 1.0:
+            raise ConfigError(f"{self.name} has no metric: at p = 1 its local Hessian has "
+                              "rank one and |velocity|^(p-2) is unbounded; name another metric")
+
+    def local_hessian(self, family, theta, u=None):
+        self.check_metric()
+        return wp_local_hessian_1d(family, theta, self.p, u if self.directional else None)
 
     def _cost(self, family, theta, target, grad):
-        """``W**2 / 2``, or with ``grad`` ``W^(2-p) integral |dQ|^(p-2) dQ
-        dQ1/dtheta`` over the levels, with ``dQ = Q1 - Q2`` and the quantile
-        velocities ``dQ1/dtheta`` that ``theta`` keeps; exactly zero where W
-        vanishes."""
-        p = self.p
-        weights, gap, w = _quantile_coupling(theta, target, p)
+        """``W**2 / 2``, with ``W = (integral |dQ|**p)**(1/p)`` over the levels
+        of ``unit_interval_grid()`` and ``dQ = Q1 - Q2`` the gap between the
+        quantiles the two points keep there (a family without a quantile
+        raises :class:`CapabilityError`); or with ``grad`` ``W^(2-p) integral
+        |dQ|^(p-2) dQ dQ1/dtheta``, with the quantile velocities
+        ``dQ1/dtheta`` that ``theta`` keeps, exactly zero where W vanishes."""
+        p, weights = self.p, unit_interval_grid()[1]
+        gap = theta.transport()[0] - target.transport()[0]
+        w = float((weights @ np.abs(gap) ** p) ** (1.0 / p))
         if not grad:
             return 0.5 * w ** 2
         if w == 0.0:
@@ -392,7 +394,9 @@ class SquaredW2Gaussian(Similarity):
     """Half the squared 2-Wasserstein distance between Gaussians, closed form."""
 
     name = "w2_gaussian"
-    metric = "w2_gaussian"
+
+    def local_hessian(self, family, theta, u=None):
+        return w2_local_hessian_gaussian(family, theta)
 
     def _cost(self, family, theta, target, grad):
         result = _gaussian_form(_half_w2, family, theta, target, grad)
@@ -422,7 +426,9 @@ class SquaredFisherRaoCategorical(Similarity):
     """Half the squared Fisher-Rao distance between categorical distributions."""
 
     name = "fisher_rao2"
-    metric = "pullback"
+
+    def local_hessian(self, family, theta, u=None):
+        return pullback_fisher_categorical(family, theta)
 
     def _cost(self, family, theta, target, grad):
         if not isinstance(family, CategoricalSoftmax):
@@ -450,7 +456,9 @@ class SquaredEuclidean(Similarity):
     """Half squared Euclidean distance on raw parameters (debugging aid)."""
 
     name = "sq_euclidean"
-    metric = "euclidean"  # the exact local Hessian is the identity
+
+    def local_hessian(self, family, theta, u=None):
+        return LocalHessian(np.eye(family.param_dim))
 
     def _cost(self, family, theta, target, grad):
         diff = theta.theta - target.theta
@@ -471,3 +479,49 @@ SIMILARITY_IDS = list(SIMILARITIES)
 def get_similarity(identifier: str) -> Similarity:
     """Resolve a similarity by string identifier (see ``SIMILARITY_IDS``)."""
     return resolve_id(identifier, SIMILARITIES, "similarity", "similarities")
+
+
+# -- metric ids ----------------------------------------------------------------------
+
+# The metric ids the benchmark's workloads name, each mapped to the id of the
+# similarity whose own metric it is (a placeholder carries the argument over).
+# Data only: an alias resolves as the similarity id it maps to.
+METRIC_ALIASES = {
+    "fisher": "kl",
+    "fdiv:{name}": "{name}",
+    "pullback": "fisher_rao2",
+    "w2_1d": "wasserstein:2",
+    "wp_1d:{p}": "wasserstein:{p}",
+    "euclidean": "sq_euclidean",
+    "w2": "w2_gaussian",
+}
+
+
+def _own_metric(sim_id: str, arg: str = ""):
+    sim = get_similarity(sim_id.format_map(defaultdict(lambda: arg)))
+    sim.check_metric()
+    return sim.local_hessian
+
+
+# Builders ``build([arg])`` of a ``local_hessian(family, theta, u=None)``, keyed by metric id.
+_METRIC_BUILDERS = {
+    **{key: partial(_own_metric, key) for key in SIMILARITIES},
+    "fd:{similarity}": lambda sim_id: partial(Similarity.local_hessian, get_similarity(sim_id)),
+    **{alias: partial(_own_metric, sim_id) for alias, sim_id in METRIC_ALIASES.items()},
+}
+
+
+def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
+    """The engine, named ``identifier``, of a metric id on ``family``: a
+    similarity id names that similarity's ``local_hessian``, ``fd:`` and a
+    similarity id the base class's finite differences of it, and an alias
+    the similarity id it maps to in ``METRIC_ALIASES``."""
+    local_hessian = resolve_id(identifier, _METRIC_BUILDERS, "metric", "metrics")
+    return MetricEngine(str(identifier), partial(local_hessian, family))
+
+
+def own_metric_engine(sim: Similarity, family: Family) -> MetricEngine:
+    """The engine, named ``sim.name``, of ``sim.local_hessian`` on ``family``;
+    :class:`ConfigError` where it is no metric (:meth:`Similarity.check_metric`)."""
+    sim.check_metric()
+    return MetricEngine(sim.name, partial(sim.local_hessian, family))

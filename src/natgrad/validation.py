@@ -20,19 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import CategoricalSoftmax, Gaussian1D
-from .metric import (
-    f_div_local_hessian,
-    fd_local_hessian,
-    fisher_information,
-    pullback_fisher_categorical,
-    resolve_metric_engine,
-    w2_local_hessian_1d,
-    wp_local_hessian_1d,
-)
+from .metric import (f_div_local_hessian, fd_local_hessian, fisher_information,
+                     pullback_fisher_categorical, w2_local_hessian_1d, wp_local_hessian_1d)
 from .numdiff import central_hessian
 from .optimizer import linear_reparameterization, make_objective, natural_gradient_step
 from .quadrature import DEFAULT_TAIL_MASS, composite_legendre
-from .similarity import F_DIVERGENCES, FDivergence, SquaredW2Gaussian, WassersteinP
+from .similarity import (F_DIVERGENCES, FDivergence, SquaredW2Gaussian, WassersteinP,
+                         resolve_metric_engine)
 
 __all__ = ["CheckResult", "run_checks"]
 

@@ -16,7 +16,6 @@ from natgrad.metric import (
     fd_local_hessian,
     fisher_information,
     pullback_fisher_categorical,
-    resolve_metric_engine,
     w2_local_hessian_1d,
     wp_local_hessian_1d,
 )
@@ -32,6 +31,7 @@ from natgrad.similarity import (
     FDivergence,
     WassersteinP,
     get_similarity,
+    resolve_metric_engine,
 )
 
 GAUSS = Gaussian1D()

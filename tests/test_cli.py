@@ -253,14 +253,14 @@ def test_hessian_kl_gaussian(capsys):
     code = main(["hessian", "gaussian1d", "kl", "0,1"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "metric=fdiv:kl" in out and "provenance=analytic" in out
+    assert "metric=kl" in out and "provenance=analytic" in out
     np.testing.assert_allclose(_parse_matrix(out.split("\n")), [[1.0, 0.0], [0.0, 2.0]], atol=1e-12)
 
 
 def test_hessian_w2_identity(capsys):
     code = main(["hessian", "gaussian1d", "wasserstein:2", "0.5,1.3"])
     out = capsys.readouterr().out
-    assert code == EXIT_OK and "metric=w2_1d" in out
+    assert code == EXIT_OK and "metric=wasserstein:2" in out
     np.testing.assert_allclose(_parse_matrix(out.split("\n")), np.eye(2), atol=1e-6)
 
 
@@ -290,7 +290,7 @@ def test_hessian_w2_gaussian_mvn_is_bures_wasserstein(capsys):
 def test_hessian_directional_wasserstein(capsys):
     code = main(["hessian", "gaussian1d", "wasserstein:3", "0,1", "--direction", "1,0.4"])
     out = capsys.readouterr().out
-    assert code == EXIT_OK and "metric=wp_1d:3" in out
+    assert code == EXIT_OK and "metric=wasserstein:3" in out
     H = _parse_matrix(out.split("\n"))
     assert H.shape == (2, 2) and np.all(np.isfinite(H))
 
@@ -308,6 +308,15 @@ def test_hessian_refuses_a_non_finite_direction(capsys, direction):
                  "--direction", direction])
     assert code == EXIT_CONFIG
     assert "config error: direction must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", [[], ["--metric", "wp_1d:1"], ["--metric", "wasserstein:1"]],
+                         ids=["own", "alias", "id"])
+def test_hessian_refuses_the_metric_of_w1(capsys, metric):
+    # Half the squared W1 is a cost, but its local Hessian is no metric.
+    code = main(["hessian", "gaussian1d", "wasserstein:1", "0,1", "--direction", "1,0.4", *metric])
+    assert code == EXIT_CONFIG
+    assert "wasserstein:1 has no metric" in capsys.readouterr().err
 
 
 def test_hessian_directional_requires_direction(capsys):

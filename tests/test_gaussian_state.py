@@ -21,13 +21,12 @@ from natgrad.families import (
 )
 from natgrad.gp_bench import GpNllCost, generate_data
 from natgrad.metric import (
-    resolve_metric_engine,
     w2_local_hessian_1d,
     w2_local_hessian_gaussian,
     wp_local_hessian_1d,
 )
 from natgrad.optimizer import OptimizerConfig, optimize
-from natgrad.similarity import Similarity, get_similarity
+from natgrad.similarity import Similarity, get_similarity, resolve_metric_engine
 
 # Factories, so each call can get a fresh instance.
 FACTORIES = {

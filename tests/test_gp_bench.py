@@ -10,10 +10,10 @@ from natgrad.errors import ConfigError, NumericError
 from natgrad.families import Dataset, Gaussian1D, GpPriorEq
 import natgrad.gp_bench
 import natgrad.metric
+import natgrad.similarity
 from natgrad.metric import spd_project, w2_local_hessian_gaussian
 from natgrad.optimizer import OptimizerConfig
 from natgrad.gp_bench import (
-    BENCHMARK_METRIC_IDS,
     DEFAULT_THETA0,
     DEFAULT_TRUE_THETA,
     SUMMARY_CSV_HEADER,
@@ -38,6 +38,9 @@ ORACLE_Y4 = np.array(
     [-0.8019314252534474, -1.324358995628145, -0.24836162209524854, 0.4204452380655215]
 )
 ORACLE_THETA = np.array([0.3, -0.2, -1.0])
+
+# The metric ids of the shipped comparison, in its order.
+SHIPPED_METRICS = ("euclidean", "fisher", "w2")
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +194,7 @@ def test_benchmark_w2_makes_no_finite_difference_call(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (natgrad.gp_bench, natgrad.metric):
+    for module in (natgrad.gp_bench, natgrad.metric, natgrad.similarity):
         monkeypatch.setattr(module, "fd_local_hessian", counting)
     config = BenchmarkConfig(m=8, metrics=("w2",), optimizer=OptimizerConfig(max_iters=5))
     trace = run_benchmark(config).traces["w2"]
@@ -416,7 +419,7 @@ def test_benchmark_shared_setup(default_result):
     assert res.threshold == pytest.approx(
         gp_nll(np.asarray(DEFAULT_TRUE_THETA), expected) + 0.5, abs=1e-12
     )
-    assert set(res.traces) == set(BENCHMARK_METRIC_IDS)
+    assert set(res.traces) == set(SHIPPED_METRICS)
 
 
 def test_benchmark_no_failures(default_result):
@@ -426,7 +429,7 @@ def test_benchmark_no_failures(default_result):
 
 
 def test_benchmark_every_metric_reaches_threshold(default_result):
-    for metric in BENCHMARK_METRIC_IDS:
+    for metric in SHIPPED_METRICS:
         assert default_result.iters_to_threshold(metric) >= 0, metric
 
 
@@ -446,10 +449,10 @@ def test_benchmark_summary_csv(default_result):
     text = default_result.summary_csv()
     lines = text.strip().split("\n")
     assert lines[0] == SUMMARY_CSV_HEADER == "metric,iters_to_threshold,final_cost,status"
-    assert len(lines) == 1 + len(BENCHMARK_METRIC_IDS)
+    assert len(lines) == 1 + len(SHIPPED_METRICS)
     for line in lines[1:]:
         metric, iters, cost, status = line.split(",")
-        assert metric in BENCHMARK_METRIC_IDS
+        assert metric in SHIPPED_METRICS
         assert int(iters) >= -1
         assert np.isfinite(float(cost))
         assert status in ("converged_grad", "converged_cost", "max_iters", "numeric_failure")
@@ -471,7 +474,7 @@ def test_benchmark_threshold_miss_reports_minus_one():
 def test_benchmark_result_is_plain_data(default_result):
     assert isinstance(default_result, BenchmarkResult)
     rows = default_result.summary_rows()
-    assert [r[0] for r in rows] == list(BENCHMARK_METRIC_IDS)
+    assert [r[0] for r in rows] == list(SHIPPED_METRICS)
 
 
 @pytest.mark.parametrize(

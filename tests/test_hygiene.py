@@ -14,15 +14,20 @@ import natgrad
 import natgrad.families
 import natgrad.similarity
 from natgrad.errors import CapabilityError, ConfigError
-from natgrad.families import FAMILIES, FAMILY_IDS, Family, Point, get_family, resolve_id
-from natgrad.gp_bench import (BENCHMARK_METRIC_IDS, BENCHMARK_METRICS, BenchmarkConfig, GpNllCost,
-                              generate_data)
-from natgrad.metric import METRIC_IDS, METRICS, resolve_metric_engine
+from natgrad.families import FAMILIES, FAMILY_IDS, Family, Point, get_family
+from natgrad.gp_bench import BenchmarkConfig, GpNllCost, generate_data
 from natgrad.optimizer import OptimizerConfig, optimize
-from natgrad.similarity import SIMILARITIES, SIMILARITY_IDS, get_similarity
+from natgrad.similarity import (
+    METRIC_ALIASES,
+    SIMILARITIES,
+    SIMILARITY_IDS,
+    get_similarity,
+    resolve_metric_engine,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "natgrad"
 README = SRC.parent.parent / "README.md"
+WORKLOADS = SRC.parent.parent / "perfbench" / "workloads.py"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -376,20 +381,17 @@ def test_only_the_shared_resolver_parses_identifiers():
     assert sorted(p.name for p in SRC.glob("*.py") if _partition_colon_users(p)) == ["families.py"]
     assert FAMILY_IDS == list(FAMILIES)
     assert SIMILARITY_IDS == list(SIMILARITIES)
-    assert METRIC_IDS == list(METRICS)
-    assert BENCHMARK_METRIC_IDS == list(BENCHMARK_METRICS)
 
 
 GP = get_family("gp_prior_eq", inputs=DATASET.inputs)
+# The metric-id grammar: a similarity id (its own metric), fd: and one (its
+# finite differences), or an alias of a similarity id.
+METRIC_ID_FORMS = [*SIMILARITY_IDS, "fd:{similarity}", *METRIC_ALIASES]
 # Each registry's listed IDs and its resolver.
 REGISTRIES = {
     "families": (FAMILY_IDS, lambda i: get_family(i, inputs=DATASET.inputs)),
     "similarities": (SIMILARITY_IDS, get_similarity),
-    "metrics": (METRIC_IDS, lambda i: resolve_metric_engine(i, GP)),
-    "benchmark metrics": (
-        BENCHMARK_METRIC_IDS,
-        lambda i: resolve_id(i, BENCHMARK_METRICS, "benchmark metric", "metrics", GP),
-    ),
+    "metrics": (METRIC_ID_FORMS, lambda i: resolve_metric_engine(i, GP)),
 }
 PLACEHOLDERS = {"{p}": "3", "{name}": "chi2", "{similarity}": "kl", "[:dim]": ":2", "[:k]": ":2"}
 
@@ -430,11 +432,12 @@ def test_stray_and_empty_arguments_are_rejected(kind, ident):
     assert str(exc.value).endswith(", ".join(ids))
 
 
-# Identifiers the benchmark workloads name, and the names they resolve to.
+# Identifiers the benchmark workloads name, and the names they resolve to:
+# a metric engine carries the id it was resolved from.
 WORKLOAD_IDS = [
     ("metrics", ident, ident) for ident in (
         "fdiv:chi2", "fdiv:hellinger2", "fdiv:reverse_kl", "w2_1d", "wp_1d:3", "pullback",
-        "fisher", "fd:wasserstein:3")
+        "fisher", "fd:wasserstein:3", "w2", "euclidean")
 ] + [
     ("families", ident, ident)
     for ident in ("gaussian1d", "mvn_lcholesky:2", "mvn_lcholesky:3", "categorical_softmax:5")
@@ -444,7 +447,6 @@ WORKLOAD_IDS = [
 ] + [
     ("families", "mvn_lcholesky", "mvn_lcholesky:2"),
     ("similarities", "wasserstein:2.0", "wasserstein:2"),
-    ("benchmark metrics", "w2", "w2_gaussian"),
 ]
 
 
@@ -452,3 +454,11 @@ WORKLOAD_IDS = [
 def test_benchmark_identifiers_resolve_as_before(kind, ident, name):
     _, resolve = REGISTRIES[kind]
     assert resolve(ident).name == name
+
+
+@pytest.mark.parametrize("alias", METRIC_ALIASES)
+def test_every_metric_alias_is_named_by_a_benchmark_workload(alias):
+    # The aliases exist only for the ids the benchmark's workloads name; one
+    # that no workload names should go.
+    head, brace, _ = alias.partition("{")
+    assert (f'"{head}' if brace else f'"{alias}"') in WORKLOADS.read_text()

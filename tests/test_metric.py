@@ -15,7 +15,6 @@ from natgrad.families import (
 )
 from natgrad.metric import (
     FD_EPS_LADDER,
-    METRIC_IDS,
     LocalHessian,
     MetricEngine,
     default_damping,
@@ -24,7 +23,6 @@ from natgrad.metric import (
     fisher_information,
     monte_carlo_fisher,
     pullback_fisher_categorical,
-    resolve_metric_engine,
     riemannian_pullback,
     spd_project,
     w2_local_hessian_1d,
@@ -35,12 +33,15 @@ from natgrad.numdiff import HESS_REL_STEP, central_hessian
 from natgrad.optimizer import _solve_step, linear_reparameterization, make_objective
 from natgrad.similarity import (
     F_DIVERGENCES,
+    METRIC_ALIASES,
+    SIMILARITY_IDS,
     FDivergence,
     Similarity,
     SquaredEuclidean,
     SquaredW2Gaussian,
     WassersteinP,
     get_similarity,
+    resolve_metric_engine,
 )
 
 from conftest import fd_hessian, power_law_family, random_gaussian_thetas
@@ -250,10 +251,12 @@ def test_wp_p3_matches_directional_fd(mu, sigma, angle):
 
 
 def test_wp_rejects_bad_orders_and_directions():
+    # The order facts live in WassersteinP: a W_p cost takes p >= 1, its
+    # metric p > 1 (at p = 1 it has rank one and |velocity|^(p-2) is unbounded).
+    with pytest.raises(ConfigError, match="wasserstein:1 has no metric"):
+        WassersteinP(1.0).local_hessian(GAUSS, (0.0, 1.0), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        wp_local_hessian_1d(GAUSS, (0.0, 1.0), 1.0, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        wp_local_hessian_1d(GAUSS, (0.0, 1.0), 0.5, np.array([1.0, 0.0]))
+        WassersteinP(0.5)
     with pytest.raises(ValueError):
         wp_local_hessian_1d(GAUSS, (0.0, 1.0), 3.0)  # direction required
     with pytest.raises(ValueError):
@@ -622,20 +625,15 @@ def test_f_div_local_hessian_builds_one_local_hessian(monkeypatch):
 
 
 @st.composite
-def gaussian1d_points(draw, directed=False):
-    theta = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(0.4, 2.5))])
-    u = None
-    if directed:
-        pair = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-        u = np.array(draw(pair.filter(lambda v: np.hypot(*v) > 0.1)))
-    return GAUSS, theta, u
+def gaussian1d_points(draw):
+    return GAUSS, np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(0.4, 2.5))])
 
 
 @st.composite
 def gp_points(draw):
     inputs = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
     theta = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.5, 0.5)))
-    return GpPriorEq(inputs), np.array(theta), None
+    return GpPriorEq(inputs), np.array(theta)
 
 
 @st.composite
@@ -643,31 +641,80 @@ def categorical_points(draw):
     fam = CategoricalSoftmax(draw(st.integers(2, 4)))
     coords = st.floats(-1.5, 1.5)
     theta = draw(st.lists(coords, min_size=fam.param_dim, max_size=fam.param_dim))
-    return fam, np.array(theta), None
+    return fam, np.array(theta)
 
 
-@pytest.mark.parametrize(
-    "sim_id, metric_id, points, tol",
-    [
-        ("wasserstein:2", "w2_1d", gaussian1d_points(), 1e-5),
-        ("wasserstein:3", "wp_1d:3", gaussian1d_points(directed=True), 5e-3),
-        ("w2_gaussian", "w2_gaussian", mvn_points().map(lambda p: (*p, None)), 1e-5),
-        ("w2_gaussian", "w2_gaussian", gp_points(), 1e-5),
-        ("fisher_rao2", "pullback", categorical_points(), 1e-5),
-    ],
-)
+# Random points of each family, and one fixed point of each.
+FAMILY_POINTS = {
+    "gaussian1d": gaussian1d_points(),
+    "mvn_lcholesky": mvn_points(),
+    "categorical_softmax": categorical_points(),
+    "gp_prior_eq": gp_points(),
+}
+FAMILY_EXAMPLES = {
+    "gaussian1d": (GAUSS, (0.3, 1.2)),
+    "mvn_lcholesky": (MultivariateNormalLogCholesky(2), (0.1, -0.2, 0.3, 0.1, -0.2)),
+    "categorical_softmax": (CAT3, (0.2, -0.4, 0.1)),
+    "gp_prior_eq": (GpPriorEq(np.array([-1.0, 0.5, 2.0])), (0.1, -0.3, -1.0)),
+}
+# Each registered similarity: whether it is directional, the families it
+# accepts, and how close its own metric is to finite differences of it,
+# relative to the largest entry.
+OWN_METRICS = {
+    **{name: (False, tuple(FAMILY_POINTS), 1e-5) for name in F_DIVERGENCES},
+    "fisher_rao2": (False, ("categorical_softmax",), 1e-5),
+    "wasserstein:2": (False, ("gaussian1d",), 1e-5),
+    "wasserstein:3": (True, ("gaussian1d",), 5e-3),
+    "w2_gaussian": (False, ("gaussian1d", "mvn_lcholesky", "gp_prior_eq"), 1e-5),
+    "sq_euclidean": (False, tuple(FAMILY_POINTS), 1e-8),
+}
+
+
+def test_every_registered_similarity_has_an_own_metric_row():
+    assert ({sim_id.partition(":")[0] for sim_id in OWN_METRICS}
+            == {key.partition(":")[0] for key in SIMILARITY_IDS})
+    # Every order but 2 is directional.  p = 1.5 has no row: where the
+    # velocity nearly vanishes at a node, the fd: stencil straddles the kink
+    # of |gap|^p there (1.5 % off at theta = (0, 1), u = (0, 1)).
+    w15 = get_similarity("wasserstein:1.5")
+    assert w15.directional and resolve_metric_engine("wasserstein:1.5", GAUSS).name == w15.name
+
+
+@pytest.mark.parametrize("sim_id, family_id", [
+    (sim_id, family_id) for sim_id, (_, families, _) in OWN_METRICS.items()
+    for family_id in families])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_default_engine_is_local_hessian_of_registered_similarity(
-    sim_id, metric_id, points, tol, data
-):
-    # The cost the optimizer minimizes and the curvature its default engine
-    # returns are one function: no wrapper and no factor in between.
-    family, theta, u = data.draw(points)
-    assert get_similarity(sim_id).metric == metric_id
-    H = resolve_metric_engine(metric_id, family)(theta, u).matrix
-    ref = fd_local_hessian(get_similarity(sim_id), family, theta, u).matrix
+def test_own_metric_is_the_local_hessian_of_the_similarity(sim_id, family_id, data):
+    # The cost the optimizer minimizes and the curvature of its own metric
+    # are one function: no wrapper and no factor in between.  The metric id
+    # of the own metric is the similarity id, and fd: of it differentiates
+    # the cost itself; both take the direction only for a directional cost.
+    directional, _, tol = OWN_METRICS[sim_id]
+    family, theta = data.draw(FAMILY_POINTS[family_id])
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=family.param_dim,
+                                    max_size=family.param_dim)
+                           .filter(lambda v: np.linalg.norm(v) > 0.1)))
+    sim = get_similarity(sim_id)
+    assert sim.directional is directional
+    engine = resolve_metric_engine(sim_id, family)
+    assert engine.name == sim_id
+    H = engine(theta, u).matrix
+    np.testing.assert_array_equal(H, sim.local_hessian(family, theta, u).matrix)
+    ref = resolve_metric_engine(f"fd:{sim_id}", family)(theta, u).matrix
     np.testing.assert_allclose(H, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("sim_id", OWN_METRICS)
+def test_own_metric_applies_where_its_similarity_does(sim_id):
+    sim = get_similarity(sim_id)
+    for family_id, (family, theta) in FAMILY_EXAMPLES.items():
+        if family_id in OWN_METRICS[sim_id][1]:
+            continue
+        with pytest.raises(CapabilityError):
+            sim.evaluate(family, theta, theta)
+        with pytest.raises(CapabilityError):
+            resolve_metric_engine(sim_id, family)(theta, np.ones(family.param_dim))
 
 
 def test_gaussian_w2_needs_moment_derivatives():
@@ -737,10 +784,11 @@ def test_resolve_fd_engine():
 
 
 def test_resolve_unknown_engine_lists_options():
+    # A metric id is a similarity id, fd: and one, or an alias.
     with pytest.raises(ConfigError) as exc:
         resolve_metric_engine("fishr", GAUSS)
-    for mid in METRIC_IDS:
-        assert mid in str(exc.value)
+    assert str(exc.value).endswith(
+        ", ".join([*SIMILARITY_IDS, "fd:{similarity}", *METRIC_ALIASES]))
 
 
 def test_resolve_bad_arguments():
@@ -750,8 +798,10 @@ def test_resolve_bad_arguments():
         resolve_metric_engine("wp_1d:abc", GAUSS)
     # The directional W_p metric needs a finite order p > 1: at p = 1 it has
     # rank one and |velocity|^(p-2) is unbounded; nan and inf give no metric.
+    # The alias and the similarity id are refused alike.
     for order in ("1", "0.5", "-2", "nan", "inf"):
-        with pytest.raises(ConfigError):
-            resolve_metric_engine(f"wp_1d:{order}", GAUSS)
+        for metric_id in (f"wp_1d:{order}", f"wasserstein:{order}"):
+            with pytest.raises(ConfigError):
+                resolve_metric_engine(metric_id, GAUSS)
     with pytest.raises(ConfigError):
         resolve_metric_engine("fd:nonsense", GAUSS)

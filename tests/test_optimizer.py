@@ -17,7 +17,7 @@ from natgrad.families import (
     MultivariateNormalLogCholesky,
 )
 from natgrad.gp_bench import BenchmarkConfig, generate_data, run_benchmark
-from natgrad.metric import LocalHessian, MetricEngine, resolve_metric_engine
+from natgrad.metric import LocalHessian, MetricEngine
 from natgrad.optimizer import (
     ALPHA_FLOOR,
     COST_TOL,
@@ -39,6 +39,7 @@ from natgrad.similarity import (
     SquaredEuclidean,
     WassersteinP,
     get_similarity,
+    resolve_metric_engine,
 )
 
 GAUSS = Gaussian1D()
@@ -612,10 +613,16 @@ def test_transport_order_without_a_metric_fails_before_any_cost():
             return super().evaluate(family, theta, target)
 
     sim = CountingW1(1.0)
-    assert sim.metric == "wp_1d:1"
     with pytest.raises(ConfigError):
         optimize(GAUSS, sim, (0.0, 1.0), (1.0, 2.0), OptimizerConfig())
     assert calls == []
+
+
+@pytest.mark.parametrize("metric, iterations", [("fisher", 37), ("w2_1d", 16)])
+def test_transport_order_one_runs_with_another_metric(metric, iterations):
+    trace = optimize(GAUSS, get_similarity("wasserstein:1"), (0.5, 1.5), (0.0, 1.0),
+                     OptimizerConfig(metric=metric))
+    assert trace.status == "converged_cost" and trace.iterations == iterations
 
 
 def test_numeric_failure_on_divergent_cost():

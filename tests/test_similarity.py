@@ -24,7 +24,7 @@ from natgrad.families import (
     MultivariateNormalLogCholesky,
 )
 from natgrad.gp_bench import GpNllCost
-from natgrad.metric import resolve_metric_engine
+from natgrad.metric import fisher_information
 from natgrad.optimizer import (
     OptimizerConfig,
     _solve_step,
@@ -44,6 +44,8 @@ from natgrad.similarity import (
     WassersteinP,
     _fisher_rao_distance,
     get_similarity,
+    own_metric_engine,
+    resolve_metric_engine,
 )
 
 from conftest import fd_gradient, mvn_theta, richardson_gradient
@@ -569,7 +571,7 @@ def test_gradient_matches_fd_of_registered_cost(family, sim_id, data):
         assert str(grad_exc.value) == str(exc)
         return
     g = sim.grad_theta(family, theta, target)
-    # The O(h^4) oracle: near the chi2 boundary the gradient is steep, and a
+    # The O(h^6) oracle: near the chi2 boundary the gradient is steep, and a
     # two-point stencil's O(h^2) error there exceeds the 1e-8 tolerance.
     ref = richardson_gradient(lambda t: sim.evaluate(family, t, target), theta)
     # The 1-D transport costs keep their looser tolerance: W3's |gap|^3 is
@@ -577,6 +579,19 @@ def test_gradient_matches_fd_of_registered_cost(family, sim_id, data):
     quadrature = family.has_cdf and sim_id in ("wasserstein:2", "wasserstein:3")
     tol = 1e-6 if quadrature else 1e-8
     np.testing.assert_allclose(g, ref, rtol=0, atol=tol * max(1.0, np.max(np.abs(ref))))
+
+
+def test_gradient_matches_fd_of_chi2_near_its_boundary():
+    # A pair near where 2 S1 - S2 turns indefinite (chi2 5.7e4): the O(h^4)
+    # oracle is 1.3e-7 off here, its O(h^6) extrapolation 3e-11.
+    family, sim = MultivariateNormalLogCholesky(3), get_similarity("chi2")
+    theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.140625, 0.0, 0.0, -0.65625])
+    target = np.array([0.0, 0.0, 0.25, -0.01171875, 0.23336437, -1.2890625, 0.0, 0.2421875,
+                       -0.65625])
+    assert sim.evaluate(family, theta, target) > 5e4
+    ref = richardson_gradient(lambda t: sim.evaluate(family, t, target), theta)
+    np.testing.assert_allclose(sim.grad_theta(family, theta, target), ref, rtol=0,
+                               atol=1e-8 * max(1.0, np.max(np.abs(ref))))
 
 
 def _reparam_matrix(n):
@@ -613,15 +628,9 @@ def test_linear_reparameterization_is_the_chain_rule(family, sim_id, data):
     objective = make_objective(family, sim, target)
     pulled = linear_reparameterization(objective, resolve_metric_engine("euclidean", family), A)[0]
     g, g_xi = objective.gradient(theta), pulled.gradient(xi)
-    # Near the chi2 boundary (2 S1 - S2 nearly singular) the cost is steep,
-    # and the oracle's O(h^4) error exceeds 1e-8 (2.7e-7 relative at a chi2
-    # of 5.7e4 on mvn_lcholesky:3, 1.7e-8 at half the step): the oracle at
-    # half its step is held to the tolerance plus its change from the full step.
-    ref, half = (richardson_gradient(lambda z: pulled.value(xi + z / k), 0.0 * xi) * k
-                 for k in (1.0, 2.0))
+    ref = richardson_gradient(pulled.value, xi)
     tol = 1e-6 if family.has_cdf and sim_id in ("wasserstein:2", "wasserstein:3") else 1e-8
-    np.testing.assert_allclose(g_xi, half, rtol=0,
-                               atol=tol * max(1.0, np.max(np.abs(half))) + np.max(np.abs(ref - half)))
+    np.testing.assert_allclose(g_xi, ref, rtol=0, atol=tol * max(1.0, np.max(np.abs(ref))))
     u_xi, ran = np.ones(family.param_dim), 0
     for metric in ANALYTIC_METRICS:
         engine = resolve_metric_engine(metric, family)
@@ -754,7 +763,7 @@ def test_gaussian_cost_is_its_local_quadratic_form_down_to_tiny_steps(family, si
     direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=family.param_dim,
                                             max_size=family.param_dim)))
     assume(np.linalg.norm(direction) > 0.1)
-    hessian = resolve_metric_engine(sim.metric, family)(theta).matrix
+    hessian = sim.local_hessian(family, theta).matrix
     for size in (1e-5, 1e-7, 1e-9):
         d = size * direction / np.linalg.norm(direction)
         quadratic = 0.5 * d @ hessian @ d
@@ -889,31 +898,11 @@ def test_get_similarity_bad_wasserstein_order():
     assert "wasserstein:{p}" in SIMILARITY_IDS
 
 
-@pytest.mark.parametrize(
-    "sim_id, metric_id, directional",
-    [
-        ("kl", "fdiv:kl", False),
-        ("reverse_kl", "fdiv:reverse_kl", False),
-        ("chi2", "fdiv:chi2", False),
-        ("hellinger2", "fdiv:hellinger2", False),
-        ("wasserstein:2", "w2_1d", False),
-        ("wasserstein:3", "wp_1d:3", True),
-        ("wasserstein:1.5", "wp_1d:1.5", True),
-        ("w2_gaussian", "w2_gaussian", False),
-        ("fisher_rao2", "pullback", False),
-        ("sq_euclidean", "euclidean", False),
-    ],
-)
-def test_each_similarity_names_its_own_metric(sim_id, metric_id, directional):
-    sim = get_similarity(sim_id)
-    assert sim.metric == metric_id
-    assert sim.directional is directional
-    family = CAT3 if sim_id == "fisher_rao2" else GAUSS
-    assert resolve_metric_engine(sim.metric, family).name == metric_id
-
-
-def test_gp_likelihood_cost_names_the_fisher_metric():
-    assert GpNllCost().metric == "fisher" and not GpNllCost().directional
+def test_gp_likelihood_cost_own_metric_is_the_fisher_information():
+    family, theta, cost = GpPriorEq(np.array([-1.0, 0.5, 2.0])), (0.1, -0.3, -1.0), GpNllCost()
+    engine = own_metric_engine(cost, family)
+    assert engine.name == "gp_nll" and not cost.directional
+    np.testing.assert_array_equal(engine(theta).matrix, fisher_information(family, theta).matrix)
 
 
 # -- each point validated once ----------------------------------------------------------
