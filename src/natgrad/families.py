@@ -10,11 +10,11 @@ A family holds immutable configuration only, so instances can be shared
 freely across threads.  What is computed at one parameter vector lives on a
 :class:`Point`, which :meth:`Family.point` validates once and which builds
 the family's state there when first asked for it: a :class:`GaussianState`
-for a Gaussian family, the read-only probabilities and log-probabilities
-for a categorical one; and a 1-D point's quantiles on the transport grid
-and, once asked for, their velocities (:meth:`Point.transport`).  Every
-operation takes a point or a plain array; anything but a point of the same
-family is validated and built fresh, so invalid parameters fail with
+for a Gaussian family, a :class:`CategoricalState` for a categorical one;
+and a 1-D point's quantiles on the transport grid and, once asked for,
+their velocities (:meth:`Point.transport`).  Every operation takes a
+point or a plain array; anything but a point of the same family is
+validated and built fresh, so invalid parameters fail with
 :class:`InvalidParameterError` rather than producing NaNs downstream, and a
 caller that hands one vector to several operations wraps it once.
 
@@ -25,15 +25,14 @@ shape ``(n,)``; otherwise a sample has shape ``(sample_dim,)`` and a batch
 ``(n, sample_dim)``.  An ``(n, sample_dim)`` array is a batch in either case.
 A batch adds a leading axis ``n`` to the result: ``(n,)`` log-densities,
 ``(n, param_dim)`` scores.  Any other shape raises ``ValueError``.
-Every Fisher matrix is a closed form, and every f-divergence a closed form
-(Gaussian) or an exact sum over a finite support (categorical):
-:meth:`Family._window_logs` gives the support with unit weights and each
-point's log-probabilities there, and raises :class:`CapabilityError` on any
-other family.  1-D transport integrates over quantile levels instead, on
-``quadrature.unit_interval_grid``.  A family is one parameterization; the
-same family in coordinates ``theta = A xi`` is the chain rule on the
-objective and its metric (``optimizer.linear_reparameterization``), not a
-family of its own.
+Every Fisher matrix is a closed form.  A point state pulls derivatives in
+its distribution back to ``theta`` (``GaussianState.pull``,
+``CategoricalState.pull``), so the closed-form similarities read the two
+distributions and leave the chain rule to the state.  1-D transport
+integrates over quantile levels instead, on ``quadrature.unit_interval_grid``.
+A family is one parameterization; the same family in coordinates
+``theta = A xi`` is the chain rule on the objective and its metric
+(``optimizer.linear_reparameterization``), not a family of its own.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ __all__ = [
     "Dataset",
     "Family",
     "GaussianState",
+    "CategoricalState",
     "Point",
     "Gaussian1D",
     "MultivariateNormalLogCholesky",
@@ -160,6 +160,26 @@ class GaussianState(NamedTuple):
         inv, dmu, dcov = _read_only(chol_inv.T @ chol_inv, dmu, dcov)
         return self._replace(inv=inv, dmu=dmu, dcov=dcov)
 
+    def pull(self, derivs: tuple) -> np.ndarray:
+        """The gradient in ``theta``, ``dmu_i . d_mean + tr(d_cov dS_i)``, of a
+        function whose derivatives in the mean and covariance here are
+        ``derivs = (d_mean, d_cov)``; the state needs its moment derivatives."""
+        d_mean, d_cov = derivs
+        return self.dmu @ d_mean + self.dcov.reshape(len(self.dcov), -1) @ d_cov.ravel()
+
+
+class CategoricalState(NamedTuple):
+    """A categorical family member at one validated point: its read-only
+    probabilities and log-probabilities on the outcomes ``0..k-1``."""
+
+    probs: np.ndarray
+    logs: np.ndarray
+
+    def pull(self, w: np.ndarray) -> np.ndarray:
+        """The gradient in the logits of a function whose derivatives in
+        ``log p`` are ``w``: ``d log p_i / d theta_j = delta_ij - p_j``."""
+        return w @ (np.eye(len(self.probs)) - self.probs)
+
 
 class Point:
     """A parameter vector validated by ``family`` (see :meth:`Family.point`).
@@ -181,9 +201,10 @@ class Point:
         return np.array(self.theta, dtype=dtype, copy=copy)
 
     def state(self, derivs: bool = False):
-        """The family's state here: a :class:`GaussianState` (``derivs=True``
-        fills in its inverse and moment derivatives), a categorical family's
-        ``(probabilities, log-probabilities)``, or None."""
+        """The family's state here, the distribution that closed-form
+        similarities read: a :class:`GaussianState` (``derivs=True`` fills in
+        its inverse and moment derivatives), a :class:`CategoricalState`, or
+        None for a family with neither."""
         state = self._state
         if state is _UNBUILT:
             state = self._state = self.family._build_state(self)
@@ -212,10 +233,10 @@ class Family(ABC):
     ``log_density`` and ``score``; from those the base class derives
     :meth:`gaussian_state`, the state each :class:`Point` builds once, and
     from that the log-density, the score, samples and the Fisher matrix.
-    A family with a finite support overrides :meth:`_window_logs` for exact
-    f-divergence sums.  The base class has no numeric fallbacks: ``cdf``,
-    ``quantile``, ``dcdf_dtheta``, ``_window_logs``, and ``sample`` and
-    ``fisher`` without a Gaussian state, raise :class:`CapabilityError`.
+    A categorical family builds a :class:`CategoricalState` instead.  The
+    base class has no numeric fallbacks: ``cdf``, ``quantile``,
+    ``dcdf_dtheta``, and ``sample`` and ``fisher`` without a Gaussian state,
+    raise :class:`CapabilityError`.
 
     An instance is never written to after ``__init__``.  Every operation
     validates its argument once, through :meth:`point`, and passes the
@@ -223,8 +244,7 @@ class Family(ABC):
     arithmetic whichever operation builds it.
 
     Sample-point operations follow the module's array contract; the
-    support sums and the transport grid pass batches to ``log_density``,
-    ``score`` and ``dcdf_dtheta``.
+    transport grid passes batches to ``log_density`` and ``dcdf_dtheta``.
 
     Attributes
     ----------
@@ -275,14 +295,6 @@ class Family(ABC):
         arr = self.check_point(theta)
         arr.setflags(write=False)
         return Point(self, arr)
-
-    def in_domain(self, theta) -> bool:
-        """True if :meth:`check_point` accepts ``theta``."""
-        try:
-            self.check_point(theta)
-        except InvalidParameterError:
-            return False
-        return True
 
     def _in_domain(self, theta: np.ndarray) -> bool:
         return True
@@ -370,9 +382,8 @@ class Family(ABC):
         the family is not Gaussian.  ``derivs=True`` also fills in the
         covariance inverse and the moment derivatives.
 
-        Lets similarity measures with Gaussian closed forms (KL, squared
-        2-Wasserstein) and the Gaussian metrics recognize the family
-        without type checks.
+        Lets the family's own operations and the Gaussian metrics recognize
+        a Gaussian family without type checks.
 
         Raises
         ------
@@ -423,20 +434,6 @@ class Family(ABC):
         if not (batch or (single and x.size == d)):
             raise ValueError(f"{self.name}: sample shape {x.shape} does not fit sample_dim {d}")
         return x.reshape(-1, d), single
-
-    def _window_logs(self, points) -> tuple:
-        """``(nodes, weights, logs)``: the support with unit weights, so
-        sums on it are exact, and the log-probabilities there of each of
-        ``points`` (of this family), the one sample-space hook of
-        f-divergences without a closed form.
-
-        Raises
-        ------
-        CapabilityError
-            Unless the family overrides it: a family with no Gaussian state
-            and no finite support has no exact sample-space sum.
-        """
-        raise CapabilityError(f"{self.name}: no Gaussian state and no finite support")
 
 
 class Gaussian1D(Family):
@@ -541,8 +538,8 @@ class CategoricalSoftmax(Family):
 
     Note the parameterization is redundant (adding a constant to all logits
     leaves the distribution unchanged), so the Fisher information is
-    singular along the all-ones direction.  The state a point keeps is its
-    read-only probabilities and log-probabilities on the support.
+    singular along the all-ones direction.  The state a point keeps is a
+    :class:`CategoricalState`.
     """
 
     def __init__(self, k: int):
@@ -551,11 +548,10 @@ class CategoricalSoftmax(Family):
         self.name = f"categorical_softmax:{k}"
         self.param_dim = self.k
         self.sample_dim = 1
-        self._support = _read_only(np.arange(self.k), np.ones(self.k))
 
     def probabilities(self, theta) -> np.ndarray:
         """The softmax of the logits ``theta``, read-only, kept on the point."""
-        return self.point(theta).state()[0]
+        return self.point(theta).state().probs
 
     def _outcomes(self, x) -> np.ndarray:
         """Validate one outcome or a 1-D batch; return them as integers."""
@@ -565,7 +561,7 @@ class CategoricalSoftmax(Family):
         return x.astype(int)
 
     def log_density(self, theta, x):
-        return self.point(theta).state()[1][self._outcomes(x)]
+        return self.point(theta).state().logs[self._outcomes(x)]
 
     def score(self, theta, x):
         p = self.probabilities(theta)
@@ -585,20 +581,15 @@ class CategoricalSoftmax(Family):
         p = self.probabilities(theta)
         return np.diag(p) - np.outer(p, p)
 
-    def _window_logs(self, points):
-        """The support ``0..k-1``, unit weights and the log-probabilities
-        each point keeps there."""
-        return (*self._support, [p.state()[1] for p in points])
-
     def _build_state(self, point):
-        """``(softmax, log-softmax)`` of the logits, read-only, written out as
+        """The :class:`CategoricalState` of the logits, written out as
         ``scipy.special`` computes them for finite logits, without its
         array-API dispatch, which costs more than the arithmetic on a few
         logits."""
         shifted = point.theta - point.theta.max()
         e = np.exp(shifted)
         total = e.sum()
-        return _read_only(e / total, shifted - np.log(total))
+        return CategoricalState(*_read_only(e / total, shifted - np.log(total)))
 
 
 def eq_covariance(inputs: np.ndarray, log_amp: float, log_ls: float) -> np.ndarray:

@@ -3,11 +3,9 @@
 Covers three groups:
 
 * f-divergences (KL, reverse KL, chi-squared, squared Hellinger), in
-  closed form on every Gaussian family and otherwise as exact sums over a
-  finite support, ``Family._window_logs`` (a categorical family); any
-  other family raises :class:`CapabilityError`.  Total variation is
-  deliberately absent: its generator is not twice differentiable at 1, so
-  it admits no local Hessian.
+  closed form on every Gaussian family and as exact sums over the outcomes
+  of a categorical one.  Total variation is deliberately absent: its
+  generator is not twice differentiable at 1, so it admits no local Hessian.
 * optimal-transport distances: p-Wasserstein for one-dimensional families
   via quantile-space quadrature, and 2-Wasserstein between Gaussians in
   closed form.
@@ -21,28 +19,28 @@ Every measure takes its two arguments as points of the family
 (``Family.point``) or plain arrays.  ``Similarity.evaluate`` and
 ``Similarity.grad_theta`` validate them once, ``theta`` by ``Family.point``
 and the target by ``Similarity.target``, and hand both points to
-``Similarity._cost``, the one method a measure implements; it reads what it
-needs from the state each point keeps.  A Gaussian closed form reads the
-Cholesky factors of the two points' Gaussian states, one form per measure
-for value and gradient alike: KL, reverse KL and ``W2^2`` as sums of
-non-negative terms, exact near coincidence, chi-squared and squared
-Hellinger through an alpha-integral.
+``Similarity._cost``.  A closed-form measure declares ``forms``, a table from
+a point-state type (``GaussianState``, ``CategoricalState``) to a form
+``(s1, s2, grad)`` of the two distributions the points keep: it returns the
+value, or with ``grad`` the derivatives in the distribution of ``s1``, which
+the base ``_cost`` pulls back to ``theta`` with ``s1.pull``.  A state type
+without a form raises :class:`CapabilityError`, in that one place.  A
+Gaussian form reads the Cholesky factors of the two states: KL, reverse KL
+and ``W2^2`` as sums of non-negative terms, exact near coincidence,
+chi-squared and squared Hellinger through an alpha-integral.  A categorical
+form reads the probabilities and log-probabilities and forms no ratio
+``q/p``.  1-D transport and the debug Euclidean cost implement ``_cost``
+themselves, from the quantiles and quantile velocities each point keeps
+(``Point.transport``) and from the raw parameters.
 
 Every measure satisfies ``evaluate(family, theta, theta) == 0`` up to
 roundoff and is non-negative, and determines its metric, the Hessian of
 ``eta -> c(eta, theta)`` at ``eta = theta`` (Eguchi 1983; Amari & Cichocki
 2010): ``Similarity.local_hessian``, which a metric id names by the
 similarity id (:func:`resolve_metric_engine`).  ``grad_theta`` is the
-analytic gradient in the first argument, built from the ingredients the
-similarity's own metric uses: scores for summed f-divergences, moment
-derivatives for Gaussian closed forms, for 1-D transport the quantile
-velocities each point keeps (``Point.transport``).  Where a family has no
-route for a similarity, ``grad_theta`` raises the same
-:class:`CapabilityError` as ``evaluate``, and where a closed form diverges
-(chi-squared to a target too wide for ``theta``) the same
-:class:`DivergenceInfiniteError`.  The Fisher-Rao distance stays
-categorical-only: it is geometry of the probability simplex, not an
-integral over samples.
+analytic gradient in the first argument.  Where a closed form diverges
+(chi-squared to a target too wide for ``theta``) value and gradient raise the
+same :class:`DivergenceInfiniteError`.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from .errors import CapabilityError, ConfigError, DivergenceInfiniteError, NumericError
-from .families import CategoricalSoftmax, Dataset, Family, GaussianState, resolve_id
+from .families import CategoricalState, Dataset, Family, GaussianState, resolve_id
 from .metric import (LocalHessian, MetricEngine, f_div_local_hessian, fd_local_hessian,
                      pullback_fisher_categorical, w2_local_hessian_gaussian, wp_local_hessian_1d)
 from .quadrature import unit_interval_grid
@@ -88,8 +86,9 @@ class FDivergenceSpec:
     gradient of D_f in the first point is ``E_p[score(X) g(q(X)/p(X))]``.
 
     The fields ``f`` and ``g`` hold both in perspective form: from the
-    log-densities ``(log p, log q)`` at sample points they return ``p f(q/p)``
-    and ``p g(q/p)``, written out per divergence.  They form no ratio ``q/p``,
+    log-probabilities ``(log p, log q)`` on the support they return
+    ``p f(q/p)`` and ``p g(q/p)``, written out per divergence (``p g(q/p)``
+    is the derivative of ``p f(q/p)`` in ``log p``).  They form no ratio ``q/p``,
     which can underflow or overflow where the integrand is finite.
     """
 
@@ -117,12 +116,14 @@ class Similarity:
     ``local_hessian`` is the similarity's own metric, the default metric of
     runs over it.  ``directional`` marks costs whose curvature depends on
     the approach direction: those not twice differentiable on the diagonal.
-    A subclass implements ``_cost``, ``target`` if its target is not a
+    A subclass declares its closed ``forms`` (see the module docstring) or
+    implements ``_cost``, and implements ``target`` if its target is not a
     point, and ``local_hessian`` where it has a closed form.
     """
 
     name: str = ""
     directional: bool = False
+    forms: dict = {}
 
     def local_hessian(self, family: Family, theta, u=None) -> LocalHessian:
         """The Hessian of ``eta -> c(eta, theta)`` at ``eta = theta``, along
@@ -152,32 +153,23 @@ class Similarity:
 
     def _cost(self, family: Family, theta, target, grad: bool):
         """The cost between the point ``theta`` and a validated ``target``,
-        or with ``grad`` its gradient in ``theta``."""
-        raise NotImplementedError
-
-
-def _gaussian_form(form, family: Family, theta, target, grad: bool):
-    """The value of ``form`` between ``theta`` and ``target``, or with
-    ``grad`` its gradient in ``theta``, ``dmu_i . d_mean + tr(d_cov dS_i)``;
-    None without a form or on a family that is not Gaussian.  A form
-    ``(s1, s2, grad)`` of the two Gaussian states returns the value, or with
-    ``grad`` its derivatives ``(d_mean, d_cov)`` in the mean and covariance
-    of ``s1``, which then carries its inverse and moment derivatives."""
-    s1 = None if form is None else family.gaussian_state(theta, grad)
-    if s1 is None:
-        return None
-    result = form(s1, family.gaussian_state(target), grad)
-    if not grad:
-        return result
-    (d_mean, d_cov), dcov = result, s1.dcov
-    return s1.dmu @ d_mean + dcov.reshape(len(dcov), -1) @ d_cov.ravel()
+        or with ``grad`` its gradient in ``theta``: base, the form that
+        ``forms`` holds for the type of the state ``theta`` keeps, its
+        derivatives pulled back by that state; :class:`CapabilityError`
+        where there is none."""
+        s1 = theta.state(grad)
+        form = self.forms.get(type(s1))
+        if form is None:
+            raise CapabilityError(f"{self.name} has no closed form on {family.name}")
+        result = form(s1, target.state(), grad)
+        return s1.pull(result) if grad else result
 
 
 # -- f-divergences -------------------------------------------------------------
 
 
 def _kl(s1: GaussianState, s2: GaussianState, grad: bool = False):
-    """The form (see :func:`_gaussian_form`) of ``KL(1 || 2)``, with
+    """The Gaussian form (see :class:`Similarity`) of ``KL(1 || 2)``, with
     ``M = L2^-1 L1`` (lower triangular) and ``x = log diag M``::
 
         KL = 1/2 (sum_i (e^(2 x_i) - 1 - 2 x_i) + sum_(i>j) M_ij^2 + |L2^-1 (m1 - m2)|^2)
@@ -267,28 +259,29 @@ _GAUSSIAN_FORMS = {"kl": _kl, "reverse_kl": _reverse_kl,
                    "chi2": _alpha_form(2.0, 1.0), "hellinger2": _alpha_form(0.5, -2.0)}
 
 
-def _window_integrand(spec: FDivergenceSpec, family: Family, theta, target, fn):
-    """``(nodes, weights, fn(log p, log q))`` on the support of the points
-    ``theta`` and ``target`` (``Family._window_logs``), with ``p``, ``q``
-    their probabilities and ``fn`` a perspective form of ``spec``; raises
-    :class:`NumericError` where the summand is not finite."""
-    nodes, weights, (logp, logq) = family._window_logs([theta, target])
-    # Overflow in fn is expected for divergent pairs; it is detected by the
-    # finiteness check below, not by warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand = fn(logp, logq)
-    if not np.all(np.isfinite(integrand)):
-        bad = int(np.sum(~np.isfinite(integrand)))
-        log_ratio = logq - logp
-        raise NumericError(
-            f"{spec.name} sum produced {bad} non-finite integrand values on {family.name}",
-            diagnostics={
-                "non_finite_nodes": bad,
-                "max_log_ratio": float(np.max(log_ratio)),
-                "min_log_ratio": float(np.min(log_ratio)),
-            },
-        )
-    return nodes, weights, integrand
+def _categorical_form(spec: FDivergenceSpec):
+    """The categorical form of ``D_f``: the exact sum over the outcomes of
+    ``p f(q/p)``, or with ``grad`` its derivatives ``p g(q/p)`` in ``log p``;
+    raises :class:`NumericError` where a term is not finite."""
+    def form(s1: CategoricalState, s2: CategoricalState, grad: bool = False):
+        logp, logq = s1.logs, s2.logs
+        # Overflow is expected for divergent pairs; it is detected by the
+        # finiteness check below, not by warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (spec.g if grad else spec.f)(logp, logq)
+        if not np.all(np.isfinite(terms)):
+            bad = int(np.sum(~np.isfinite(terms)))
+            log_ratio = logq - logp
+            raise NumericError(
+                f"{spec.name} sum produced {bad} non-finite terms over {len(terms)} outcomes",
+                diagnostics={
+                    "non_finite_nodes": bad,
+                    "max_log_ratio": float(np.max(log_ratio)),
+                    "min_log_ratio": float(np.min(log_ratio)),
+                },
+            )
+        return terms if grad else float(terms.sum())
+    return form
 
 
 def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> float:
@@ -302,32 +295,22 @@ def _clamp_divergence(value: float, spec: FDivergenceSpec, family: Family) -> fl
 
 
 class FDivergence(Similarity):
-    """D_f from the distribution at ``target`` to the one at ``theta``.
-
-    Every Gaussian family has a closed form for each of the four registered
-    divergences, in ``_GAUSSIAN_FORMS``.  Otherwise the value sums ``p
-    f(q/p)``, and the gradient ``p score g(q/p)``, exactly over the finite
-    support of ``Family._window_logs``, where a categorical point keeps its
-    log-probabilities; a family with neither raises :class:`CapabilityError`.
-    """
+    """D_f from the distribution at ``target`` to the one at ``theta``: the
+    Gaussian form of the divergence in ``_GAUSSIAN_FORMS``, or the exact sum
+    over the outcomes of a categorical family."""
 
     def __init__(self, spec: FDivergenceSpec):
         self.spec = spec
         self.name = spec.name
+        self.forms = {GaussianState: _GAUSSIAN_FORMS.get(spec.name),
+                      CategoricalState: _categorical_form(spec)}
 
     def local_hessian(self, family, theta, u=None):
         return f_div_local_hessian(self.spec, family, theta)
 
     def _cost(self, family, theta, target, grad):
-        spec = self.spec
-        result = _gaussian_form(_GAUSSIAN_FORMS.get(spec.name), family, theta, target, grad)
-        if result is not None:
-            return result if grad else _clamp_divergence(result, spec, family)
-        nodes, weights, integrand = _window_integrand(
-            spec, family, theta, target, spec.g if grad else spec.f)
-        if grad:
-            return (weights * integrand) @ family.score(theta, nodes)
-        return _clamp_divergence(float(weights @ integrand), spec, family)
+        result = super()._cost(family, theta, target, grad)
+        return result if grad else _clamp_divergence(result, self.spec, family)
 
 
 # -- Wasserstein distances ------------------------------------------------------
@@ -372,7 +355,7 @@ class WassersteinP(Similarity):
 
 
 def _half_w2(s1: GaussianState, s2: GaussianState, grad: bool = False):
-    """The form (see :func:`_gaussian_form`) of ``W2^2 / 2``, where ``W2^2 =
+    """The Gaussian form (see :class:`Similarity`) of ``W2^2 / 2``, where ``W2^2 =
     |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S2^1/2 S1 S2^1/2)^1/2)``, with the SVD
     ``L1^T L2 = U diag(s) V^T``::
 
@@ -394,15 +377,10 @@ class SquaredW2Gaussian(Similarity):
     """Half the squared 2-Wasserstein distance between Gaussians, closed form."""
 
     name = "w2_gaussian"
+    forms = {GaussianState: _half_w2}
 
     def local_hessian(self, family, theta, u=None):
         return w2_local_hessian_gaussian(family, theta)
-
-    def _cost(self, family, theta, target, grad):
-        result = _gaussian_form(_half_w2, family, theta, target, grad)
-        if result is None:
-            raise CapabilityError(f"{family.name} is not Gaussian; w2_gaussian does not apply")
-        return result
 
 
 # -- Fisher-Rao geometry on the simplex ------------------------------------------
@@ -422,31 +400,30 @@ def _fisher_rao_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(4.0 * np.arcsin(min(0.5 * chord, 1.0)))
 
 
+def _half_fisher_rao2(s1: CategoricalState, s2: CategoricalState, grad: bool = False):
+    """The categorical form of ``d^2 / 2``, ``d`` the Fisher-Rao distance.
+    With ``B = sum sqrt(p q) = cos(d/2)``, ``dd/dlog p_i = -sqrt(p_i q_i) /
+    sin(d/2)``, so ``d(d^2 / 2)/dlog p_i = -d / sin(d/2) sqrt(p_i q_i)``, and
+    ``d / sin(d/2) -> 2`` at 0."""
+    p, q = s1.probs, s2.probs
+    if not (p.all() and q.all()):  # extreme logits; a line search must be able to catch this
+        raise NumericError("softmax underflowed to a zero probability",
+                           {"probabilities": p, "target_probabilities": q})
+    d = _fisher_rao_distance(p, q)
+    if not grad:
+        return 0.5 * d * d
+    factor = 2.0 if d < 1e-8 else d / np.sin(0.5 * d)
+    return -factor * np.sqrt(p * q)
+
+
 class SquaredFisherRaoCategorical(Similarity):
     """Half the squared Fisher-Rao distance between categorical distributions."""
 
     name = "fisher_rao2"
+    forms = {CategoricalState: _half_fisher_rao2}
 
     def local_hessian(self, family, theta, u=None):
         return pullback_fisher_categorical(family, theta)
-
-    def _cost(self, family, theta, target, grad):
-        if not isinstance(family, CategoricalSoftmax):
-            raise CapabilityError(
-                f"fisher_rao2 is defined for categorical families, not {family.name}"
-            )
-        p, q = family.probabilities(theta), family.probabilities(target)
-        if not (p.all() and q.all()):  # extreme logits; a line search must be able to catch this
-            raise NumericError("softmax underflowed to a zero probability",
-                               {"theta": theta.theta, "target": target.theta})
-        d = _fisher_rao_distance(p, q)
-        if not grad:
-            return 0.5 * d * d
-        # d(half d^2) = d * dd; with B = sum sqrt(pq) = cos(d/2),
-        # dd/dp_i = -sqrt(q_i/p_i) / sin(d/2), and d / sin(d/2) -> 2 at 0.
-        factor = 2.0 if d < 1e-8 else d / np.sin(0.5 * d)
-        grad_p = -factor * np.sqrt(q / p)
-        return family.softmax_jacobian(theta).T @ grad_p
 
 
 # -- debug similarity -------------------------------------------------------------
@@ -503,11 +480,21 @@ def _own_metric(sim_id: str, arg: str = ""):
     return sim.local_hessian
 
 
-# Builders ``build([arg])`` of a ``local_hessian(family, theta, u=None)``, keyed by metric id.
+def _f_div_metric(name: str):
+    """The own metric of ``name``, which ``fdiv:`` takes from ``F_DIVERGENCES`` only."""
+    if name not in F_DIVERGENCES:
+        raise ValueError(f"{name!r} is no f-divergence; valid f-divergences: "
+                         f"{', '.join(F_DIVERGENCES)}")
+    return _own_metric(name)
+
+
+# Builders ``build([arg])`` of a ``local_hessian(family, theta, u=None)``, keyed
+# by metric id; ``fdiv:{name}`` keeps its place among the aliases.
 _METRIC_BUILDERS = {
     **{key: partial(_own_metric, key) for key in SIMILARITIES},
     "fd:{similarity}": lambda sim_id: partial(Similarity.local_hessian, get_similarity(sim_id)),
     **{alias: partial(_own_metric, sim_id) for alias, sim_id in METRIC_ALIASES.items()},
+    "fdiv:{name}": _f_div_metric,
 }
 
 

@@ -85,6 +85,17 @@ def mvn_theta(mean, cov):
     return np.concatenate([np.asarray(mean, dtype=float), L[np.tril_indices(len(L))]])
 
 
+def accepts(family, theta) -> bool:
+    """Whether ``family.check_point`` accepts ``theta``."""
+    from natgrad.errors import InvalidParameterError
+
+    try:
+        family.check_point(theta)
+    except InvalidParameterError:
+        return False
+    return True
+
+
 def power_law_family():
     """Test-only family with density a * x^(a-1) on (0, 1).
 

@@ -73,8 +73,8 @@ def test_finite_difference_gradients_only_back_family_defaults():
 
 
 def test_no_discrete_or_closed_form_fisher_flags():
-    # Every sample-space sum goes through Family._window_logs, and every
-    # Fisher matrix through Family.fisher; no flag may select a second route.
+    # Every f-divergence is a form over the point states, and every Fisher
+    # matrix goes through Family.fisher; no flag may select a second route.
     flags = {"is_discrete", "has_closed_form_fisher"}
     users = sorted(p.name for p in SRC.glob("*.py") if flags & _names(p))
     assert users == []
@@ -154,15 +154,42 @@ def _called(path: Path) -> set[str]:
 
 
 def test_every_fisher_matrix_and_fdivergence_is_closed_form_or_an_exact_sum():
-    # Family._window_logs, a finite support with unit weights, is the one
-    # sample-space hook; no family builds a quadrature rule over a quantile
-    # window.  Only validate integrates in sample space, as a reference for
-    # the closed form of KL.
+    # A categorical f-divergence sums over the outcomes its point states
+    # keep; no family builds a quadrature rule over a quantile window.  Only
+    # validate integrates in sample space, as a reference for the closed
+    # form of KL.
     assert sorted(p.name for p in SRC.glob("*.py")
                   if "window_rule" in _defined(p) | _names(p)) == []
     assert {"composite_legendre", "DEFAULT_TAIL_MASS"} & _names(SRC / "families.py") == set()
     callers = sorted(p.name for p in SRC.glob("*.py") if "composite_legendre" in _called(p))
     assert callers == ["validation.py"]
+
+
+def test_closed_form_similarities_read_point_states_only():
+    # similarity.py reads distributions through the states its points keep:
+    # it calls no sample-space operation of a family, passes no family class
+    # to isinstance, raises CapabilityError in the one dispatcher, and keys
+    # its forms by the two state types.
+    path = SRC / "similarity.py"
+    tree = ast.parse(path.read_text())
+    sample_space = {"score", "log_density", "cdf", "quantile", "dcdf_dtheta", "sample",
+                    "_window_logs"}
+    assert sample_space & _called(path) == set()
+    family_classes = {name for name, obj in vars(natgrad.families).items()
+                      if inspect.isclass(obj) and issubclass(obj, Family)}
+    checked = {getattr(n, "id", getattr(n, "attr", None))
+               for call in ast.walk(tree) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "isinstance"
+               for n in ast.walk(call.args[1])}
+    assert checked & family_classes == set()
+    raised = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and getattr(getattr(node.exc, "func", None), "id", None) == "CapabilityError"]
+    assert len(raised) == 1
+    keys = {getattr(key, "id", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", getattr(t, "attr", None)) == "forms" for t in node.targets)
+            for key in node.value.keys}
+    assert keys == {"GaussianState", "CategoricalState"}
 
 
 def _class_methods(path: Path) -> dict[str, dict[str, ast.FunctionDef]]:
@@ -193,7 +220,7 @@ def test_each_family_fact_has_one_route():
     assert definers == ["families.py:Family"]
     fisher = classes["Family"]["fisher"]
     named = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(fisher)}
-    assert {"_window_logs", "score"} & named == set()
+    assert {"log_density", "score"} & named == set()
     # optimize decides each iteration's status in one chain: one record, one trace.
     optimize_def = next(node for node in ast.parse((SRC / "optimizer.py").read_text()).body
                         if isinstance(node, ast.FunctionDef) and node.name == "optimize")
@@ -327,7 +354,6 @@ def _family_ops(family, theta):
     ops = {
         "check_point": lambda: family.check_point(theta),
         "point": lambda: family.point(theta),
-        "in_domain": lambda: family.in_domain(theta),
         "log_density": lambda: family.log_density(theta, x),
         "score": lambda: family.score(theta, x),
         "cdf": lambda: family.cdf(theta, x),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from natgrad.families import (
     Gaussian1D,
     GpPriorEq,
     MultivariateNormalLogCholesky,
+    get_family,
 )
 from natgrad.metric import (
     FD_EPS_LADDER,
@@ -805,3 +807,62 @@ def test_resolve_bad_arguments():
                 resolve_metric_engine(metric_id, GAUSS)
     with pytest.raises(ConfigError):
         resolve_metric_engine("fd:nonsense", GAUSS)
+
+
+@pytest.mark.parametrize("name", ["wasserstein:3", "sq_euclidean", "fisher_rao2"])
+def test_fdiv_takes_f_divergence_names_only(name):
+    # Each once built an engine: the W3 metric, the identity, and a
+    # Fisher-Rao metric that raised on every call on gaussian1d.
+    with pytest.raises(ConfigError) as info:
+        resolve_metric_engine(f"fdiv:{name}", GAUSS)
+    assert str(info.value).endswith("valid f-divergences: " + ", ".join(F_DIVERGENCES))
+    for spec in F_DIVERGENCES.values():
+        engine = resolve_metric_engine(f"fdiv:{spec.name}", GAUSS)
+        assert engine.name == f"fdiv:{spec.name}"
+        expected = f_div_local_hessian(spec, GAUSS, (0.3, 1.2)).matrix
+        assert engine((0.3, 1.2)).matrix.tobytes() == expected.tobytes()
+
+
+# -- the metric as the limit of a proximal step ---------------------------------------
+
+PROXIMAL_LAMBDAS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+# Left out: gp_prior_eq, where at cond(G) ~ 80 the root search leaves the
+# domain, and the categoricals, whose metric is singular along the all-ones
+# (gauge) direction, so G^-1 g is not defined.
+PROXIMAL_PAIRS = [(sim_id, family_id) for sim_id in ("kl", "reverse_kl", "chi2", "hellinger2",
+                                                     "w2_gaussian")
+                  for family_id in ("gaussian1d", "mvn_lcholesky:2")]
+PROXIMAL_PAIRS.append(("wasserstein:2", "gaussian1d"))
+# c(theta + delta, theta) is exactly quadratic in delta: W2 between 1-D
+# Gaussians is |(dmu, dsigma)|, on the quantile grid as in closed form.
+PROXIMAL_QUADRATIC = {("wasserstein:2", "gaussian1d"), ("w2_gaussian", "gaussian1d")}
+
+
+@pytest.mark.parametrize("sim_id, family_id", PROXIMAL_PAIRS)
+def test_natural_gradient_step_is_the_small_step_limit_of_the_proximal_step(sim_id, family_id):
+    # argmin_delta <g, delta> + c(theta + delta, theta) / lambda solves
+    # g + grad_1 c(theta + delta, theta) / lambda = 0; as lambda -> 0,
+    # delta / lambda -> -G^-1 g with G the similarity's own metric, and the
+    # error is O(lambda): it halves as lambda halves.
+    family, sim = get_family(family_id), get_similarity(sim_id)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        theta = rng.uniform(-0.5, 0.5, family.param_dim)
+        if family_id == "gaussian1d":
+            theta[1] = rng.uniform(0.5, 2.0)
+        theta = family.point(theta)
+        G = sim.local_hessian(family, theta).matrix
+        g = rng.normal(size=family.param_dim)
+        g /= np.linalg.norm(np.linalg.solve(G, g))
+        step = np.linalg.solve(G, g)  # |step| = 1
+        errors = []
+        for lam in PROXIMAL_LAMBDAS:
+            res = scipy.optimize.root(
+                lambda d: g + sim.grad_theta(family, theta.theta + d, theta) / lam, -lam * step)
+            assert res.success, res.message
+            errors.append(np.linalg.norm(res.x / lam + step))
+        if (sim_id, family_id) in PROXIMAL_QUADRATIC:
+            assert max(errors) < 1e-10
+        else:
+            ratios = np.array(errors[:-1]) / errors[1:]
+            assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios

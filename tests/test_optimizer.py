@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import natgrad.metric
+from conftest import accepts
 import natgrad.optimizer
 from natgrad.errors import ConfigError, DivergenceInfiniteError, NumericError
 from natgrad.families import (
@@ -797,7 +798,7 @@ def test_accepted_line_search_cost_is_not_evaluated_again(monkeypatch):
     assert trace.status == "converged_grad"
     assert sum(accepted) == trace.iterations >= 3
     # A trial outside the domain (sigma <= 0 here) is rejected before the cost.
-    inside = [t for t in trials if GAUSS.in_domain(t)]
+    inside = [t for t in trials if accepts(GAUSS, t)]
     assert len(inside) < len(trials)
     assert len(evaluated) == 1 + len(inside)  # the start, then one per trial inside
     assert len(set(evaluated)) == len(evaluated)

@@ -17,6 +17,7 @@ from natgrad.errors import (
 )
 from natgrad.families import (
     CategoricalSoftmax,
+    CategoricalState,
     Dataset,
     Gaussian1D,
     GaussianState,
@@ -200,13 +201,14 @@ def test_chi2_closed_form_where_the_window_truncates_and_descent_converges():
 
 @pytest.mark.parametrize("family", [GAUSS, MultivariateNormalLogCholesky(2)], ids=lambda f: f.name)
 @pytest.mark.parametrize("sim_id", ["chi2", "hellinger2"])
-def test_gaussian_alpha_divergence_runs_build_no_window(family, sim_id, monkeypatch):
-    calls, real = [], natgrad.families.Family._window_logs
-    monkeypatch.setattr(natgrad.families.Family, "_window_logs",
-                        lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+def test_gaussian_alpha_divergence_runs_use_no_categorical_sum(family, sim_id, monkeypatch):
+    sim = get_similarity(sim_id)
+    calls, real = [], sim.forms[CategoricalState]
+    monkeypatch.setitem(sim.forms, CategoricalState,
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     theta0 = np.linspace(0.4, 1.2, family.param_dim)
     target = theta0 - np.linspace(0.3, -0.2, family.param_dim)
-    trace = optimize(family, get_similarity(sim_id), theta0, target, OptimizerConfig())
+    trace = optimize(family, sim, theta0, target, OptimizerConfig())
     assert trace.status == "converged_grad" and trace.final_cost < 1e-12
     assert calls == []
 
@@ -719,10 +721,19 @@ def test_fdivergence_value_and_gradient_share_the_log_densities_kept_on_the_poin
         assert sim.evaluate(family, np.array(theta), np.array(target)) == value
         fresh = sim.grad_theta(family, np.array(theta), np.array(target))
         assert fresh.tobytes() == grad.tobytes()
+    # The categorical form reads the states kept on the points, and its value
+    # is the sum over all three outcomes with unit weights.
     p, q = (CAT3.point(t) for t in ([0.2, -0.1, 0.4], [-0.3, 0.5, 0.0]))
-    nodes, weights, (logp, logq) = CAT3._window_logs([p, q])
-    assert logp is p.state()[1] and logq is q.state()[1]
-    assert nodes.tolist() == [0, 1, 2] and weights.tolist() == [1.0, 1.0, 1.0]
+    sim, seen = get_similarity(name), []
+    real = sim.forms[CategoricalState]
+    monkeypatch.setitem(sim.forms, CategoricalState,
+                        lambda s1, s2, grad: seen.append((s1, s2)) or real(s1, s2, grad))
+    value = sim.evaluate(CAT3, p, q)
+    sim.grad_theta(CAT3, p, q)
+    assert len(seen) == 2 and all(s1 is p.state() and s2 is q.state() for s1, s2 in seen)
+    logp, logq = p.state().logs, q.state().logs
+    assert len(logp) == len(logq) == 3
+    assert value == float(np.ones(3) @ sim.spec.f(logp, logq))
 
 
 def test_similarity_base_has_no_finite_difference_gradient():
@@ -732,7 +743,7 @@ def test_similarity_base_has_no_finite_difference_gradient():
         def evaluate(self, family, theta, target):
             return 0.0
 
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(CapabilityError, match="value_only has no closed form on gaussian1d"):
         ValueOnly().grad_theta(GAUSS, (0.0, 1.0), (0.0, 1.0))
 
 
