@@ -130,7 +130,9 @@ def cmd_hessian(args) -> int:
     for row in hessian.matrix:
         print("[" + ", ".join(f"{v:.12g}" for v in row) + "]")
     if args.check:
-        fd = fd_local_hessian(sim, family, theta, direction)
+        # The fd:{similarity} route (Similarity.local_hessian): along the
+        # direction for a directional cost only.
+        fd = fd_local_hessian(sim, family, theta, direction if sim.directional else None)
         deviation = float(np.max(np.abs(hessian.matrix - fd.matrix)))
         print(f"max deviation from finite differences: {deviation:.6e}")
     return EXIT_OK

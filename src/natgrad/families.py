@@ -113,17 +113,23 @@ class Dataset:
 class GaussianState(NamedTuple):
     """A Gaussian family member at one validated point ``theta``.
 
-    ``mean``, ``cov`` and its lower Cholesky factor ``chol`` are always
-    set.  ``inv`` (the covariance inverse, from the factor) and the moment
-    derivatives ``dmu`` of shape ``(param_dim, d)`` and ``dcov`` of shape
-    ``(param_dim, d, d)`` are None until a caller asks for them: line-search
-    trials need only the factor.  Every array is read-only.
+    ``mean``, ``cov``, its lower Cholesky factor ``chol`` and ``log_det``,
+    ``log|cov|``, are always set.  ``inv`` (the covariance inverse, from the
+    factor) and the moment derivatives ``dmu`` of shape ``(param_dim, d)``
+    and ``dcov`` of shape ``(param_dim, d, d)`` are None until a caller asks
+    for them: line-search trials need only the factor.  Every array is
+    read-only.  ``memo`` is the one slot that is written: a one-item list
+    that keeps the latest alpha-integral taken from this state, with the
+    factor of its weighted covariance (``similarity._alpha_integral``); the
+    state ``with_derivs`` makes shares it.
     """
 
     theta: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
     chol: np.ndarray
+    log_det: float
+    memo: list
     inv: Optional[np.ndarray] = None
     dmu: Optional[np.ndarray] = None
     dcov: Optional[np.ndarray] = None
@@ -149,7 +155,7 @@ class GaussianState(NamedTuple):
                 f"covariance is not positive definite: dpotrf info {info}",
                 diagnostics={"theta": theta},
             )
-        return cls(*_read_only(theta, mean, cov, chol))
+        return cls(*_read_only(theta, mean, cov, chol), _log_det(chol), [None])
 
     def with_derivs(self, dmu: np.ndarray, dcov: np.ndarray) -> "GaussianState":
         """This state plus the covariance inverse and the given derivatives."""
@@ -166,6 +172,11 @@ class GaussianState(NamedTuple):
         ``derivs = (d_mean, d_cov)``; the state needs its moment derivatives."""
         d_mean, d_cov = derivs
         return self.dmu @ d_mean + self.dcov.reshape(len(self.dcov), -1) @ d_cov.ravel()
+
+
+def _log_det(chol: np.ndarray) -> float:
+    """``log|S|`` from the lower Cholesky factor of ``S``."""
+    return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 class CategoricalState(NamedTuple):
@@ -312,7 +323,7 @@ class Family(ABC):
         L = state.chol
         w, _ = dtrtrs(L, (xs - state.mean).T, lower=1)  # info flags a zero pivot; L has none
         maha = np.einsum("ij,ij->j", w, w)  # squared whitened residuals, one per sample
-        out = -0.5 * len(L) * LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * maha
+        out = -0.5 * len(L) * LOG_2PI - 0.5 * state.log_det - 0.5 * maha
         return out[0] if single else out
 
     def score(self, theta, x) -> np.ndarray:
@@ -633,21 +644,24 @@ class GpPriorEq(Family):
     def _gaussian_state(self, theta):
         log_amp, log_ls, log_noise = theta
         K = _eq_kernel(self._sqdist, log_amp, log_ls)
-        K = K + np.exp(2.0 * log_noise) * np.eye(self.sample_dim)
+        K.ravel()[:: self.sample_dim + 1] += np.exp(2.0 * log_noise)
         return GaussianState.factor(theta, np.zeros(self.sample_dim), K)
 
     def _moment_derivs(self, state):
         log_amp, log_ls, log_noise = state.theta
-        # The kernel part of the covariance, exactly: the noise sits on the
-        # diagonal only, where the kernel is exactly a^2.  Where the kernel
-        # underflows to 0, so does its length-scale derivative (not 0 * inf).
-        K_eq = state.cov.copy()
+        # One stack (d amplitude, d length-scale, d noise).  The kernel part
+        # of the covariance, exactly: the noise sits on the diagonal only,
+        # where the kernel is exactly a^2.  Where the kernel underflows to 0,
+        # so does its length-scale derivative (not 0 * inf).
+        dcov = np.zeros((self.param_dim, self.sample_dim, self.sample_dim))
+        K_eq, d_ls, d_noise = dcov
+        K_eq[...] = state.cov
         np.fill_diagonal(K_eq, np.exp(2.0 * log_amp))
         with np.errstate(over="ignore", invalid="ignore"):
-            d_ls = np.where(K_eq > 0.0, K_eq * (self._sqdist / np.exp(2.0 * log_ls)), 0.0)
-        return np.zeros((self.param_dim, self.sample_dim)), np.stack([
-            2.0 * K_eq, d_ls, 2.0 * np.exp(2.0 * log_noise) * np.eye(self.sample_dim),
-        ])
+            np.multiply(K_eq, self._sqdist / np.exp(2.0 * log_ls), out=d_ls, where=K_eq > 0.0)
+        np.fill_diagonal(d_noise, 2.0 * np.exp(2.0 * log_noise))
+        K_eq *= 2.0
+        return np.zeros((self.param_dim, self.sample_dim)), dcov
 
 
 # A registry key is ``name`` (no argument), ``name[:arg]`` (an optional one)

@@ -83,11 +83,12 @@ class LocalHessian:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise NumericError("local Hessian contains non-finite entries")
         if self.provenance not in ("analytic", "finite_difference", "pullback"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        m = 0.5 * (m + m.T)
+        m = m + m.T
+        m *= 0.5
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -320,26 +321,29 @@ def spd_project(hessian, tau_min: Optional[float] = None) -> LocalHessian:
 
     Accepts a matrix or a :class:`LocalHessian`; metadata is carried over
     and the shift is added to ``regularization_added``.  A Cholesky probe
-    comes first: where ``H - tau I`` factors, the spectrum already clears
-    the floor and ``H`` is returned as it is; only where it does not is the
-    smallest eigenvalue computed, and the shift is ``tau - eigmin``.
+    comes first, of ``H - tau I`` made on a copy of ``H`` whose diagonal is
+    shifted in place: where it factors, the spectrum already clears the
+    floor and ``H`` is returned as it is; only where it does not is the
+    smallest eigenvalue computed, and the shift is ``tau - eigmin``, added
+    to the diagonal of one more copy.
     """
     if isinstance(hessian, LocalHessian):
         base = hessian
     else:
         base = LocalHessian(np.asarray(hessian, dtype=float))
     tau = default_damping(base.matrix) if tau_min is None else float(tau_min)
-    if dpotrf(base.matrix - tau * np.eye(base.dim), lower=1)[1] == 0:
+    shifted = base.matrix.copy()
+    shifted.ravel()[:: base.dim + 1] -= tau
+    # H is symmetric: dpotrf factors the transpose, a Fortran array, in place.
+    if dpotrf(shifted.T, lower=1, overwrite_a=1)[1] == 0:
         return base
     eigmin = float(np.linalg.eigvalsh(base.matrix)[0])
     if eigmin >= tau:
         return base
     shift = tau - eigmin
-    return replace(
-        base,
-        matrix=base.matrix + shift * np.eye(base.dim),
-        regularization_added=base.regularization_added + shift,
-    )
+    shifted = base.matrix.copy()
+    shifted.ravel()[:: base.dim + 1] += shift
+    return replace(base, matrix=shifted, regularization_added=base.regularization_added + shift)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ that iteration, which is not convergence.
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -199,7 +200,7 @@ def _solve_step(hessian: LocalHessian, grad: np.ndarray, damping) -> tuple[np.nd
             "array is not positive definite"
         )
     v, _ = dpotrs(chol, -grad, lower=1)  # info flags bad arguments only
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError("metric solve produced non-finite step")
     return v, projected.regularization_added
 
@@ -220,8 +221,8 @@ def natural_gradient_step(
     H = metric_engine(theta, -g)
     v, added = _solve_step(H, g, damping)
     return np.asarray(theta, dtype=float) + v, {
-        "grad_norm": float(np.linalg.norm(g)),
-        "step_norm": float(np.linalg.norm(v)),
+        "grad_norm": math.sqrt(g @ g),
+        "step_norm": math.sqrt(v @ v),
         "damping": added,
     }
 
@@ -274,7 +275,7 @@ def backtracking_line_search(
             candidate = value(theta + alpha * direction)
         except NatgradError:
             candidate = float("inf")
-        if not np.isfinite(candidate):
+        if not math.isfinite(candidate):
             alpha *= SHRINK
         elif candidate <= cost0 + ARMIJO_C1 * alpha * slope:
             return alpha, ""
@@ -347,8 +348,8 @@ def optimize(
         except NatgradError as exc:
             status, reason = "numeric_failure", _error_reason(exc)
             break
-        gn = float(np.linalg.norm(g))
-        if not (np.isfinite(cost) and np.all(np.isfinite(g))):
+        gn = math.sqrt(g @ g)  # np.linalg.norm's sum on a vector, without its checks
+        if not (math.isfinite(cost) and np.isfinite(g).all()):
             status, reason = "numeric_failure", "non-finite cost or gradient"
         elif gn < config.grad_tol:
             status = "converged_grad"
@@ -369,7 +370,8 @@ def optimize(
                     reason = (f"line search ({flag}) accepted no step down to the step floor "
                               f"{ALPHA_FLOOR:g}")
                 else:
-                    step = float(np.linalg.norm(alpha * v))
+                    v *= alpha
+                    step = math.sqrt(v @ v)
         records.append(StepRecord(it, cost, gn, step, float(added), time.perf_counter() - start))
         if status:
             break

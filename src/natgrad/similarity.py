@@ -27,7 +27,9 @@ the base ``_cost`` pulls back to ``theta`` with ``s1.pull``.  A state type
 without a form raises :class:`CapabilityError`, in that one place.  A
 Gaussian form reads the Cholesky factors of the two states: KL, reverse KL
 and ``W2^2`` as sums of non-negative terms, exact near coincidence,
-chi-squared and squared Hellinger through an alpha-integral.  A categorical
+chi-squared and squared Hellinger through an alpha-integral, whose value and
+gradient at one point and target share one factorization (kept on the
+state of ``theta``, ``GaussianState.memo``).  A categorical
 form reads the probabilities and log-probabilities and forms no ratio
 ``q/p``.  1-D transport and the debug Euclidean cost implement ``_cost``
 themselves, from the quantiles and quantile velocities each point keeps
@@ -55,7 +57,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from .errors import CapabilityError, ConfigError, DivergenceInfiniteError, NumericError
-from .families import CategoricalState, Dataset, Family, GaussianState, resolve_id
+from .families import CategoricalState, Dataset, Family, GaussianState, _log_det, resolve_id
 from .metric import (LocalHessian, MetricEngine, f_div_local_hessian, fd_local_hessian,
                      pullback_fisher_categorical, w2_local_hessian_gaussian, wp_local_hessian_1d)
 from .quadrature import unit_interval_grid
@@ -221,26 +223,27 @@ def _alpha_integral(s1: GaussianState, s2: GaussianState, alpha: float, grad: bo
         integral diverges.
     """
     c = alpha * (1.0 - alpha)
-    chol, info = dpotrf(alpha * s1.cov + (1.0 - alpha) * s2.cov, lower=1, clean=1)
-    if info != 0:
-        raise DivergenceInfiniteError(
-            f"the alpha-integral at alpha={alpha:g} diverges: the weighted covariance "
-            f"is not positive definite (dpotrf info {info})")
-    # M^-1 = L^-T L^-1 through dtrtri, not dpotri (see GaussianState.with_derivs).
-    chol_inv, _ = dtrtri(chol, lower=1)  # info flags a zero pivot; chol has none
-    w = chol_inv @ (s1.mean - s2.mean)
-    log_i = (alpha * _log_det(s1.chol) + (1.0 - alpha) * _log_det(s2.chol)
-             - _log_det(chol) - c * (w @ w)) / 2.0
+    # (target factor, alpha, log I, L^-1, w) of the latest integral from s1,
+    # M = L L^T: a gradient at an accepted line-search trial reads its value's.
+    memo = s1.memo[0]
+    if memo is None or memo[0] is not s2.chol or memo[1] != alpha:
+        chol, info = dpotrf(alpha * s1.cov + (1.0 - alpha) * s2.cov, lower=1, clean=1)
+        if info != 0:
+            raise DivergenceInfiniteError(
+                f"the alpha-integral at alpha={alpha:g} diverges: the weighted covariance "
+                f"is not positive definite (dpotrf info {info})")
+        # M^-1 = L^-T L^-1 through dtrtri, not dpotri (see GaussianState.with_derivs).
+        chol_inv, _ = dtrtri(chol, lower=1)  # info flags a zero pivot; chol has none
+        w = chol_inv @ (s1.mean - s2.mean)
+        log_i = (alpha * s1.log_det + (1.0 - alpha) * s2.log_det
+                 - _log_det(chol) - c * (w @ w)) / 2.0
+        memo = s1.memo[0] = (s2.chol, alpha, log_i, chol_inv, w)
+    _, _, log_i, chol_inv, w = memo
     if not grad:
         return log_i, None
     i, a = np.exp(log_i), chol_inv.T @ w
     d_cov = 0.5 * alpha * i * (s1.inv - chol_inv.T @ chol_inv + c * np.outer(a, a))
     return log_i, (-c * i * a, d_cov)
-
-
-def _log_det(chol: np.ndarray) -> float:
-    """``log|S|`` from the lower Cholesky factor of ``S``."""
-    return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 def _alpha_form(alpha: float, scale: float):

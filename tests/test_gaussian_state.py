@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import accepts
+import natgrad.families
+import natgrad.similarity
 from natgrad.errors import NumericError
 from natgrad.families import (
     CategoricalSoftmax,
@@ -38,6 +40,7 @@ FACTORIES = {
 }
 
 TWO_POINT_COSTS = ("kl", "reverse_kl", "w2_gaussian")
+GAUSSIAN_FORMS = ("kl", "reverse_kl", "chi2", "hellinger2", "w2_gaussian")
 
 
 @st.composite
@@ -143,6 +146,48 @@ def _fixed_point(family):
     return np.linspace(-0.6, 0.4, family.param_dim)
 
 
+def _near_target(theta):
+    """A target close to ``theta``, narrower than it, so that chi2 is finite."""
+    return theta - 0.05 * np.cos(np.arange(theta.size)) ** 2
+
+
+@pytest.mark.parametrize("name", FACTORIES)
+def test_the_state_keeps_its_log_determinant_through_the_derivatives(name):
+    family = FACTORIES[name]()
+    theta = _fixed_point(family)
+    point = family.point(theta)
+    state = point.state()
+    assert isinstance(state.log_det, float)
+    assert state.log_det == 2.0 * float(np.log(state.chol.diagonal()).sum())
+    np.testing.assert_allclose(state.log_det, np.linalg.slogdet(state.cov)[1], rtol=1e-12)
+    derived = point.state(derivs=True)
+    assert derived is not state and derived.log_det == state.log_det
+    assert derived.memo is state.memo  # what the state keeps stays with it
+
+
+@pytest.mark.parametrize("sim_id", GAUSSIAN_FORMS)
+@pytest.mark.parametrize("name", FACTORIES)
+def test_a_gradient_after_the_value_has_the_bits_of_a_fresh_one(name, sim_id):
+    # A line-search trial's value comes first and its gradient next, at one
+    # point; the gradient must not depend on that order.  The same point
+    # against two targets, and chi2 next to hellinger2 (another alpha), must
+    # not hand one integral's factor to the other.
+    family, sim, other = FACTORIES[name](), get_similarity(sim_id), get_similarity("hellinger2")
+    theta = _fixed_point(family)
+    target, far = _near_target(theta), _near_target(_near_target(theta))
+    point, held, held_far = (family.point(t) for t in (theta, target, far))
+    value = sim.evaluate(family, point, held)
+    fresh = FACTORIES[name]()
+    _assert_same_bits(value, sim.evaluate(fresh, theta, target), f"{sim_id} value")
+    _assert_same_bits(sim.grad_theta(family, point, held), sim.grad_theta(fresh, theta, target),
+                      f"{sim_id} gradient after its value")
+    other.evaluate(family, point, held)
+    sim.evaluate(family, point, held_far)
+    _assert_same_bits(sim.grad_theta(family, point, held), sim.grad_theta(fresh, theta, target),
+                      f"{sim_id} gradient after other values")
+    _assert_same_bits(sim.evaluate(family, point, held), value, f"{sim_id} value again")
+
+
 def test_a_point_builds_its_state_once_and_keeps_it():
     family = MultivariateNormalLogCholesky(2)
     a = np.full(5, 0.1)
@@ -235,6 +280,44 @@ def test_a_run_against_a_fixed_target_factors_the_target_once(monkeypatch):
     assert trace.status == "converged_grad" and trace.iterations == 7
     assert factored.count(target.tobytes()) == 1
     assert len(factored) == len(set(factored))  # every point once
+
+
+def test_a_chi2_run_factors_one_weighted_covariance_per_cost_evaluation(monkeypatch):
+    # Each cost evaluation factors M = 2 S1 - S2 at a new point; the gradient
+    # at the point the line search accepted reads the factor its value made.
+    # The target's log-determinant is taken once, when its state is built.
+    family, chi2 = Gaussian1D(), get_similarity("chi2")
+    theta0, target = np.array([2.0, 3.0]), np.array([0.0, 1.0])
+    target_chol = family.gaussian_state(target).chol.tobytes()
+    factored, log_dets, evaluated = [], [], []
+    real_dpotrf, real_log_det, real_evaluate = (
+        natgrad.similarity.dpotrf, natgrad.families._log_det, Similarity.evaluate)
+
+    def dpotrf(a, *args, **kwargs):
+        factored.append(np.asarray(a).tobytes())
+        return real_dpotrf(a, *args, **kwargs)
+
+    def log_det(chol):
+        log_dets.append(chol.tobytes())
+        return real_log_det(chol)
+
+    def evaluate(self, fam, theta, target):
+        evaluated.append(np.asarray(theta, dtype=float).tobytes())
+        return real_evaluate(self, fam, theta, target)
+
+    monkeypatch.setattr(natgrad.similarity, "dpotrf", dpotrf)
+    for module in (natgrad.families, natgrad.similarity):
+        monkeypatch.setattr(module, "_log_det", log_det)
+    monkeypatch.setattr(Similarity, "evaluate", evaluate)
+    trace = optimize(family, chi2, theta0, target, OptimizerConfig(metric="fdiv:chi2"))
+    assert trace.status == "converged_grad" and trace.iterations == 8
+    # Nine values (the start and eight accepted trials) and nine gradients.
+    assert len(evaluated) == len(set(evaluated)) == trace.iterations + 1
+    assert len(factored) == len(evaluated)
+    assert log_dets.count(target_chol) == 1
+    # One log-determinant per state (the target and the nine points) and
+    # one per weighted covariance.
+    assert len(log_dets) == 1 + len(evaluated) + len(factored)
 
 
 def test_gp_numeric_failure_raises_every_time_and_leaves_the_next_point_alone():
@@ -403,6 +486,31 @@ def test_an_fdivergence_shared_across_threads_gives_single_thread_bits():
     expected = [results(get_similarity("chi2"), CategoricalSoftmax(3), *pair) for pair in pairs]
     calls = [lambda pair=pair: results(sim, family, *pair) for pair in pairs]
     assert _mismatches_under_threads(calls, expected, steps=600) == []
+
+
+@pytest.mark.parametrize("name", ["gaussian1d", "mvn_lcholesky:2"])
+def test_alpha_integrals_shared_across_threads_give_single_thread_bits(name):
+    # Threads race on the integral each point's state keeps.  One call is a
+    # value and a gradient of chi2 (alpha 2) or hellinger2 (alpha 1/2), one
+    # shared instance each, at one point against one of two targets; threads
+    # in rotating order run neighbouring calls, which share a point and differ
+    # in the target or the alpha, so a gradient that reads another pair's
+    # entry shows.
+    family, sims = FACTORIES[name](), (get_similarity("chi2"), get_similarity("hellinger2"))
+    base = _fixed_point(family)
+    thetas = [base + 0.1 * k for k in range(3)]
+    targets = [_near_target(base), _near_target(_near_target(base))]
+    cases = [(i, sim, j) for i in range(len(thetas)) for sim in sims for j in range(len(targets))]
+
+    def results(sim, fam, theta, target):
+        return sim.evaluate(fam, theta, target), sim.grad_theta(fam, theta, target)
+
+    fresh = FACTORIES[name]()
+    expected = [results(sim, fresh, thetas[i], targets[j]) for i, sim, j in cases]
+    points, held = [family.point(t) for t in thetas], [family.point(t) for t in targets]
+    calls = [lambda i=i, sim=sim, j=j: results(sim, family, points[i], held[j])
+             for i, sim, j in cases]
+    assert _mismatches_under_threads(calls, expected, steps=1500) == []
 
 
 def test_transport_states_shared_across_threads_give_single_thread_bits():
