@@ -8,7 +8,8 @@ Subcommands::
     natgrad bench-gp <config.json>  GP benchmark (its only CLI route)
 
 Exit codes: 0 on success, 1 for configuration errors (with a message
-listing valid identifiers or keys where relevant), 2 for numerical failures
+listing valid identifiers or keys where relevant), a family, similarity
+and metric that cannot run together among them, 2 for numerical failures
 or failed validation checks.  All randomness is seeded from the configs, so
 outputs are deterministic up to wall-time columns.
 """
@@ -28,8 +29,8 @@ from .families import FAMILY_IDS, get_family
 from .gp_bench import BenchmarkConfig, run_benchmark
 from .metric import fd_local_hessian
 from .optimizer import OptimizerConfig, optimize
-from .similarity import (METRIC_ALIASES, SIMILARITY_IDS, get_similarity, own_metric_engine,
-                         resolve_metric_engine)
+from .similarity import (METRIC_ALIASES, SIMILARITY_IDS, get_similarity, metric_similarity,
+                         own_metric_engine, resolve_metric_engine)
 from .validation import run_checks
 
 __all__ = ["main"]
@@ -130,8 +131,9 @@ def cmd_hessian(args) -> int:
     for row in hessian.matrix:
         print("[" + ", ".join(f"{v:.12g}" for v in row) + "]")
     if args.check:
-        # The fd:{similarity} route (Similarity.local_hessian): along the
-        # direction for a directional cost only.
+        # The fd: route (Similarity.local_hessian) of the similarity whose
+        # metric was printed: along the direction for a directional cost only.
+        sim = metric_similarity(args.metric) if args.metric else sim
         fd = fd_local_hessian(sim, family, theta, direction if sim.directional else None)
         deviation = float(np.max(np.abs(hessian.matrix - fd.matrix)))
         print(f"max deviation from finite differences: {deviation:.6e}")

@@ -218,7 +218,9 @@ class Point:
         None for a family with neither."""
         state = self._state
         if state is _UNBUILT:
-            state = self._state = self.family._build_state(self)
+            # An overflowing covariance is GaussianState.factor's NumericError.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                state = self._state = self.family._build_state(self.theta)
         if derivs and isinstance(state, GaussianState) and state.dcov is None:
             state = self._state = state.with_derivs(*self.family._moment_derivs(state))
         return state
@@ -240,14 +242,15 @@ class Family(ABC):
 
     Subclasses set the class attributes below and implement at least
     ``log_density``, ``score`` and ``_in_domain``.  A Gaussian family
-    implements ``_gaussian_state`` and ``_moment_derivs`` instead of
-    ``log_density`` and ``score``; from those the base class derives
-    :meth:`gaussian_state`, the state each :class:`Point` builds once, and
-    from that the log-density, the score, samples and the Fisher matrix.
-    A categorical family builds a :class:`CategoricalState` instead.  The
-    base class has no numeric fallbacks: ``cdf``, ``quantile``,
-    ``dcdf_dtheta``, and ``sample`` and ``fisher`` without a Gaussian state,
-    raise :class:`CapabilityError`.
+    implements ``_build_state``, which returns its :class:`GaussianState`,
+    and ``_moment_derivs`` instead of ``log_density`` and ``score``; from
+    those the base class derives :meth:`gaussian_state`, the state each
+    :class:`Point` builds once, and from that the log-density, the score,
+    samples and the Fisher matrix.  A categorical family builds a
+    :class:`CategoricalState` instead.  The base class has no numeric
+    fallbacks: ``cdf``, ``quantile`` and ``dcdf_dtheta``, and on a family
+    that is not Gaussian ``log_density``, ``score``, ``sample`` and
+    ``fisher`` unless it implements them, raise :class:`CapabilityError`.
 
     An instance is never written to after ``__init__``.  Every operation
     validates its argument once, through :meth:`point`, and passes the
@@ -317,8 +320,6 @@ class Family(ABC):
         families get it from the Cholesky factor of :meth:`gaussian_state`;
         others implement it."""
         state = self.gaussian_state(theta)
-        if state is None:
-            raise NotImplementedError(f"{self.name}: log_density is not implemented")
         xs, single = self._check_x(x)
         L = state.chol
         w, _ = dtrtrs(L, (xs - state.mean).T, lower=1)  # info flags a zero pivot; L has none
@@ -334,8 +335,6 @@ class Family(ABC):
         ``w = S^-1 (x - mu)`` from :meth:`gaussian_state`; others implement it.
         """
         state = self.gaussian_state(theta, derivs=True)
-        if state is None:
-            raise NotImplementedError(f"{self.name}: score is not implemented")
         xs, single = self._check_x(x)
         w = (xs - state.mean) @ state.inv
         dcov = state.dcov
@@ -364,8 +363,6 @@ class Family(ABC):
         A Gaussian family draws ``mean + z L^T``, ``L`` numpy's factor of the
         covariance: seeded draws (the benchmark datasets) must not move."""
         state = self.gaussian_state(theta)
-        if state is None:
-            raise CapabilityError(f"{self.name}: no sampler available")
         z = np.random.default_rng(seed).standard_normal((int(count), self.sample_dim))
         out = state.mean + z @ np.linalg.cholesky(state.cov).T
         return out[:, 0] if self.sample_dim == 1 else out
@@ -373,54 +370,35 @@ class Family(ABC):
     def fisher(self, theta) -> np.ndarray:
         """Fisher information matrix ``E[s s^T]`` of the score ``s``: the
         Gaussian closed form ``dmu_i^T S^-1 dmu_j + 1/2 tr(S^-1 dS_i S^-1 dS_j)``,
-        else the family's own (the softmax Jacobian).
-
-        Raises
-        ------
-        CapabilityError
-            If the family has no Gaussian state and no closed form of its own.
-        """
+        else the family's own (the softmax Jacobian); any other family raises
+        the :class:`CapabilityError` of :meth:`gaussian_state`."""
         state = self.gaussian_state(theta, derivs=True)
-        if state is None:
-            raise CapabilityError(f"{self.name}: no Gaussian state and no finite support")
         sens = state.inv @ state.dcov
         n = len(sens)
         trace_term = sens.reshape(n, -1) @ sens.transpose(0, 2, 1).reshape(n, -1).T
         return state.dmu @ state.inv @ state.dmu.T + 0.5 * trace_term
 
-    def gaussian_state(self, theta, derivs: bool = False) -> Optional[GaussianState]:
-        """The :class:`GaussianState` the point ``theta`` keeps, or None when
-        the family is not Gaussian.  ``derivs=True`` also fills in the
-        covariance inverse and the moment derivatives.
-
-        Lets the family's own operations and the Gaussian metrics recognize
-        a Gaussian family without type checks.
+    def gaussian_state(self, theta, derivs: bool = False) -> GaussianState:
+        """The :class:`GaussianState` the point ``theta`` keeps, which the
+        family's own operations and the Gaussian metrics read.  ``derivs=True``
+        also fills in the covariance inverse and the moment derivatives.
 
         Raises
         ------
+        CapabilityError
+            If the family is not Gaussian.
         InvalidParameterError
             As :meth:`check_point`, for anything but a point of this family.
         NumericError
             Where the covariance is not finite or not positive definite.
         """
         state = self.point(theta).state(derivs)
-        return state if isinstance(state, GaussianState) else None
+        if not isinstance(state, GaussianState):
+            raise CapabilityError(f"{self.name} is not a Gaussian family")
+        return state
 
-    def _build_state(self, point: Point):
-        """The state ``point`` builds on first use (see :meth:`Point.state`):
-        a Gaussian family's :class:`GaussianState`, else None.
-
-        Extreme parameters can overflow the covariance or make it NaN;
-        :meth:`GaussianState.factor` then raises NumericError, so every
-        operation at the point fails alike and line searches treat it as
-        infinitely bad.  The floating-point warnings on the way are that
-        same failure and are not reported again."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return self._gaussian_state(point.theta)
-
-    def _gaussian_state(self, theta: np.ndarray) -> Optional[GaussianState]:
-        """The state at a validated ``theta``; None for a family that is not
-        Gaussian."""
+    def _build_state(self, theta: np.ndarray):
+        """The state :meth:`Point.state` builds at ``theta``; None: it keeps none."""
         return None
 
     def _moment_derivs(self, state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
@@ -485,7 +463,7 @@ class Gaussian1D(Family):
         out = np.stack([-pdf, -z * pdf], axis=-1)
         return out[0] if single else out
 
-    def _gaussian_state(self, theta):
+    def _build_state(self, theta):
         mu, sigma = theta
         return GaussianState.factor(theta, np.array([mu]), np.array([[sigma * sigma]]))
 
@@ -529,7 +507,7 @@ class MultivariateNormalLogCholesky(Family):
         np.fill_diagonal(L, diag)
         return mean, L
 
-    def _gaussian_state(self, theta):
+    def _build_state(self, theta):
         mean, L = self._split(theta)
         return GaussianState.factor(theta, mean, L @ L.T)
 
@@ -592,12 +570,12 @@ class CategoricalSoftmax(Family):
         p = self.probabilities(theta)
         return np.diag(p) - np.outer(p, p)
 
-    def _build_state(self, point):
+    def _build_state(self, theta):
         """The :class:`CategoricalState` of the logits, written out as
         ``scipy.special`` computes them for finite logits, without its
         array-API dispatch, which costs more than the arithmetic on a few
         logits."""
-        shifted = point.theta - point.theta.max()
+        shifted = theta - theta.max()
         e = np.exp(shifted)
         total = e.sum()
         return CategoricalState(*_read_only(e / total, shifted - np.log(total)))
@@ -641,7 +619,7 @@ class GpPriorEq(Family):
         self.sample_dim = int(inputs.size)
         self._sqdist = (inputs[:, None] - inputs[None, :]) ** 2
 
-    def _gaussian_state(self, theta):
+    def _build_state(self, theta):
         log_amp, log_ls, log_noise = theta
         K = _eq_kernel(self._sqdist, log_amp, log_ls)
         K.ravel()[:: self.sample_dim + 1] += np.exp(2.0 * log_noise)

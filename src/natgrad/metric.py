@@ -100,8 +100,9 @@ class LocalHessian:
 def fisher_information(family: Family, theta) -> LocalHessian:
     """Fisher information matrix at ``theta``, :meth:`Family.fisher` as a
     :class:`LocalHessian`: the closed form of a Gaussian or categorical
-    family.  Any other family raises :class:`CapabilityError`;
-    :func:`monte_carlo_fisher` estimates its matrix from samples.
+    family.  Any other family raises the :class:`CapabilityError` of
+    :meth:`Family.gaussian_state`; :func:`monte_carlo_fisher` estimates its
+    matrix from samples.
     """
     return LocalHessian(family.fisher(theta), provenance="analytic")
 
@@ -248,11 +249,10 @@ def w2_local_hessian_gaussian(family: Family, theta) -> LocalHessian:
     The Bures-Wasserstein metric pulled back through the moments:
     ``H_ij = dmu_i . dmu_j + 1/2 sum_ab (U^T dS_i U)_ab (U^T dS_j U)_ab / (l_a + l_b)``
     with ``S = U diag(l) U^T`` (Takatsu 2011; Malago, Montrucchio & Pistone
-    2018).  Needs a Gaussian family (``gaussian_state`` not None).
+    2018).  Needs a Gaussian family (else ``gaussian_state`` raises
+    :class:`CapabilityError`).
     """
     state = family.gaussian_state(theta, derivs=True)
-    if state is None:
-        raise CapabilityError(f"{family.name}: the Gaussian W2 metric needs moment derivatives")
     lam, U = np.linalg.eigh(state.cov)
     rotated = (U.T @ state.dcov @ U) / np.sqrt(lam[:, None] + lam[None, :])
     flat = rotated.reshape(len(rotated), -1)

@@ -20,7 +20,8 @@ with ``status = "numeric_failure"`` on the returned :class:`Trace`, whose
 numeric_failure, converged_grad, converged_cost (a cost change below
 ``COST_TOL``), max_iters; a line search that accepts no step down to the
 step floor ``ALPHA_FLOOR`` ends the run with ``line_search_stalled`` on
-that iteration, which is not convergence.
+that iteration, which is not convergence.  A capability gap is no status:
+it raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NatgradError, NumericError
+from .errors import CapabilityError, ConfigError, NatgradError, NumericError
 from .families import Family, check_setting
 from .metric import MetricEngine, LocalHessian, spd_project
 from .numdiff import central_hessian
@@ -309,7 +310,10 @@ def optimize(
 
     Configuration errors (unknown metric, invalid starting point) do raise,
     since no meaningful Trace exists yet; anything numeric after that is
-    captured in ``Trace.status`` and ``Trace.reason``.  The metric is
+    captured in ``Trace.status`` and ``Trace.reason``.  A capability gap of
+    the cost, its gradient or the metric (no capability depends on ``theta``)
+    raises a :class:`ConfigError` naming the similarity, metric and family
+    before any record.  The metric is
     ``config.metric``, or the similarity's own, ``sim.local_hessian``, when
     that is None.  ``engine`` overrides both: the GP benchmark passes its resolved
     engines, and tests inject fakes through it.
@@ -345,6 +349,8 @@ def optimize(
             if cost is None:
                 cost = float(objective.value(theta))
             g = np.asarray(objective.gradient(theta), dtype=float)
+        except CapabilityError as exc:
+            raise _refusal(sim, engine, family, exc) from exc
         except NatgradError as exc:
             status, reason = "numeric_failure", _error_reason(exc)
             break
@@ -360,6 +366,8 @@ def optimize(
         else:
             try:
                 v, added = _solve_step(engine(theta, -g), g, config.damping)
+            except CapabilityError as exc:
+                raise _refusal(sim, engine, family, exc) from exc
             except NatgradError as exc:
                 status, reason = "numeric_failure", _error_reason(exc)
             else:
@@ -383,3 +391,7 @@ def optimize(
 
 def _error_reason(exc: NatgradError) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _refusal(sim: Similarity, engine: MetricEngine, family: Family, exc) -> ConfigError:
+    return ConfigError(f"{sim.name} under the metric {engine.name} cannot run on {family.name}: {exc}")

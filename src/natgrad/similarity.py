@@ -74,6 +74,7 @@ __all__ = [
     "get_similarity",
     "SIMILARITY_IDS",
     "METRIC_ALIASES",
+    "metric_similarity",
     "own_metric_engine",
     "resolve_metric_engine",
 ]
@@ -480,7 +481,7 @@ METRIC_ALIASES = {
 def _own_metric(sim_id: str, arg: str = ""):
     sim = get_similarity(sim_id.format_map(defaultdict(lambda: arg)))
     sim.check_metric()
-    return sim.local_hessian
+    return sim, type(sim).local_hessian
 
 
 def _f_div_metric(name: str):
@@ -491,23 +492,28 @@ def _f_div_metric(name: str):
     return _own_metric(name)
 
 
-# Builders ``build([arg])`` of a ``local_hessian(family, theta, u=None)``, keyed
-# by metric id; ``fdiv:{name}`` keeps its place among the aliases.
+# Builders ``build([arg])`` of ``(similarity, local_hessian)``, keyed by metric
+# id; ``fdiv:{name}`` keeps its place among the aliases.
 _METRIC_BUILDERS = {
     **{key: partial(_own_metric, key) for key in SIMILARITIES},
-    "fd:{similarity}": lambda sim_id: partial(Similarity.local_hessian, get_similarity(sim_id)),
+    "fd:{similarity}": lambda sim_id: (get_similarity(sim_id), Similarity.local_hessian),
     **{alias: partial(_own_metric, sim_id) for alias, sim_id in METRIC_ALIASES.items()},
     "fdiv:{name}": _f_div_metric,
 }
 
 
+def metric_similarity(identifier: str) -> Similarity:
+    """The similarity whose metric a metric id names: a similarity id itself, ``fd:``
+    and a similarity id that one, an alias the one it maps to (``METRIC_ALIASES``)."""
+    return resolve_id(identifier, _METRIC_BUILDERS, "metric", "metrics")[0]
+
+
 def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
-    """The engine, named ``identifier``, of a metric id on ``family``: a
-    similarity id names that similarity's ``local_hessian``, ``fd:`` and a
-    similarity id the base class's finite differences of it, and an alias
-    the similarity id it maps to in ``METRIC_ALIASES``."""
-    local_hessian = resolve_id(identifier, _METRIC_BUILDERS, "metric", "metrics")
-    return MetricEngine(str(identifier), partial(local_hessian, family))
+    """The engine, named ``identifier``, of a metric id on ``family``: the
+    ``local_hessian`` of :func:`metric_similarity`, or for an ``fd:`` id the
+    base class's finite differences of it."""
+    sim, local_hessian = resolve_id(identifier, _METRIC_BUILDERS, "metric", "metrics")
+    return MetricEngine(str(identifier), partial(local_hessian, sim, family))
 
 
 def own_metric_engine(sim: Similarity, family: Family) -> MetricEngine:

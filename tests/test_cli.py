@@ -80,6 +80,19 @@ def test_run_numeric_failure_exit_code(tmp_path, capsys):
     assert "status=numeric_failure" in out
 
 
+def test_run_refuses_a_family_the_similarity_cannot_run_on(tmp_path, capsys):
+    # W2 needs quantiles, which a 2-D family has not: a config error before
+    # the first step, with no trace file, not a numeric failure.
+    cfg = _run_config(tmp_path, family="mvn_lcholesky:2", similarity="wasserstein:2", metric=None,
+                      theta0=[0.1, 0.2, 0.3, 0.1, -0.2], target=[0.0] * 5)
+    code = main(["run", cfg])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("config error: wasserstein:2 under the metric wasserstein:2 "
+                                   "cannot run on mvn_lcholesky:2: ")
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_run_names_a_non_integral_max_iters(tmp_path, capsys):
     code = main(["run", _run_config(tmp_path, optimizer={"max_iters": 2.5})])
     assert code == EXIT_CONFIG
@@ -301,6 +314,19 @@ def test_hessian_check_of_a_directional_cost_uses_the_direction(capsys):
     assert deviation < 1e-3
 
 
+def test_hessian_check_differentiates_the_similarity_of_the_printed_metric(capsys):
+    # --check compares the printed metric with the fd: route of the
+    # similarity that metric belongs to, not of the positional one: the
+    # Fisher metric against fd:kl (not fd:wasserstein:2, 0.39 away), W3's
+    # against fd:wasserstein:3 along the direction (not fd:kl, 0.67 away).
+    assert _check_deviation(capsys, "gaussian1d", "wasserstein:2", "0.3,1.2",
+                            "--metric", "fisher") < 1e-7
+    assert _check_deviation(capsys, "gaussian1d", "kl", "0.3,1.2", "--metric", "wasserstein:3",
+                            "--direction", "0,1") < 1e-3
+    assert _check_deviation(capsys, "gaussian1d", "wasserstein:2", "0.3,1.2",
+                            "--metric", "fd:kl") == 0.0
+
+
 def test_hessian_w2_gaussian_mvn_is_bures_wasserstein(capsys):
     # half the squared W2 has the identity as its mean block; --check
     # compares the closed form with finite differences of the same cost
@@ -505,6 +531,16 @@ def test_bench_gp_rejects_bad_metric(tmp_path, capsys):
     code = main(["bench-gp", cfg])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and "euclidean" in err
+
+
+def test_bench_gp_refuses_a_metric_the_family_has_not(tmp_path, capsys):
+    # The pullback metric is the categorical one: a config error, exit 1.
+    payload = _bench_payload(tmp_path, metrics=["fisher", "pullback"])
+    code = main(["bench-gp", _write_config(tmp_path, "bench5.json", payload)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: gp_nll under the metric pullback cannot run on "
+                          "gp_prior_eq: ")
 
 
 def test_bench_gp_rejects_unknown_key(tmp_path, capsys):

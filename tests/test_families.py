@@ -134,8 +134,9 @@ def test_gaussian_score_rejects_wrong_shaped_sample(family):
 
 
 def test_family_base_has_no_numeric_fallbacks():
-    # A family that is not Gaussian implements its score; quantile and
-    # dcdf_dtheta have no bisection or finite-difference default.
+    # A family that is not Gaussian implements its score, or has none: the
+    # base score reads the Gaussian state; quantile and dcdf_dtheta have no
+    # bisection or finite-difference default.
     class CdfOnly(Family):
         name = "cdf_only"
         param_dim = 1
@@ -148,7 +149,7 @@ def test_family_base_has_no_numeric_fallbacks():
             return 0.5
 
     fam = CdfOnly()
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(CapabilityError, match="cdf_only is not a Gaussian family"):
         fam.score((1.0,), 0.5)
     for op in (fam.quantile, fam.dcdf_dtheta):
         with pytest.raises(CapabilityError):

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepts
+from conftest import accepts, power_law_family
 import natgrad.families
 import natgrad.similarity
-from natgrad.errors import NumericError
+from natgrad.errors import CapabilityError, NumericError
 from natgrad.families import (
     CategoricalSoftmax,
     Gaussian1D,
@@ -207,6 +207,20 @@ def test_a_point_builds_its_state_once_and_keeps_it():
         _assert_same_bits(_fields(fresh)[:4], _fields(first)[:4], "a fresh state")
 
 
+def test_gaussian_state_raises_the_one_capability_error_on_a_family_that_is_not_gaussian():
+    # Every Gaussian operation of the base class reads the state through
+    # gaussian_state, so a family without one gets this error and no None.
+    for family, theta in ((CategoricalSoftmax(3), (0.1, -0.2, 0.3)), (power_law_family(), (1.5,))):
+        point = family.point(theta)
+        for derivs in (False, True):
+            with pytest.raises(CapabilityError, match=f"^{family.name} is not a Gaussian family$"):
+                family.gaussian_state(point, derivs=derivs)
+        with pytest.raises(CapabilityError, match=f"^{family.name} is not a Gaussian family$"):
+            w2_local_hessian_gaussian(family, point)
+    with pytest.raises(CapabilityError, match="^powerlaw01 is not a Gaussian family$"):
+        power_law_family().sample((1.5,), seed=0, count=3)
+
+
 @pytest.mark.parametrize("cov", [[[np.nan]], [[np.inf]], np.diag([np.inf, 1.0]),
                                  [[1.0, np.nan], [np.nan, 1.0]]],
                          ids=["nan", "inf", "diag(inf, 1)", "nan off-diagonal"])
@@ -354,7 +368,7 @@ def test_gp_w2_run_builds_one_covariance_per_point_and_one_derivative_stack_per_
     family, cost = GpPriorEq(dataset.inputs), GpNllCost()
     builds, stacks, evaluated = [], [], []
     real_build, real_derivs, real_evaluate = (
-        GpPriorEq._gaussian_state, GpPriorEq._moment_derivs, GpNllCost.evaluate)
+        GpPriorEq._build_state, GpPriorEq._moment_derivs, GpNllCost.evaluate)
 
     def build(self, theta):
         builds.append(theta.tobytes())
@@ -368,7 +382,7 @@ def test_gp_w2_run_builds_one_covariance_per_point_and_one_derivative_stack_per_
         evaluated.append(np.asarray(theta, dtype=float).tobytes())
         return real_evaluate(self, fam, theta, target)
 
-    monkeypatch.setattr(GpPriorEq, "_gaussian_state", build)
+    monkeypatch.setattr(GpPriorEq, "_build_state", build)
     monkeypatch.setattr(GpPriorEq, "_moment_derivs", derivs)
     monkeypatch.setattr(GpNllCost, "evaluate", evaluate)
     trace = optimize(family, cost, np.array([1.0, 1.2, 0.3]), dataset,

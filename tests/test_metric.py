@@ -104,8 +104,8 @@ def test_fisher_reparameterized_categorical_is_the_congruent_matrix(rng):
 
 
 def test_fisher_no_route_raises():
-    # No Gaussian state and no finite support: no closed form and no exact
-    # sum, whether or not the family has a quantile; every call raises.
+    # Not Gaussian and no closed form of its own: no Fisher matrix, whether
+    # or not the family has a quantile; every call raises.
     class Opaque(Family):
         name = "opaque"
         param_dim = 1
@@ -117,7 +117,7 @@ def test_fisher_no_route_raises():
     for fam in (Opaque(), power_law_family()):
         point = fam.point((1.5,))
         for theta in (point, point, (2.0,)):
-            with pytest.raises(CapabilityError, match="no Gaussian state and no finite support"):
+            with pytest.raises(CapabilityError, match=f"{fam.name} is not a Gaussian family"):
                 fisher_information(fam, theta)
 
 

@@ -10,7 +10,7 @@ import scipy.linalg
 import natgrad.metric
 from conftest import accepts
 import natgrad.optimizer
-from natgrad.errors import ConfigError, DivergenceInfiniteError, NumericError
+from natgrad.errors import CapabilityError, ConfigError, DivergenceInfiniteError, NumericError
 from natgrad.families import (
     CategoricalSoftmax,
     Gaussian1D,
@@ -631,6 +631,78 @@ def test_numeric_failure_on_divergent_cost():
     config = OptimizerConfig(metric="fisher", max_iters=10)
     trace = optimize(GAUSS, chi2, (0.0, 1.0), (0.0, 20.0), config)
     assert trace.status == "numeric_failure"
+
+
+# The registry product of ROADMAP item 3: the four registry families, nine
+# similarities and eight metric ids.  gaussian1d runs from (0.5, 1.5) to
+# (0, 1); each other family draws its start and then its target from
+# uniform(-0.5, 0.5) of one default_rng(0), in this order.
+PRODUCT_SIMILARITIES = ("kl", "reverse_kl", "chi2", "hellinger2", "fisher_rao2",
+                        "wasserstein:2", "wasserstein:3", "w2_gaussian", "sq_euclidean")
+PRODUCT_METRICS = ("fisher", "fdiv:kl", "pullback", "w2_1d", "wp_1d:3", "w2_gaussian", "fd:kl",
+                   "euclidean")
+
+
+@pytest.fixture(scope="module")
+def registry_product():
+    """``{(family, similarity, metric): Trace or the ConfigError raised}``
+    of one-iteration runs over the product."""
+    draws = np.random.default_rng(0)
+    starts = [(GAUSS, np.array([0.5, 1.5]), np.array([0.0, 1.0]))]
+    for family in (MultivariateNormalLogCholesky(2), CategoricalSoftmax(3),
+                   GpPriorEq(generate_data(42, 4).inputs)):
+        theta0 = draws.uniform(-0.5, 0.5, family.param_dim)
+        starts.append((family, theta0, draws.uniform(-0.5, 0.5, family.param_dim)))
+    runs = {}
+    for family, theta0, target in starts:
+        for sim_id in PRODUCT_SIMILARITIES:
+            for metric in PRODUCT_METRICS:
+                config = OptimizerConfig(max_iters=1, metric=metric)
+                try:
+                    run = optimize(family, get_similarity(sim_id), theta0, target, config)
+                except ConfigError as exc:
+                    run = exc
+                runs[family.name, sim_id, metric] = run
+    return runs
+
+
+def test_every_registry_triple_runs_or_is_refused_before_its_first_step(registry_product):
+    # A triple either takes its first iteration or is refused: optimize
+    # raises ConfigError instead of a trace, so no record exists.  No
+    # capability gap is a numeric_failure.
+    assert len(registry_product) == 4 * 9 * 8
+    refused = {key for key, run in registry_product.items() if isinstance(run, ConfigError)}
+    assert len(refused) == 139
+    for key, run in registry_product.items():
+        if key not in refused:
+            assert len(run.records) >= 1 or run.reason.startswith("DivergenceInfiniteError"), key
+            assert not run.reason.startswith("CapabilityError"), (key, run.reason)
+    # What runs on gaussian1d is not refused for lack of a capability.
+    assert ("gaussian1d", "wasserstein:3", "wp_1d:3") not in refused
+    assert ("mvn_lcholesky:2", "wasserstein:2", "fisher") in refused
+
+
+def test_chi2_numeric_failures_of_the_registry_product_are_infinite_starts(registry_product):
+    # The 8 starts where chi2 is +inf stay numeric_failure, with the reason.
+    failures = {key: run.reason for key, run in registry_product.items()
+                if not isinstance(run, ConfigError) and run.status == "numeric_failure"}
+    assert len(failures) == 8
+    assert {key[1] for key in failures} == {"chi2"}
+    assert all(reason.startswith("DivergenceInfiniteError: ") for reason in failures.values())
+
+
+def test_a_refused_triple_chains_the_capability_error_and_names_the_triple():
+    family, sim = MultivariateNormalLogCholesky(2), get_similarity("wasserstein:2")
+    with pytest.raises(ConfigError) as refused:
+        optimize(family, sim, np.zeros(5), np.full(5, 0.1), OptimizerConfig(metric="fisher"))
+    assert isinstance(refused.value.__cause__, CapabilityError)
+    assert str(refused.value) == (f"wasserstein:2 under the metric fisher cannot run on "
+                                  f"mvn_lcholesky:2: {refused.value.__cause__}")
+    # From the metric engine, after a cost and gradient that exist.
+    with pytest.raises(ConfigError, match="kl under the metric pullback cannot run on "
+                                          "gaussian1d") as refused:
+        optimize(GAUSS, KL, (1.0, 1.0), (0.0, 1.0), OptimizerConfig(metric="pullback"))
+    assert isinstance(refused.value.__cause__, CapabilityError)
 
 
 def test_numeric_failure_from_metric_engine():
