@@ -9,8 +9,8 @@ Subcommands::
 
 Exit codes: 0 on success, 1 for configuration errors (with a message
 listing valid identifiers or keys where relevant), a family, similarity
-and metric that cannot run together among them, 2 for numerical failures
-or failed validation checks.  All randomness is seeded from the configs, so
+and metric that cannot run together and a start where the cost is +inf
+among them, 2 for numerical failures or failed validation checks.  All randomness is seeded from the configs, so
 outputs are deterministic up to wall-time columns.
 """
 

@@ -268,14 +268,11 @@ class Family(ABC):
         Length of the parameter vector.
     sample_dim : int
         Dimension of one sample (1 means scalar samples).
-    has_cdf : bool
-        Whether cdf/quantile/dcdf_dtheta are available (1-D families only).
     """
 
     name: str = ""
     param_dim: int = 0
     sample_dim: int = 1
-    has_cdf: bool = False
 
     # -- parameter validation -------------------------------------------------
 
@@ -431,7 +428,6 @@ class Gaussian1D(Family):
     name = "gaussian1d"
     param_dim = 2
     sample_dim = 1
-    has_cdf = True
 
     def _in_domain(self, theta):
         return theta[1] > 0.0

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CapabilityError, NatgradError
 from .families import Dataset, GpPriorEq, check_setting, eq_covariance
 from .metric import LocalHessian, fd_local_hessian, fisher_information
-from .optimizer import OptimizerConfig, Trace, optimize
+from .optimizer import OptimizerConfig, Trace, _refusal, optimize
 from .similarity import Similarity, SquaredW2Gaussian, resolve_metric_engine
 
 __all__ = [
@@ -172,16 +173,22 @@ class BenchmarkResult:
 
 
 def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResult:
-    """Run every configured metric from the same start on the same data."""
+    """Run every configured metric from one start point on the same data.
+    Before the first run each engine but the first (whose run refuses at
+    iteration 0) is tried at the start: a :class:`CapabilityError` raises
+    :func:`optimize`'s :class:`ConfigError`; a numeric error waits for its run."""
     dataset = generate_data(config.seed, config.m)
     family = GpPriorEq(dataset.inputs)
     engines = {metric: resolve_metric_engine(metric, family) for metric in config.metrics}
+    theta0, cost = family.point(config.theta0), GpNllCost()
+    for engine in list(engines.values())[1:]:
+        try:
+            engine(theta0, np.ones(family.param_dim))
+        except CapabilityError as exc:
+            raise _refusal(cost, engine, family, exc) from exc
+        except NatgradError:
+            pass
     threshold = gp_nll(np.asarray(DEFAULT_TRUE_THETA, dtype=float), dataset) + THRESHOLD_OFFSET
-    cost = GpNllCost()
-    traces = {}
-    for metric, engine in engines.items():
-        traces[metric] = optimize(
-            family, cost, np.asarray(config.theta0, dtype=float), dataset,
-            config.optimizer, engine=engine,
-        )
+    traces = {metric: optimize(family, cost, theta0, dataset, config.optimizer, engine=engine)
+              for metric, engine in engines.items()}
     return BenchmarkResult(dataset=dataset, threshold=float(threshold), traces=traces)

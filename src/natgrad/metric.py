@@ -193,8 +193,12 @@ def wp_local_hessian_1d(family: Family, theta, p: float, u=None) -> LocalHessian
     carry zero coefficients and the 2-Wasserstein form is recovered.  The
     integrals run over the quantile levels of ``unit_interval_grid``, with
     the velocities the point keeps (``Point.transport``), those of the
-    cost's gradient.
+    cost's gradient.  At ``p <= 1`` there is no metric, and the call raises
+    :class:`CapabilityError` before it reads ``theta``.
     """
+    if p <= 1.0:
+        raise CapabilityError(f"wasserstein:{p:g} has no metric: at p = 1 its local Hessian has "
+                              "rank one and |velocity|^(p-2) is unbounded; name another metric")
     theta = family.point(theta)
     if u is None:
         if p != 2.0:

@@ -20,8 +20,8 @@ with ``status = "numeric_failure"`` on the returned :class:`Trace`, whose
 numeric_failure, converged_grad, converged_cost (a cost change below
 ``COST_TOL``), max_iters; a line search that accepts no step down to the
 step floor ``ALPHA_FLOOR`` ends the run with ``line_search_stalled`` on
-that iteration, which is not convergence.  A capability gap is no status:
-it raises :class:`ConfigError`.
+that iteration, which is not convergence.  A capability gap, and a start
+where the cost is +inf, are no status: they raise :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import CapabilityError, ConfigError, NatgradError, NumericError
+from .errors import CapabilityError, ConfigError, DivergenceInfiniteError, NatgradError, NumericError
 from .families import Family, check_setting
 from .metric import MetricEngine, LocalHessian, spd_project
 from .numdiff import central_hessian
@@ -311,12 +311,12 @@ def optimize(
     Configuration errors (unknown metric, invalid starting point) do raise,
     since no meaningful Trace exists yet; anything numeric after that is
     captured in ``Trace.status`` and ``Trace.reason``.  A capability gap of
-    the cost, its gradient or the metric (no capability depends on ``theta``)
-    raises a :class:`ConfigError` naming the similarity, metric and family
-    before any record.  The metric is
-    ``config.metric``, or the similarity's own, ``sim.local_hessian``, when
-    that is None.  ``engine`` overrides both: the GP benchmark passes its resolved
-    engines, and tests inject fakes through it.
+    the cost, its gradient or the metric (no capability depends on ``theta``),
+    or a start where the cost is +inf (``DivergenceInfiniteError``), raises
+    a :class:`ConfigError` naming the similarity, metric and family, before
+    any record.  The metric is ``config.metric``, or the similarity's own,
+    ``sim.local_hessian``, when that is None.  ``engine`` overrides both: the
+    GP benchmark passes its resolved engines, and tests inject fakes through it.
 
     A run holds three points of the family (``Family.point``), each
     validated once and keeping its state: the target (by
@@ -349,9 +349,10 @@ def optimize(
             if cost is None:
                 cost = float(objective.value(theta))
             g = np.asarray(objective.gradient(theta), dtype=float)
-        except CapabilityError as exc:
-            raise _refusal(sim, engine, family, exc) from exc
         except NatgradError as exc:
+            if isinstance(exc, CapabilityError) or (
+                    it == 0 and isinstance(exc, DivergenceInfiniteError)):
+                raise _refusal(sim, engine, family, exc) from exc
             status, reason = "numeric_failure", _error_reason(exc)
             break
         gn = math.sqrt(g @ g)  # np.linalg.norm's sum on a vector, without its checks

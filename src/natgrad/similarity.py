@@ -56,7 +56,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
-from .errors import CapabilityError, ConfigError, DivergenceInfiniteError, NumericError
+from .errors import CapabilityError, DivergenceInfiniteError, NumericError
 from .families import CategoricalState, Dataset, Family, GaussianState, _log_det, resolve_id
 from .metric import (LocalHessian, MetricEngine, f_div_local_hessian, fd_local_hessian,
                      pullback_fisher_categorical, w2_local_hessian_gaussian, wp_local_hessian_1d)
@@ -133,9 +133,6 @@ class Similarity:
         the direction ``u`` for a ``directional`` cost; base: by finite
         differences, :func:`fd_local_hessian`, the route of ``fd:`` ids."""
         return fd_local_hessian(self, family, theta, u if self.directional else None)
-
-    def check_metric(self) -> None:
-        """Raise :class:`ConfigError` where ``local_hessian`` is no metric."""
 
     def evaluate(self, family: Family, theta, target) -> float:
         return self._cost(family, family.point(theta), self.target(family, target), False)
@@ -322,7 +319,8 @@ class FDivergence(Similarity):
 
 class WassersteinP(Similarity):
     """Half the squared p-Wasserstein distance, ``W_p**2 / 2`` (1-D), for a
-    finite order ``p >= 1`` (else ``ValueError``); its metric needs ``p > 1``."""
+    finite order ``p >= 1`` (else ``ValueError``); its metric needs ``p > 1``
+    (at ``p = 1`` :func:`wp_local_hessian_1d` raises :class:`CapabilityError`)."""
 
     def __init__(self, p: float):
         self.p = float(p)
@@ -331,13 +329,7 @@ class WassersteinP(Similarity):
         self.name = f"wasserstein:{p:g}"
         self.directional = self.p != 2.0
 
-    def check_metric(self):
-        if self.p == 1.0:
-            raise ConfigError(f"{self.name} has no metric: at p = 1 its local Hessian has "
-                              "rank one and |velocity|^(p-2) is unbounded; name another metric")
-
     def local_hessian(self, family, theta, u=None):
-        self.check_metric()
         return wp_local_hessian_1d(family, theta, self.p, u if self.directional else None)
 
     def _cost(self, family, theta, target, grad):
@@ -480,7 +472,6 @@ METRIC_ALIASES = {
 
 def _own_metric(sim_id: str, arg: str = ""):
     sim = get_similarity(sim_id.format_map(defaultdict(lambda: arg)))
-    sim.check_metric()
     return sim, type(sim).local_hessian
 
 
@@ -518,6 +509,5 @@ def resolve_metric_engine(identifier: str, family: Family) -> MetricEngine:
 
 def own_metric_engine(sim: Similarity, family: Family) -> MetricEngine:
     """The engine, named ``sim.name``, of ``sim.local_hessian`` on ``family``;
-    :class:`ConfigError` where it is no metric (:meth:`Similarity.check_metric`)."""
-    sim.check_metric()
+    where that is no metric, a call raises :class:`CapabilityError`."""
     return MetricEngine(sim.name, partial(sim.local_hessian, family))

@@ -110,7 +110,6 @@ def power_law_family():
     class PowerLaw01(Family):
         name = "powerlaw01"
         param_dim = 1
-        has_cdf = True
 
         def _in_domain(self, theta):
             return theta[0] > 0.0

@@ -67,6 +67,8 @@ def test_run_is_deterministic_except_time(tmp_path):
 
 
 def test_run_numeric_failure_exit_code(tmp_path, capsys):
+    # A start where chi2 is +inf is a configuration error, exit 1; a chi2
+    # that overflows at the start (a term near e^800) is a numeric one, exit 2.
     cfg = _run_config(
         tmp_path,
         similarity="chi2",
@@ -74,6 +76,10 @@ def test_run_numeric_failure_exit_code(tmp_path, capsys):
         target=[0.0, 20.0],
         optimizer={"max_iters": 10},
     )
+    assert main(["run", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+    cfg = _run_config(tmp_path, family="categorical_softmax:3", similarity="chi2",
+                      theta0=[0.0, 0.0, -800.0], target=[0.0, 0.0, 0.0])
     code = main(["run", cfg])
     out = capsys.readouterr().out
     assert code == EXIT_NUMERIC
@@ -100,12 +106,23 @@ def test_run_names_a_non_integral_max_iters(tmp_path, capsys):
 
 
 def test_run_prints_the_failure_reason_on_stderr(tmp_path, capsys):
+    # A +inf start is refused with the divergence's message and writes no
+    # trace; a numeric failure prints its reason and writes the empty trace.
     cfg = _run_config(tmp_path, similarity="chi2", theta0=[0.0, 1.0], target=[0.0, 2.0])
+    code = main(["run", cfg])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("config error: chi2 under the metric fisher cannot run on "
+                                   "gaussian1d: the alpha-integral at alpha=2 diverges")
+    assert not (tmp_path / "trace.csv").exists()
+    cfg = _run_config(tmp_path, family="categorical_softmax:3", similarity="chi2",
+                      theta0=[0.0, 0.0, -800.0], target=[0.0, 0.0, 0.0])
     code = main(["run", cfg])
     captured = capsys.readouterr()
     assert code == EXIT_NUMERIC
     assert captured.out.splitlines()[0] == "status=numeric_failure iterations=0 final_cost=nan"
-    assert captured.err.startswith("numeric_failure: DivergenceInfiniteError: ")
+    assert captured.err == ("numeric_failure: NumericError: chi2 sum produced 1 non-finite "
+                            "terms over 3 outcomes\n")
     assert (tmp_path / "trace.csv").read_text() == TRACE_CSV_HEADER + "\n"
     main(["run", _run_config(tmp_path)])
     assert capsys.readouterr().err == ""
@@ -534,13 +551,15 @@ def test_bench_gp_rejects_bad_metric(tmp_path, capsys):
 
 
 def test_bench_gp_refuses_a_metric_the_family_has_not(tmp_path, capsys):
-    # The pullback metric is the categorical one: a config error, exit 1.
+    # The pullback metric is the categorical one: a config error, exit 1,
+    # before fisher runs, so nothing is written.
     payload = _bench_payload(tmp_path, metrics=["fisher", "pullback"])
     code = main(["bench-gp", _write_config(tmp_path, "bench5.json", payload)])
-    err = capsys.readouterr().err
-    assert code == EXIT_CONFIG
-    assert err.startswith("config error: gp_nll under the metric pullback cannot run on "
-                          "gp_prior_eq: ")
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("config error: gp_nll under the metric pullback cannot run on "
+                                   "gp_prior_eq: ")
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_gp_rejects_unknown_key(tmp_path, capsys):

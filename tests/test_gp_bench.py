@@ -1,17 +1,19 @@
 """GP hyperparameter benchmark: likelihood cost, metrics, comparison runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natgrad.errors import ConfigError, NumericError
+from natgrad.errors import CapabilityError, ConfigError, NumericError
 from natgrad.families import Dataset, Gaussian1D, GpPriorEq
 import natgrad.gp_bench
 import natgrad.metric
 import natgrad.similarity
-from natgrad.metric import spd_project, w2_local_hessian_gaussian
+from natgrad.metric import MetricEngine, spd_project, w2_local_hessian_gaussian
 from natgrad.optimizer import OptimizerConfig
 from natgrad.gp_bench import (
     DEFAULT_THETA0,
@@ -407,6 +409,38 @@ def test_benchmark_config_takes_any_three_finite_numbers():
 def test_benchmark_unknown_metric_raises():
     with pytest.raises(ConfigError):
         run_benchmark(BenchmarkConfig(metrics=("bogus",)))
+
+
+@pytest.mark.parametrize("second", ["pullback", "wp_1d:1"])
+def test_benchmark_refuses_a_metric_before_its_first_run(monkeypatch, second):
+    # Neither metric exists on the GP family: the refusal comes before fisher
+    # runs, chained to the metric's CapabilityError.
+    calls = []
+    monkeypatch.setattr(natgrad.gp_bench, "optimize", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigError, match=f"gp_nll under the metric {second} cannot run on "
+                                          "gp_prior_eq: ") as refused:
+        run_benchmark(BenchmarkConfig(m=8, metrics=("fisher", second)))
+    assert isinstance(refused.value.__cause__, CapabilityError)
+    assert calls == []
+
+
+def test_benchmark_tries_each_engine_but_the_first_once_before_its_runs(monkeypatch):
+    # One call per step of each run, and one more for every metric but the
+    # first: a one-metric run does no extra work.
+    calls, real = [], MetricEngine.__call__
+
+    def counting(engine, theta, u=None):
+        calls.append(engine.name)
+        return real(engine, theta, u)
+
+    monkeypatch.setattr(MetricEngine, "__call__", counting)
+    config = BenchmarkConfig(m=8, metrics=("euclidean",), optimizer=OptimizerConfig(max_iters=5))
+    assert run_benchmark(config).traces["euclidean"].iterations == 5
+    assert calls == ["euclidean"] * 5
+    calls.clear()
+    traces = run_benchmark(replace(config, metrics=("euclidean", "fisher"))).traces
+    assert [traces[m].status for m in traces] == ["max_iters", "max_iters"]
+    assert calls == ["fisher"] + ["euclidean"] * 5 + ["fisher"] * 5
 
 
 # -- full comparison ------------------------------------------------------------------------

@@ -75,8 +75,11 @@ def test_finite_difference_gradients_only_back_family_defaults():
 def test_no_discrete_or_closed_form_fisher_flags():
     # Every f-divergence is a form over the point states, and every Fisher
     # matrix goes through Family.fisher; no flag may select a second route.
-    flags = {"is_discrete", "has_closed_form_fisher"}
-    users = sorted(p.name for p in SRC.glob("*.py") if flags & _names(p))
+    # Nor does a declaration stand beside a route: whether a family has a
+    # quantile, or a similarity a metric, is what a call of the route says.
+    flags = {"is_discrete", "has_closed_form_fisher", "has_cdf", "check_metric"}
+    users = sorted(p.name for p in SRC.glob("*.py")
+                   if flags & set(re.findall(r"\w+", p.read_text())))
     assert users == []
 
 

@@ -109,7 +109,6 @@ def test_fisher_no_route_raises():
     class Opaque(Family):
         name = "opaque"
         param_dim = 1
-        has_cdf = False
 
         def log_density(self, theta, x):
             return 0.0
@@ -253,10 +252,14 @@ def test_wp_p3_matches_directional_fd(mu, sigma, angle):
 
 
 def test_wp_rejects_bad_orders_and_directions():
-    # The order facts live in WassersteinP: a W_p cost takes p >= 1, its
-    # metric p > 1 (at p = 1 it has rank one and |velocity|^(p-2) is unbounded).
-    with pytest.raises(ConfigError, match="wasserstein:1 has no metric"):
-        WassersteinP(1.0).local_hessian(GAUSS, (0.0, 1.0), np.array([1.0, 0.0]))
+    # A W_p cost takes p >= 1 (WassersteinP), its metric p > 1: at p = 1 it
+    # has rank one and |velocity|^(p-2) is unbounded, so the metric's route
+    # raises, before it reads theta.
+    for no_metric in (lambda: WassersteinP(1.0).local_hessian(GAUSS, (0.0, 1.0), [1.0, 0.0]),
+                      lambda: wp_local_hessian_1d(GAUSS, (0.0, -1.0), 1.0, [1.0, 0.0])):
+        with pytest.raises(CapabilityError, match="wasserstein:1 has no metric: at p = 1 its "
+                                                  "local Hessian has rank one"):
+            no_metric()
     with pytest.raises(ValueError):
         WassersteinP(0.5)
     with pytest.raises(ValueError):
@@ -798,13 +801,18 @@ def test_resolve_bad_arguments():
         resolve_metric_engine("fdiv:bogus", GAUSS)
     with pytest.raises(ConfigError):
         resolve_metric_engine("wp_1d:abc", GAUSS)
-    # The directional W_p metric needs a finite order p > 1: at p = 1 it has
-    # rank one and |velocity|^(p-2) is unbounded; nan and inf give no metric.
-    # The alias and the similarity id are refused alike.
-    for order in ("1", "0.5", "-2", "nan", "inf"):
+    # The directional W_p metric needs a finite order p > 1.  Below 1, nan
+    # and inf are no W_p cost, and resolving refuses them; at p = 1 the cost
+    # exists and its metric does not, so the engine resolves and every call
+    # of it raises.  The alias and the similarity id behave alike.
+    for order in ("0.5", "-2", "nan", "inf"):
         for metric_id in (f"wp_1d:{order}", f"wasserstein:{order}"):
             with pytest.raises(ConfigError):
                 resolve_metric_engine(metric_id, GAUSS)
+    for metric_id in ("wp_1d:1", "wasserstein:1"):
+        engine = resolve_metric_engine(metric_id, GAUSS)
+        with pytest.raises(CapabilityError, match="wasserstein:1 has no metric"):
+            engine((0.0, 1.0), np.array([1.0, 0.0]))
     with pytest.raises(ConfigError):
         resolve_metric_engine("fd:nonsense", GAUSS)
 

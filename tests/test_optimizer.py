@@ -602,10 +602,11 @@ def test_w2_metric_is_the_hessian_of_the_cost(A):
         assert np.linalg.norm(objective.gradient(xi)) < OptimizerConfig().grad_tol
 
 
-def test_transport_order_without_a_metric_fails_before_any_cost():
+def test_transport_order_without_a_metric_is_refused_at_iteration_0():
     # Half the squared W1 is a cost, but its own metric wp_1d:1 does not
-    # exist (rank one, unbounded |velocity|^-1): the run is refused at
-    # configuration time instead of failing at iteration 0.
+    # exist (rank one, unbounded |velocity|^-1): the metric's route raises
+    # CapabilityError at its first call, and the run is refused there, after
+    # the one cost evaluation at the start and before any record.
     calls = []
 
     class CountingW1(WassersteinP):
@@ -614,9 +615,11 @@ def test_transport_order_without_a_metric_fails_before_any_cost():
             return super().evaluate(family, theta, target)
 
     sim = CountingW1(1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="wasserstein:1 under the metric wasserstein:1 cannot "
+                                          "run on gaussian1d: wasserstein:1 has no metric") as refused:
         optimize(GAUSS, sim, (0.0, 1.0), (1.0, 2.0), OptimizerConfig())
-    assert calls == []
+    assert isinstance(refused.value.__cause__, CapabilityError)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("metric, iterations", [("fisher", 37), ("w2_1d", 16)])
@@ -627,10 +630,22 @@ def test_transport_order_one_runs_with_another_metric(metric, iterations):
 
 
 def test_numeric_failure_on_divergent_cost():
+    # A start where chi2 is +inf is configuration: refused, with the
+    # divergence as the cause.  A divergence an engine raises stays numeric.
     chi2 = get_similarity("chi2")
     config = OptimizerConfig(metric="fisher", max_iters=10)
-    trace = optimize(GAUSS, chi2, (0.0, 1.0), (0.0, 20.0), config)
-    assert trace.status == "numeric_failure"
+    with pytest.raises(ConfigError, match="chi2 under the metric fisher cannot run on "
+                                          "gaussian1d: ") as refused:
+        optimize(GAUSS, chi2, (0.0, 1.0), (0.0, 20.0), config)
+    assert isinstance(refused.value.__cause__, DivergenceInfiniteError)
+
+    def diverge(th, u=None):
+        raise DivergenceInfiniteError("stencil crossed the boundary")
+
+    trace = optimize(GAUSS, chi2, (0.0, 1.0), (0.0, 1.2), config,
+                     engine=MetricEngine("diverge", diverge))
+    assert trace.status == "numeric_failure" and len(trace.records) == 1
+    assert trace.reason == "DivergenceInfiniteError: stencil crossed the boundary"
 
 
 # The registry product of ROADMAP item 3: the four registry families, nine
@@ -668,27 +683,34 @@ def registry_product():
 
 def test_every_registry_triple_runs_or_is_refused_before_its_first_step(registry_product):
     # A triple either takes its first iteration or is refused: optimize
-    # raises ConfigError instead of a trace, so no record exists.  No
-    # capability gap is a numeric_failure.
+    # raises ConfigError instead of a trace, so no record exists.  A
+    # capability gap and a +inf start are refused; no triple ends
+    # numeric_failure at iteration 0.
     assert len(registry_product) == 4 * 9 * 8
     refused = {key for key, run in registry_product.items() if isinstance(run, ConfigError)}
-    assert len(refused) == 139
+    causes = [type(registry_product[key].__cause__) for key in refused]
+    assert len(refused) == 147
+    assert causes.count(CapabilityError) == 139 and causes.count(DivergenceInfiniteError) == 8
     for key, run in registry_product.items():
         if key not in refused:
-            assert len(run.records) >= 1 or run.reason.startswith("DivergenceInfiniteError"), key
-            assert not run.reason.startswith("CapabilityError"), (key, run.reason)
+            assert len(run.records) >= 1, (key, run.reason)
+            assert run.status != "numeric_failure" or run.iterations > 0, (key, run.reason)
     # What runs on gaussian1d is not refused for lack of a capability.
     assert ("gaussian1d", "wasserstein:3", "wp_1d:3") not in refused
     assert ("mvn_lcholesky:2", "wasserstein:2", "fisher") in refused
 
 
-def test_chi2_numeric_failures_of_the_registry_product_are_infinite_starts(registry_product):
-    # The 8 starts where chi2 is +inf stay numeric_failure, with the reason.
-    failures = {key: run.reason for key, run in registry_product.items()
-                if not isinstance(run, ConfigError) and run.status == "numeric_failure"}
-    assert len(failures) == 8
-    assert {key[1] for key in failures} == {"chi2"}
-    assert all(reason.startswith("DivergenceInfiniteError: ") for reason in failures.values())
+def test_chi2_infinite_starts_of_the_registry_product_are_refused(registry_product):
+    # The 8 starts where chi2 is +inf, all on mvn_lcholesky:2, are refused,
+    # each with the divergence as its cause.
+    infinite = {key: run for key, run in registry_product.items()
+                if isinstance(run, ConfigError)
+                and isinstance(run.__cause__, DivergenceInfiniteError)}
+    assert len(infinite) == 8
+    assert {key[:2] for key in infinite} == {("mvn_lcholesky:2", "chi2")}
+    assert all(str(run).startswith(f"chi2 under the metric {key[2]} cannot run on "
+                                   "mvn_lcholesky:2: the alpha-integral")
+               for key, run in infinite.items())
 
 
 def test_a_refused_triple_chains_the_capability_error_and_names_the_triple():
@@ -952,12 +974,16 @@ def test_gp_benchmark_makes_no_finite_difference_gradient_call(monkeypatch):
 
 
 def test_empty_trace_names_the_failing_cost():
-    # The start itself has no finite chi2: the trace has no record, and its
-    # reason carries the error the cost raised.
-    trace = optimize(GAUSS, get_similarity("chi2"), [0, 1], [0, 2], OptimizerConfig())
+    # The categorical chi2 at this start overflows (a term near e^800): the
+    # trace has no record, and its reason carries the error the cost raised.
+    # A start where the cost is +inf is refused instead.
+    chi2 = get_similarity("chi2")
+    trace = optimize(CategoricalSoftmax(3), chi2, [0, 0, -800], [0, 0, 0], OptimizerConfig())
     assert trace.records == () and trace.status == "numeric_failure"
-    assert trace.reason.startswith("DivergenceInfiniteError: ")
-    assert "not positive definite" in trace.reason
+    assert trace.reason == "NumericError: chi2 sum produced 1 non-finite terms over 3 outcomes"
+    with pytest.raises(ConfigError, match="not positive definite") as refused:
+        optimize(GAUSS, chi2, [0, 1], [0, 2], OptimizerConfig())
+    assert isinstance(refused.value.__cause__, DivergenceInfiniteError)
 
 
 def test_failure_and_stall_reasons():

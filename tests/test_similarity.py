@@ -545,7 +545,7 @@ def point_pairs(draw, family):
     def uniform(lo, hi, n):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
 
-    if family.has_cdf:  # (mu, sigma) of a 1-D Gaussian
+    if isinstance(family, Gaussian1D):  # (mu, sigma)
         mu, sigma = uniform(-1.5, 1.5, 1)[0], uniform(0.5, 2.0, 1)[0]
         step, log_ratio = uniform(-0.5, 0.5, 1)[0], uniform(-0.25, 0.25, 1)[0]
         return np.array([mu, sigma]), np.array([mu + step, sigma * np.exp(log_ratio)])
@@ -578,7 +578,7 @@ def test_gradient_matches_fd_of_registered_cost(family, sim_id, data):
     ref = richardson_gradient(lambda t: sim.evaluate(family, t, target), theta)
     # The 1-D transport costs keep their looser tolerance: W3's |gap|^3 is
     # only piecewise smooth for the oracle's stencil.
-    quadrature = family.has_cdf and sim_id in ("wasserstein:2", "wasserstein:3")
+    quadrature = isinstance(family, Gaussian1D) and sim_id in ("wasserstein:2", "wasserstein:3")
     tol = 1e-6 if quadrature else 1e-8
     np.testing.assert_allclose(g, ref, rtol=0, atol=tol * max(1.0, np.max(np.abs(ref))))
 
@@ -631,7 +631,8 @@ def test_linear_reparameterization_is_the_chain_rule(family, sim_id, data):
     pulled = linear_reparameterization(objective, resolve_metric_engine("euclidean", family), A)[0]
     g, g_xi = objective.gradient(theta), pulled.gradient(xi)
     ref = richardson_gradient(pulled.value, xi)
-    tol = 1e-6 if family.has_cdf and sim_id in ("wasserstein:2", "wasserstein:3") else 1e-8
+    quadrature = isinstance(family, Gaussian1D) and sim_id in ("wasserstein:2", "wasserstein:3")
+    tol = 1e-6 if quadrature else 1e-8
     np.testing.assert_allclose(g_xi, ref, rtol=0, atol=tol * max(1.0, np.max(np.abs(ref))))
     u_xi, ran = np.ones(family.param_dim), 0
     for metric in ANALYTIC_METRICS:
