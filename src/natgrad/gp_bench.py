@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapabilityError, NatgradError
 from .families import Dataset, GpPriorEq, check_setting, eq_covariance
 from .metric import LocalHessian, fd_local_hessian, fisher_information
-from .optimizer import OptimizerConfig, Trace, _refusal, optimize
+from .optimizer import OptimizerConfig, Trace, optimize, refusal
 from .similarity import Similarity, SquaredW2Gaussian, resolve_metric_engine
 
 __all__ = [
@@ -174,8 +174,8 @@ class BenchmarkResult:
 
 def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResult:
     """Run every configured metric from one start point on the same data.
-    Before the first run each engine but the first (whose run refuses at
-    iteration 0) is tried at the start: a :class:`CapabilityError` raises
+    Before the first run each engine but the first (whose own run refuses at
+    its first metric call) is tried at the start: a :class:`CapabilityError` raises
     :func:`optimize`'s :class:`ConfigError`; a numeric error waits for its run."""
     dataset = generate_data(config.seed, config.m)
     family = GpPriorEq(dataset.inputs)
@@ -185,7 +185,7 @@ def run_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkResul
         try:
             engine(theta0, np.ones(family.param_dim))
         except CapabilityError as exc:
-            raise _refusal(cost, engine, family, exc) from exc
+            raise refusal(cost, engine, family, exc) from exc
         except NatgradError:
             pass
     threshold = gp_nll(np.asarray(DEFAULT_TRUE_THETA, dtype=float), dataset) + THRESHOLD_OFFSET

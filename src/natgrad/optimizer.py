@@ -311,12 +311,13 @@ def optimize(
     Configuration errors (unknown metric, invalid starting point) do raise,
     since no meaningful Trace exists yet; anything numeric after that is
     captured in ``Trace.status`` and ``Trace.reason``.  A capability gap of
-    the cost, its gradient or the metric (no capability depends on ``theta``),
-    or a start where the cost is +inf (``DivergenceInfiniteError``), raises
-    a :class:`ConfigError` naming the similarity, metric and family, before
-    any record.  The metric is ``config.metric``, or the similarity's own,
-    ``sim.local_hessian``, when that is None.  ``engine`` overrides both: the
-    GP benchmark passes its resolved engines, and tests inject fakes through it.
+    the cost, its gradient or the metric (first called at iteration 0 unless
+    the start has converged), or a start where the cost is +inf
+    (``DivergenceInfiniteError``), raises a :class:`ConfigError` naming the
+    similarity, metric and family, before any record.  The metric is
+    ``config.metric``, or the similarity's own, ``sim.local_hessian``, when
+    that is None.  ``engine`` overrides both: the GP benchmark passes its
+    resolved engines, and tests inject fakes through it.
 
     A run holds three points of the family (``Family.point``), each
     validated once and keeping its state: the target (by
@@ -352,7 +353,7 @@ def optimize(
         except NatgradError as exc:
             if isinstance(exc, CapabilityError) or (
                     it == 0 and isinstance(exc, DivergenceInfiniteError)):
-                raise _refusal(sim, engine, family, exc) from exc
+                raise refusal(sim, engine, family, exc) from exc
             status, reason = "numeric_failure", _error_reason(exc)
             break
         gn = math.sqrt(g @ g)  # np.linalg.norm's sum on a vector, without its checks
@@ -368,7 +369,7 @@ def optimize(
             try:
                 v, added = _solve_step(engine(theta, -g), g, config.damping)
             except CapabilityError as exc:
-                raise _refusal(sim, engine, family, exc) from exc
+                raise refusal(sim, engine, family, exc) from exc
             except NatgradError as exc:
                 status, reason = "numeric_failure", _error_reason(exc)
             else:
@@ -394,5 +395,5 @@ def _error_reason(exc: NatgradError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _refusal(sim: Similarity, engine: MetricEngine, family: Family, exc) -> ConfigError:
+def refusal(sim: Similarity, engine: MetricEngine, family: Family, exc) -> ConfigError:
     return ConfigError(f"{sim.name} under the metric {engine.name} cannot run on {family.name}: {exc}")

@@ -695,6 +695,7 @@ def test_every_registry_triple_runs_or_is_refused_before_its_first_step(registry
         if key not in refused:
             assert len(run.records) >= 1, (key, run.reason)
             assert run.status != "numeric_failure" or run.iterations > 0, (key, run.reason)
+            assert not run.reason.startswith("CapabilityError"), (key, run.reason)
     # What runs on gaussian1d is not refused for lack of a capability.
     assert ("gaussian1d", "wasserstein:3", "wp_1d:3") not in refused
     assert ("mvn_lcholesky:2", "wasserstein:2", "fisher") in refused
