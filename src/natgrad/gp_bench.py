@@ -74,8 +74,8 @@ def gp_fisher_metric(theta, inputs) -> LocalHessian:
 
 def gp_w2_metric(theta, inputs, u=None) -> LocalHessian:
     """Local Hessian of half the squared 2-Wasserstein distance between
-    GP priors, by finite differences of the Gaussian closed form: the
-    oracle for :func:`natgrad.metric.w2_local_hessian_gaussian`."""
+    GP priors, by central differences of the closed-form gradient of the
+    Gaussian cost: the oracle for :func:`natgrad.metric.w2_local_hessian_gaussian`."""
     return fd_local_hessian(SquaredW2Gaussian(), GpPriorEq(inputs), theta, u)
 
 

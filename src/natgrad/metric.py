@@ -12,11 +12,12 @@ is what a natural-gradient step inverts.  Engines here produce it three ways:
   and for Gaussian 2-Wasserstein (Bures-Wasserstein, from moment derivatives);
 * by pulling a density-space Hessian back through the parameterization
   Jacobian (``J^T G J``);
-* by central finite differences of the similarity itself.  Squared
-  transport distances with ``p != 2`` have curvature that depends on the
-  approach direction, so the FD engine evaluates at ``theta + eps * u_hat``
-  for a shrinking ladder of ``eps`` and extrapolates to zero; the direction
-  is taken from the gradient of the outer objective.
+* by central finite differences of the similarity's analytic gradient
+  ``grad_theta``.  Squared transport distances with ``p != 2`` have
+  curvature that depends on the approach direction, so the FD engine
+  differences at ``theta + eps * u_hat`` for a shrinking ladder of ``eps``
+  and extrapolates to zero; the direction is taken from the gradient of the
+  outer objective.
 
 A similarity's ``local_hessian`` (``natgrad.similarity``) calls its engine
 here; this module does not import the similarities.
@@ -38,7 +39,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import CapabilityError, NumericError
 from .families import CategoricalSoftmax, Family
-from .numdiff import HESS_REL_STEP, central_hessian
+from .numdiff import GRAD_REL_STEP, central_hessian
 from .quadrature import unit_interval_grid
 
 __all__ = [
@@ -62,8 +63,8 @@ FD_TOLERANCE = 1e-4  # directional extrapolants must agree to 10x this, relative
 # Inner stencil width as a fraction of the diagonal offset eps.  Must be
 # small enough that the stencil stays inside the region where the cost is
 # smooth (it sits eps away from the kink at eta = theta), but large enough
-# that evaluation noise divided by h^2 stays below the extrapolation gate
-# even for costs computed through eigendecompositions.
+# that gradient noise divided by h stays below the extrapolation gate even
+# for costs computed through eigendecompositions.
 FD_INNER_STEP_RATIO = 0.03
 
 
@@ -264,15 +265,19 @@ def w2_local_hessian_gaussian(family: Family, theta) -> LocalHessian:
 
 
 def fd_local_hessian(sim, family: Family, theta, u=None) -> LocalHessian:
-    """Local Hessian of a similarity by central finite differences.
+    """Local Hessian of a similarity by central finite differences of its
+    gradient.
 
-    Differentiates ``eta -> sim.evaluate(family, eta, theta)`` at ``eta =
-    theta``.  With a direction ``u`` the stencil is centered at ``theta + eps
-    * u_hat`` for the geometric ladder ``FD_EPS_LADDER`` (ratio 2) and
-    extrapolated to ``eps = 0`` assuming a leading error linear in ``eps``;
-    this recovers the directional curvature of costs that are not twice
-    differentiable on the diagonal.  Without ``u`` (or with a numerically
-    zero one) the stencil sits at ``theta`` itself, correct for smooth costs.
+    Differences ``eta -> sim.grad_theta(family, eta, theta)`` at ``eta =
+    theta`` (:func:`central_hessian`, steps ``GRAD_REL_STEP`` times the
+    largest ``max(1, |theta_i|)``), so the similarity needs ``grad_theta``.
+    With a direction ``u`` the stencil is centered at ``theta + eps * u_hat``
+    for the geometric ladder ``FD_EPS_LADDER`` (ratio 2), with steps
+    ``FD_INNER_STEP_RATIO * eps``, and extrapolated to ``eps = 0`` assuming
+    a leading error linear in ``eps``; this recovers the directional
+    curvature of costs that are not twice differentiable on the diagonal.
+    Without ``u`` (or with a numerically zero one) the stencil sits at
+    ``theta`` itself, correct for smooth costs.
 
     Raises
     ------
@@ -282,15 +287,15 @@ def fd_local_hessian(sim, family: Family, theta, u=None) -> LocalHessian:
     theta = family.point(theta)
     scale = max(1.0, float(np.max(np.abs(theta.theta))))
 
-    def cost(eta):
-        return sim.evaluate(family, eta, theta)
+    def grad(eta):
+        return sim.grad_theta(family, eta, theta)
 
     if u is not None:
         u = _direction(family, u)
         if np.linalg.norm(u) < 1e-12:
             u = None
     if u is None:
-        H = central_hessian(cost, theta, abs_step=HESS_REL_STEP * scale)
+        H = central_hessian(grad, theta.theta, abs_step=GRAD_REL_STEP * scale)
         return LocalHessian(H, provenance="finite_difference")
 
     u_hat = u / np.linalg.norm(u)
@@ -298,7 +303,7 @@ def fd_local_hessian(sim, family: Family, theta, u=None) -> LocalHessian:
     for eps_rel in FD_EPS_LADDER:
         eps = eps_rel * scale
         base = theta.theta + eps * u_hat
-        estimates.append(central_hessian(cost, base, abs_step=FD_INNER_STEP_RATIO * eps))
+        estimates.append(central_hessian(grad, base, abs_step=FD_INNER_STEP_RATIO * eps))
     extrapolated = [2.0 * h2 - h1 for h1, h2 in zip(estimates[:-1], estimates[1:])]
     gap = float(np.max(np.abs(extrapolated[-1] - extrapolated[-2])))
     if gap > 10.0 * FD_TOLERANCE * max(1.0, float(np.max(np.abs(extrapolated[-1])))):

@@ -234,14 +234,14 @@ def newton_step(
     damping: Optional[float] = None,
 ) -> tuple[np.ndarray, dict]:
     """Newton step: :func:`natural_gradient_step` whose metric is the full
-    finite-difference Hessian of the cost.
+    Hessian of the cost, by central differences of its gradient.
 
     The Hessian is SPD-projected like any other metric, so this is the
     curvature every well-formed metric approaches near a minimum.
     """
     hessian = MetricEngine(
         "newton",
-        lambda th, u=None: LocalHessian(central_hessian(objective.value, th), provenance="finite_difference"),
+        lambda th, u=None: LocalHessian(central_hessian(objective.gradient, th), provenance="finite_difference"),
     )
     return natural_gradient_step(objective, hessian, theta, damping)
 

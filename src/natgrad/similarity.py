@@ -131,7 +131,8 @@ class Similarity:
     def local_hessian(self, family: Family, theta, u=None) -> LocalHessian:
         """The Hessian of ``eta -> c(eta, theta)`` at ``eta = theta``, along
         the direction ``u`` for a ``directional`` cost; base: by finite
-        differences, :func:`fd_local_hessian`, the route of ``fd:`` ids."""
+        differences of ``grad_theta``, :func:`fd_local_hessian`, the route of
+        ``fd:`` ids."""
         return fd_local_hessian(self, family, theta, u if self.directional else None)
 
     def evaluate(self, family: Family, theta, target) -> float:

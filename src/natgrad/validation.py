@@ -66,7 +66,7 @@ def _newton_margin(family: Gaussian1D, kl: FDivergence) -> float:
 
     def deviation(t: float) -> float:
         theta = family.point(target + t * delta)
-        full = central_hessian(objective.value, theta)
+        full = central_hessian(objective.gradient, theta)
         return float(np.linalg.norm(fisher_information(family, theta).matrix - full))
 
     # Each t once: E(0.2), E(0.1), E(0.05), E(0.025), then E(0.01).

@@ -559,6 +559,19 @@ def test_fd_engine_on_smooth_costs_ignores_the_direction_hint():
     assert fisher_rao.status != "numeric_failure" and fisher_rao.final_cost < 1e-12
 
 
+def test_fd_fisher_rao_runs_from_random_logits_end_before_max_iters():
+    # Built from 2n^2 + 1 cost values, the fd: metric read the null direction
+    # (1, 1, 1) of the exact one as an eigenvalue of about -1e-9, below the
+    # damping floor, so the first steps ran far along it, to logits where the
+    # error grew to -1e-3, and draws 15 and 31 crawled to max_iters (31 at
+    # cost 3e-2).  Differences of the gradient keep it within the floor.
+    rng, family, sim = np.random.default_rng(0), CategoricalSoftmax(3), get_similarity("fisher_rao2")
+    draws = [(rng.normal(0.0, 2.0, 3), rng.normal(0.0, 2.0, 3)) for _ in range(40)]
+    statuses = [optimize(family, sim, theta0, target, OptimizerConfig(metric="fd:fisher_rao2")).status
+                for theta0, target in draws]
+    assert "max_iters" not in statuses
+
+
 def test_fisher_rao_run_through_underflowing_softmax_returns_a_trace():
     # a line-search trial at extreme logits underflows softmax to an exact
     # zero; that point counts as infinitely bad instead of raising
